@@ -26,10 +26,7 @@ from .bell import (
 )
 from .clifford import build_clifford_generators, clifford_check
 from .entangled import (
-    BasisReport,
     EntangledBasis,
-    MaxEntanglementReport,
-    UnitaryBasis,
     basis_matrix,
     fourier_basis,
     is_max_entangled,
@@ -38,7 +35,6 @@ from .entangled import (
     reduced_density,
     shift_multiply_basis,
     vector_from_operator,
-    verify_entangled_basis,
     verify_unitary_basis,
 )
 from .factorize import (
@@ -48,8 +44,6 @@ from .factorize import (
     operator_schmidt,
 )
 from .hadamard import (
-    HadamardReport,
-    LatinSquareReport,
     cyclic_latin_square,
     fourier_hadamard,
     is_hadamard,
@@ -78,21 +72,16 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AntilinearOp",
-    "BasisReport",
     "BellCanonicalization",
     "CheckReport",
     "EntangledBasis",
     "FactorizationResult",
-    "HadamardReport",
-    "LatinSquareReport",
-    "MaxEntanglementReport",
     "PAULIS",
     "SIGMA1",
     "SIGMA2",
     "SIGMA3",
     "SchmidtDecomposition",
     "StateVector",
-    "UnitaryBasis",
     "basis_matrix",
     "bell_basis",
     "bell_conjugate",
@@ -131,6 +120,5 @@ __all__ = [
     "universality_search",
     "validate_latin_square",
     "vector_from_operator",
-    "verify_entangled_basis",
     "verify_unitary_basis",
 ]

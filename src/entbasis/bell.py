@@ -27,10 +27,9 @@ import numpy as np
 
 from .entangled import (
     EntangledBasis,
-    UnitaryBasis,
     basis_matrix,
     vector_from_operator,
-    verify_entangled_basis,
+    verify_unitary_basis,
 )
 from .factorize import factor_local
 from .linalg import (
@@ -41,7 +40,7 @@ from .linalg import (
     random_orthogonal,
     tensor,
 )
-from .reports import CheckReport, MAX_WITNESSES
+from .reports import CheckReport, MAX_WITNESSES, require_positive, seed_tag, tolerance_report
 
 __all__ = [
     "bell_unitary_basis",
@@ -63,13 +62,12 @@ __all__ = [
 
 def bell_unitary_basis():
     """The operators I, i sigma_1, i sigma_2, i sigma_3 of the Bell basis."""
-    ops = (np.eye(2, dtype=complex),) + tuple(1j * s for s in PAULIS)
-    return UnitaryBasis(2, ops)
+    return EntangledBasis(2, [np.eye(2)] + [1j * s for s in PAULIS])
 
 
 def bell_basis():
     """Bell basis: Phi_0 = Omega, Phi_k = (i sigma_k tensor I) Omega, unit norm."""
-    return EntangledBasis.from_unitary_basis(bell_unitary_basis())
+    return bell_unitary_basis()
 
 
 def bell_matrix():
@@ -144,6 +142,7 @@ def check_universality(theta, trials=1000, seed=0, tol=1e-10, phase="det"):
     d = a.shape[0]
     if phase not in ("det", "best"):
         raise ValueError("phase must be 'det' or 'best', got %r" % (phase,))
+    require_positive(trials)
     rng = np.random.default_rng(seed)
     worst = 0.0
     witnesses = []
@@ -159,16 +158,13 @@ def check_universality(theta, trials=1000, seed=0, tol=1e-10, phase="det"):
         if violation > worst:
             worst = violation
         if violation >= tol and len(witnesses) < MAX_WITNESSES:
-            witnesses.append({"trial": t, "seed": seed, "violation": violation})
-    passed = worst < tol
-    return CheckReport(
-        name="universality" if phase == "det" else "universality-best-phase",
+            witnesses.append({"trial": t, **seed_tag(seed), "violation": violation})
+    return tolerance_report(
+        "universality" if phase == "det" else "universality-best-phase",
+        worst,
+        tol,
         trials=trials,
-        max_violation=worst,
-        threshold=tol,
-        passed=passed,
-        verdict="no violation found" if passed else "violation witnessed",
-        witnesses=tuple(witnesses),
+        witnesses=witnesses,
     )
 
 
@@ -184,6 +180,8 @@ def universality_search(dim=3, candidates=50, trials=100, seed=0, threshold=0.1)
     succeeds for every candidate; at dim=2 only the spin flip direction
     would survive it.
     """
+    require_positive(candidates, "candidates")
+    require_positive(trials)
     rng = np.random.default_rng(seed)
     weakest = np.inf
     weakest_candidate = None
@@ -199,7 +197,7 @@ def universality_search(dim=3, candidates=50, trials=100, seed=0, threshold=0.1)
             weakest_candidate = c
         if sub.max_violation > threshold and len(witnesses) < MAX_WITNESSES:
             witnesses.append(
-                {"candidate": c, "seed": seed, "violation": sub.max_violation}
+                {"candidate": c, **seed_tag(seed), "violation": sub.max_violation}
             )
     passed = bool(weakest > threshold)
     return CheckReport(
@@ -285,13 +283,14 @@ def canonicalize_bell_basis(basis, tol=1e-8):
     """
     if basis.dim != 2:
         raise ValueError("canonicalization is specific to C^2 tensor C^2")
-    check = verify_entangled_basis(basis, tol)
+    check = verify_unitary_basis(basis, tol)
     if not check:
         raise ValueError(
             "input fails basis invariants: orthonormality %.3e, entanglement %.3e"
-            % (check.max_orthonormality_residual, check.max_unitarity_residual)
+            % (check.details["max_orthonormality_residual"],
+               check.details["max_unitarity_residual"])
         )
-    xs = basis.operators()
+    xs = basis.ops
     x0 = xs[0]
     ys = [x @ x0.conj().T for x in xs[1:]]
     axes = []
@@ -321,16 +320,17 @@ def canonicalize_bell_basis(basis, tol=1e-8):
     u2 = (u1.conj().T @ x0).T
     local = tensor(u1, u2)
     bell_vecs = bell_basis().vectors
+    vecs = basis.vectors
     phases = []
     residual = 0.0
     for a in range(4):
         target = local @ bell_vecs[permutation[a]].amplitudes
-        overlap = np.vdot(target, basis.vectors[a].amplitudes)
+        overlap = np.vdot(target, vecs[a].amplitudes)
         phase = overlap / abs(overlap)
         phases.append(complex(phase))
         residual = max(
             residual,
-            float(np.linalg.norm(basis.vectors[a].amplitudes - phase * target)),
+            float(np.linalg.norm(vecs[a].amplitudes - phase * target)),
         )
     return BellCanonicalization(u1, u2, tuple(phases), permutation, residual)
 
@@ -359,6 +359,8 @@ def check_bell_condition(basis, condition, trials=1000, seed=0, tol=1e-10):
     """
     if condition not in (2, 3, 4, 5, 6):
         raise ValueError("unknown condition id %r" % (condition,))
+    if condition != 6:
+        require_positive(trials)
     d = basis.dim
     b = basis_matrix(basis)
     rng = np.random.default_rng(seed)
@@ -375,7 +377,7 @@ def check_bell_condition(basis, condition, trials=1000, seed=0, tol=1e-10):
             if violation >= tol and len(witnesses) < MAX_WITNESSES:
                 idx = np.unravel_index(int(np.abs(m.imag).argmax()), m.shape)
                 witnesses.append(
-                    {"trial": t, "seed": seed, "violation": violation,
+                    {"trial": t, **seed_tag(seed), "violation": violation,
                      "pair": [int(idx[0]), int(idx[1])]}
                 )
     elif condition == 3:
@@ -388,10 +390,10 @@ def check_bell_condition(basis, condition, trials=1000, seed=0, tol=1e-10):
                 bad += 1
                 if len(witnesses) < MAX_WITNESSES:
                     witnesses.append(
-                        {"trial": t, "seed": seed, "violation": 1.0,
+                        {"trial": t, **seed_tag(seed), "violation": 1.0,
                          "residual": result.residual}
                     )
-        worst = bad / trials if trials else 0.0
+        worst = bad / trials
     elif condition == 4:
         for t in range(trials):
             phi = vector_from_operator(haar_unitary(d, rng))
@@ -403,11 +405,11 @@ def check_bell_condition(basis, condition, trials=1000, seed=0, tol=1e-10):
             if violation >= tol and len(witnesses) < MAX_WITNESSES:
                 idx = np.unravel_index(int(pairwise.argmax()), pairwise.shape)
                 witnesses.append(
-                    {"trial": t, "seed": seed, "violation": violation,
+                    {"trial": t, **seed_tag(seed), "violation": violation,
                      "pair": [int(idx[0]), int(idx[1])]}
                 )
     elif condition == 5:
-        xs = np.stack(basis.operators())
+        xs = basis.ops
         eye = np.eye(d)
         for t in range(trials):
             a = rng.standard_normal(d * d)
@@ -417,9 +419,9 @@ def check_bell_condition(basis, condition, trials=1000, seed=0, tol=1e-10):
             if violation > worst:
                 worst = violation
             if violation >= tol and len(witnesses) < MAX_WITNESSES:
-                witnesses.append({"trial": t, "seed": seed, "violation": violation})
+                witnesses.append({"trial": t, **seed_tag(seed), "violation": violation})
     else:
-        xs = basis.operators()
+        xs = basis.ops
         eye = np.eye(d)
         n = len(xs)
         for a in range(n):
@@ -433,15 +435,8 @@ def check_bell_condition(basis, condition, trials=1000, seed=0, tol=1e-10):
                     witnesses.append({"pair": [a, c], "violation": violation})
         trials = 0
 
-    passed = worst < tol
-    return CheckReport(
-        name=_condition_name(condition),
-        trials=trials,
-        max_violation=worst,
-        threshold=tol,
-        passed=passed,
-        verdict="no violation found" if passed else "violation witnessed",
-        witnesses=tuple(witnesses),
+    return tolerance_report(
+        _condition_name(condition), worst, tol, trials=trials, witnesses=witnesses
     )
 
 
@@ -477,6 +472,7 @@ def check_det_criterion_agreement(trials=1000, seed=0, tol=1e-10):
     of trials where the determinant sign and the factorization verdict
     disagree ("local" with +1, "local_flip" with -1).
     """
+    require_positive(trials)
     b = bell_matrix()
     rng = np.random.default_rng(seed)
     mismatches = 0
@@ -495,10 +491,10 @@ def check_det_criterion_agreement(trials=1000, seed=0, tol=1e-10):
             mismatches += 1
             if len(witnesses) < MAX_WITNESSES:
                 witnesses.append(
-                    {"trial": t, "seed": seed, "det_verdict": verdict,
+                    {"trial": t, **seed_tag(seed), "det_verdict": verdict,
                      "factor_verdict": factored}
                 )
-    worst = mismatches / trials if trials else 0.0
+    worst = mismatches / trials
     passed = worst == 0.0
     return CheckReport(
         name="det-criterion-agreement",

@@ -3,8 +3,9 @@
 Subcommands:
 
   gen          construct a shift-and-multiply basis and write it as JSON
-  verify       check a basis file for unitarity, orthonormality, and
-               maximal entanglement of the associated vectors
+  verify       check a basis file for unitarity and orthonormality of its
+               operators, i.e. orthonormality and maximal entanglement of
+               the associated vectors
   factorize    decide local / local-flip / neither for a unitary file
   check        run property suites: bell-all, universality, clifford,
                det-criterion
@@ -28,13 +29,7 @@ from .bell import (
     universality_search,
 )
 from .clifford import build_clifford_generators, clifford_check
-from .entangled import (
-    EntangledBasis,
-    fourier_basis,
-    shift_multiply_basis,
-    verify_entangled_basis,
-    verify_unitary_basis,
-)
+from .entangled import fourier_basis, shift_multiply_basis, verify_unitary_basis
 from .factorize import factor_local
 from .fileio import (
     basis_from_obj,
@@ -61,7 +56,14 @@ def _write_or_print(obj, path):
 
 def _load_latin(path, dim):
     obj = load_json(path)
-    table = np.asarray(obj["table"] if isinstance(obj, dict) else obj, dtype=int)
+    if isinstance(obj, dict):
+        if "table" not in obj:
+            raise ValueError("Latin square object needs a \"table\" field")
+        obj = obj["table"]
+    try:
+        table = np.asarray(obj, dtype=int)
+    except (TypeError, ValueError) as exc:
+        raise ValueError("Latin square must be a 2D integer array") from exc
     if table.shape != (dim, dim):
         raise ValueError("Latin square has shape %s, expected %d x %d"
                          % (table.shape, dim, dim))
@@ -93,19 +95,10 @@ def cmd_gen(args):
 
 def cmd_verify(args):
     basis = basis_from_obj(load_json(args.basis))
-    op_report = verify_unitary_basis(basis, args.tol)
-    vec_report = verify_entangled_basis(EntangledBasis.from_unitary_basis(basis), args.tol)
-    print("operators: unitarity residual %.3e, orthonormality residual %.3e -> %s"
-          % (op_report.max_unitarity_residual,
-             op_report.max_orthonormality_residual,
-             "pass" if op_report else "FAIL"))
-    print("vectors:   entanglement residual %.3e, orthonormality residual %.3e -> %s"
-          % (vec_report.max_unitarity_residual,
-             vec_report.max_orthonormality_residual,
-             "pass" if vec_report else "FAIL"))
-    if not (op_report and vec_report):
-        offending = op_report.offending_pair or vec_report.offending_pair
-        print("offending pair: %s" % (offending,))
+    report = verify_unitary_basis(basis, args.tol)
+    print(report.summary())
+    if not report:
+        print("offending pair: %s" % (tuple(report.witnesses[0]["pair"]),))
         return 1
     return 0
 
@@ -135,9 +128,10 @@ def _load_entangled(path, tol):
     report = verify_unitary_basis(basis, tol)
     if not report:
         raise ValueError(
-            "input does not verify as a basis: offending pair %s" % (report.offending_pair,)
+            "input does not verify as a basis: offending pair %s"
+            % (tuple(report.witnesses[0]["pair"]),)
         )
-    return EntangledBasis.from_unitary_basis(basis)
+    return basis
 
 
 def cmd_check_bell_all(args):

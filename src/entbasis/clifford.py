@@ -10,7 +10,7 @@ family.
 import numpy as np
 
 from .linalg import SIGMA1, SIGMA2, SIGMA3
-from .reports import CheckReport, MAX_WITNESSES
+from .reports import MAX_WITNESSES, tolerance_report
 
 __all__ = ["build_clifford_generators", "clifford_check"]
 
@@ -72,14 +72,6 @@ def clifford_check(mats, tol=1e-10):
         expected = 2 ** ((n - 1) // 2)
         details["expected_dimension"] = expected
         details["dimension_matches"] = bool(d == expected)
-    passed = worst < tol
-    return CheckReport(
-        name="clifford-relations",
-        trials=0,
-        max_violation=worst,
-        threshold=tol,
-        passed=passed,
-        verdict="no violation found" if passed else "violation witnessed",
-        witnesses=tuple(witnesses),
-        details=details,
+    return tolerance_report(
+        "clifford-relations", worst, tol, witnesses=witnesses, details=details
     )

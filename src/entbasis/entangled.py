@@ -11,7 +11,10 @@ X, where Omega is the canonical maximally entangled vector. Under this map
     Phi maximally entangled  iff  X unitary
 
 so orthonormal bases of maximally entangled vectors are exactly families of
-d^2 unitaries orthonormal in the normalized trace inner product. The
+d^2 unitaries orthonormal in the normalized trace inner product. One class,
+EntangledBasis, holds such a family as a stacked (d^2, d, d) operator array
+and derives its vectors from it; one verifier, verify_unitary_basis, checks
+it and returns a CheckReport like every other check in the package. The
 shift-and-multiply construction below produces such families from d complex
 Hadamard matrices and a Latin square.
 
@@ -20,12 +23,13 @@ also the Schmidt basis of Omega; this one global convention makes each
 identity above literally testable.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .hadamard import is_hadamard, validate_latin_square, fourier_hadamard, cyclic_latin_square
-from .linalg import StateVector, schmidt
+from .linalg import StateVector
+from .reports import tolerance_report
 
 __all__ = [
     "omega",
@@ -33,12 +37,8 @@ __all__ = [
     "operator_from_vector",
     "reduced_density",
     "is_max_entangled",
-    "MaxEntanglementReport",
-    "UnitaryBasis",
     "EntangledBasis",
-    "BasisReport",
     "verify_unitary_basis",
-    "verify_entangled_basis",
     "shift_multiply_basis",
     "fourier_basis",
     "basis_matrix",
@@ -90,154 +90,104 @@ def reduced_density(v, side, tol=1e-10):
     raise ValueError("side must be 'left' or 'right', got %r" % (side,))
 
 
-@dataclass(frozen=True)
-class MaxEntanglementReport:
-    passed: bool
-    residual: float
-    schmidt_coefficients: np.ndarray = field(repr=False)
-
-    def __bool__(self):
-        return self.passed
-
-
 def is_max_entangled(v, tol=1e-10):
     """Check that both reductions of v are maximally mixed.
 
-    Equivalent to unitarity of the corresponding operator X; the report
-    carries the residual ||X^dag X - I||_F and the Schmidt coefficients
-    (all equal to 1/sqrt(d) in the passing case).
+    Equivalent to unitarity of the corresponding operator X; max_violation
+    is the residual ||X^dag X - I||_F.
     """
     x = operator_from_vector(v)
-    d = v.dim_left
-    residual = float(np.linalg.norm(x.conj().T @ x - np.eye(d)))
-    return MaxEntanglementReport(
-        passed=residual < tol,
-        residual=residual,
-        schmidt_coefficients=schmidt(v).coefficients,
-    )
-
-
-@dataclass(frozen=True, eq=False)
-class UnitaryBasis:
-    """Ordered family of d^2 unitaries orthonormal in (1/d) tr(X^dag Y)."""
-
-    dim: int
-    ops: tuple
-
-    def __post_init__(self):
-        ops = tuple(np.asarray(x, dtype=complex) for x in self.ops)
-        if len(ops) != self.dim * self.dim:
-            raise ValueError(
-                "need %d operators for dimension %d, got %d"
-                % (self.dim * self.dim, self.dim, len(ops))
-            )
-        for x in ops:
-            if x.shape != (self.dim, self.dim):
-                raise ValueError("every operator must be %d x %d" % (self.dim, self.dim))
-        object.__setattr__(self, "ops", ops)
-
-    def vectors(self):
-        return tuple(vector_from_operator(x) for x in self.ops)
+    residual = float(np.linalg.norm(x.conj().T @ x - np.eye(v.dim_left)))
+    return tolerance_report("max-entangled", residual, tol)
 
 
 @dataclass(frozen=True, eq=False)
 class EntangledBasis:
-    """Orthonormal basis of d^2 maximally entangled vectors, with reference Omega."""
+    """Ordered basis of d^2 vectors (X_a tensor I) Omega of C^d tensor C^d.
+
+    ops is one complex (d^2, d, d) array holding the operators X_a. The
+    basis is orthonormal and maximally entangled exactly when the X_a are
+    unitaries orthonormal in (1/d) tr(X^dag Y); verify_unitary_basis checks
+    both.
+    """
 
     dim: int
-    vectors: tuple
-    reference: StateVector = None
+    ops: np.ndarray
 
     def __post_init__(self):
-        vecs = tuple(self.vectors)
-        if len(vecs) != self.dim * self.dim:
+        d = self.dim
+        ops = np.asarray(self.ops, dtype=complex)
+        if ops.shape != (d * d, d, d):
             raise ValueError(
-                "need %d vectors for dimension %d, got %d"
-                % (self.dim * self.dim, self.dim, len(vecs))
+                "need %d operators of size %d x %d, got an array of shape %s"
+                % (d * d, d, d, ops.shape)
             )
-        for v in vecs:
-            if v.dim_left != self.dim or v.dim_right != self.dim:
-                raise ValueError("every vector must live in C^%d tensor C^%d" % (self.dim, self.dim))
-        object.__setattr__(self, "vectors", vecs)
-        if self.reference is None:
-            object.__setattr__(self, "reference", omega(self.dim))
+        object.__setattr__(self, "ops", ops)
+
+    @classmethod
+    def from_vectors(cls, dim, vectors):
+        """Basis whose a-th vector is vectors[a] (StateVectors in C^dim tensor C^dim)."""
+        vectors = tuple(vectors)
+        for v in vectors:
+            if v.dim_left != dim or v.dim_right != dim:
+                raise ValueError("every vector must live in C^%d tensor C^%d" % (dim, dim))
+        return cls(dim, np.sqrt(dim) * np.array([v.reshaped() for v in vectors]))
 
     @classmethod
     def from_unitary_basis(cls, basis):
-        return cls(basis.dim, basis.vectors())
+        """The basis itself: operators and vectors are one object now."""
+        return basis
 
-    def operators(self):
-        return tuple(operator_from_vector(v) for v in self.vectors)
+    @property
+    def vectors(self):
+        return tuple(vector_from_operator(x) for x in self.ops)
 
 
 def basis_matrix(basis):
     """d^2 x d^2 matrix whose columns are the basis vector amplitudes."""
-    return np.column_stack([v.amplitudes for v in basis.vectors])
-
-
-@dataclass(frozen=True)
-class BasisReport:
-    passed: bool
-    max_unitarity_residual: float
-    max_orthonormality_residual: float
-    offending_pair: tuple | None
-
-    def __bool__(self):
-        return self.passed
+    n = basis.dim * basis.dim
+    return basis.ops.reshape(n, n).T / np.sqrt(basis.dim)
 
 
 def verify_unitary_basis(basis, tol=1e-10):
     """Check unitarity of each element and (1/d) tr(X_a^dag X_b) = delta_ab.
 
-    The report carries the worst residual of each kind and, on failure, the
-    first offending index pair (a, a) for unitarity or (a, b) for
-    orthonormality.
+    max_violation is the worse of the two residuals, which details carries
+    as max_unitarity_residual (Frobenius norm of X_a^dag X_a - I) and
+    max_orthonormality_residual (largest entry of the Gram matrix minus I).
+    On failure the one witness names the first offending index pair: (a, a)
+    for unitarity, else (a, b) for orthonormality.
     """
     d = basis.dim
-    eye = np.eye(d)
-    worst_unit = 0.0
-    worst_orth = 0.0
-    offending = None
-    for a, x in enumerate(basis.ops):
-        res = float(np.linalg.norm(x.conj().T @ x - eye))
-        if res > worst_unit:
-            worst_unit = res
-            if res >= tol and offending is None:
-                offending = (a, a)
-    n = len(basis.ops)
-    stacked = np.stack(basis.ops)
-    gram = np.einsum("aij,bij->ab", stacked.conj(), stacked) / d
-    dev = np.abs(gram - np.eye(n))
+    ops = basis.ops
+    n = len(ops)
+    products = ops.conj().transpose(0, 2, 1) @ ops
+    products -= np.eye(d)
+    unit = np.linalg.norm(products, axis=(1, 2))
+    flat = ops.reshape(n, d * d)
+    gram = flat.conj() @ flat.T
+    gram /= d
+    gram.flat[:: n + 1] -= 1.0
+    dev = np.abs(gram)
+    worst_unit = float(unit.max())
     worst_orth = float(dev.max())
-    if worst_orth >= tol and offending is None:
-        idx = np.unravel_index(int(dev.argmax()), dev.shape)
-        offending = (int(idx[0]), int(idx[1]))
-    return BasisReport(
-        passed=(worst_unit < tol and worst_orth < tol),
-        max_unitarity_residual=worst_unit,
-        max_orthonormality_residual=worst_orth,
-        offending_pair=offending,
-    )
-
-
-def verify_entangled_basis(basis, tol=1e-10):
-    """Check pairwise orthonormality and maximal entanglement of the vectors."""
-    b = basis_matrix(basis)
-    n = b.shape[1]
-    gram_res = float(np.abs(b.conj().T @ b - np.eye(n)).max())
-    worst_ent = 0.0
-    offending = None
-    for a, v in enumerate(basis.vectors):
-        rep = is_max_entangled(v, tol)
-        if rep.residual > worst_ent:
-            worst_ent = rep.residual
-            if not rep and offending is None:
-                offending = (a, a)
-    return BasisReport(
-        passed=(gram_res < tol and worst_ent < tol),
-        max_unitarity_residual=worst_ent,
-        max_orthonormality_residual=gram_res,
-        offending_pair=offending,
+    witnesses = ()
+    bad = np.flatnonzero(unit >= tol)
+    if bad.size:
+        a = int(bad[0])
+        witnesses = ({"pair": [a, a], "violation": float(unit[a])},)
+    elif worst_orth >= tol:
+        a, b = np.unravel_index(int(dev.argmax()), dev.shape)
+        witnesses = ({"pair": [int(a), int(b)], "violation": worst_orth},)
+    return tolerance_report(
+        "unitary-basis",
+        max(worst_unit, worst_orth),
+        tol,
+        witnesses=witnesses,
+        details={
+            "max_unitarity_residual": worst_unit,
+            "max_orthonormality_residual": worst_orth,
+        },
     )
 
 
@@ -262,24 +212,24 @@ def shift_multiply_basis(hadamards, tau, tol=1e-10):
             raise ValueError(
                 "matrix %d fails Hadamard validation: modulus deviation %.3e,"
                 " product residual %.3e"
-                % (j, rep.max_modulus_deviation, rep.max_product_residual)
+                % (j, rep.details["max_modulus_deviation"], rep.details["max_product_residual"])
             )
     if not lat:
         raise ValueError(
-            "invalid Latin square: row %s, column %s" % (lat.bad_row, lat.bad_column)
+            "invalid Latin square: row %s, column %s"
+            % (lat.details["bad_row"], lat.details["bad_column"])
         )
-    ops = []
-    for i in range(d):
-        for j in range(d):
-            u = np.zeros((d, d), dtype=complex)
-            u[tau[:, j], np.arange(d)] = hs[j][i, :]
-            ops.append(u)
-    basis = UnitaryBasis(d, tuple(ops))
+    hs = np.stack(hs)
+    i, j, k = np.meshgrid(np.arange(d), np.arange(d), np.arange(d), indexing="ij")
+    ops = np.zeros((d * d, d, d), dtype=complex)
+    ops[i * d + j, tau[k, j], k] = hs[j, i, k]
+    basis = EntangledBasis(d, ops)
     report = verify_unitary_basis(basis, tol)
     if not report:
         # inputs passed validation yet the output is not a basis: numerical breakdown
         raise ValueError(
-            "constructed family fails basis verification at pair %s" % (report.offending_pair,)
+            "constructed family fails basis verification at pair %s"
+            % (report.witnesses[0]["pair"],)
         )
     return basis
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from .entangled import operator_from_vector, vector_from_operator
 from .linalg import StateVector, flip_operator, haar_unitary, tensor
-from .reports import CheckReport, MAX_WITNESSES
+from .reports import MAX_WITNESSES, require_positive, seed_tag, tolerance_report
 
 __all__ = [
     "operator_schmidt",
@@ -131,6 +131,7 @@ def check_preserves_max_entangled(u, trials=500, seed=0, tol=1e-10):
     """
     u = np.asarray(u, dtype=complex)
     d = _square_side(u.shape[0])
+    require_positive(trials)
     rng = np.random.default_rng(seed)
     eye = np.eye(d)
     worst = 0.0
@@ -144,14 +145,7 @@ def check_preserves_max_entangled(u, trials=500, seed=0, tol=1e-10):
         if violation > worst:
             worst = violation
         if violation >= tol and len(witnesses) < MAX_WITNESSES:
-            witnesses.append({"trial": t, "seed": seed, "violation": violation})
-    passed = worst < tol
-    return CheckReport(
-        name="preserves-max-entangled",
-        trials=trials,
-        max_violation=worst,
-        threshold=tol,
-        passed=passed,
-        verdict="no violation found" if passed else "violation witnessed",
-        witnesses=tuple(witnesses),
+            witnesses.append({"trial": t, **seed_tag(seed), "violation": violation})
+    return tolerance_report(
+        "preserves-max-entangled", worst, tol, trials=trials, witnesses=witnesses
     )

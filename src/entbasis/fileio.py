@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .entangled import UnitaryBasis
+from .entangled import EntangledBasis
 from .reports import CheckReport
 
 __all__ = [
@@ -45,15 +45,19 @@ def matrix_from_obj(obj):
         raise ValueError("matrix object needs rows, cols, data fields") from exc
     if rows < 1 or cols < 1:
         raise ValueError("matrix dimensions must be positive")
+    if not isinstance(data, list):
+        raise ValueError("matrix data must be a list of [re, im] pairs")
     if len(data) != rows * cols:
         raise ValueError(
             "data length %d does not match %d x %d" % (len(data), rows, cols)
         )
     out = np.empty(rows * cols, dtype=complex)
     for k, pair in enumerate(data):
-        if len(pair) != 2:
-            raise ValueError("entry %d is not a [re, im] pair" % k)
-        re, im = float(pair[0]), float(pair[1])
+        try:
+            re, im = pair
+            re, im = float(re), float(im)
+        except (TypeError, ValueError) as exc:
+            raise ValueError("entry %d is not a [re, im] pair" % k) from exc
         if not (math.isfinite(re) and math.isfinite(im)):
             raise ValueError("entry %d is not finite" % k)
         out[k] = complex(re, im)
@@ -61,7 +65,7 @@ def matrix_from_obj(obj):
 
 
 def basis_to_obj(basis):
-    """{"dim", "operators": [matrix objects]} for a UnitaryBasis."""
+    """{"dim", "operators": [matrix objects]} for an EntangledBasis."""
     return {
         "dim": int(basis.dim),
         "operators": [matrix_to_obj(x) for x in basis.ops],
@@ -77,19 +81,21 @@ def basis_from_obj(obj):
         raise ValueError("basis object needs dim and operators fields") from exc
     if dim < 1:
         raise ValueError("dim must be positive")
+    if not isinstance(raw, list):
+        raise ValueError("basis operators must be a list of matrix objects")
     if len(raw) != dim * dim:
         raise ValueError(
             "operator count %d does not match dim %d (need %d)"
             % (len(raw), dim, dim * dim)
         )
-    ops = []
+    ops = np.empty((dim * dim, dim, dim), dtype=complex)
     for k, mobj in enumerate(raw):
         m = matrix_from_obj(mobj)
         if m.shape != (dim, dim):
             raise ValueError("operator %d has shape %s, expected %d x %d"
                              % (k, m.shape, dim, dim))
-        ops.append(m)
-    return UnitaryBasis(dim, tuple(ops))
+        ops[k] = m
+    return EntangledBasis(dim, ops)
 
 
 def report_to_obj(report):

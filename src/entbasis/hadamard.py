@@ -8,22 +8,21 @@ table in which every symbol occurs exactly once per row and per column
 
 Latin squares are plain integer ndarrays; Hadamard matrices are plain
 complex ndarrays. Validation is explicit via is_hadamard and
-validate_latin_square.
+validate_latin_square, which return a CheckReport like every other check
+in the package.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
+
+from .reports import tolerance_report
 
 __all__ = [
     "fourier_hadamard",
     "sylvester_hadamard",
     "tensor_hadamard",
     "is_hadamard",
-    "HadamardReport",
     "cyclic_latin_square",
     "validate_latin_square",
-    "LatinSquareReport",
 ]
 
 
@@ -46,21 +45,11 @@ def sylvester_hadamard(d):
     return h
 
 
-@dataclass(frozen=True)
-class HadamardReport:
-    passed: bool
-    max_modulus_deviation: float
-    max_product_residual: float
-
-    def __bool__(self):
-        return self.passed
-
-
 def is_hadamard(h, tol=1e-10):
     """Check unimodular entries and H H^dag = d I; returns a report.
 
-    The report carries the worst entry-modulus deviation from 1 and the
-    worst entry of H H^dag - d I.
+    max_violation is the larger of the worst entry-modulus deviation from 1
+    and the worst entry of H H^dag - d I; details carries each of them.
     """
     h = np.asarray(h, dtype=complex)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
@@ -68,10 +57,11 @@ def is_hadamard(h, tol=1e-10):
     d = h.shape[0]
     mod_dev = float(np.abs(np.abs(h) - 1.0).max())
     prod_res = float(np.abs(h @ h.conj().T - d * np.eye(d)).max())
-    return HadamardReport(
-        passed=(mod_dev < tol and prod_res < tol),
-        max_modulus_deviation=mod_dev,
-        max_product_residual=prod_res,
+    return tolerance_report(
+        "hadamard",
+        max(mod_dev, prod_res),
+        tol,
+        details={"max_modulus_deviation": mod_dev, "max_product_residual": prod_res},
     )
 
 
@@ -87,7 +77,8 @@ def tensor_hadamard(h1, h2, tol=1e-10):
     if not report:
         raise ValueError(
             "tensor product failed Hadamard validation: modulus deviation %.3e,"
-            " product residual %.3e" % (report.max_modulus_deviation, report.max_product_residual)
+            " product residual %.3e"
+            % (report.details["max_modulus_deviation"], report.details["max_product_residual"])
         )
     return out
 
@@ -100,21 +91,12 @@ def cyclic_latin_square(d):
     return (k[:, None] + k[None, :]) % d
 
 
-@dataclass(frozen=True)
-class LatinSquareReport:
-    passed: bool
-    bad_row: int | None
-    bad_column: int | None
-
-    def __bool__(self):
-        return self.passed
-
-
 def validate_latin_square(table):
     """Check that each row and each column is a permutation of 0..d-1.
 
-    Returns a report naming the first violating row or column; raises on
-    out-of-range entries.
+    max_violation is the largest number of repeated symbols in one row or
+    column, so the report passes below 1; details names the first
+    violating row and column. Raises on out-of-range entries.
     """
     t = np.asarray(table)
     if t.ndim != 2 or t.shape[0] != t.shape[1]:
@@ -124,19 +106,17 @@ def validate_latin_square(table):
         raise ValueError("Latin square entries must be integers")
     if t.min() < 0 or t.max() >= d:
         raise ValueError("Latin square entries must lie in [0, %d)" % d)
-    full = np.arange(d)
-    bad_row = None
-    bad_col = None
-    for r in range(d):
-        if not np.array_equal(np.sort(t[r, :]), full):
-            bad_row = r
-            break
-    for c in range(d):
-        if not np.array_equal(np.sort(t[:, c]), full):
-            bad_col = c
-            break
-    return LatinSquareReport(
-        passed=(bad_row is None and bad_col is None),
-        bad_row=bad_row,
-        bad_column=bad_col,
+    # entries lie in [0, d), so a line is a permutation exactly when no symbol repeats
+    rows, cols = (
+        (np.diff(np.sort(t, axis=axis), axis=axis) == 0).sum(axis=axis) for axis in (1, 0)
+    )
+
+    def first(repeats):
+        return int(np.flatnonzero(repeats)[0]) if repeats.any() else None
+
+    return tolerance_report(
+        "latin-square",
+        max(rows.max(), cols.max()),
+        1,
+        details={"bad_row": first(rows), "bad_column": first(cols)},
     )

@@ -10,7 +10,7 @@ stores the amplitude of e_i tensor e_j at position i*d2 + j, which matches
 the row-major Kronecker product convention of numpy.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -1,15 +1,18 @@
 """Common result record for statistical and deterministic checkers.
 
-A CheckReport never claims a proof: its verdict distinguishes "no violation
+Every verifier and checker in the package returns a CheckReport. A
+CheckReport never claims a proof: its verdict distinguishes "no violation
 found" (the sampled search came up empty) from "violation witnessed" (a
 concrete counterexample is recorded). Witnesses are small dictionaries that
-identify the violating input by trial index and seed, so every witness can
-be regenerated deterministically.
+identify the violating input by trial index and seed, or by index pair, so
+every witness can be regenerated deterministically.
 """
 
 from dataclasses import dataclass, field
 
-__all__ = ["CheckReport", "MAX_WITNESSES"]
+import numpy as np
+
+__all__ = ["CheckReport", "MAX_WITNESSES", "tolerance_report", "require_positive", "seed_tag"]
 
 # keep reports small and diffable; the seed makes the full set recoverable
 MAX_WITNESSES = 8
@@ -47,3 +50,31 @@ class CheckReport:
             self.threshold,
             self.trials if self.trials else "-",
         )
+
+
+def tolerance_report(name, worst, tol, trials=0, witnesses=(), details=None):
+    """CheckReport for a check that passes when its worst violation is below tol."""
+    passed = bool(worst < tol)
+    return CheckReport(
+        name=name,
+        trials=trials,
+        max_violation=float(worst),
+        threshold=tol,
+        passed=passed,
+        verdict="no violation found" if passed else "violation witnessed",
+        witnesses=tuple(witnesses),
+        details=details or {},
+    )
+
+
+def require_positive(count, what="trials"):
+    """A sampled check with nothing to sample would pass without doing any work."""
+    if count < 1:
+        raise ValueError("%s must be at least 1, got %r" % (what, count))
+
+
+def seed_tag(seed):
+    """{"seed": seed} for an integer seed; a Generator can be neither written nor replayed."""
+    if isinstance(seed, (int, np.integer)):
+        return {"seed": int(seed)}
+    return {}

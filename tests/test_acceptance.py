@@ -59,8 +59,8 @@ def test_criterion_01_basis_construction():
         stacked = np.stack(basis.ops)
         gram = np.einsum("aij,bij->ab", stacked.conj(), stacked) / d
         worst_orth = max(worst_orth, float(np.abs(gram - np.eye(d * d)).max()))
-        for v in basis.vectors():
-            worst_ent = max(worst_ent, is_max_entangled(v, tol=1e-10).residual)
+        for v in basis.vectors:
+            worst_ent = max(worst_ent, is_max_entangled(v, tol=1e-10).max_violation)
     elapsed = time.perf_counter() - start
     _check(1, "shift-and-multiply bases d=2..8",
            worst_orth < 1e-10 and worst_ent < 1e-10 and elapsed < 5.0,
@@ -106,7 +106,7 @@ def test_criterion_02_correspondence_identities():
             rho_l, rho_r = _partial_traces(vu.amplitudes, d)
             worst["unitary"] = max(
                 worst["unitary"],
-                is_max_entangled(vu, tol=1e-10).residual,
+                is_max_entangled(vu, tol=1e-10).max_violation,
                 float(np.linalg.norm(rho_l - eye_d / d)),
                 float(np.linalg.norm(rho_r - eye_d / d)),
             )
@@ -258,7 +258,7 @@ def test_criterion_09_canonicalization():
             StateVector(2, 2, phase * (local @ bv[order[a]].amplitudes))
             for a in range(4)
         )
-        basis = EntangledBasis(2, vecs)
+        basis = EntangledBasis.from_vectors(2, vecs)
         canon = canonicalize_bell_basis(basis)
         rebuilt_local = tensor(canon.u1, canon.u2)
         for a in range(4):

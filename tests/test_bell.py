@@ -19,6 +19,7 @@ from entbasis import (
     canonicalize_bell_basis,
     check_bell_condition,
     check_det_criterion_agreement,
+    check_preserves_max_entangled,
     check_universality,
     det_criterion,
     factor_local,
@@ -52,7 +53,7 @@ def rotated_bell(v, w, phases=None, order=None):
         StateVector(2, 2, phases[a] * (local @ vecs[order[a]].amplitudes))
         for a in range(4)
     )
-    return EntangledBasis(2, out)
+    return EntangledBasis.from_vectors(2, out)
 
 
 class TestBellBasis:
@@ -243,7 +244,7 @@ class TestCanonicalize:
 
     def test_swapped_pair_gives_odd_permutation(self):
         vecs = bell_basis().vectors
-        swapped = EntangledBasis(2, (vecs[0], vecs[2], vecs[1], vecs[3]))
+        swapped = EntangledBasis.from_vectors(2, (vecs[0], vecs[2], vecs[1], vecs[3]))
         can = canonicalize_bell_basis(swapped)
         assert can.permutation == (0, 2, 1, 3)
         assert can.residual < 1e-12
@@ -282,7 +283,7 @@ class TestCanonicalize:
     def test_invalid_basis_rejected(self):
         e = np.zeros(4, dtype=complex)
         e[0] = 1.0
-        product_like = EntangledBasis(
+        product_like = EntangledBasis.from_vectors(
             2,
             (
                 StateVector(2, 2, e),
@@ -344,6 +345,23 @@ class TestBellConditions:
     def test_unknown_condition(self):
         with pytest.raises(ValueError, match="condition"):
             check_bell_condition(bell_basis(), 7)
+
+    def test_condition_6_ignores_trials(self):
+        assert check_bell_condition(bell_basis(), 6, trials=0).passed
+
+
+@pytest.mark.parametrize("run", [
+    lambda: check_bell_condition(bell_basis(), 3, trials=0),
+    lambda: check_universality(theta2(), trials=0),
+    lambda: universality_search(candidates=0),
+    lambda: universality_search(trials=0),
+    lambda: check_det_criterion_agreement(trials=-3),
+    lambda: check_preserves_max_entangled(np.eye(4), trials=0),
+], ids=["bell-3", "universality", "search-candidates", "search-trials",
+        "det-criterion", "preserves"])
+def test_sampled_checks_refuse_to_draw_nothing(run):
+    with pytest.raises(ValueError, match="at least 1"):
+        run()
 
 
 class TestDetCriterion:

@@ -81,6 +81,20 @@ def test_verify_missing_file(tmp_path):
     assert main(["verify", str(tmp_path / "nope.json")]) == 2
 
 
+def test_matrix_entry_not_a_pair_is_usage_error(tmp_path):
+    path = tmp_path / "m.json"
+    save_json({"rows": 2, "cols": 2, "data": [1, 2, 3, 4]}, path)
+    assert main(["factorize", str(path)]) == 2
+
+
+def test_latin_object_without_table_is_usage_error(tmp_path):
+    hpath, lpath = tmp_path / "h.json", tmp_path / "l.json"
+    save_json(matrix_to_obj(np.array([[1, 1], [1, -1]], dtype=complex)), hpath)
+    save_json({"rows": [[0, 1], [1, 0]]}, lpath)
+    assert main(["gen", "--dim", "2", "--construction", "custom",
+                 "--hadamard", str(hpath), "--latin", str(lpath)]) == 2
+
+
 class TestFactorize:
     def test_product(self, tmp_path, capsys):
         u = tensor(haar_unitary(2, 5), haar_unitary(2, 6))
@@ -150,6 +164,15 @@ class TestCheck:
 
     def test_det_criterion(self):
         assert main(["check", "det-criterion", "--trials", "100"]) == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "bell-all", "--trials", "0"],
+        ["check", "det-criterion", "--trials", "-3"],
+        ["check", "universality", "--dim", "3", "--candidates", "0"],
+    ])
+    def test_no_samples_is_usage_error(self, argv):
+        # a sampled check that draws nothing must not pass
+        assert main(argv) == 2
 
     def test_reports_byte_identical_for_equal_seeds(self, tmp_path):
         r1, r2 = tmp_path / "r1.json", tmp_path / "r2.json"

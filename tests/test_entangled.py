@@ -8,7 +8,7 @@ from entbasis import (
     SIGMA1,
     SIGMA2,
     StateVector,
-    UnitaryBasis,
+    basis_matrix,
     cyclic_latin_square,
     fourier_basis,
     fourier_hadamard,
@@ -22,7 +22,6 @@ from entbasis import (
     sylvester_hadamard,
     tensor,
     vector_from_operator,
-    verify_entangled_basis,
     verify_unitary_basis,
 )
 
@@ -170,7 +169,7 @@ class TestIsMaxEntangled:
         v = StateVector(2, 2, np.array([1.0, 0, 0, 0], dtype=complex))
         report = is_max_entangled(v)
         assert not report
-        assert report.residual > 0.5
+        assert report.max_violation > 0.5
 
     def test_local_unitaries_preserve(self):
         rng = np.random.default_rng(13)
@@ -181,7 +180,7 @@ class TestIsMaxEntangled:
             report = is_max_entangled(v)
             assert report
             # Schmidt oracle: all coefficients 1/sqrt(d)
-            assert np.allclose(report.schmidt_coefficients, 1 / np.sqrt(d), atol=1e-10)
+            assert np.allclose(schmidt(v).coefficients, 1 / np.sqrt(d), atol=1e-10)
 
 
 class TestShiftMultiply:
@@ -209,9 +208,7 @@ class TestShiftMultiply:
     def test_fourier_grid_verifies(self, d):
         basis = fourier_basis(d)
         assert verify_unitary_basis(basis, tol=1e-10)
-        vb = EntangledBasis.from_unitary_basis(basis)
-        assert verify_entangled_basis(vb, tol=1e-10)
-        for v in vb.vectors:
+        for v in basis.vectors:
             assert is_max_entangled(v, tol=1e-10)
 
     @pytest.mark.parametrize("d", [2, 4])
@@ -239,14 +236,14 @@ class TestShiftMultiply:
 
     def test_duplicate_operator_detected(self):
         good = fourier_basis(2)
-        bad = UnitaryBasis(2, (good.ops[0], good.ops[0], good.ops[2], good.ops[3]))
+        bad = EntangledBasis(2, (good.ops[0], good.ops[0], good.ops[2], good.ops[3]))
         report = verify_unitary_basis(bad)
         assert not report
-        assert report.offending_pair == (0, 1)
+        assert report.witnesses[0]["pair"] == [0, 1]
 
     def test_wrong_operator_count(self):
         with pytest.raises(ValueError):
-            UnitaryBasis(2, (np.eye(2),) * 3)
+            EntangledBasis(2, (np.eye(2),) * 3)
 
     def test_invalid_hadamard_rejected(self):
         with pytest.raises(ValueError, match="Hadamard"):
@@ -265,9 +262,63 @@ class TestShiftMultiply:
 
 def test_entangled_basis_wrong_count():
     with pytest.raises(ValueError):
-        EntangledBasis(2, (omega(2),) * 3)
+        EntangledBasis.from_vectors(2, (omega(2),) * 3)
 
 
-def test_entangled_basis_reference_is_omega():
-    basis = EntangledBasis.from_unitary_basis(fourier_basis(2))
-    assert np.array_equal(basis.reference.amplitudes, omega(2).amplitudes)
+def _mixed_hadamard_basis(d=4, seed=14):
+    rng = np.random.default_rng(seed)
+    hs = []
+    for _ in range(d):
+        h = fourier_hadamard(d)
+        hs.append(np.exp(2j * np.pi * rng.random(d))[:, None] * h
+                  * np.exp(2j * np.pi * rng.random(d))[None, :])
+    tau = cyclic_latin_square(d)[rng.permutation(d)][:, rng.permutation(d)]
+    return shift_multiply_basis(hs, tau)
+
+
+def _duplicated_basis():
+    ops = fourier_basis(2).ops
+    return EntangledBasis(2, ops[[0, 0, 2, 3]])
+
+
+def _rescaled_basis():
+    ops = fourier_basis(3).ops.copy()
+    ops[4] *= 1.5
+    return EntangledBasis(3, ops)
+
+
+PARITY_BASES = (
+    [pytest.param(lambda d=d: fourier_basis(d), id="fourier%d" % d) for d in range(2, 9)]
+    + [
+        pytest.param(lambda: shift_multiply_basis([sylvester_hadamard(4)] * 4,
+                                                  cyclic_latin_square(4)), id="sylvester4"),
+        pytest.param(_mixed_hadamard_basis, id="mixed4"),
+        pytest.param(_duplicated_basis, id="duplicated2"),
+        pytest.param(_rescaled_basis, id="rescaled3"),
+    ]
+)
+
+
+@pytest.mark.parametrize("make", PARITY_BASES)
+def test_verify_matches_dense_vector_oracle(make):
+    # the vector side of the correspondence: Gram of the amplitude matrix and
+    # maximal entanglement of each vector, one Schmidt-free check at a time
+    basis = make()
+    tol = 1e-10
+    b = basis_matrix(basis)
+    dev = np.abs(b.conj().T @ b - np.eye(b.shape[1]))
+    ent = [is_max_entangled(v, tol) for v in basis.vectors]
+    worst_ent = max(r.max_violation for r in ent)
+    bad = [a for a, r in enumerate(ent) if not r]
+    if bad:
+        pair = [bad[0], bad[0]]
+    elif dev.max() >= tol:
+        pair = [int(i) for i in np.unravel_index(int(dev.argmax()), dev.shape)]
+    else:
+        pair = None
+
+    report = verify_unitary_basis(basis, tol)
+    assert abs(report.details["max_unitarity_residual"] - worst_ent) < 1e-14
+    assert abs(report.details["max_orthonormality_residual"] - dev.max()) < 1e-14
+    assert report.passed == (worst_ent < tol and dev.max() < tol)
+    assert (report.witnesses[0]["pair"] if report.witnesses else None) == pair

@@ -1,9 +1,30 @@
 """Tests for JSON serialization of matrices, bases, and reports."""
 
+import json
+
 import numpy as np
 import pytest
 
-from entbasis import CheckReport, fourier_basis, haar_unitary
+from entbasis import (
+    AntilinearOp,
+    CheckReport,
+    EntangledBasis,
+    StateVector,
+    bell_basis,
+    build_clifford_generators,
+    check_bell_condition,
+    check_det_criterion_agreement,
+    check_preserves_max_entangled,
+    check_universality,
+    clifford_check,
+    fourier_basis,
+    haar_unitary,
+    is_hadamard,
+    is_max_entangled,
+    universality_search,
+    validate_latin_square,
+    verify_unitary_basis,
+)
 from entbasis.fileio import (
     basis_from_obj,
     basis_to_obj,
@@ -50,6 +71,11 @@ class TestMatrixRoundTrip:
         with pytest.raises(ValueError):
             matrix_from_obj({"rows": 0, "cols": 1, "data": []})
 
+    @pytest.mark.parametrize("data", [[1], [["a", 0]], 5, {"0": [1, 0]}])
+    def test_data_not_a_list_of_pairs(self, data):
+        with pytest.raises(ValueError, match="pair"):
+            matrix_from_obj({"rows": 1, "cols": 1, "data": data})
+
 
 class TestBasisRoundTrip:
     def test_bit_exact(self):
@@ -70,6 +96,10 @@ class TestBasisRoundTrip:
         obj["operators"][1] = matrix_to_obj(np.eye(3))
         with pytest.raises(ValueError, match="shape"):
             basis_from_obj(obj)
+
+    def test_operators_not_a_list(self):
+        with pytest.raises(ValueError, match="list"):
+            basis_from_obj({"dim": 1, "operators": 5})
 
 
 class TestDeterminism:
@@ -100,3 +130,46 @@ def test_report_serialization():
     import json
 
     json.dumps(obj)
+
+
+def _d3_antilinear():
+    rng = np.random.default_rng(3)
+    return AntilinearOp(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+
+
+# failing inputs where possible, so that witnesses and details are filled in
+EVERY_CHECK = {
+    "is_hadamard": lambda: is_hadamard(np.eye(2)),
+    "validate_latin_square": lambda: validate_latin_square([[0, 1], [0, 1]]),
+    "is_max_entangled": lambda: is_max_entangled(StateVector(2, 2, [1, 0, 0, 0])),
+    "verify_unitary_basis": lambda: verify_unitary_basis(
+        EntangledBasis(2, fourier_basis(2).ops[[0, 0, 2, 3]])),
+    **{
+        "bell_condition_%d" % c: (lambda c=c: check_bell_condition(fourier_basis(3), c, trials=5))
+        for c in (2, 3, 4, 5, 6)
+    },
+    "universality_int_seed": lambda: check_universality(
+        _d3_antilinear(), trials=5, seed=7, phase="best"),
+    "universality_generator_seed": lambda: check_universality(
+        _d3_antilinear(), trials=5, seed=np.random.default_rng(7), phase="best"),
+    "universality_search": lambda: universality_search(candidates=2, trials=5),
+    "det_criterion_agreement": lambda: check_det_criterion_agreement(trials=4),
+    "preserves_max_entangled": lambda: check_preserves_max_entangled(
+        np.eye(4)[[0, 1, 3, 2]], trials=5),
+    "clifford_check": lambda: clifford_check(build_clifford_generators(3) * 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EVERY_CHECK))
+def test_every_report_encodes_as_json(name):
+    report = EVERY_CHECK[name]()
+    assert isinstance(report, CheckReport)
+    json.dumps(report_to_obj(report))
+
+
+def test_witness_seed_only_when_integer():
+    ints = EVERY_CHECK["universality_int_seed"]()
+    gens = EVERY_CHECK["universality_generator_seed"]()
+    assert ints.witnesses and gens.witnesses
+    assert all(w["seed"] == 7 for w in ints.witnesses)
+    assert all("seed" not in w for w in gens.witnesses)

@@ -44,7 +44,7 @@ class TestIsHadamard:
         report = is_hadamard(np.eye(2))
         assert not report
         # off-diagonal moduli are 0, a deviation of exactly 1
-        assert report.max_modulus_deviation == pytest.approx(1.0)
+        assert report.details["max_modulus_deviation"] == pytest.approx(1.0)
 
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
@@ -53,8 +53,8 @@ class TestIsHadamard:
     def test_unimodular_but_not_orthogonal(self):
         report = is_hadamard(np.ones((2, 2)))
         assert not report
-        assert report.max_modulus_deviation < 1e-15
-        assert report.max_product_residual == pytest.approx(2.0)
+        assert report.details["max_modulus_deviation"] < 1e-15
+        assert report.details["max_product_residual"] == pytest.approx(2.0)
 
 
 class TestTensorHadamard:
@@ -113,8 +113,8 @@ class TestValidateLatinSquare:
     def test_repeated_column_entry(self):
         report = validate_latin_square([[0, 1], [0, 1]])
         assert not report
-        assert report.bad_row is None
-        assert report.bad_column == 0
+        assert report.details["bad_row"] is None
+        assert report.details["bad_column"] == 0
 
     def test_valid_two_by_two(self):
         assert validate_latin_square([[0, 1], [1, 0]])
