@@ -25,13 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entangled import (
-    EntangledBasis,
-    basis_matrix,
-    vector_from_operator,
-    verify_unitary_basis,
-)
-from .factorize import factor_local
+from .entangled import EntangledBasis, basis_matrix, verify_unitary_basis
+from .factorize import _local_kinds, _require_unitary
 from .linalg import (
     PAULIS,
     StateVector,
@@ -39,8 +34,17 @@ from .linalg import (
     haar_unitary,
     random_orthogonal,
     tensor,
+    unitarity_residual,
 )
-from .reports import CheckReport, MAX_WITNESSES, require_positive, seed_tag, tolerance_report
+from .reports import (
+    INPUT_TOL,
+    LEAD_TOL,
+    MAX_WITNESSES,
+    TOL,
+    CheckReport,
+    sample_violations,
+    tolerance_report,
+)
 
 __all__ = [
     "bell_unitary_basis",
@@ -71,8 +75,12 @@ def bell_basis():
 
 
 def bell_matrix():
-    """4 x 4 unitary whose columns are the Bell vectors."""
-    return basis_matrix(bell_basis())
+    """4 x 4 unitary whose columns are the Bell vectors (one shared read-only array)."""
+    return _BELL
+
+
+_BELL = basis_matrix(bell_basis())
+_BELL.flags.writeable = False
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,9 +106,8 @@ class AntilinearOp:
         """Matrix of the linear map self(other(v))."""
         return self.matrix @ np.conj(other.matrix)
 
-    def is_antiunitary(self, tol=1e-10):
-        a = self.matrix
-        return bool(np.linalg.norm(a.conj().T @ a - np.eye(a.shape[0])) < tol)
+    def is_antiunitary(self, tol=TOL):
+        return bool(unitarity_residual(self.matrix) < tol)
 
 
 def theta2(lam=1.0):
@@ -129,7 +136,26 @@ def theta_n(n):
     return AntilinearOp(m.astype(complex))
 
 
-def check_universality(theta, trials=1000, seed=0, tol=1e-10, phase="det"):
+def _covariance_violations(a, trials, seed, tol, phase):
+    """Engine run of ||U A U^T - omega A||_F over Haar U; see check_universality."""
+    d = a.shape[0]
+
+    def draw(rng, idx):
+        return haar_unitary(d, rng, count=len(idx))
+
+    def measure(u):
+        conjugated = u @ a @ u.swapaxes(-1, -2)
+        if phase == "det":
+            omega = np.linalg.det(u)
+        else:
+            z = (a.conj() * conjugated).sum(axis=(1, 2))  # tr(A^dag U A U^T)
+            omega = np.divide(z, np.abs(z), out=np.ones_like(z), where=z != 0)
+        return np.linalg.norm(conjugated - omega[:, None, None] * a, axis=(1, 2))
+
+    return sample_violations(trials, seed, tol, draw, measure, d * d)
+
+
+def check_universality(theta, trials=1000, seed=0, tol=TOL, phase="det"):
     """Test covariance of an antilinear operator under sampled unitaries.
 
     The conjugated operator U Theta U^dag has matrix U A U^T. With
@@ -138,34 +164,12 @@ def check_universality(theta, trials=1000, seed=0, tol=1e-10, phase="det"):
     phase="best" the comparison phase is chosen optimally per trial, so a
     violation certifies that no phase assignment at all can work.
     """
-    a = np.asarray(theta.matrix, dtype=complex)
-    d = a.shape[0]
     if phase not in ("det", "best"):
         raise ValueError("phase must be 'det' or 'best', got %r" % (phase,))
-    require_positive(trials)
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    witnesses = []
-    for t in range(trials):
-        u = haar_unitary(d, rng)
-        conjugated = u @ a @ u.T
-        if phase == "det":
-            violation = float(np.linalg.norm(conjugated - np.linalg.det(u) * a))
-        else:
-            z = np.trace(a.conj().T @ conjugated)
-            omega_hat = z / abs(z) if abs(z) > 0 else 1.0
-            violation = float(np.linalg.norm(conjugated - omega_hat * a))
-        if violation > worst:
-            worst = violation
-        if violation >= tol and len(witnesses) < MAX_WITNESSES:
-            witnesses.append({"trial": t, **seed_tag(seed), "violation": violation})
-    return tolerance_report(
-        "universality" if phase == "det" else "universality-best-phase",
-        worst,
-        tol,
-        trials=trials,
-        witnesses=witnesses,
-    )
+    a = np.asarray(theta.matrix, dtype=complex)
+    violations, witnesses = _covariance_violations(a, trials, seed, tol, phase)
+    name = "universality" if phase == "det" else "universality-best-phase"
+    return tolerance_report(name, violations.max(), tol, trials=trials, witnesses=witnesses)
 
 
 def universality_search(dim=3, candidates=50, trials=100, seed=0, threshold=0.1):
@@ -180,25 +184,23 @@ def universality_search(dim=3, candidates=50, trials=100, seed=0, threshold=0.1)
     succeeds for every candidate; at dim=2 only the spin flip direction
     would survive it.
     """
-    require_positive(candidates, "candidates")
-    require_positive(trials)
-    rng = np.random.default_rng(seed)
-    weakest = np.inf
-    weakest_candidate = None
-    witnesses = []
-    for c in range(candidates):
-        a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        a /= np.linalg.norm(a)
-        sub = check_universality(
-            AntilinearOp(a), trials=trials, seed=rng, tol=threshold, phase="best"
-        )
-        if sub.max_violation < weakest:
-            weakest = sub.max_violation
-            weakest_candidate = c
-        if sub.max_violation > threshold and len(witnesses) < MAX_WITNESSES:
-            witnesses.append(
-                {"candidate": c, **seed_tag(seed), "violation": sub.max_violation}
-            )
+
+    def draw(rng, idx):
+        shape = (len(idx), dim, dim)
+        a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        return a / np.linalg.norm(a, axis=(1, 2), keepdims=True), rng
+
+    def measure(batch):
+        # a candidate's violation is the worst over its trials, drawn from the same stream
+        cands, rng = batch
+        return np.array([
+            _covariance_violations(a, trials, rng, threshold, "best")[0].max() for a in cands
+        ])
+
+    violations, witnesses = sample_violations(
+        candidates, seed, threshold, draw, measure, dim * dim, unit="candidate"
+    )
+    weakest = violations.min()
     passed = bool(weakest > threshold)
     return CheckReport(
         name="universality-counterexample-search",
@@ -212,7 +214,8 @@ def universality_search(dim=3, candidates=50, trials=100, seed=0, threshold=0.1)
             else "no violation found for some candidate"
         ),
         witnesses=tuple(witnesses) if passed else (),
-        details={"dim": dim, "candidates": candidates, "weakest_candidate": weakest_candidate},
+        details={"dim": dim, "candidates": candidates,
+                 "weakest_candidate": int(violations.argmin())},
     )
 
 
@@ -224,9 +227,8 @@ def bell_conjugate(v):
     """
     if (v.dim_left, v.dim_right) != (2, 2):
         raise ValueError("Bell conjugation lives on C^2 tensor C^2")
-    b = bell_matrix()
-    coeffs = b.conj().T @ v.amplitudes
-    return StateVector(2, 2, b @ coeffs.conj())
+    coeffs = _BELL.conj().T @ v.amplitudes
+    return StateVector(2, 2, _BELL @ coeffs.conj())
 
 
 def _su2_from_rotation(r):
@@ -234,7 +236,7 @@ def _su2_from_rotation(r):
 
     Quaternion extraction with the standard four-branch case split keeps
     every 180-degree rotation exact. The returned representative has its
-    first entry of modulus above 1e-12 (row-major) with positive real
+    first entry of modulus above LEAD_TOL (row-major) with positive real
     part; a zero real part resolves toward positive imaginary part.
     """
     t = np.trace(r)
@@ -253,7 +255,7 @@ def _su2_from_rotation(r):
     q = q / np.linalg.norm(q)
     w, x, y, z = q
     v = np.array([[w - 1j * z, -1j * x - y], [-1j * x + y, w + 1j * z]])
-    lead = v.reshape(-1)[np.abs(v.reshape(-1)) > 1e-12][0]
+    lead = v.reshape(-1)[np.abs(v.reshape(-1)) > LEAD_TOL][0]
     if lead.real < 0 or (lead.real == 0 and lead.imag < 0):
         v = -v
     return v
@@ -270,7 +272,7 @@ class BellCanonicalization:
     residual: float
 
 
-def canonicalize_bell_basis(basis, tol=1e-8):
+def canonicalize_bell_basis(basis, tol=INPUT_TOL):
     """Express a maximally entangled basis of C^2 tensor C^2 over the Bell basis.
 
     Returns local unitaries u1, u2, four unit phases and an index
@@ -328,18 +330,18 @@ def canonicalize_bell_basis(basis, tol=1e-8):
         overlap = np.vdot(target, vecs[a].amplitudes)
         phase = overlap / abs(overlap)
         phases.append(complex(phase))
-        residual = max(
-            residual,
-            float(np.linalg.norm(vecs[a].amplitudes - phase * target)),
-        )
+        residual = max(residual, float(np.linalg.norm(vecs[a].amplitudes - phase * target)))
     return BellCanonicalization(u1, u2, tuple(phases), permutation, residual)
 
 
-def _condition_name(condition):
-    return "bell-condition-%d" % condition
+def _max_entry(m):
+    """Largest entry of each matrix in a (n, r, r) stack and its index pair."""
+    flat = m.reshape(len(m), -1)
+    k = flat.argmax(axis=1)
+    return flat[np.arange(len(m)), k], {"pair": np.stack(np.unravel_index(k, m.shape[1:]), axis=1)}
 
 
-def check_bell_condition(basis, condition, trials=1000, seed=0, tol=1e-10):
+def check_bell_condition(basis, condition, trials=1000, seed=0, tol=TOL):
     """Numerically test one of five properties characterizing Bell-like bases.
 
     condition selects the property:
@@ -359,88 +361,88 @@ def check_bell_condition(basis, condition, trials=1000, seed=0, tol=1e-10):
     """
     if condition not in (2, 3, 4, 5, 6):
         raise ValueError("unknown condition id %r" % (condition,))
-    if condition != 6:
-        require_positive(trials)
+    if condition == 6:
+        return _anticommutation(basis, tol)
     d = basis.dim
+    n = d * d
     b = basis_matrix(basis)
-    rng = np.random.default_rng(seed)
-    witnesses = []
-    worst = 0.0
+    bh = b.conj().T
 
     if condition == 2:
-        for t in range(trials):
-            u = tensor(haar_special_unitary(d, rng), haar_special_unitary(d, rng))
-            m = b.conj().T @ u @ b
-            violation = float(np.abs(m.imag).max())
-            if violation > worst:
-                worst = violation
-            if violation >= tol and len(witnesses) < MAX_WITNESSES:
-                idx = np.unravel_index(int(np.abs(m.imag).argmax()), m.shape)
-                witnesses.append(
-                    {"trial": t, **seed_tag(seed), "violation": violation,
-                     "pair": [int(idx[0]), int(idx[1])]}
-                )
-    elif condition == 3:
-        bad = 0
-        for t in range(trials):
-            o = random_orthogonal(d * d, rng, special=True)
-            u = b @ o @ b.conj().T
-            result = factor_local(u)
-            if result.kind == "neither":
-                bad += 1
-                if len(witnesses) < MAX_WITNESSES:
-                    witnesses.append(
-                        {"trial": t, **seed_tag(seed), "violation": 1.0,
-                         "residual": result.residual}
-                    )
-        worst = bad / trials
-    elif condition == 4:
-        for t in range(trials):
-            phi = vector_from_operator(haar_unitary(d, rng))
-            c = b.conj().T @ phi.amplitudes
-            pairwise = np.abs((c[:, None] * c.conj()[None, :]).imag)
-            violation = float(pairwise.max())
-            if violation > worst:
-                worst = violation
-            if violation >= tol and len(witnesses) < MAX_WITNESSES:
-                idx = np.unravel_index(int(pairwise.argmax()), pairwise.shape)
-                witnesses.append(
-                    {"trial": t, **seed_tag(seed), "violation": violation,
-                     "pair": [int(idx[0]), int(idx[1])]}
-                )
-    elif condition == 5:
-        xs = basis.ops
-        eye = np.eye(d)
-        for t in range(trials):
-            a = rng.standard_normal(d * d)
-            a /= np.linalg.norm(a)
-            x = np.tensordot(a, xs, axes=1)
-            violation = float(np.linalg.norm(x.conj().T @ x - eye))
-            if violation > worst:
-                worst = violation
-            if violation >= tol and len(witnesses) < MAX_WITNESSES:
-                witnesses.append({"trial": t, **seed_tag(seed), "violation": violation})
-    else:
-        xs = basis.ops
-        eye = np.eye(d)
-        n = len(xs)
-        for a in range(n):
-            for c in range(a, n):
-                anti = xs[a].conj().T @ xs[c] + xs[c].conj().T @ xs[a]
-                target = 2.0 * eye if a == c else 0.0
-                violation = float(np.linalg.norm(anti - target))
-                if violation > worst:
-                    worst = violation
-                if violation >= tol and len(witnesses) < MAX_WITNESSES:
-                    witnesses.append({"pair": [a, c], "violation": violation})
-        trials = 0
+        def draw(rng, idx):
+            return (haar_special_unitary(d, rng, count=len(idx)),
+                    haar_special_unitary(d, rng, count=len(idx)))
 
+        def measure(pair):
+            v1, v2 = pair
+            u = np.einsum("tij,tkl->tikjl", v1, v2).reshape(-1, n, n)  # tensor(v1, v2) per trial
+            return _max_entry(np.abs((bh @ u @ b).imag))
+    elif condition == 3:
+        def draw(rng, idx):
+            return random_orthogonal(n, rng, special=True, count=len(idx))
+
+        def measure(o):
+            kinds, residual = _local_kinds(b @ o @ bh)
+            return (kinds == "neither").astype(float), {"residual": residual}
+    elif condition == 4:
+        def draw(rng, idx):
+            return haar_unitary(d, rng, count=len(idx))
+
+        def measure(v):
+            # coefficients over the basis of (V tensor I) Omega, amplitudes vec(V)/sqrt(d)
+            c = (v.reshape(-1, n) / np.sqrt(d)) @ b.conj()
+            return _max_entry(np.abs((c[:, :, None] * c.conj()[:, None, :]).imag))
+    else:
+        def draw(rng, idx):
+            return rng.standard_normal((len(idx), n))
+
+        def measure(a):
+            a = a / np.linalg.norm(a, axis=1, keepdims=True)
+            return unitarity_residual(np.tensordot(a, basis.ops, axes=1))
+
+    # condition 3 counts non-factorizable trials: each of them is a witness
+    violations, witnesses = sample_violations(
+        trials, seed, 1.0 if condition == 3 else tol, draw, measure, n if condition == 5 else n * n
+    )
+    worst = violations.mean() if condition == 3 else violations.max()
     return tolerance_report(
-        _condition_name(condition), worst, tol, trials=trials, witnesses=witnesses
+        "bell-condition-%d" % condition, worst, tol, trials=trials, witnesses=witnesses
     )
 
 
-def det_criterion(u, tol=1e-10):
+def _anticommutation(basis, tol):
+    """Condition 6: X_a^dag X_b + X_b^dag X_a = 2 delta_ab I over all pairs."""
+    xs = basis.ops
+    eye = np.eye(basis.dim)
+    worst = 0.0
+    witnesses = []
+    for a in range(len(xs)):
+        for c in range(a, len(xs)):
+            anti = xs[a].conj().T @ xs[c] + xs[c].conj().T @ xs[a]
+            target = 2.0 * eye if a == c else 0.0
+            violation = float(np.linalg.norm(anti - target))
+            worst = max(worst, violation)
+            if violation >= tol and len(witnesses) < MAX_WITNESSES:
+                witnesses.append({"pair": [a, c], "violation": violation})
+    return tolerance_report("bell-condition-6", worst, tol, witnesses=witnesses)
+
+
+def _det_verdicts(u, tol):
+    """det_criterion's verdict for a 4 x 4 unitary or for each of a stack.
+
+    The Bell-frame matrix B^dag U B is "not_real_in_bell" when an entry
+    keeps an imaginary part above tol; otherwise the sign of the
+    determinant of its real part decides.
+    """
+    _require_unitary(u, INPUT_TOL)
+    ub = _BELL.conj().T @ u @ _BELL
+    real = np.abs(ub.imag).max(axis=(-2, -1)) <= tol
+    return np.where(
+        real, np.where(np.linalg.det(ub.real) > 0, "local", "local_flip"), "not_real_in_bell"
+    )
+
+
+def det_criterion(u, tol=TOL):
     """Classify a two-qubit unitary that is real in Bell coordinates.
 
     Transforms U to the Bell basis. If any entry keeps an imaginary part
@@ -452,18 +454,10 @@ def det_criterion(u, tol=1e-10):
     u = np.asarray(u, dtype=complex)
     if u.shape != (4, 4):
         raise ValueError("determinant criterion lives on C^2 tensor C^2")
-    unit_res = float(np.linalg.norm(u.conj().T @ u - np.eye(4)))
-    if unit_res > 1e-8:
-        raise ValueError("input is not unitary: residual %.3e" % unit_res)
-    b = bell_matrix()
-    ub = b.conj().T @ u @ b
-    if float(np.abs(ub.imag).max()) > tol:
-        return "not_real_in_bell"
-    det = np.linalg.det(ub.real)
-    return "local" if det > 0 else "local_flip"
+    return str(_det_verdicts(u, tol))
 
 
-def check_det_criterion_agreement(trials=1000, seed=0, tol=1e-10):
+def check_det_criterion_agreement(trials=1000, seed=0, tol=TOL):
     """Cross-validate det_criterion against factor_local on sampled inputs.
 
     Each trial builds a unitary that is real orthogonal in Bell
@@ -472,29 +466,26 @@ def check_det_criterion_agreement(trials=1000, seed=0, tol=1e-10):
     of trials where the determinant sign and the factorization verdict
     disagree ("local" with +1, "local_flip" with -1).
     """
-    require_positive(trials)
-    b = bell_matrix()
-    rng = np.random.default_rng(seed)
-    mismatches = 0
-    witnesses = []
-    for t in range(trials):
-        o = random_orthogonal(4, rng)
-        want_positive = t % 2 == 0
-        if (np.linalg.det(o) > 0) != want_positive:
-            o = o.copy()
-            o[:, 0] = -o[:, 0]
-        u = b @ o @ b.conj().T
-        verdict = det_criterion(u, tol)
-        expected = "local" if want_positive else "local_flip"
-        factored = factor_local(u).kind
-        if verdict != expected or factored != expected:
-            mismatches += 1
-            if len(witnesses) < MAX_WITNESSES:
-                witnesses.append(
-                    {"trial": t, **seed_tag(seed), "det_verdict": verdict,
-                     "factor_verdict": factored}
-                )
-    worst = mismatches / trials
+
+    def draw(rng, idx):
+        o = random_orthogonal(4, rng, count=len(idx))
+        want_positive = idx % 2 == 0
+        o[(np.linalg.det(o) > 0) != want_positive, :, 0] *= -1.0
+        return o, want_positive
+
+    def measure(batch):
+        o, want_positive = batch
+        u = _BELL @ o @ _BELL.conj().T
+        det_verdict = _det_verdicts(u, tol)
+        factor_verdict = _local_kinds(u)[0]
+        expected = np.where(want_positive, "local", "local_flip")
+        mismatch = (det_verdict != expected) | (factor_verdict != expected)
+        return mismatch.astype(float), {"det_verdict": det_verdict,
+                                        "factor_verdict": factor_verdict}
+
+    # every disagreeing trial is a witness
+    violations, witnesses = sample_violations(trials, seed, 1.0, draw, measure, 16)
+    worst = float(violations.mean())
     passed = worst == 0.0
     return CheckReport(
         name="det-criterion-agreement",

@@ -40,7 +40,8 @@ from .fileio import (
     report_to_obj,
     save_json,
 )
-from .hadamard import cyclic_latin_square, fourier_hadamard, sylvester_hadamard
+from .hadamard import cyclic_latin_square, sylvester_hadamard
+from .reports import INPUT_TOL, TOL
 
 __all__ = ["main"]
 
@@ -135,7 +136,7 @@ def _load_entangled(path, tol):
 
 
 def cmd_check_bell_all(args):
-    basis = _load_entangled(args.basis, 1e-8) if args.basis else bell_basis()
+    basis = _load_entangled(args.basis, INPUT_TOL) if args.basis else bell_basis()
     reports = [
         check_bell_condition(basis, cond, trials=args.trials, seed=args.seed, tol=args.tol)
         for cond in (2, 4, 5, 6)
@@ -188,7 +189,7 @@ def cmd_check_det_criterion(args):
 
 
 def _add_stat_flags(p):
-    p.add_argument("--tol", type=float, default=1e-10, help="pass tolerance (default 1e-10)")
+    p.add_argument("--tol", type=float, default=TOL, help="pass tolerance (default %g)" % TOL)
     p.add_argument("--trials", type=int, default=1000, help="sampling trials (default 1000)")
     p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     p.add_argument("--report", metavar="FILE", help="write a JSON report")
@@ -211,19 +212,19 @@ def build_parser():
                    help="matrix file(s): one reused for all columns, or dim files")
     p.add_argument("--latin", metavar="FILE",
                    help="JSON Latin square (2D integer array, or {\"table\": ...})")
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=float, default=TOL)
     p.add_argument("--out", metavar="FILE", help="output path (default: stdout)")
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("verify", help="verify a basis file")
     p.add_argument("basis", metavar="BASISFILE")
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=float, default=TOL)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("factorize", help="factor a unitary into local parts")
     p.add_argument("matrix", metavar="MATRIXFILE")
-    p.add_argument("--tol", type=float, default=1e-8,
-                   help="unitarity tolerance (default 1e-8)")
+    p.add_argument("--tol", type=float, default=INPUT_TOL,
+                   help="unitarity tolerance (default %g)" % INPUT_TOL)
     p.add_argument("--report", metavar="FILE", help="write a JSON report")
     p.set_defaults(func=cmd_factorize)
 

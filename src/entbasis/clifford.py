@@ -10,7 +10,7 @@ family.
 import numpy as np
 
 from .linalg import SIGMA1, SIGMA2, SIGMA3
-from .reports import MAX_WITNESSES, tolerance_report
+from .reports import MAX_WITNESSES, TOL, tolerance_report
 
 __all__ = ["build_clifford_generators", "clifford_check"]
 
@@ -34,7 +34,7 @@ def build_clifford_generators(n):
     return gens
 
 
-def clifford_check(mats, tol=1e-10):
+def clifford_check(mats, tol=TOL):
     """Verify hermiticity and R_a R_b + R_b R_a = 2 delta_ab I.
 
     For an odd-sized family the report also records whether the acting

@@ -28,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hadamard import is_hadamard, validate_latin_square, fourier_hadamard, cyclic_latin_square
-from .linalg import StateVector
-from .reports import tolerance_report
+from .linalg import StateVector, unitarity_residual
+from .reports import TOL, tolerance_report
 
 __all__ = [
     "omega",
@@ -73,7 +73,7 @@ def operator_from_vector(v):
     return np.sqrt(d) * v.reshaped()
 
 
-def reduced_density(v, side, tol=1e-10):
+def reduced_density(v, side, tol=TOL):
     """Partial trace of |v><v| over the complementary factor.
 
     side is "left" (trace out the right factor) or "right". Requires a unit
@@ -90,15 +90,13 @@ def reduced_density(v, side, tol=1e-10):
     raise ValueError("side must be 'left' or 'right', got %r" % (side,))
 
 
-def is_max_entangled(v, tol=1e-10):
+def is_max_entangled(v, tol=TOL):
     """Check that both reductions of v are maximally mixed.
 
     Equivalent to unitarity of the corresponding operator X; max_violation
     is the residual ||X^dag X - I||_F.
     """
-    x = operator_from_vector(v)
-    residual = float(np.linalg.norm(x.conj().T @ x - np.eye(v.dim_left)))
-    return tolerance_report("max-entangled", residual, tol)
+    return tolerance_report("max-entangled", unitarity_residual(operator_from_vector(v)), tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,7 +147,7 @@ def basis_matrix(basis):
     return basis.ops.reshape(n, n).T / np.sqrt(basis.dim)
 
 
-def verify_unitary_basis(basis, tol=1e-10):
+def verify_unitary_basis(basis, tol=TOL):
     """Check unitarity of each element and (1/d) tr(X_a^dag X_b) = delta_ab.
 
     max_violation is the worse of the two residuals, which details carries
@@ -161,9 +159,7 @@ def verify_unitary_basis(basis, tol=1e-10):
     d = basis.dim
     ops = basis.ops
     n = len(ops)
-    products = ops.conj().transpose(0, 2, 1) @ ops
-    products -= np.eye(d)
-    unit = np.linalg.norm(products, axis=(1, 2))
+    unit = unitarity_residual(ops)
     flat = ops.reshape(n, d * d)
     gram = flat.conj() @ flat.T
     gram /= d
@@ -191,7 +187,7 @@ def verify_unitary_basis(basis, tol=1e-10):
     )
 
 
-def shift_multiply_basis(hadamards, tau, tol=1e-10):
+def shift_multiply_basis(hadamards, tau, tol=TOL):
     """Shift-and-multiply family: U^{ij} e_k = H^{(j)}[i,k] e_{tau[k,j]}.
 
     hadamards is a list of d complex Hadamard matrices (one per column index
@@ -234,7 +230,7 @@ def shift_multiply_basis(hadamards, tau, tol=1e-10):
     return basis
 
 
-def fourier_basis(d, tol=1e-10):
+def fourier_basis(d, tol=TOL):
     """Shift-and-multiply basis from d copies of the Fourier matrix and (k+j) mod d."""
     h = fourier_hadamard(d)
     return shift_multiply_basis([h] * d, cyclic_latin_square(d), tol)

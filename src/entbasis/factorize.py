@@ -12,9 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entangled import operator_from_vector, vector_from_operator
-from .linalg import StateVector, flip_operator, haar_unitary, tensor
-from .reports import MAX_WITNESSES, require_positive, seed_tag, tolerance_report
+from .linalg import flip_operator, haar_unitary, tensor, unitarity_residual
+from .reports import INPUT_TOL, LEAD_TOL, RANK_TOL, TOL, sample_violations, tolerance_report
 
 __all__ = [
     "operator_schmidt",
@@ -23,16 +22,32 @@ __all__ = [
     "check_preserves_max_entangled",
 ]
 
-# ratio s1/s0 below which the operator-Schmidt spectrum counts as rank one;
-# double precision leaves <= 1e-13 noise, genuine entanglers sit far above
-RANK_TOL = 1e-8
-
 
 def _square_side(n):
     d = round(n ** 0.5)
     if d * d != n:
         raise ValueError("matrix of size %d is not on a doubled system" % n)
     return d
+
+
+def _require_unitary(u, tol):
+    """Refuse an input (or a stack of them) further than tol from unitary."""
+    residual = float(np.max(unitarity_residual(u)))
+    if residual > tol:
+        raise ValueError("input is not unitary: residual %.3e" % residual)
+
+
+def _reshuffle(u, d):
+    """R[(i,j),(k,l)] = U[(i,k),(j,l)] for one operator or a stack."""
+    lead = u.shape[:-2]
+    return u.reshape(*lead, d, d, d, d).swapaxes(-3, -2).reshape(*lead, d * d, d * d)
+
+
+def _is_rank_one(s):
+    """Rank-one test s1/s0 < RANK_TOL on nonincreasing spectra along the last axis."""
+    rest = s[..., 1:].max(axis=-1, initial=0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return rest / s[..., 0] < RANK_TOL
 
 
 def operator_schmidt(u):
@@ -46,8 +61,7 @@ def operator_schmidt(u):
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValueError("operator must be square")
     d = _square_side(u.shape[0])
-    r = u.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
-    w, s, vh = np.linalg.svd(r)
+    w, s, vh = np.linalg.svd(_reshuffle(u, d))
     left = [w[:, m].reshape(d, d) for m in range(d * d)]
     right = [vh[m, :].reshape(d, d) for m in range(d * d)]
     return s, left, right
@@ -69,59 +83,75 @@ class FactorizationResult:
 
 
 def _split_product(m, d):
-    """Rank-1 factors of m rescaled to unitaries with a fixed phase split.
+    """Operator-Schmidt spectrum of m, and its rank-1 factors if it has them.
 
-    Returns (U1, U2, residual) or None when the spectrum is not rank one.
-    The overall phase is split so that the first entry of U1 with modulus
-    above 1e-12 (row-major scan) is positive real.
+    Returns (spectrum, (U1, U2, residual)), the second entry None when the
+    spectrum is not rank one. The factors are rescaled to unitaries with
+    the overall phase split so that the first entry of U1 with modulus
+    above LEAD_TOL (row-major scan) is positive real.
     """
     s, left, right = operator_schmidt(m)
-    if s[0] == 0.0 or (len(s) > 1 and s[1] / s[0] >= RANK_TOL):
-        return None
+    if not _is_rank_one(s):
+        return s, None
     u1 = np.sqrt(d) * left[0]
     u2 = (s[0] / d) * np.sqrt(d) * right[0]
     flat = u1.reshape(-1)
-    lead = flat[np.abs(flat) > 1e-12][0]
+    lead = flat[np.abs(flat) > LEAD_TOL][0]
     phase = lead / abs(lead)
     u1 = u1 / phase
     u2 = u2 * phase
     residual = float(np.linalg.norm(tensor(u1, u2) - m))
-    return u1, u2, residual
+    return s, (u1, u2, residual)
 
 
-def factor_local(u, tol=1e-8):
+def factor_local(u, tol=INPUT_TOL):
     """Decide whether U = U1 tensor U2, (U1 tensor U2) F, or neither.
 
     U must be unitary within tol. The rank-one test runs on U itself, then
     on U F; each success returns the rescaled unitary factors and the
-    reconstruction residual.
+    reconstruction residual. "neither" reuses the two spectra it tested.
     """
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValueError("operator must be square")
-    n = u.shape[0]
-    d = _square_side(n)
-    unit_res = float(np.linalg.norm(u.conj().T @ u - np.eye(n)))
-    if unit_res > tol:
-        raise ValueError("input is not unitary: residual %.3e" % unit_res)
-    split = _split_product(u, d)
+    d = _square_side(u.shape[0])
+    _require_unitary(u, tol)
+    s_plain, split = _split_product(u, d)
     if split is not None:
         u1, u2, residual = split
         return FactorizationResult("local", (u1, u2), residual)
     f = flip_operator(d)
-    split = _split_product(u @ f, d)
+    s_flip, split = _split_product(u @ f, d)
     if split is not None:
         u1, u2, residual = split
         # u @ f = u1 tensor u2, so u = (u1 tensor u2) f and f is its own inverse
         residual = float(np.linalg.norm(tensor(u1, u2) @ f - u))
         return FactorizationResult("local_flip", (u1, u2), residual)
-    s_plain = operator_schmidt(u)[0]
-    s_flip = operator_schmidt(u @ f)[0]
     residual = float(min(np.linalg.norm(s_plain[1:]), np.linalg.norm(s_flip[1:])))
     return FactorizationResult("neither", None, residual)
 
 
-def check_preserves_max_entangled(u, trials=500, seed=0, tol=1e-10):
+def _local_kinds(u):
+    """factor_local's kind and "neither" residual for a (n, d^2, d^2) stack.
+
+    Same unitarity gate and rank-one rule as factor_local, on the stacked
+    singular values alone; the residual is meaningful where the kind is
+    "neither".
+    """
+    d = _square_side(u.shape[-1])
+    _require_unitary(u, INPUT_TOL)
+    s_plain = np.linalg.svd(_reshuffle(u, d), compute_uv=False)
+    s_flip = np.linalg.svd(_reshuffle(u @ flip_operator(d), d), compute_uv=False)
+    kinds = np.where(
+        _is_rank_one(s_plain), "local", np.where(_is_rank_one(s_flip), "local_flip", "neither")
+    )
+    residual = np.minimum(
+        np.linalg.norm(s_plain[..., 1:], axis=-1), np.linalg.norm(s_flip[..., 1:], axis=-1)
+    )
+    return kinds, residual
+
+
+def check_preserves_max_entangled(u, trials=500, seed=0, tol=TOL):
     """Sample maximally entangled vectors and test whether U keeps them so.
 
     Each trial draws phi = (V tensor I) Omega with Haar V and measures the
@@ -131,21 +161,16 @@ def check_preserves_max_entangled(u, trials=500, seed=0, tol=1e-10):
     """
     u = np.asarray(u, dtype=complex)
     d = _square_side(u.shape[0])
-    require_positive(trials)
-    rng = np.random.default_rng(seed)
-    eye = np.eye(d)
-    worst = 0.0
-    witnesses = []
-    for t in range(trials):
-        v = haar_unitary(d, rng)
-        phi = vector_from_operator(v)
-        image = StateVector(d, d, u @ phi.amplitudes)
-        x = operator_from_vector(image)
-        violation = float(np.linalg.norm(x.conj().T @ x - eye))
-        if violation > worst:
-            worst = violation
-        if violation >= tol and len(witnesses) < MAX_WITNESSES:
-            witnesses.append({"trial": t, **seed_tag(seed), "violation": violation})
+
+    def draw(rng, idx):
+        return haar_unitary(d, rng, count=len(idx))
+
+    def measure(v):
+        # phi = vec(V)/sqrt(d); the operator of U phi is sqrt(d) unvec(U phi) = unvec(U vec(V))
+        images = v.reshape(len(v), d * d) @ u.T
+        return unitarity_residual(images.reshape(len(v), d, d))
+
+    violations, witnesses = sample_violations(trials, seed, tol, draw, measure, d * d)
     return tolerance_report(
-        "preserves-max-entangled", worst, tol, trials=trials, witnesses=witnesses
+        "preserves-max-entangled", violations.max(), tol, trials=trials, witnesses=witnesses
     )

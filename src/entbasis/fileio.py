@@ -13,7 +13,6 @@ import math
 import numpy as np
 
 from .entangled import EntangledBasis
-from .reports import CheckReport
 
 __all__ = [
     "matrix_to_obj",

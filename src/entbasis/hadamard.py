@@ -14,7 +14,7 @@ in the package.
 
 import numpy as np
 
-from .reports import tolerance_report
+from .reports import TOL, tolerance_report
 
 __all__ = [
     "fourier_hadamard",
@@ -45,7 +45,7 @@ def sylvester_hadamard(d):
     return h
 
 
-def is_hadamard(h, tol=1e-10):
+def is_hadamard(h, tol=TOL):
     """Check unimodular entries and H H^dag = d I; returns a report.
 
     max_violation is the larger of the worst entry-modulus deviation from 1
@@ -65,7 +65,7 @@ def is_hadamard(h, tol=1e-10):
     )
 
 
-def tensor_hadamard(h1, h2, tol=1e-10):
+def tensor_hadamard(h1, h2, tol=TOL):
     """Kronecker product of two Hadamard matrices, revalidated.
 
     The product of Hadamard matrices is again Hadamard; a validation

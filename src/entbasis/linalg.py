@@ -25,6 +25,7 @@ __all__ = [
     "dagger",
     "schmidt",
     "flip_operator",
+    "unitarity_residual",
     "haar_unitary",
     "haar_special_unitary",
     "random_orthogonal",
@@ -128,40 +129,47 @@ def _rng(seed):
     return np.random.default_rng(seed)
 
 
-def haar_unitary(d, seed=0):
-    """Haar-distributed d x d unitary.
+def unitarity_residual(x):
+    """||X^dag X - I||_F of a square matrix, or of each matrix in a stack."""
+    x = np.asarray(x)
+    products = np.swapaxes(x.conj(), -1, -2) @ x
+    return np.linalg.norm(products - np.eye(x.shape[-1]), axis=(-2, -1))
+
+
+def haar_unitary(d, seed=0, count=None):
+    """Haar-distributed d x d unitary, or a (count, d, d) stack of them.
 
     QR of a complex standard-Gaussian matrix; the R diagonal phases are
-    divided out, which is required for the distribution to be Haar.
-    Deterministic for a fixed integer seed.
+    divided out, which is required for the distribution to be Haar
+    (Mezzadri, math-ph/0609050). Deterministic for a fixed integer seed.
     """
     rng = _rng(seed)
-    z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2)
+    shape = (d, d) if count is None else (count, d, d)
+    z = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
     q, r = np.linalg.qr(z)
-    phases = np.diag(r).copy()
-    phases /= np.abs(phases)
-    return q * phases
+    phases = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (phases / np.abs(phases))[..., None, :]
 
 
-def haar_special_unitary(d, seed=0):
-    """Haar unitary rescaled by a d-th root of its determinant; det = 1."""
-    u = haar_unitary(d, seed)
+def haar_special_unitary(d, seed=0, count=None):
+    """Haar unitary (or stack) rescaled by a d-th root of its determinant; det = 1."""
+    u = haar_unitary(d, seed, count)
     det = np.linalg.det(u)
-    return u * det ** (-1.0 / d)
+    return u * (det ** (-1.0 / d))[..., None, None]
 
 
-def random_orthogonal(n, seed=0, special=False):
-    """Random real orthogonal matrix (Haar on O(n)).
+def random_orthogonal(n, seed=0, special=False, count=None):
+    """Random real orthogonal matrix (Haar on O(n)), or a (count, n, n) stack.
 
     With special=True the determinant is forced to +1 by negating the
     first column when needed.
     """
     rng = _rng(seed)
-    z = rng.standard_normal((n, n))
+    z = rng.standard_normal((n, n) if count is None else (count, n, n))
     q, r = np.linalg.qr(z)
-    signs = np.sign(np.diag(r))
+    signs = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
     signs[signs == 0] = 1.0
-    q = q * signs
-    if special and np.linalg.det(q) < 0:
-        q[:, 0] = -q[:, 0]
+    q = q * signs[..., None, :]
+    if special:
+        q[..., 0] *= np.where(np.linalg.det(q) < 0, -1.0, 1.0)[..., None]
     return q

@@ -175,11 +175,16 @@ class TestCheck:
         assert main(argv) == 2
 
     def test_reports_byte_identical_for_equal_seeds(self, tmp_path):
-        r1, r2 = tmp_path / "r1.json", tmp_path / "r2.json"
-        for path in (r1, r2):
-            assert main(["check", "bell-all", "--trials", "60", "--seed", "42",
-                         "--report", str(path)]) == 0
-        assert r1.read_bytes() == r2.read_bytes()
+        # the failing d=3 run records witnesses and spans several chunks of trials
+        b3 = tmp_path / "b3.json"
+        assert main(["gen", "--dim", "3", "--out", str(b3)]) == 0
+        for extra, trials, code in (([], "60", 0), (["--basis", str(b3)], "500", 1)):
+            r1, r2 = tmp_path / "r1.json", tmp_path / "r2.json"
+            for path in (r1, r2):
+                assert main(["check", "bell-all", *extra, "--trials", trials, "--seed", "42",
+                             "--report", str(path)]) == code
+            assert r1.read_bytes() == r2.read_bytes()
+        assert any(rep["witnesses"] for rep in json.loads(r1.read_text()))
 
     def test_gen_outputs_byte_identical(self, tmp_path):
         g1, g2 = tmp_path / "g1.json", tmp_path / "g2.json"
