@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entangled import EntangledBasis, basis_matrix, verify_unitary_basis
-from .factorize import _local_kinds, _require_unitary
+from .factorize import _local_kinds, _require_unitary, factor_local
 from .linalg import (
     PAULIS,
     StateVector,
@@ -42,6 +42,7 @@ from .reports import (
     MAX_WITNESSES,
     TOL,
     CheckReport,
+    require_positive,
     sample_violations,
     tolerance_report,
 )
@@ -184,6 +185,7 @@ def universality_search(dim=3, candidates=50, trials=100, seed=0, threshold=0.1)
     succeeds for every candidate; at dim=2 only the spin flip direction
     would survive it.
     """
+    require_positive(dim, "dim")
 
     def draw(rng, idx):
         shape = (len(idx), dim, dim)
@@ -231,36 +233,6 @@ def bell_conjugate(v):
     return StateVector(2, 2, _BELL @ coeffs.conj())
 
 
-def _su2_from_rotation(r):
-    """SU(2) element V with V sigma_k V^dag = sum_m r[m,k] sigma_m.
-
-    Quaternion extraction with the standard four-branch case split keeps
-    every 180-degree rotation exact. The returned representative has its
-    first entry of modulus above LEAD_TOL (row-major) with positive real
-    part; a zero real part resolves toward positive imaginary part.
-    """
-    t = np.trace(r)
-    if t > 0:
-        s = 2.0 * np.sqrt(t + 1.0)
-        q = np.array([s / 4, (r[2, 1] - r[1, 2]) / s, (r[0, 2] - r[2, 0]) / s, (r[1, 0] - r[0, 1]) / s])
-    elif r[0, 0] > r[1, 1] and r[0, 0] > r[2, 2]:
-        s = 2.0 * np.sqrt(1.0 + r[0, 0] - r[1, 1] - r[2, 2])
-        q = np.array([(r[2, 1] - r[1, 2]) / s, s / 4, (r[0, 1] + r[1, 0]) / s, (r[0, 2] + r[2, 0]) / s])
-    elif r[1, 1] > r[2, 2]:
-        s = 2.0 * np.sqrt(1.0 + r[1, 1] - r[0, 0] - r[2, 2])
-        q = np.array([(r[0, 2] - r[2, 0]) / s, (r[0, 1] + r[1, 0]) / s, s / 4, (r[1, 2] + r[2, 1]) / s])
-    else:
-        s = 2.0 * np.sqrt(1.0 + r[2, 2] - r[0, 0] - r[1, 1])
-        q = np.array([(r[1, 0] - r[0, 1]) / s, (r[0, 2] + r[2, 0]) / s, (r[1, 2] + r[2, 1]) / s, s / 4])
-    q = q / np.linalg.norm(q)
-    w, x, y, z = q
-    v = np.array([[w - 1j * z, -1j * x - y], [-1j * x + y, w + 1j * z]])
-    lead = v.reshape(-1)[np.abs(v.reshape(-1)) > LEAD_TOL][0]
-    if lead.real < 0 or (lead.real == 0 and lead.imag < 0):
-        v = -v
-    return v
-
-
 @dataclass(frozen=True, eq=False)
 class BellCanonicalization:
     """Psi_a = phases[a] (u1 tensor u2) Phi_{permutation[a]} within residual."""
@@ -275,13 +247,17 @@ class BellCanonicalization:
 def canonicalize_bell_basis(basis, tol=INPUT_TOL):
     """Express a maximally entangled basis of C^2 tensor C^2 over the Bell basis.
 
-    Returns local unitaries u1, u2, four unit phases and an index
-    permutation with Psi_a = phases[a] (u1 tensor u2) Phi_{perm[a]}. The
-    operators Y_a = X_a X_0^dag of a valid basis are phases times
-    i (r_a . sigma) with orthonormal axes r_a; a right-handed axis frame
-    lifts to u1 through the rotation-to-SU(2) double cover, a left-handed
-    frame additionally swaps the first two Pauli directions, reported as
-    the odd permutation (0, 2, 1, 3).
+    Returns u1 in SU(2), u2, four unit phases and an index permutation with
+    Psi_a = phases[a] (u1 tensor u2) Phi_{perm[a]}. Column a of the Bell
+    coordinates B^dag Psi is p_a times a real unit vector. p_a is known up to
+    sign from sqrt(sum_k c_ka^2); p_a / p_0 is taken with positive real part,
+    so rounding decides an exact +-i and either of two equally valid
+    permutations may result. Dividing out the phases leaves a real frame F,
+    projected onto O(4); by the determinant criterion B F B^dag is local when
+    det F = +1, else after swapping columns 1 and 2, reported as the
+    permutation (0, 2, 1, 3), and factor_local splits it. A zero real part
+    resolves toward positive imaginary part here and for the first entry of
+    u1 above LEAD_TOL, which has positive real part; u2 = (u1^dag X_0)^T.
     """
     if basis.dim != 2:
         raise ValueError("canonicalization is specific to C^2 tensor C^2")
@@ -292,46 +268,29 @@ def canonicalize_bell_basis(basis, tol=INPUT_TOL):
             % (check.details["max_orthonormality_residual"],
                check.details["max_unitarity_residual"])
         )
-    xs = basis.ops
-    x0 = xs[0]
-    ys = [x @ x0.conj().T for x in xs[1:]]
-    axes = []
-    frame_res = 0.0
-    for y in ys:
-        t = np.array([np.trace(s @ y) for s in PAULIS]) / 2j
-        chi = np.sqrt(np.sum(t * t))
-        if chi.real < 0 or (chi.real == 0 and chi.imag < 0):
-            chi = -chi
-        if abs(chi) < 0.5:
-            # unit phases make |chi| = 1 for any valid basis
-            raise ValueError("not a maximally entangled basis: degenerate axis")
-        r = t / chi
-        frame_res = max(frame_res, float(np.abs(r.imag).max()))
-        axes.append(r.real)
-    frame = np.column_stack(axes)
-    frame_res = max(frame_res, float(np.abs(frame.T @ frame - np.eye(3)).max()))
-    if frame_res > tol:
+    psi = basis_matrix(basis)
+    coords = _BELL.conj().T @ psi
+    chi = np.sqrt(np.sum(coords * coords, axis=0))
+    rel = chi / chi[0]
+    rel[(rel.real < 0) | ((rel.real == 0) & (rel.imag < 0))] *= -1
+    frame = coords / (chi[0] * rel)
+    orthogonality = np.abs(frame.real.T @ frame.real - np.eye(4)).max()
+    frame_res = np.maximum(np.abs(frame.imag).max(), orthogonality)
+    if not frame_res <= tol:  # also refuses the NaN of a degenerate phase
         raise ValueError("not a maximally entangled basis: frame residual %.3e" % frame_res)
-    if np.linalg.det(frame) > 0:
-        permutation = (0, 1, 2, 3)
-        rotation = frame
-    else:
-        permutation = (0, 2, 1, 3)
-        rotation = frame[:, [1, 0, 2]]
-    u1 = _su2_from_rotation(rotation)
-    u2 = (u1.conj().T @ x0).T
-    local = tensor(u1, u2)
-    bell_vecs = bell_basis().vectors
-    vecs = basis.vectors
-    phases = []
-    residual = 0.0
-    for a in range(4):
-        target = local @ bell_vecs[permutation[a]].amplitudes
-        overlap = np.vdot(target, vecs[a].amplitudes)
-        phase = overlap / abs(overlap)
-        phases.append(complex(phase))
-        residual = max(residual, float(np.linalg.norm(vecs[a].amplitudes - phase * target)))
-    return BellCanonicalization(u1, u2, tuple(phases), permutation, residual)
+    w, _, vh = np.linalg.svd(frame.real)
+    frame = w @ vh
+    permutation = (0, 1, 2, 3) if np.linalg.det(frame) > 0 else (0, 2, 1, 3)
+    u1 = factor_local(_BELL @ frame[:, permutation] @ _BELL.conj().T).factors[0]
+    u1 = u1 / np.sqrt(np.linalg.det(u1))
+    lead = u1[np.abs(u1) > LEAD_TOL][0]
+    if lead.real < 0 or (lead.real == 0 and lead.imag < 0):
+        u1 = -u1
+    u2 = (u1.conj().T @ basis.ops[0]).T
+    target = tensor(u1, u2) @ _BELL[:, permutation]
+    phases = np.exp(1j * np.angle(np.sum(target.conj() * psi, axis=0)))
+    residual = float(np.linalg.norm(psi - phases * target, axis=0).max())
+    return BellCanonicalization(u1, u2, tuple(phases.tolist()), permutation, residual)
 
 
 def _max_entry(m):

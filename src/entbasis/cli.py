@@ -32,6 +32,7 @@ from .clifford import build_clifford_generators, clifford_check
 from .entangled import fourier_basis, shift_multiply_basis, verify_unitary_basis
 from .factorize import factor_local
 from .fileio import (
+    _json_int,
     basis_from_obj,
     basis_to_obj,
     load_json,
@@ -61,10 +62,9 @@ def _load_latin(path, dim):
         if "table" not in obj:
             raise ValueError("Latin square object needs a \"table\" field")
         obj = obj["table"]
-    try:
-        table = np.asarray(obj, dtype=int)
-    except (TypeError, ValueError) as exc:
-        raise ValueError("Latin square must be a 2D integer array") from exc
+    if not (isinstance(obj, list) and all(isinstance(row, list) for row in obj)):
+        raise ValueError("Latin square must be a 2D integer array")
+    table = np.array([[_json_int(x, "Latin square entry") for x in row] for row in obj])
     if table.shape != (dim, dim):
         raise ValueError("Latin square has shape %s, expected %d x %d"
                          % (table.shape, dim, dim))
@@ -188,10 +188,11 @@ def cmd_check_det_criterion(args):
     return 0 if rep.passed else 1
 
 
-def _add_stat_flags(p):
+def _add_check_flags(p, sampled=True):
     p.add_argument("--tol", type=float, default=TOL, help="pass tolerance (default %g)" % TOL)
-    p.add_argument("--trials", type=int, default=1000, help="sampling trials (default 1000)")
-    p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+    if sampled:
+        p.add_argument("--trials", type=int, default=1000, help="sampling trials (default 1000)")
+        p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     p.add_argument("--report", metavar="FILE", help="write a JSON report")
 
 
@@ -233,24 +234,24 @@ def build_parser():
 
     p = csub.add_parser("bell-all", help="reality/anticommutation conditions 2,4,5,6")
     p.add_argument("--basis", metavar="FILE", help="basis file (default: Bell basis)")
-    _add_stat_flags(p)
+    _add_check_flags(p)
     p.set_defaults(func=cmd_check_bell_all)
 
     p = csub.add_parser("universality", help="phase-covariance of antilinear operators")
     p.add_argument("--dim", type=int, default=2)
     p.add_argument("--candidates", type=int, default=50,
                    help="candidate operators searched at dim >= 3 (default 50)")
-    _add_stat_flags(p)
+    _add_check_flags(p)
     p.set_defaults(func=cmd_check_universality)
 
     p = csub.add_parser("clifford", help="anticommutation relations of built generators")
     p.add_argument("--count", type=int, default=5, help="odd generator count (default 5)")
-    _add_stat_flags(p)
+    _add_check_flags(p, sampled=False)
     p.set_defaults(func=cmd_check_clifford)
 
     p = csub.add_parser("det-criterion",
                         help="determinant classification vs direct factorization")
-    _add_stat_flags(p)
+    _add_check_flags(p)
     p.set_defaults(func=cmd_check_det_criterion)
 
     return parser

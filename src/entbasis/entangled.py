@@ -153,8 +153,8 @@ def verify_unitary_basis(basis, tol=TOL):
     max_violation is the worse of the two residuals, which details carries
     as max_unitarity_residual (Frobenius norm of X_a^dag X_a - I) and
     max_orthonormality_residual (largest entry of the Gram matrix minus I).
-    On failure the one witness names the first offending index pair: (a, a)
-    for unitarity, else (a, b) for orthonormality.
+    On failure the one witness is (a, a) for the first operator whose unitarity
+    residual reaches tol, else the pair (a, b) of the largest Gram deviation.
     """
     d = basis.dim
     ops = basis.ops

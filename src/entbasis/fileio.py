@@ -34,11 +34,17 @@ def matrix_to_obj(m):
     return {"rows": int(m.shape[0]), "cols": int(m.shape[1]), "data": data}
 
 
+def _json_int(value, what):
+    """value if it is a JSON integer; a bool, float or string is refused, not truncated."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError("%s must be an integer, got %r" % (what, value))
+    return value
+
+
 def matrix_from_obj(obj):
     """Inverse of matrix_to_obj, validating shape, length, and finiteness."""
     try:
-        rows = int(obj["rows"])
-        cols = int(obj["cols"])
+        rows, cols = _json_int(obj["rows"], "rows"), _json_int(obj["cols"], "cols")
         data = obj["data"]
     except (KeyError, TypeError) as exc:
         raise ValueError("matrix object needs rows, cols, data fields") from exc
@@ -74,8 +80,7 @@ def basis_to_obj(basis):
 def basis_from_obj(obj):
     """Inverse of basis_to_obj; validates the operator count and sizes."""
     try:
-        dim = int(obj["dim"])
-        raw = obj["operators"]
+        dim, raw = _json_int(obj["dim"], "dim"), obj["operators"]
     except (KeyError, TypeError) as exc:
         raise ValueError("basis object needs dim and operators fields") from exc
     if dim < 1:

@@ -280,6 +280,65 @@ class TestCanonicalize:
             lead = can.u1.reshape(-1)[np.abs(can.u1.reshape(-1)) > 1e-12][0]
             assert lead.real > 0 or (lead.real == 0 and lead.imag >= 0)
 
+    def test_rephased_odd_order_reconstruction(self):
+        rng = np.random.default_rng(11)
+        bell_vecs = bell_basis().vectors
+        for _ in range(50):
+            v, w = haar_special_unitary(2, rng), haar_special_unitary(2, rng)
+            phases = np.exp(2j * np.pi * rng.random(4))
+            basis = rotated_bell(v, w, phases=tuple(phases), order=(0, 2, 1, 3))
+            can = canonicalize_bell_basis(basis)
+            local = tensor(can.u1, can.u2)
+            rebuilt = max(
+                np.linalg.norm(basis.vectors[a].amplitudes
+                               - can.phases[a] * (local @ bell_vecs[can.permutation[a]].amplitudes))
+                for a in range(4)
+            )
+            assert rebuilt < 1e-12 and can.residual < 1e-12
+            assert abs(np.linalg.det(can.u1) - 1) < 1e-12
+            # phases[0] = 1; the others are p_a / p_0 with positive real part, and
+            # each sign taken into the frame flips the frame's handedness
+            rel = phases[1:] / phases[0]
+            assert np.allclose(can.phases, [1.0, *np.where(rel.real > 0, rel, -rel)], atol=1e-12)
+            flips = int(np.sum(rel.real < 0))
+            assert can.permutation == ((0, 1, 2, 3) if flips % 2 else (0, 2, 1, 3))
+
+    def test_slightly_nonlocal_basis_accepted(self):
+        # the Bell coordinates are real up to phases only to within eps: accepted, residual ~ eps
+        eps = 1e-9
+        h = rand_complex(np.random.default_rng(12), (4, 4))
+        h = (h + h.conj().T) / np.linalg.norm(h + h.conj().T, 2)
+        lam, q = np.linalg.eigh(h)
+        g = (q * np.exp(1j * eps * lam)) @ q.conj().T
+        moved = EntangledBasis.from_vectors(
+            2, tuple(StateVector(2, 2, g @ vec.amplitudes) for vec in bell_basis().vectors)
+        )
+        can = canonicalize_bell_basis(moved, tol=1e-8)
+        assert can.permutation == (0, 1, 2, 3)
+        assert eps / 100 < can.residual < 2 * eps
+
+    def test_non_orthogonal_frame_within_tol_accepted(self):
+        # a unitary move leaves the real frame orthogonal to second order; here the
+        # defect is first order: largest entry of F^T F - I is 8e-9 <= tol, its
+        # Frobenius norm 2.8e-8, too far from unitary for factor_local unprojected
+        delta = 4e-9
+        coords = np.eye(4) + delta * (np.ones((4, 4)) - np.eye(4))
+        vecs = bell_matrix() @ coords
+        basis = EntangledBasis.from_vectors(2, tuple(StateVector(2, 2, c) for c in vecs.T))
+        can = canonicalize_bell_basis(basis, tol=1e-8)
+        assert can.permutation == (0, 1, 2, 3)
+        assert delta / 100 < can.residual < 4 * delta
+
+    def test_degenerate_phase_rejected(self):
+        # Bell coordinates (1, +-i, 0, 0)/sqrt(2) give sum_k c_k^2 = 0: no phase to divide out
+        coords = np.eye(4, dtype=complex)
+        coords[:2, :2] = np.array([[1, 1], [1j, -1j]]) / np.sqrt(2)
+        vecs = bell_matrix() @ coords
+        basis = EntangledBasis.from_vectors(2, tuple(StateVector(2, 2, c) for c in vecs.T))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="frame residual"):
+                canonicalize_bell_basis(basis, tol=2.0)
+
     def test_invalid_basis_rejected(self):
         e = np.zeros(4, dtype=complex)
         e[0] = 1.0

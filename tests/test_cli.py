@@ -95,6 +95,24 @@ def test_latin_object_without_table_is_usage_error(tmp_path):
                  "--hadamard", str(hpath), "--latin", str(lpath)]) == 2
 
 
+def test_latin_entries_must_be_integers(tmp_path):
+    # 1.7 and 0.2 would truncate to a valid square
+    hpath, lpath = tmp_path / "h.json", tmp_path / "l.json"
+    save_json(matrix_to_obj(np.array([[1, 1], [1, -1]], dtype=complex)), hpath)
+    save_json([[0, 1.7], [1, 0.2]], lpath)
+    assert main(["gen", "--dim", "2", "--construction", "custom",
+                 "--hadamard", str(hpath), "--latin", str(lpath)]) == 2
+
+
+def test_non_integer_dim_is_usage_error(tmp_path):
+    path = tmp_path / "b.json"
+    assert main(["gen", "--dim", "1", "--out", str(path)]) == 0
+    obj = load_json(path)
+    obj["dim"] = True
+    save_json(obj, path)
+    assert main(["verify", str(path)]) == 2
+
+
 class TestFactorize:
     def test_product(self, tmp_path, capsys):
         u = tensor(haar_unitary(2, 5), haar_unitary(2, 6))
@@ -162,6 +180,11 @@ class TestCheck:
         assert main(["check", "clifford", "--count", "7"]) == 0
         assert main(["check", "clifford", "--count", "4"]) == 2
 
+    def test_clifford_takes_no_sampling_flags(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "clifford", "--count", "3", "--trials", "7", "--seed", "4"])
+        assert exc.value.code == 2
+
     def test_det_criterion(self):
         assert main(["check", "det-criterion", "--trials", "100"]) == 0
 
@@ -169,6 +192,8 @@ class TestCheck:
         ["check", "bell-all", "--trials", "0"],
         ["check", "det-criterion", "--trials", "-3"],
         ["check", "universality", "--dim", "3", "--candidates", "0"],
+        ["check", "universality", "--dim", "0"],
+        ["check", "universality", "--dim", "-1"],
     ])
     def test_no_samples_is_usage_error(self, argv):
         # a sampled check that draws nothing must not pass

@@ -71,6 +71,13 @@ class TestMatrixRoundTrip:
         with pytest.raises(ValueError):
             matrix_from_obj({"rows": 0, "cols": 1, "data": []})
 
+    @pytest.mark.parametrize("field, value", [("rows", 1.7), ("cols", True), ("rows", "1")])
+    def test_non_integer_dims(self, field, value):
+        obj = {"rows": 1, "cols": 1, "data": [[1, 0]]}
+        obj[field] = value
+        with pytest.raises(ValueError, match="integer"):
+            matrix_from_obj(obj)
+
     @pytest.mark.parametrize("data", [[1], [["a", 0]], 5, {"0": [1, 0]}])
     def test_data_not_a_list_of_pairs(self, data):
         with pytest.raises(ValueError, match="pair"):
@@ -95,6 +102,13 @@ class TestBasisRoundTrip:
         obj = basis_to_obj(fourier_basis(2))
         obj["operators"][1] = matrix_to_obj(np.eye(3))
         with pytest.raises(ValueError, match="shape"):
+            basis_from_obj(obj)
+
+    @pytest.mark.parametrize("dim", [True, 1.0, "1"])
+    def test_non_integer_dim(self, dim):
+        obj = basis_to_obj(fourier_basis(1))
+        obj["dim"] = dim
+        with pytest.raises(ValueError, match="integer"):
             basis_from_obj(obj)
 
     def test_operators_not_a_list(self):
