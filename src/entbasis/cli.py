@@ -34,7 +34,7 @@ from .factorize import factor_local
 from .fileio import (
     _json_int,
     basis_from_obj,
-    basis_to_obj,
+    dump_basis,
     load_json,
     matrix_from_obj,
     matrix_to_obj,
@@ -45,15 +45,6 @@ from .hadamard import cyclic_latin_square, sylvester_hadamard
 from .reports import INPUT_TOL, TOL
 
 __all__ = ["main"]
-
-
-def _write_or_print(obj, path):
-    if path:
-        save_json(obj, path)
-    else:
-        import json
-
-        print(json.dumps(obj, sort_keys=True, indent=2))
 
 
 def _load_latin(path, dim):
@@ -90,7 +81,11 @@ def cmd_gen(args):
             raise ValueError("need 1 or %d Hadamard files, got %d" % (d, len(mats)))
         table = _load_latin(args.latin, d) if args.latin else cyclic_latin_square(d)
         basis = shift_multiply_basis(mats, table, args.tol)
-    _write_or_print(basis_to_obj(basis), args.out)
+    if args.out:
+        with open(args.out, "w") as fh:
+            dump_basis(basis, fh)
+    else:
+        dump_basis(basis, sys.stdout)
     return 0
 
 

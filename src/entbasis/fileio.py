@@ -1,10 +1,19 @@
 """JSON serialization for matrices, bases, and check reports.
 
 Complex numbers are stored as [re, im] pairs, row-major, so files are
-human-diffable and round-trip bit-exactly (Python floats serialize via
-repr, which json reads back to the identical double). Keys are written
-sorted and with fixed indentation, so identical inputs produce
+human-diffable and round-trip bit-exactly (each double is written as its
+Python repr, which json reads back to the identical double). Keys are
+sorted and indentation is fixed, so identical inputs produce
 byte-identical files.
+
+Basis files, the large ones, are written by dump_basis straight from the
+stacked operator array: per operator, one tolist() of the real and of the
+imaginary parts, repr of each double and str.join over the fixed indent
+strings, one operator at a time. The text is exactly what
+json.dump(basis_to_obj(basis), fh, sort_keys=True, indent=2) writes; the
+stdlib encoder (pure Python once indent is set) is kept as the test
+oracle for it and writes the small files, matrices and reports, through
+save_json. Matrix data is read back with one numpy conversion per matrix.
 """
 
 import json
@@ -20,6 +29,7 @@ __all__ = [
     "basis_to_obj",
     "basis_from_obj",
     "report_to_obj",
+    "dump_basis",
     "save_json",
     "load_json",
 ]
@@ -30,7 +40,7 @@ def matrix_to_obj(m):
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2:
         raise ValueError("matrix must be two-dimensional")
-    data = [[float(z.real), float(z.imag)] for z in m.reshape(-1)]
+    data = np.stack((m.real, m.imag), -1).reshape(-1, 2).tolist()
     return {"rows": int(m.shape[0]), "cols": int(m.shape[1]), "data": data}
 
 
@@ -56,17 +66,28 @@ def matrix_from_obj(obj):
         raise ValueError(
             "data length %d does not match %d x %d" % (len(data), rows, cols)
         )
-    out = np.empty(rows * cols, dtype=complex)
+    try:
+        pairs = np.array(data, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        pairs = None
+    if pairs is None or pairs.shape != (rows * cols, 2) or not np.isfinite(pairs).all():
+        raise _entry_error(data)
+    return pairs.view(complex).reshape(rows, cols)
+
+
+def _entry_error(data):
+    """The ValueError naming the first entry of data that is not a finite [re, im] pair."""
     for k, pair in enumerate(data):
         try:
             re, im = pair
             re, im = float(re), float(im)
-        except (TypeError, ValueError) as exc:
-            raise ValueError("entry %d is not a [re, im] pair" % k) from exc
+        except (TypeError, ValueError):
+            return ValueError("entry %d is not a [re, im] pair" % k)
+        except OverflowError:
+            return ValueError("entry %d is too large for a double" % k)
         if not (math.isfinite(re) and math.isfinite(im)):
-            raise ValueError("entry %d is not finite" % k)
-        out[k] = complex(re, im)
-    return out.reshape(rows, cols)
+            return ValueError("entry %d is not finite" % k)
+    return ValueError("matrix data must be a list of [re, im] pairs")
 
 
 def basis_to_obj(basis):
@@ -116,6 +137,34 @@ def report_to_obj(report):
     }
 
 
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_float(x):
+    """json's spelling of a double: its repr, or NaN, Infinity, -Infinity."""
+    text = repr(x)
+    return _JSON_NONFINITE.get(text, text)
+
+
+def dump_basis(basis, fh):
+    """Write basis to the text file fh as save_json(basis_to_obj(basis), path) would.
+
+    The bytes are the same; the operators go out one at a time, so neither
+    the object tree nor the whole text is ever held.
+    """
+    ops = basis.ops
+    n, rows, cols = ops.shape
+    fmt = repr if np.isfinite(ops).all() else _json_float
+    head = '\n    {\n      "cols": %d,\n      "data": [\n        [\n          ' % cols
+    tail = '\n        ]\n      ],\n      "rows": %d\n    }' % rows
+    fh.write('{\n  "dim": %d,\n  "operators": [' % basis.dim)
+    for k, m in enumerate(ops.reshape(n, rows * cols)):
+        re, im = map(fmt, m.real.tolist()), map(fmt, m.imag.tolist())
+        pairs = map(",\n          ".join, zip(re, im))
+        fh.write(("," if k else "") + head + "\n        ],\n        [\n          ".join(pairs) + tail)
+    fh.write("\n  ]\n}\n" if n else "]\n}\n")
+
+
 def save_json(obj, path):
     """Write sorted-key JSON with a trailing newline; deterministic output."""
     with open(path, "w") as fh:
@@ -124,5 +173,9 @@ def save_json(obj, path):
 
 
 def load_json(path):
+    """json.load of path; nesting too deep for the decoder is a ValueError too."""
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError as exc:
+            raise ValueError("JSON nested too deeply") from exc

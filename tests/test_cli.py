@@ -216,3 +216,38 @@ class TestCheck:
         for path in (g1, g2):
             assert main(["gen", "--dim", "5", "--out", str(path)]) == 0
         assert g1.read_bytes() == g2.read_bytes()
+
+
+def test_gen_stdout_same_bytes_as_out(tmp_path, capsys):
+    out = tmp_path / "b4.json"
+    assert main(["gen", "--dim", "4", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["gen", "--dim", "4"]) == 0
+    assert capsys.readouterr().out.encode() == out.read_bytes()
+
+
+@pytest.mark.parametrize("command", ["factorize", "verify"])
+def test_entry_beyond_double_range_is_usage_error(command, tmp_path, capsys):
+    # a 400-digit JSON integer has no double; it used to escape as OverflowError
+    path = tmp_path / "big.json"
+    matrix = '{"rows": 1, "cols": 1, "data": [[1%s, 0]]}' % ("0" * 399)
+    path.write_text(matrix if command == "factorize"
+                    else '{"dim": 1, "operators": [%s]}' % matrix)
+    assert main([command, str(path)]) == 2
+    assert "entry 0 is too large for a double" in capsys.readouterr().err
+
+
+def test_too_deeply_nested_file_is_usage_error(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    assert main(["verify", str(path)]) == 2
+
+
+def test_verify_overflowing_entries_fails_with_witness(tmp_path, capsys):
+    # |1e300 + 1e300j|^2 overflows: the residuals are NaN, which must fail, not pass
+    # silently or fail without a witness
+    path = tmp_path / "b.json"
+    path.write_text('{"dim": 1, "operators": [{"rows": 1, "cols": 1, '
+                    '"data": [[1e300, 1e300]]}]}')
+    assert main(["verify", str(path)]) == 1
+    assert "offending pair: (0, 0)" in capsys.readouterr().out

@@ -1,5 +1,6 @@
 """Tests for JSON serialization of matrices, bases, and reports."""
 
+import io
 import json
 
 import numpy as np
@@ -17,10 +18,14 @@ from entbasis import (
     check_preserves_max_entangled,
     check_universality,
     clifford_check,
+    cyclic_latin_square,
     fourier_basis,
+    fourier_hadamard,
     haar_unitary,
     is_hadamard,
     is_max_entangled,
+    shift_multiply_basis,
+    sylvester_hadamard,
     universality_search,
     validate_latin_square,
     verify_unitary_basis,
@@ -28,6 +33,7 @@ from entbasis import (
 from entbasis.fileio import (
     basis_from_obj,
     basis_to_obj,
+    dump_basis,
     load_json,
     matrix_from_obj,
     matrix_to_obj,
@@ -187,3 +193,118 @@ def test_witness_seed_only_when_integer():
     assert ints.witnesses and gens.witnesses
     assert all(w["seed"] == 7 for w in ints.witnesses)
     assert all("seed" not in w for w in gens.witnesses)
+
+
+def _oracle_text(basis):
+    """What the stdlib encoder writes for a basis file."""
+    return json.dumps(basis_to_obj(basis), sort_keys=True, indent=2) + "\n"
+
+
+def _dumped_text(basis):
+    fh = io.StringIO()
+    dump_basis(basis, fh)
+    return fh.getvalue()
+
+
+def _mixed_hadamard_basis(d=4, seed=14):
+    rng = np.random.default_rng(seed)
+    hs = [np.exp(2j * np.pi * rng.random(d))[:, None] * fourier_hadamard(d)
+          * np.exp(2j * np.pi * rng.random(d))[None, :] for _ in range(d)]
+    tau = cyclic_latin_square(d)[rng.permutation(d)][:, rng.permutation(d)]
+    return shift_multiply_basis(hs, tau)
+
+
+SPECIAL_FLOATS = [-0.0, 5e-324, 1e16, 1e-7, 0.1 + 0.2, float("nan"), float("inf"),
+                  -float("inf"), -1e16, 2.0**53 + 2, 1 / 3]
+
+
+def _special_basis():
+    values = np.array(SPECIAL_FLOATS * 2)[:16]
+    ops = np.empty(16, dtype=complex)
+    ops.real, ops.imag = values, values[::-1]
+    return EntangledBasis(2, ops.reshape(4, 2, 2))
+
+
+def _sylvester_basis(d):
+    return shift_multiply_basis([sylvester_hadamard(d)] * d, cyclic_latin_square(d))
+
+
+ORACLE_BASES = {
+    **{"fourier%d" % d: (lambda d=d: fourier_basis(d)) for d in range(1, 7)},
+    "sylvester4": lambda: _sylvester_basis(4),
+    "sylvester8": lambda: _sylvester_basis(8),
+    "mixed-hadamard4": _mixed_hadamard_basis,
+    "special-values": _special_basis,
+    "dim0": lambda: EntangledBasis(0, np.zeros((0, 0, 0), dtype=complex)),
+}
+
+
+class TestDumpBasis:
+    @pytest.mark.parametrize("name", sorted(ORACLE_BASES))
+    def test_same_text_as_stdlib_encoder(self, name):
+        basis = ORACLE_BASES[name]()
+        assert _dumped_text(basis) == _oracle_text(basis)
+
+    def test_round_trip_bit_exact(self, tmp_path):
+        basis = _mixed_hadamard_basis()
+        path = tmp_path / "b.json"
+        with open(path, "w") as fh:
+            dump_basis(basis, fh)
+        back = basis_from_obj(load_json(path))
+        assert back.ops.tobytes() == basis.ops.tobytes()
+
+
+def _matrix_to_obj_per_entry(m):
+    m = np.asarray(m, dtype=complex)
+    data = [[float(z.real), float(z.imag)] for z in m.reshape(-1)]
+    return {"rows": int(m.shape[0]), "cols": int(m.shape[1]), "data": data}
+
+
+def _matrix_from_obj_per_entry(obj):
+    out = np.empty(obj["rows"] * obj["cols"], dtype=complex)
+    for k, (re, im) in enumerate(obj["data"]):
+        out[k] = complex(float(re), float(im))
+    return out.reshape(obj["rows"], obj["cols"])
+
+
+def test_matrix_to_obj_equals_per_entry_object():
+    rng = np.random.default_rng(5)
+    m = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
+    m.flat[:4] = [-0.0, 5e-324 - 0.0j, complex(1e16, -1e-7), complex(0.1 + 0.2, -0.0)]
+    assert matrix_to_obj(m) == _matrix_to_obj_per_entry(m)
+    assert matrix_to_obj(np.eye(2)) == _matrix_to_obj_per_entry(np.eye(2))
+
+
+def test_matrix_from_obj_bit_identical_to_per_entry_reference():
+    data = [[1, 0], [-0.0, 2**53 + 1], [2**64 + 2**11 + 1, -3], [0.1, 10**300],
+            [5e-324, -(2**63)], [True, 1e16]]
+    obj = {"rows": 2, "cols": 3, "data": data}
+    assert matrix_from_obj(obj).tobytes() == _matrix_from_obj_per_entry(obj).tobytes()
+
+
+@pytest.mark.parametrize("data, index", [
+    ([[10**400, 0]], 0),
+    ([[1, 0], [0, -(10**400)]], 1),
+], ids=["re", "im"])
+def test_entry_beyond_double_range(data, index):
+    obj = {"rows": 1, "cols": len(data), "data": data}
+    with pytest.raises(ValueError, match="entry %d is too large for a double" % index):
+        matrix_from_obj(obj)
+
+
+@pytest.mark.parametrize("data, message", [
+    ([[1, 0], [None, 0]], "entry 1 is not a \\[re, im\\] pair"),
+    ([[1, 0], [0, float("nan")]], "entry 1 is not finite"),
+    ([[1, 0], {"1": 0, "2": 0}], "matrix data must be a list of \\[re, im\\] pairs"),
+    ([[1, 0], [[1, 2], [3, 4]]], "entry 1 is not a \\[re, im\\] pair"),
+], ids=["none", "nan", "dict", "nested"])
+def test_first_bad_entry_named(data, message):
+    with pytest.raises(ValueError, match=message):
+        matrix_from_obj({"rows": 1, "cols": 2, "data": data})
+
+
+def test_too_deeply_nested_file_is_value_error(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    with pytest.raises(ValueError, match="nested"):
+        load_json(path)
