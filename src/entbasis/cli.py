@@ -42,7 +42,7 @@ from .fileio import (
     save_json,
 )
 from .hadamard import cyclic_latin_square, sylvester_hadamard
-from .reports import INPUT_TOL, TOL
+from .reports import INPUT_TOL, TOL, require_tolerance
 
 __all__ = ["main"]
 
@@ -256,6 +256,8 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # every subcommand takes --tol
+        require_tolerance(args.tol)
         return args.func(args)
     except (ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)

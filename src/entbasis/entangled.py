@@ -161,10 +161,23 @@ def verify_unitary_basis(basis, tol=TOL):
     n = len(ops)
     unit = unitarity_residual(ops)
     flat = ops.reshape(n, d * d)
-    gram = flat.conj() @ flat.T
-    gram /= d
-    gram.flat[:: n + 1] -= 1.0
-    dev = np.abs(gram)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = flat.conj() @ flat.T
+        gram /= d
+        gram.flat[:: n + 1] -= 1.0
+        dev = np.abs(gram)
+    return _basis_report(
+        unit, dev, tol, lambda k: [int(x) for x in np.unravel_index(k, dev.shape)]
+    )
+
+
+def _basis_report(unit, dev, tol, pair_at):
+    """verify_unitary_basis's report from its two residual arrays.
+
+    unit holds the unitarity residual of each operator in basis order, dev
+    the Gram deviations, and pair_at maps a flat index of dev to the pair
+    (a, b) it belongs to.
+    """
     worst_unit = float(unit.max())
     worst_orth = float(dev.max())
     witnesses = ()
@@ -174,8 +187,7 @@ def verify_unitary_basis(basis, tol=TOL):
         a = int(bad[0])
         witnesses = ({"pair": [a, a], "violation": float(unit[a])},)
     elif not worst_orth < tol:
-        a, b = np.unravel_index(int(dev.argmax()), dev.shape)
-        witnesses = ({"pair": [int(a), int(b)], "violation": worst_orth},)
+        witnesses = ({"pair": pair_at(int(dev.argmax())), "violation": worst_orth},)
     return tolerance_report(
         "unitary-basis",
         max(worst_unit, worst_orth),
@@ -188,12 +200,46 @@ def verify_unitary_basis(basis, tol=TOL):
     )
 
 
+def _shift_multiply_report(hs, tol):
+    """verify_unitary_basis's report on the shift-and-multiply family of hs, in O(d^4).
+
+    U^{ij} = P_j D_ij with P_j the permutation k -> tau[k, j] and D_ij the
+    diagonal of row i of H^{(j)}. So U^{ij dag} U^{ij} = |D_ij|^2, and since
+    a Latin square repeats no symbol in a row, the supports of U^{ij} and
+    U^{i'j'} are disjoint for j != j': those Gram entries are exactly zero.
+    The (j, j) block is conj(H^{(j)} H^{(j) dag}) / d. Both residuals thus
+    come from the d Hadamard matrices alone, whatever tau is; the report is
+    the one verify_unitary_basis gives on the built family, up to rounding
+    in the residuals.
+    """
+    d = hs.shape[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        # unit[i, j]: ||(|H^{(j)}[i, k]|^2 - 1)_k||_2 is the residual of operator i*d + j
+        unit = np.linalg.norm(hs.real**2 + hs.imag**2 - 1.0, axis=-1).T
+        # gram[j, i, i'] = (1/d) tr(U^{ij dag} U^{i'j}) - delta_ii'
+        gram = hs.conj() @ hs.transpose(0, 2, 1)
+        gram /= d
+        gram -= np.eye(d)
+        # the dense Gram's row-major order over (a, b) = (i*d + j, i'*d + j) is (i, j, i')
+        dev = np.abs(gram).transpose(1, 0, 2)
+
+    def pair_at(k):
+        i, j, i2 = (int(x) for x in np.unravel_index(k, dev.shape))
+        return [i * d + j, i2 * d + j]
+
+    return _basis_report(unit.reshape(-1), dev, tol, pair_at)
+
+
 def shift_multiply_basis(hadamards, tau, tol=TOL):
     """Shift-and-multiply family: U^{ij} e_k = H^{(j)}[i,k] e_{tau[k,j]}.
 
     hadamards is a list of d complex Hadamard matrices (one per column index
     j), tau a d x d Latin square. The d^2 operators are indexed a = i*d + j
-    and form a unitary basis; the output is verified before returning.
+    and form a unitary basis. Before the operators are built, the family is
+    certified from its ingredients: the two residuals of verify_unitary_basis
+    follow from the Hadamard matrices in O(d^4) (see _shift_multiply_report),
+    so the dense O(d^6) Gram is never formed here. A family that passes
+    validation yet fails the certificate raises ValueError naming the pair.
     """
     tau = np.asarray(tau)
     lat = validate_latin_square(tau)
@@ -217,18 +263,23 @@ def shift_multiply_basis(hadamards, tau, tol=TOL):
             % (lat.details["bad_row"], lat.details["bad_column"])
         )
     hs = np.stack(hs)
-    i, j, k = np.meshgrid(np.arange(d), np.arange(d), np.arange(d), indexing="ij")
-    ops = np.zeros((d * d, d, d), dtype=complex)
-    ops[i * d + j, tau[k, j], k] = hs[j, i, k]
-    basis = EntangledBasis(d, ops)
-    report = verify_unitary_basis(basis, tol)
+    report = _shift_multiply_report(hs, tol)
     if not report:
         # inputs passed validation yet the output is not a basis: numerical breakdown
         raise ValueError(
             "constructed family fails basis verification at pair %s"
             % (report.witnesses[0]["pair"],)
         )
-    return basis
+    return EntangledBasis(d, _shift_multiply_ops(hs, tau))
+
+
+def _shift_multiply_ops(hs, tau):
+    """The (d^2, d, d) stack U^{ij} e_k = hs[j][i, k] e_{tau[k, j]}, unchecked."""
+    d = len(hs)
+    i, j, k = np.meshgrid(np.arange(d), np.arange(d), np.arange(d), indexing="ij")
+    ops = np.zeros((d * d, d, d), dtype=complex)
+    ops[i * d + j, tau[k, j], k] = hs[j, i, k]
+    return ops
 
 
 def fourier_basis(d, tol=TOL):

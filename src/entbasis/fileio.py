@@ -7,9 +7,13 @@ sorted and indentation is fixed, so identical inputs produce
 byte-identical files.
 
 Basis files, the large ones, are written by dump_basis straight from the
-stacked operator array: per operator, one tolist() of the real and of the
-imaginary parts, repr of each double and str.join over the fixed indent
-strings, one operator at a time. The text is exactly what
+stacked operator array, a block of operators at a time. A shift-and-multiply
+operator has d nonzero entries of d^2, so most doubles in the file are
++0.0, the only double whose bits are all zero and the only one spelled
+"0.0". Those are spelled without a repr call: per block, only the doubles
+whose int64 view is nonzero are formatted (repr, or NaN, Infinity,
+-Infinity as json spells them), and one str.join puts them together with
+the shared "0.0" and the fixed indent strings. The text is exactly what
 json.dump(basis_to_obj(basis), fh, sort_keys=True, indent=2) writes; the
 stdlib encoder (pure Python once indent is set) is kept as the test
 oracle for it and writes the small files, matrices and reports, through
@@ -139,6 +143,10 @@ def report_to_obj(report):
 
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
+# doubles dump_basis formats per block: enough to spread the numpy calls over
+# thousands of entries, few enough that a block's strings stay in cache
+_BLOCK_DOUBLES = 1 << 13
+
 
 def _json_float(x):
     """json's spelling of a double: its repr, or NaN, Infinity, -Infinity."""
@@ -149,20 +157,37 @@ def _json_float(x):
 def dump_basis(basis, fh):
     """Write basis to the text file fh as save_json(basis_to_obj(basis), path) would.
 
-    The bytes are the same; the operators go out one at a time, so neither
-    the object tree nor the whole text is ever held.
+    The bytes are the same; the operators go out a block at a time, so
+    neither the object tree nor the whole text is ever held, and only the
+    doubles that are not +0.0 are formatted (see the module docstring).
     """
     ops = basis.ops
     n, rows, cols = ops.shape
-    fmt = repr if np.isfinite(ops).all() else _json_float
     head = '\n    {\n      "cols": %d,\n      "data": [\n        [\n          ' % cols
     tail = '\n        ]\n      ],\n      "rows": %d\n    }' % rows
     fh.write('{\n  "dim": %d,\n  "operators": [' % basis.dim)
-    for k, m in enumerate(ops.reshape(n, rows * cols)):
-        re, im = map(fmt, m.real.tolist()), map(fmt, m.imag.tolist())
-        pairs = map(",\n          ".join, zip(re, im))
-        fh.write(("," if k else "") + head + "\n        ],\n        [\n          ".join(pairs) + tail)
-    fh.write("\n  ]\n}\n" if n else "]\n}\n")
+    if not n:
+        fh.write("]\n}\n")
+        return
+    step = max(1, _BLOCK_DOUBLES // (2 * rows * cols))
+    # what follows each double of an operator: re/im, pair/pair, and operator/operator
+    seps = np.array([",\n          ", "\n        ],\n        [\n          "] * (rows * cols),
+                    dtype=object)
+    seps[-1] = tail + "," + head
+    seps = np.tile(seps, min(step, n))
+    for start in range(0, n, step):
+        # a complex array is its re, im doubles interleaved: the order the file lists them
+        doubles = np.ascontiguousarray(ops[start:start + step]).view(np.float64).reshape(-1)
+        nonzero = np.flatnonzero(doubles.view(np.int64))
+        values = doubles[nonzero]
+        fmt = repr if np.isfinite(values).all() else _json_float
+        text = np.empty(2 * doubles.size, dtype=object)
+        text[0::2] = "0.0"
+        text[2 * nonzero] = list(map(fmt, values.tolist()))
+        text[1::2] = seps[: doubles.size]
+        text[-1] = tail
+        fh.write(("," if start else "") + head + "".join(text.tolist()))
+    fh.write("\n  ]\n}\n")
 
 
 def save_json(obj, path):

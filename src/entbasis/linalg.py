@@ -130,10 +130,16 @@ def _rng(seed):
 
 
 def unitarity_residual(x):
-    """||X^dag X - I||_F of a square matrix, or of each matrix in a stack."""
+    """||X^dag X - I||_F of a square matrix, or of each matrix in a stack.
+
+    Entries near the double range give an inf or NaN residual, without
+    warnings; every caller treats a residual that is not below its
+    tolerance as a failure.
+    """
     x = np.asarray(x)
-    products = np.swapaxes(x.conj(), -1, -2) @ x
-    return np.linalg.norm(products - np.eye(x.shape[-1]), axis=(-2, -1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        products = np.swapaxes(x.conj(), -1, -2) @ x
+        return np.linalg.norm(products - np.eye(x.shape[-1]), axis=(-2, -1))
 
 
 def haar_unitary(d, seed=0, count=None):

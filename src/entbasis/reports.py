@@ -20,8 +20,8 @@ import numpy as np
 
 __all__ = [
     "CheckReport", "MAX_WITNESSES", "CHUNK_ENTRIES", "TOL", "INPUT_TOL", "RANK_TOL", "LEAD_TOL",
-    "tolerance_report", "require_positive", "seed_tag", "chunk_size", "chunk_rng",
-    "sample_violations",
+    "tolerance_report", "require_positive", "require_tolerance", "seed_tag", "chunk_size",
+    "chunk_rng", "sample_violations",
 ]
 
 # keep reports small and diffable; the seed makes the full set recoverable
@@ -97,6 +97,12 @@ def require_positive(count, what="trials"):
     """A sampled check with nothing to sample would pass without doing any work."""
     if count < 1:
         raise ValueError("%s must be at least 1, got %r" % (what, count))
+
+
+def require_tolerance(tol):
+    """A tolerance that is NaN, not positive or infinite makes every check mean nothing."""
+    if not 0.0 < tol < float("inf"):
+        raise ValueError("tolerance must be finite and positive, got %r" % (tol,))
 
 
 def seed_tag(seed):

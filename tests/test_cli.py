@@ -2,6 +2,7 @@
 deterministic reports."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -251,3 +252,76 @@ def test_verify_overflowing_entries_fails_with_witness(tmp_path, capsys):
                     '"data": [[1e300, 1e300]]}]}')
     assert main(["verify", str(path)]) == 1
     assert "offending pair: (0, 0)" in capsys.readouterr().out
+
+
+def test_gen_refuses_family_that_fails_certificate(tmp_path, capsys):
+    # Hadamard within tol (modulus deviation delta, product residual 2 delta^2), but its
+    # operators have unitarity residual 2 sqrt(2) delta = 2.5e-10 > tol
+    delta = 9e-11
+    hpath = tmp_path / "h.json"
+    save_json(matrix_to_obj(np.array([[1 + delta, 1 - delta], [1 - delta, -1 - delta]])), hpath)
+    assert main(["gen", "--dim", "2", "--construction", "custom",
+                 "--hadamard", str(hpath)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: constructed family fails basis verification at pair [0, 0]\n"
+
+
+def _tol_argv(command, tmp_path):
+    if command in ("verify", "bell-all"):
+        path = tmp_path / "b.json"
+        assert main(["gen", "--dim", "2", "--out", str(path)]) == 0
+        return ["verify", str(path)] if command == "verify" else [
+            "check", "bell-all", "--basis", str(path)]
+    if command == "factorize":
+        path = tmp_path / "u.json"
+        save_json(matrix_to_obj(CNOT), path)
+        return ["factorize", str(path)]
+    return {"gen": ["gen", "--dim", "2"],
+            "universality": ["check", "universality", "--dim", "3"],
+            "clifford": ["check", "clifford"],
+            "det-criterion": ["check", "det-criterion"]}[command]
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
+@pytest.mark.parametrize("command", ["gen", "verify", "factorize", "bell-all", "universality",
+                                     "clifford", "det-criterion"])
+def test_bad_tolerance_is_usage_error(command, tol, tmp_path, capsys):
+    # a NaN or non-positive tol fails every check, and inf passes every one
+    argv = _tol_argv(command, tmp_path)
+    capsys.readouterr()
+    assert main(argv + ["--tol=" + tol]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "tolerance must be finite and positive" in captured.err
+
+
+def _overflowing_files(tmp_path):
+    # entries of 1e300: X^dag X overflows, so every residual is inf or NaN
+    matrix = tmp_path / "big.json"
+    save_json(matrix_to_obj(1e300 * np.eye(4)), matrix)
+    basis = tmp_path / "big_basis.json"
+    ops = 1e300 * np.ones((4, 2, 2), dtype=complex)
+    save_json({"dim": 2, "operators": [matrix_to_obj(x) for x in ops]}, basis)
+    return matrix, basis
+
+
+def test_factorize_overflowing_unitary_is_usage_error(tmp_path, capsys):
+    # the NaN unitarity residual used to pass the gate: "kind: local", exit 0
+    matrix, _ = _overflowing_files(tmp_path)
+    assert main(["factorize", str(matrix)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: input is not unitary: residual nan\n"
+
+
+def test_overflowing_input_prints_no_numpy_warnings(tmp_path, capfd):
+    matrix, basis = _overflowing_files(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["verify", str(basis)]) == 1
+        out, err = capfd.readouterr()
+        assert out.splitlines()[1:] == ["offending pair: (0, 0)"] and err == ""
+        assert main(["factorize", str(matrix)]) == 2
+        out, err = capfd.readouterr()
+        assert out == "" and err == "error: input is not unitary: residual nan\n"

@@ -1,5 +1,7 @@
 """Tests for the vector-operator correspondence and entangled bases."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,7 @@ from entbasis import (
     vector_from_operator,
     verify_unitary_basis,
 )
+from entbasis.entangled import _shift_multiply_ops, _shift_multiply_report
 
 
 def rand_complex(rng, shape):
@@ -322,3 +325,60 @@ def test_verify_matches_dense_vector_oracle(make):
     assert abs(report.details["max_orthonormality_residual"] - dev.max()) < 1e-14
     assert report.passed == (worst_ent < tol and dev.max() < tol)
     assert (report.witnesses[0]["pair"] if report.witnesses else None) == pair
+
+
+def _ingredients(name):
+    """(hadamards, Latin square) of a shift-and-multiply family, Hadamard or not."""
+    rng = np.random.default_rng(21)
+    if name.startswith("fourier"):
+        d = int(name[len("fourier"):])
+        return np.stack([fourier_hadamard(d)] * d), cyclic_latin_square(d)
+    if name.startswith("sylvester"):
+        d = int(name[len("sylvester"):])
+        return np.stack([sylvester_hadamard(d)] * d), cyclic_latin_square(d)
+    d = 4
+    # the Klein-group table i XOR j is not isotopic to the cyclic one
+    klein = np.bitwise_xor.outer(np.arange(d), np.arange(d))
+    if name == "mixed-klein4":
+        hs = [np.exp(2j * np.pi * rng.random(d))[:, None] * fourier_hadamard(d)
+              * np.exp(2j * np.pi * rng.random(d))[None, :] for _ in range(d)]
+        return np.stack(hs), klein
+    if name == "random-phases4":
+        # unimodular but not orthogonal: the orthonormality witness is a Gram pair
+        return np.exp(2j * np.pi * rng.random((d, d, d))), klein
+    # rows off the unit circle: the witness is the first non-unitary operator
+    return rand_complex(rng, (d, d, d)), klein
+
+
+INGREDIENTS = ["fourier%d" % d for d in (1, 2, 3, 5, 8, 24)] + [
+    "sylvester4", "sylvester16", "mixed-klein4", "random-phases4", "random-moduli4"]
+
+
+@pytest.mark.parametrize("name", INGREDIENTS)
+def test_certificate_matches_dense_verifier(name):
+    # both residuals agree to rounding, and the verdict and witness pair exactly
+    hs, tau = _ingredients(name)
+    d = len(hs)
+    cert = _shift_multiply_report(hs, 1e-10)
+    dense = verify_unitary_basis(EntangledBasis(d, _shift_multiply_ops(hs, tau)), 1e-10)
+    bound = 8 * d * np.finfo(float).eps
+    for key in ("max_unitarity_residual", "max_orthonormality_residual"):
+        assert abs(cert.details[key] - dense.details[key]) <= bound * max(1.0, dense.details[key])
+    assert cert.passed == dense.passed
+    assert [w["pair"] for w in cert.witnesses] == [w["pair"] for w in dense.witnesses]
+
+
+@pytest.mark.parametrize("d, j", [(2, 0), (4, 3), (6, 2)])
+def test_certificate_refuses_just_past_tol_at_dense_pair(d, j):
+    # H^(j) = [[1+delta, 1-delta], [1-delta, -1-delta]] tensor F_{d/2} is Hadamard within
+    # tol (modulus deviation delta, product residual d delta^2), yet each of its rows
+    # gives an operator with unitarity residual 2 sqrt(d) delta > tol
+    delta = 0.9e-10
+    hs = [fourier_hadamard(d) for _ in range(d)]
+    hs[j] = np.kron([[1 + delta, 1 - delta], [1 - delta, -1 - delta]], fourier_hadamard(d // 2))
+    tau = cyclic_latin_square(d)
+    dense = verify_unitary_basis(EntangledBasis(d, _shift_multiply_ops(np.stack(hs), tau)))
+    assert not dense and dense.witnesses[0]["pair"] == [j, j]
+    message = "constructed family fails basis verification at pair [%d, %d]" % (j, j)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        shift_multiply_basis(hs, tau)

@@ -229,11 +229,35 @@ def _sylvester_basis(d):
     return shift_multiply_basis([sylvester_hadamard(d)] * d, cyclic_latin_square(d))
 
 
+def _klein_basis(d=4, seed=15):
+    # mixed Hadamards over the Klein-group table i XOR j, which no cyclic table is isotopic to
+    rng = np.random.default_rng(seed)
+    hs = [np.exp(2j * np.pi * rng.random(d))[:, None] * fourier_hadamard(d) for _ in range(d)]
+    return shift_multiply_basis(hs, np.bitwise_xor.outer(np.arange(d), np.arange(d)))
+
+
+def _haar_basis(d=24):
+    # the columns of a Haar unitary on C^d tensor C^d: no entry is zero
+    return EntangledBasis(d, np.sqrt(d) * haar_unitary(d * d, 3).T.reshape(d * d, d, d))
+
+
+def _sparse_special_basis(d=15, seed=16):
+    # mostly +0.0, and -0.0, subnormals, NaN and inf among the rest; the operators
+    # span several of dump_basis's blocks
+    rng = np.random.default_rng(seed)
+    values = np.array(SPECIAL_FLOATS + [-5e-324, 2.5e-310, -1e-320, 0.0, 1.0, -1.0])
+    doubles = np.where(rng.random(2 * d**4) < 0.9, 0.0, rng.choice(values, 2 * d**4))
+    return EntangledBasis(d, doubles.view(complex).reshape(d * d, d, d))
+
+
 ORACLE_BASES = {
     **{"fourier%d" % d: (lambda d=d: fourier_basis(d)) for d in range(1, 7)},
     "sylvester4": lambda: _sylvester_basis(4),
     "sylvester8": lambda: _sylvester_basis(8),
     "mixed-hadamard4": _mixed_hadamard_basis,
+    "klein4": _klein_basis,
+    "haar24": _haar_basis,
+    "sparse-special15": _sparse_special_basis,
     "special-values": _special_basis,
     "dim0": lambda: EntangledBasis(0, np.zeros((0, 0, 0), dtype=complex)),
 }
