@@ -33,8 +33,8 @@ from .entangled import fourier_basis, shift_multiply_basis, verify_unitary_basis
 from .factorize import factor_local
 from .fileio import (
     _json_int,
-    basis_from_obj,
     dump_basis,
+    load_basis,
     load_json,
     matrix_from_obj,
     matrix_to_obj,
@@ -90,7 +90,7 @@ def cmd_gen(args):
 
 
 def cmd_verify(args):
-    basis = basis_from_obj(load_json(args.basis))
+    basis = load_basis(args.basis)
     report = verify_unitary_basis(basis, args.tol)
     print(report.summary())
     if not report:
@@ -120,7 +120,7 @@ def cmd_factorize(args):
 
 
 def _load_entangled(path, tol):
-    basis = basis_from_obj(load_json(path))
+    basis = load_basis(path)
     report = verify_unitary_basis(basis, tol)
     if not report:
         raise ValueError(
@@ -152,6 +152,7 @@ def cmd_check_universality(args):
             candidates=args.candidates,
             trials=args.trials,
             seed=args.seed,
+            threshold=args.tol,
         )
     print(rep.summary())
     print("verdict: %s" % rep.verdict)

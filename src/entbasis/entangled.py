@@ -147,6 +147,12 @@ def basis_matrix(basis):
     return basis.ops.reshape(n, n).T / np.sqrt(basis.dim)
 
 
+# verify_unitary_basis forms its Gram in _GRAM_BLOCKS blocks of rows, each of at least
+# _GRAM_ROWS rows, so that its temporaries hold about n^2 / 8 entries, not n^2
+_GRAM_BLOCKS = 8
+_GRAM_ROWS = 64
+
+
 def verify_unitary_basis(basis, tol=TOL):
     """Check unitarity of each element and (1/d) tr(X_a^dag X_b) = delta_ab.
 
@@ -159,15 +165,26 @@ def verify_unitary_basis(basis, tol=TOL):
     d = basis.dim
     ops = basis.ops
     n = len(ops)
-    unit = unitarity_residual(ops)
     flat = ops.reshape(n, d * d)
+    unit = np.empty(n)
+    # each block of rows keeps its largest Gram deviation and where it is
+    step = max(_GRAM_ROWS, -(-n // _GRAM_BLOCKS))
+    starts = range(0, n, step)
+    worst, at = np.empty(len(starts)), np.empty(len(starts), dtype=int)
     with np.errstate(over="ignore", invalid="ignore"):
-        gram = flat.conj() @ flat.T
-        gram /= d
-        gram.flat[:: n + 1] -= 1.0
-        dev = np.abs(gram)
+        for b, start in enumerate(starts):
+            rows = slice(start, start + step)
+            unit[rows] = unitarity_residual(ops[rows])
+            gram = flat[rows].conj() @ flat.T
+            gram /= d
+            k = np.arange(len(gram))
+            gram[k, start + k] -= 1.0
+            dev = np.abs(gram)
+            at[b] = dev.argmax()
+            worst[b] = dev.flat[at[b]]
+    # the first block holding the largest (or a NaN) deviation holds its first instance
     return _basis_report(
-        unit, dev, tol, lambda k: [int(x) for x in np.unravel_index(k, dev.shape)]
+        unit, worst, tol, lambda b: [int(x) for x in divmod(starts[b] * n + int(at[b]), n)]
     )
 
 

@@ -18,10 +18,29 @@ json.dump(basis_to_obj(basis), fh, sort_keys=True, indent=2) writes; the
 stdlib encoder (pure Python once indent is set) is kept as the test
 oracle for it and writes the small files, matrices and reports, through
 save_json. Matrix data is read back with one numpy conversion per matrix.
+
+load_basis reads basis files back, and for text in dump_basis's exact
+layout it builds no JSON tree: layout.scan_layout checks the file head
+for dim and scans line-aligned windows of the bytes. Each double has a line of its own: a
+newline, ten spaces, the token, then "," or nothing. A "0.0" token costs
+no parse, since the result starts as +0.0. The other tokens must be JSON
+numbers with a fraction or an exponent, which json reads as floats by
+float(); their bytes are checked against JSON's number grammar, and
+numpy's text reader, which rounds as float() does, parses them. The text
+left when the tokens are taken out must equal the layout's skeleton for
+that dim, built from the head, separator and tail strings that dump_basis
+writes, defined once below. So the file is exactly the text json would read as this basis
+object, and the result is bit for bit basis_from_obj(load_json(path)).
+Every other input goes to that pair of functions, unchanged: other
+whitespace, an integer or non-finite token, a token that is not a JSON
+number, a wrong count, dim < 1. It stays the fallback and the test oracle,
+so the ValueError is the same too. Files of at most 64 KiB go to it as
+well: json reads them in about a millisecond.
 """
 
 import json
 import math
+import os
 
 import numpy as np
 
@@ -36,6 +55,7 @@ __all__ = [
     "dump_basis",
     "save_json",
     "load_json",
+    "load_basis",
 ]
 
 
@@ -70,26 +90,47 @@ def matrix_from_obj(obj):
         raise ValueError(
             "data length %d does not match %d x %d" % (len(data), rows, cols)
         )
-    try:
-        pairs = np.array(data, dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        pairs = None
+    pairs = _float_array(data)
     if pairs is None or pairs.shape != (rows * cols, 2) or not np.isfinite(pairs).all():
         raise _entry_error(data)
     return pairs.view(complex).reshape(rows, cols)
+
+
+def _float_array(data):
+    """data as a float array, or None if an entry is not a real number.
+
+    One numpy conversion finds the dtype: numbers give a numeric one, and
+    integers beyond int64 an object one. A string gives a string dtype, and
+    is refused as rows, cols and dim refuse it, although float() would
+    parse a numeric one.
+    """
+    try:
+        values = np.array(data)
+        if values.dtype.kind in "biuf" or values.dtype.kind == "O" and not _holds_string(values.flat):
+            return values.astype(float, copy=False)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    return None
+
+
+def _holds_string(values):
+    """Whether one of values is a string."""
+    return any(isinstance(x, (str, bytes)) for x in values)
 
 
 def _entry_error(data):
     """The ValueError naming the first entry of data that is not a finite [re, im] pair."""
     for k, pair in enumerate(data):
         try:
-            re, im = pair
-            re, im = float(re), float(im)
+            real, imag = pair
+            if isinstance(pair, (list, tuple)) and _holds_string(pair):
+                raise TypeError("a string is not a number")
+            real, imag = float(real), float(imag)
         except (TypeError, ValueError):
             return ValueError("entry %d is not a [re, im] pair" % k)
         except OverflowError:
             return ValueError("entry %d is too large for a double" % k)
-        if not (math.isfinite(re) and math.isfinite(im)):
+        if not (math.isfinite(real) and math.isfinite(imag)):
             return ValueError("entry %d is not finite" % k)
     return ValueError("matrix data must be a list of [re, im] pairs")
 
@@ -141,6 +182,17 @@ def report_to_obj(report):
     }
 
 
+# the text dump_basis writes around the doubles, which scan_layout rebuilds as its
+# skeleton: the file's head, an operator's head (%d: cols), the text between a
+# pair's re and im, between two pairs, an operator's tail (%d: rows), and the file's tail
+FILE_HEAD = '{\n  "dim": %d,\n  "operators": ['
+OP_HEAD = '\n    {\n      "cols": %d,\n      "data": [\n        [\n          '
+RE_IM = ",\n          "
+PAIR_SEP = "\n        ],\n        [\n          "
+OP_TAIL = '\n        ]\n      ],\n      "rows": %d\n    }'
+FILE_TAIL = "\n  ]\n}\n"
+
+
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 # doubles dump_basis formats per block: enough to spread the numpy calls over
@@ -163,16 +215,14 @@ def dump_basis(basis, fh):
     """
     ops = basis.ops
     n, rows, cols = ops.shape
-    head = '\n    {\n      "cols": %d,\n      "data": [\n        [\n          ' % cols
-    tail = '\n        ]\n      ],\n      "rows": %d\n    }' % rows
-    fh.write('{\n  "dim": %d,\n  "operators": [' % basis.dim)
+    head, tail = OP_HEAD % cols, OP_TAIL % rows
+    fh.write(FILE_HEAD % basis.dim)
     if not n:
         fh.write("]\n}\n")
         return
     step = max(1, _BLOCK_DOUBLES // (2 * rows * cols))
     # what follows each double of an operator: re/im, pair/pair, and operator/operator
-    seps = np.array([",\n          ", "\n        ],\n        [\n          "] * (rows * cols),
-                    dtype=object)
+    seps = np.array([RE_IM, PAIR_SEP] * (rows * cols), dtype=object)
     seps[-1] = tail + "," + head
     seps = np.tile(seps, min(step, n))
     for start in range(0, n, step):
@@ -187,7 +237,7 @@ def dump_basis(basis, fh):
         text[1::2] = seps[: doubles.size]
         text[-1] = tail
         fh.write(("," if start else "") + head + "".join(text.tolist()))
-    fh.write("\n  ]\n}\n")
+    fh.write(FILE_TAIL)
 
 
 def save_json(obj, path):
@@ -204,3 +254,26 @@ def load_json(path):
             return json.load(fh)
         except RecursionError as exc:
             raise ValueError("JSON nested too deeply") from exc
+
+
+def load_basis(path):
+    """basis_from_obj(load_json(path)), without the JSON tree for dump_basis's layout.
+
+    A file in that layout is scanned a window of lines at a time, and only
+    its doubles that are not 0.0 are parsed; any other text goes to
+    basis_from_obj(load_json(path)). Either way the basis is the same bit for
+    bit, and so is the ValueError (see the module docstring). A file of up to
+    _SCAN_MIN_BYTES goes to json too.
+    """
+    basis = None
+    with open(path, "rb") as fh:
+        if os.fstat(fh.fileno()).st_size > _SCAN_MIN_BYTES:
+            from .layout import scan_layout  # loaded only by a process that reads a large file
+
+            basis = scan_layout(fh)
+    return basis_from_obj(load_json(path)) if basis is None else basis
+
+
+# json reads a file this small in about a millisecond; the scan's mapped buffers and
+# its module would only add to the memory of a process that reads no large file
+_SCAN_MIN_BYTES = 1 << 16

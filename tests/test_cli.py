@@ -325,3 +325,37 @@ def test_overflowing_input_prints_no_numpy_warnings(tmp_path, capfd):
         assert main(["factorize", str(matrix)]) == 2
         out, err = capfd.readouterr()
         assert out == "" and err == "error: input is not unitary: residual nan\n"
+
+
+def test_universality_search_threshold_is_tol(tmp_path, capsys):
+    # the weakest violation at d=3 is O(1): above 1e-10, below 5
+    argv = ["check", "universality", "--dim", "3", "--candidates", "5", "--trials", "20"]
+    reports = {}
+    for tol, code in (("1e-10", 0), ("5", 1)):
+        report = tmp_path / ("univ_%s.json" % tol)
+        assert main(argv + ["--tol", tol, "--report", str(report)]) == code
+        assert "(threshold %.1e," % float(tol) in capsys.readouterr().out
+        reports[tol] = load_json(report)
+    assert reports["1e-10"]["maxViolation"] == reports["5"]["maxViolation"]
+    assert 0.1 < reports["5"]["maxViolation"] < 5
+    assert [r["threshold"] for r in reports.values()] == [1e-10, 5.0]
+
+
+def test_factorize_numeric_string_entry_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "u.json"
+    path.write_text(json.dumps({"rows": 2, "cols": 2,
+                                "data": [["1", 0], [0, 0], [0, 0], ["1", 0]]}))
+    assert main(["factorize", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: entry 0 is not a [re, im] pair\n"
+
+
+def test_verify_and_bell_all_read_compact_json(tmp_path):
+    # any valid JSON basis file is read; gen's own layout is only the fast case
+    out = tmp_path / "b3.json"
+    assert main(["gen", "--dim", "3", "--out", str(out)]) == 0
+    compact = tmp_path / "b3c.json"
+    compact.write_text(json.dumps(load_json(out)))
+    assert main(["verify", str(compact)]) == 0
+    assert main(["check", "bell-all", "--basis", str(compact), "--trials", "20"]) == 1

@@ -382,3 +382,52 @@ def test_certificate_refuses_just_past_tol_at_dense_pair(d, j):
     message = "constructed family fails basis verification at pair [%d, %d]" % (j, j)
     with pytest.raises(ValueError, match=re.escape(message)):
         shift_multiply_basis(hs, tau)
+
+
+def _whole_gram_report(basis, tol):
+    """verify_unitary_basis's residuals and witness from one unblocked Gram product."""
+    n, d = len(basis.ops), basis.dim
+    unit = np.linalg.norm(basis.ops.conj().transpose(0, 2, 1) @ basis.ops - np.eye(d), axis=(1, 2))
+    flat = basis.ops.reshape(n, d * d)
+    with np.errstate(invalid="ignore"):
+        dev = np.abs(flat.conj() @ flat.T / d - np.eye(n))
+    bad = np.flatnonzero(~(unit < tol))
+    if bad.size:
+        pair = [int(bad[0])] * 2
+    elif not dev.max() < tol:
+        pair = [int(i) for i in np.unravel_index(int(dev.argmax()), dev.shape)]
+    else:
+        pair = None
+    return unit.max(), dev.max(), pair
+
+
+def _edited_fourier(d, edit):
+    ops = fourier_basis(d).ops.copy()
+    edit(ops)
+    return EntangledBasis(d, ops)
+
+
+BLOCKED_GRAM_BASES = {
+    "fourier9": lambda: fourier_basis(9),
+    "fourier12": lambda: fourier_basis(12),
+    # a defect in the last block of rows, where a pair's rows span two blocks
+    "duplicate-late": lambda: _edited_fourier(12, lambda ops: ops.__setitem__(130, ops[3])),
+    # the largest deviation first appears past the first block of rows, at (100, 130)
+    "duplicate-both-late": lambda: _edited_fourier(12, lambda ops: ops.__setitem__(130, ops[100])),
+    "tilted-late": lambda: _edited_fourier(
+        9, lambda ops: ops.__setitem__(70, (ops[70] + 1e-6 * ops[2]) / np.sqrt(1 + 1e-12))),
+    "nan-late": lambda: _edited_fourier(9, lambda ops: ops.__setitem__((75, 0, 0), np.nan)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BLOCKED_GRAM_BASES))
+def test_blocked_gram_matches_whole_product(name):
+    # more operators than one block of rows holds, so the Gram is formed in pieces
+    basis = BLOCKED_GRAM_BASES[name]()
+    assert len(basis.ops) > 64
+    unit, orth, pair = _whole_gram_report(basis, 1e-10)
+    report = verify_unitary_basis(basis, 1e-10)
+    got = report.details["max_unitarity_residual"], report.details["max_orthonormality_residual"]
+    np.testing.assert_allclose(got, (unit, orth), rtol=1e-13, atol=1e-15)
+    assert report.passed == (pair is None)
+    assert (report.witnesses[0]["pair"] if report.witnesses else None) == pair

@@ -30,16 +30,19 @@ from entbasis import (
     validate_latin_square,
     verify_unitary_basis,
 )
+from entbasis import fileio
 from entbasis.fileio import (
     basis_from_obj,
     basis_to_obj,
     dump_basis,
+    load_basis,
     load_json,
     matrix_from_obj,
     matrix_to_obj,
     report_to_obj,
     save_json,
 )
+from entbasis.layout import _json_floats, _parse_into, scan_layout
 
 
 class TestMatrixRoundTrip:
@@ -332,3 +335,166 @@ def test_too_deeply_nested_file_is_value_error(tmp_path):
     path.write_text("[" * 100000 + "]" * 100000)
     with pytest.raises(ValueError, match="nested"):
         load_json(path)
+
+
+def _write_basis(basis, path):
+    with open(path, "w") as fh:
+        dump_basis(basis, fh)
+    return path
+
+
+def _oracle_load(path):
+    """basis_from_obj(load_json(path)), or the exception it raises."""
+    try:
+        return basis_from_obj(load_json(path))
+    except ValueError as exc:
+        return exc
+
+
+def _assert_same_as_oracle(path):
+    """load_basis, and scan_layout where it takes the file, agree with the JSON reader."""
+    with open(path, "rb") as fh:
+        fast = scan_layout(fh)
+    try:
+        want = basis_from_obj(load_json(path))
+    except ValueError as exc:
+        assert fast is None
+        with pytest.raises(type(exc)) as got:
+            load_basis(path)
+        assert str(got.value) == str(exc)
+        return None
+    got = load_basis(path)
+    for basis in (got, fast if fast is not None else got):
+        assert basis.dim == want.dim
+        assert basis.ops.view(np.int64).tobytes() == want.ops.view(np.int64).tobytes()
+    return fast
+
+
+def _finite_special_basis():
+    # -0.0, subnormals, +-1e16, 1e-7 and 0.1 + 0.2 among zeros and plain values
+    values = np.array([v for v in SPECIAL_FLOATS if np.isfinite(v)] + [-5e-324, 2.5e-310])
+    doubles = np.zeros(2 * 3**4)
+    doubles[::5] = np.resize(values, doubles[::5].size)
+    doubles[1::7] = -np.resize(values, doubles[1::7].size)
+    return EntangledBasis(3, doubles.view(complex).reshape(9, 3, 3))
+
+
+LOAD_BASES = {
+    **{"fourier%d" % d: (lambda d=d: fourier_basis(d)) for d in (1, 2, 3, 4, 5, 6, 24)},
+    "sylvester4": lambda: _sylvester_basis(4),
+    "sylvester8": lambda: _sylvester_basis(8),
+    "sylvester16": lambda: _sylvester_basis(16),
+    "klein4": _klein_basis,
+    "haar24": _haar_basis,
+    "finite-special3": _finite_special_basis,
+}
+
+
+class TestLoadBasis:
+    @pytest.mark.parametrize("name", sorted(LOAD_BASES))
+    def test_layout_read_bit_identical_to_oracle(self, name, tmp_path):
+        path = _write_basis(LOAD_BASES[name](), tmp_path / "b.json")
+        with open(path, "rb") as fh:
+            fast = scan_layout(fh)
+        assert fast is not None, "gen's layout must take the scan"
+        want = basis_from_obj(load_json(path))
+        assert fast.dim == want.dim
+        assert fast.ops.view(np.int64).tobytes() == want.ops.view(np.int64).tobytes()
+        assert load_basis(path).ops.tobytes() == want.ops.tobytes()
+
+    @pytest.mark.parametrize("name", ["special-values", "sparse-special15"])
+    def test_non_finite_entries_give_oracle_error(self, name, tmp_path):
+        path = _write_basis(ORACLE_BASES[name](), tmp_path / "b.json")
+        with open(path, "rb") as fh:
+            assert scan_layout(fh) is None
+        with pytest.raises(ValueError, match="is not finite"):
+            load_basis(path)
+        _assert_same_as_oracle(path)
+
+    def test_compact_json_goes_to_oracle(self, tmp_path):
+        path = tmp_path / "b.json"
+        path.write_text(json.dumps(basis_to_obj(fourier_basis(3))))
+        with open(path, "rb") as fh:
+            assert scan_layout(fh) is None
+        assert load_basis(path).ops.tobytes() == fourier_basis(3).ops.tobytes()
+
+    @pytest.mark.parametrize("old, new", [
+        ("          1.0,", "          1.00,"),        # another spelling of the same double
+        ("          0.0\n", "          0\n"),          # an integer token
+        ("          0.0\n", "          \n"),           # a missing token
+        ("          0.0\n", "          0.0 \n"),       # other whitespace
+        ("          0.0\n", "          NaN\n"),
+        ("          0.0\n", "          1e999\n"),      # overflows to inf
+        ("          0.0\n", "          \"0.0\"\n"),    # a string
+        ('"dim": 2,', '"dim": 3,'),
+        ('"dim": 2,', '"dim": 0,'),
+        ('"dim": 2,', '"dim": 02,'),
+        ('"cols": 2,', '"cols": 3,'),
+        ("\n  ]\n}\n", "\n  ]\n}\n\n"),
+        ("\n  ]\n}\n", "\n  ]\n}"),
+    ])
+    def test_edited_file_same_as_oracle(self, old, new, tmp_path):
+        path = _write_basis(fourier_basis(2), tmp_path / "b.json")
+        text = path.read_text()
+        assert old in text
+        path.write_text(text.replace(old, new, 1))
+        with open(path, "rb") as fh:
+            taken = scan_layout(fh) is not None
+        assert not taken or old == "          1.0,"
+        _assert_same_as_oracle(path)
+
+    def test_missing_and_empty_files(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            load_basis(tmp_path / "none.json")
+        (tmp_path / "empty.json").write_text("")
+        _assert_same_as_oracle(tmp_path / "empty.json")
+
+
+@pytest.mark.parametrize("token, valid", [
+    ("0.0", True), ("-0.0", True), ("1e-05", True), ("1E+16", True), ("0e5", True),
+    ("1.5e-07", True), ("123.456", True), ("-1.0e0", True), ("1.05", True), ("10.5", True),
+    ("2.5e-310", True), ("1e-0005", True), ("-0e-00", True),
+    ("01.5", False), ("00.0", False), ("-01.0", False), ("1.", False), (".5", False),
+    ("+1.0", False), ("1", False), ("-1", False), ("-", False), ("1e", False), ("1e+", False),
+    ("--1.0", False), ("1.0.0", False), ("1e5e5", False), ("1e5.0", False), ("0x1p3", False),
+    ("inf", False), ("NaN", False), ("1.0 ", False), ("1,0", False), ("1e-05-", False),
+    ("-.5", False), ("1.e5", False), ("0.0e", False), ("1_000.0", False), ("", False),
+    ("1.5-3", False), ("1-5.0", False), ("1.0e+-5", False),
+])
+def test_json_float_grammar(token, valid):
+    assert _json_floats(np.frombuffer((token + "\n").encode(), np.uint8)) is valid
+    # a valid neighbour on either side changes nothing
+    for text in ("0.5\n%s\n" % token, "%s\n-7e3\n" % token):
+        assert _json_floats(np.frombuffer(text.encode(), np.uint8)) is valid
+
+
+@pytest.mark.parametrize("data", [
+    [["1", 0], [0, 0], [0, 0], ["1", 0]],
+    [[1, 0], [0, "2.5"], [0, 0], [1, 0]],
+    [[10**30, 0], [0, "1"], [0, 0], [1, 0]],    # beyond int64: numpy keeps the objects
+], ids=["re", "im", "with-big-integer"])
+def test_numeric_string_entry_refused(data):
+    first = next(k for k, pair in enumerate(data) if any(isinstance(x, str) for x in pair))
+    with pytest.raises(ValueError, match="entry %d is not a \\[re, im\\] pair" % first):
+        matrix_from_obj({"rows": 2, "cols": 2, "data": data})
+
+
+def test_empty_final_batch_parses_nothing():
+    # the scan parses its tokens in batches; a batch flushed by the last window leaves none
+    doubles = np.zeros(4)
+    assert _parse_into(doubles, 0, [], [])
+    assert _parse_into(doubles, 2, [np.frombuffer(b"", np.uint8)], [np.zeros(2, bool)])
+    assert _parse_into(doubles, 2, [np.frombuffer(b"1.5\n", np.uint8)], [np.array([False, True])])
+    assert doubles.tolist() == [0.0, 0.0, 0.0, 1.5]
+
+
+def test_large_layout_file_read_without_json(tmp_path, monkeypatch):
+    # above one window the scan reads gen's layout; json reads smaller files
+    large = _write_basis(fourier_basis(8), tmp_path / "f8.json")
+    small = _write_basis(fourier_basis(3), tmp_path / "f3.json")
+    assert large.stat().st_size > 1 << 16 > small.stat().st_size
+    read = []
+    monkeypatch.setattr(fileio, "load_json", lambda path: read.append(path) or load_json(path))
+    assert load_basis(large).ops.tobytes() == fourier_basis(8).ops.tobytes()
+    assert load_basis(small).ops.tobytes() == fourier_basis(3).ops.tobytes()
+    assert read == [small]

@@ -6,8 +6,11 @@ Whatever JSON-shaped value a file holds, `matrix_from_obj` and
 stdlib encoder would write it and, when finite, reads back bit-exactly.
 """
 
+import contextlib
 import copy
+import io
 import json
+import re
 
 import numpy as np
 import pytest
@@ -22,9 +25,12 @@ from entbasis.fileio import (  # noqa: E402
     basis_from_obj,
     basis_to_obj,
     dump_basis,
+    load_basis,
     load_json,
     matrix_from_obj,
 )
+from entbasis.layout import _json_floats, scan_layout  # noqa: E402
+from test_fileio import _assert_same_as_oracle  # noqa: E402
 
 SETTINGS = hypothesis.settings(max_examples=100, deadline=None)
 
@@ -156,3 +162,137 @@ def test_verify_exit_code_on_any_file(text, workdir):
     else:
         path.write_text(text)
     assert main(["verify", str(path)]) in (0, 1, 2)
+
+
+# ---- load_basis: the layout scan against basis_from_obj(load_json(path)) ----
+
+JSON_FLOAT = re.compile(r"-?(0|[1-9][0-9]*)(\.[0-9]+([eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+)")
+number_texts = st.text(alphabet="0123456789.-+eE", max_size=10) | st.sampled_from(
+    ["0.0", "-0.0", "1e-05", "01.5", "1.", ".5", "+1.0", "1", "1e+", "inf", "NaN"])
+
+
+@SETTINGS
+@hypothesis.given(tokens=st.lists(number_texts, min_size=1, max_size=5))
+def test_json_float_grammar_matches_regex(tokens):
+    text = np.frombuffer("".join(t + "\n" for t in tokens).encode(), np.uint8)
+    assert _json_floats(text) == all(JSON_FLOAT.fullmatch(t) for t in tokens)
+
+
+def _spellings(x):
+    """JSON spellings of the double x, repr among them, that read as finite doubles."""
+    out = [repr(x), "%.17e" % x, "%.30e" % x, "%.3e" % x, "%.25f" % x]
+    return [t for t in out if JSON_FLOAT.fullmatch(t) and np.isfinite(float(t))]
+
+
+DOUBLE_LINE = re.compile(r"(?m)^( {10})([^ ,\n]+)(,?)$")
+
+
+def _with_tokens(text, tokens):
+    """text with its double tokens replaced, in order, by tokens."""
+    it = iter(tokens)
+    return DOUBLE_LINE.sub(lambda m: m.group(1) + next(it) + m.group(3), text)
+
+
+@SETTINGS
+@hypothesis.given(values=st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                  min_size=32, max_size=32), pick=st.integers(0, 2**32))
+def test_any_json_spelling_reads_as_float_does(values, pick, workdir):
+    # Fourier d=2 has 32 doubles; each is replaced by some JSON spelling of a random double
+    text = io.StringIO()
+    dump_basis(fourier_basis(2), text)
+    tokens = []
+    for k, x in enumerate(values):
+        options = _spellings(x)
+        tokens.append(options[(pick >> k) % len(options)])
+    path = workdir / "spelled.json"
+    path.write_text(_with_tokens(text.getvalue(), tokens))
+    with open(path, "rb") as fh:
+        assert scan_layout(fh) is not None
+    got = _assert_same_as_oracle(path)
+    assert got.ops.view(float).reshape(-1).tolist() == [float(t) for t in tokens]
+
+
+CANONICAL = {
+    "fourier1": lambda: fourier_basis(1),
+    "fourier2": lambda: fourier_basis(2),
+    "fourier3": lambda: fourier_basis(3),
+    "dense2": lambda: EntangledBasis(2, np.linspace(-1.5, 2.5, 32).view(complex).reshape(4, 2, 2)),
+}
+
+
+def _canonical_text(name):
+    fh = io.StringIO()
+    dump_basis(CANONICAL[name](), fh)
+    return fh.getvalue()
+
+
+def _token_lines(text):
+    return [m.span(2) for m in DOUBLE_LINE.finditer(text)]
+
+
+@st.composite
+def mutated_files(draw):
+    """A canonical basis file with one edit of the kinds a hand or a tool makes."""
+    text = _canonical_text(draw(st.sampled_from(sorted(CANONICAL))))
+    spans = _token_lines(text)
+    kind = draw(st.sampled_from(["byte", "swap", "respell", "int", "nonfinite", "extra",
+                                 "missing", "space", "truncate", "dim", "none"]))
+    if kind == "byte":
+        data = bytearray(text.encode())
+        at = draw(st.integers(0, len(data) - 1))
+        data[at] = draw(st.integers(0, 255))
+        return bytes(data)
+    if kind in ("swap", "respell", "int", "nonfinite"):
+        a, b = draw(st.sampled_from(spans)), draw(st.sampled_from(spans))
+        tok = text[a[0]:a[1]]
+        if kind == "swap" and a[0] < b[0]:
+            other = text[b[0]:b[1]]
+            return text[:a[0]] + other + text[a[1]:b[0]] + tok + text[b[1]:]
+        new = {"swap": tok, "respell": tok + "0", "int": tok.split(".")[0],
+               "nonfinite": draw(st.sampled_from(["NaN", "Infinity", "-Infinity", "1e400"]))}[kind]
+        return text[:a[0]] + new + text[a[1]:]
+    if kind in ("extra", "missing"):
+        pair = "[\n          0.0,\n          0.0\n        ],\n        "
+        at = text.find("[\n          ", draw(st.integers(0, len(text) - 1)))
+        if at < 0:
+            return text
+        if kind == "extra":
+            return text[:at] + pair + text[at:]
+        return text[:at] + text[at + len(pair):]
+    if kind == "space":
+        at = draw(st.integers(0, len(text) - 1))
+        return text[:at] + draw(st.sampled_from([" ", "\t", "\r\n", "\n"])) + text[at:]
+    if kind == "truncate":
+        return text[:draw(st.integers(0, len(text) - 1))]
+    if kind == "dim":
+        return re.sub(r'"dim": [0-9]+', '"dim": %d' % draw(st.integers(0, 4)), text, count=1)
+    return text
+
+
+@SETTINGS
+@hypothesis.given(content=mutated_files())
+def test_mutated_file_same_as_oracle(content, workdir):
+    path = workdir / "mutated.json"
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_bytes(content.encode())
+    _assert_same_as_oracle(path)
+
+
+cli_inputs = file_texts | st.binary(max_size=40) | mutated_files()
+
+
+@SETTINGS
+@hypothesis.given(content=cli_inputs)
+def test_basis_and_matrix_commands_exit_code_on_any_file(content, workdir):
+    # an exception escaping main, which would print a traceback, fails the test
+    path = workdir / "any.json"
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_bytes(content.encode())
+    for argv in (["check", "bell-all", "--basis", str(path), "--trials", "3"],
+                 ["factorize", str(path)]):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert main(argv) in (0, 1, 2)
