@@ -10,12 +10,17 @@ Basis files, the large ones, are written by dump_basis straight from the
 stacked operator array, a block of operators at a time. A shift-and-multiply
 operator has d nonzero entries of d^2, so most doubles in the file are
 +0.0, the only double whose bits are all zero and the only one spelled
-"0.0". Those are spelled without a repr call: per block, only the doubles
-whose int64 view is nonzero are formatted (repr, or NaN, Infinity,
--Infinity as json spells them), and one str.join puts them together with
-the shared "0.0" and the fixed indent strings. The text is exactly what
-json.dump(basis_to_obj(basis), fh, sort_keys=True, indent=2) writes; the
-stdlib encoder (pure Python once indent is set) is kept as the test
+"0.0", and the writer's work grows with the other doubles alone. Once per
+call it builds the text of a block of operators whose doubles are all
++0.0, from the head, separator and tail strings defined below, as ASCII
+bytes, and the offset of each double's "0.0" in it. Per block, each
+distinct bit pattern among the doubles whose int64 view is nonzero is
+formatted once (repr, or NaN, Infinity, -Infinity as json spells them),
+and one join alternates the formatted doubles with views of the
+template's text between their slots. Between two neighbours that text is
+their separator, so a dense block slices nothing. The text is exactly
+what json.dump(basis_to_obj(basis), fh, sort_keys=True, indent=2) writes;
+the stdlib encoder (pure Python once indent is set) is kept as the test
 oracle for it and writes the small files, matrices and reports, through
 save_json. Matrix data is read back with one numpy conversion per matrix.
 
@@ -122,9 +127,10 @@ def _entry_error(data):
     """The ValueError naming the first entry of data that is not a finite [re, im] pair."""
     for k, pair in enumerate(data):
         try:
+            # a JSON array of two numbers; an object would unpack into its keys
+            if not isinstance(pair, (list, tuple)) or _holds_string(pair):
+                raise TypeError("not an array of numbers")
             real, imag = pair
-            if isinstance(pair, (list, tuple)) and _holds_string(pair):
-                raise TypeError("a string is not a number")
             real, imag = float(real), float(imag)
         except (TypeError, ValueError):
             return ValueError("entry %d is not a [re, im] pair" % k)
@@ -209,34 +215,64 @@ def _json_float(x):
 def dump_basis(basis, fh):
     """Write basis to the text file fh as save_json(basis_to_obj(basis), path) would.
 
-    The bytes are the same; the operators go out a block at a time, so
-    neither the object tree nor the whole text is ever held, and only the
-    doubles that are not +0.0 are formatted (see the module docstring).
+    The bytes are the same. The operators go out a block at a time, so
+    neither the object tree nor the whole text is ever held. Each block is
+    spliced into a template of all-0.0 operators, built once per call: each
+    distinct double that is not +0.0 is formatted once and fills its slots,
+    so the work grows with those doubles (see the module docstring).
     """
     ops = basis.ops
     n, rows, cols = ops.shape
-    head, tail = OP_HEAD % cols, OP_TAIL % rows
     fh.write(FILE_HEAD % basis.dim)
     if not n:
         fh.write("]\n}\n")
         return
-    step = max(1, _BLOCK_DOUBLES // (2 * rows * cols))
-    # what follows each double of an operator: re/im, pair/pair, and operator/operator
-    seps = np.array([RE_IM, PAIR_SEP] * (rows * cols), dtype=object)
-    seps[-1] = tail + "," + head
-    seps = np.tile(seps, min(step, n))
+    head, tail = OP_HEAD % cols, OP_TAIL % rows
+    pairs = rows * cols
+    step = max(1, _BLOCK_DOUBLES // (2 * pairs))
+    block = min(step, n)
+    # the text of a block of operators whose doubles are all 0.0, where each double's
+    # 0.0 starts in it, and the separator after each double: re/im, pair/pair, op/op.
+    # The text between two slots is a memoryview of the template, not a copy: str
+    # slices of a kilobyte or so come from the C heap, and freed there between the
+    # blocks' larger strings they left it fragmented and the process larger
+    pair = "0.0" + RE_IM + "0.0"
+    zero_op = head + (pair + PAIR_SEP) * (pairs - 1) + pair + tail
+    template = memoryview(",".join([zero_op] * block).encode())
+    slots = (np.arange(block)[:, None, None] * (len(zero_op) + 1) + len(head)
+             + np.arange(pairs)[:, None] * (len(pair) + len(PAIR_SEP))
+             + [0, len(pair) - 3]).reshape(-1)
+    seps = np.array([RE_IM.encode(), PAIR_SEP.encode()] * pairs, dtype=object)
+    seps[-1] = (tail + "," + head).encode()
+    seps = np.tile(seps, block)
     for start in range(0, n, step):
         # a complex array is its re, im doubles interleaved: the order the file lists them
-        doubles = np.ascontiguousarray(ops[start:start + step]).view(np.float64).reshape(-1)
-        nonzero = np.flatnonzero(doubles.view(np.int64))
-        values = doubles[nonzero]
+        bits = np.ascontiguousarray(ops[start:start + step]).view(np.int64).reshape(-1)
+        end = bits.size // (2 * pairs) * (len(zero_op) + 1) - 1
+        if start:
+            fh.write(",")
+        nonzero = np.flatnonzero(bits)
+        if not nonzero.size:
+            fh.write(str(template[:end], "ascii"))
+            continue
+        # each distinct double is formatted once, however many slots it fills
+        distinct, which = np.unique(bits[nonzero], return_inverse=True)
+        values = distinct.view(np.float64)
         fmt = repr if np.isfinite(values).all() else _json_float
-        text = np.empty(2 * doubles.size, dtype=object)
-        text[0::2] = "0.0"
-        text[2 * nonzero] = list(map(fmt, values.tolist()))
-        text[1::2] = seps[: doubles.size]
-        text[-1] = tail
-        fh.write(("," if start else "") + head + "".join(text.tolist()))
+        words = np.array(list(map(str.encode, map(fmt, values.tolist()))), dtype=object)
+        # the text between two doubles that are not +0.0: the separator after the first
+        # when they are neighbours, so that a dense block slices nothing, else a view of
+        # the template
+        at = slots[nonzero]
+        gaps = seps[nonzero].tolist()
+        apart = np.flatnonzero(np.diff(nonzero) != 1)
+        for k, a, b in zip(apart.tolist(), (at[apart] + 3).tolist(), at[apart + 1].tolist()):
+            gaps[k] = template[a:b]
+        gaps[-1] = template[at[-1] + 3:end]
+        text = [template[:at[0]]] * (2 * nonzero.size + 1)
+        text[1::2] = words[which].tolist()
+        text[2::2] = gaps
+        fh.write(str(b"".join(text), "ascii"))
     fh.write(FILE_TAIL)
 
 

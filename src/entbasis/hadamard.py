@@ -55,8 +55,10 @@ def is_hadamard(h, tol=TOL):
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError("Hadamard candidate must be square")
     d = h.shape[0]
-    mod_dev = float(np.abs(np.abs(h) - 1.0).max())
-    prod_res = float(np.abs(h @ h.conj().T - d * np.eye(d)).max())
+    # entries too large for the product give inf or NaN there; the modulus check fails them
+    with np.errstate(over="ignore", invalid="ignore"):
+        mod_dev = float(np.abs(np.abs(h) - 1.0).max())
+        prod_res = float(np.abs(h @ h.conj().T - d * np.eye(d)).max())
     return tolerance_report(
         "hadamard",
         max(mod_dev, prod_res),

@@ -19,7 +19,10 @@ from .fileio import FILE_HEAD, FILE_TAIL, OP_HEAD, OP_TAIL, PAIR_SEP, RE_IM
 __all__ = ["scan_layout"]
 
 # bytes read per window; the layout's lines are far shorter
-_WINDOW = 1 << 16
+_WINDOW = 1 << 18
+# bytes of token text parsed per batch; a window's worth of it made the batch's
+# arrays large enough to leave the heap larger for a JSON reader that comes next
+_BATCH = 1 << 16
 _HEAD_RE = re.compile(re.escape(FILE_HEAD.encode()).replace(b"%d", b"([1-9][0-9]{0,8})"))
 
 # classes of the bytes that are not digits in number text with "\n" after each
@@ -190,7 +193,10 @@ def scan_layout(fh):
         masks.append(nonzero)
         count += ts.size
         pending += texts[-1].size
-        if pending >= _WINDOW:
+        # freed before the next window's arrays are made, not as they are replaced: with
+        # both windows' arrays live at once, the heap grew by about twice a window's
+        del ts, te, nl, bounds, token, skeleton, short, t3, zero, t0
+        if pending >= _BATCH:
             if not _parse_into(doubles, first, texts, masks):
                 return None
             texts, masks, first, pending = [], [], count, 0

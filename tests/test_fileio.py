@@ -272,6 +272,23 @@ class TestDumpBasis:
         basis = ORACLE_BASES[name]()
         assert _dumped_text(basis) == _oracle_text(basis)
 
+    def test_splice_edges_same_as_stdlib_encoder(self, monkeypatch):
+        # blocks of two d=3 operators of 18 doubles each, so that blocks end inside the basis
+        d, per_op = 3, 18
+        monkeypatch.setattr(fileio, "_BLOCK_DOUBLES", 2 * per_op)
+        doubles = np.zeros(d**2 * per_op)
+        doubles[[0, per_op - 1]] = 0.5, -2.5                     # op 0: first and last only
+        doubles[per_op] = 2.5                                    # ops 0 and 1: one block
+        # ops 2 and 3, a whole block, have no nonzero double
+        doubles[6 * per_op - 1:6 * per_op + 1] = -1.5, 1e-7      # ops 5 and 6: two blocks
+        # op 7: equal values with other bits, -0.0 beside +0.0 and two NaN payloads
+        doubles[7 * per_op:7 * per_op + 9] = -0.0, 0.0, -0.0, 0, 0, 0, 1 / 3, 1 / 3, -np.inf
+        nan_bits = [0x7FF8000000000001, 0x7FF8000000000002, 0x7FF8000000000001]
+        doubles.view(np.int64)[7 * per_op + 3:7 * per_op + 6] = nan_bits
+        doubles[8 * per_op:] = np.arange(1, per_op + 1) / 7       # op 8, the last block: dense
+        basis = EntangledBasis(d, doubles.view(complex).reshape(d**2, d, d))
+        assert _dumped_text(basis) == _oracle_text(basis)
+
     def test_round_trip_bit_exact(self, tmp_path):
         basis = _mixed_hadamard_basis()
         path = tmp_path / "b.json"
@@ -322,7 +339,7 @@ def test_entry_beyond_double_range(data, index):
 @pytest.mark.parametrize("data, message", [
     ([[1, 0], [None, 0]], "entry 1 is not a \\[re, im\\] pair"),
     ([[1, 0], [0, float("nan")]], "entry 1 is not finite"),
-    ([[1, 0], {"1": 0, "2": 0}], "matrix data must be a list of \\[re, im\\] pairs"),
+    ([[1, 0], {"1": 0, "2": 0}], "entry 1 is not a \\[re, im\\] pair"),
     ([[1, 0], [[1, 2], [3, 4]]], "entry 1 is not a \\[re, im\\] pair"),
 ], ids=["none", "nan", "dict", "nested"])
 def test_first_bad_entry_named(data, message):
