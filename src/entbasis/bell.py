@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entangled import EntangledBasis, basis_matrix, verify_unitary_basis
-from .factorize import _local_kinds, _require_unitary, factor_local
+from .factorize import _local_kinds, _neither_residual, _require_unitary, factor_local
 from .linalg import (
     PAULIS,
     StateVector,
@@ -341,8 +341,9 @@ def check_bell_condition(basis, condition, trials=1000, seed=0, tol=TOL):
             return random_orthogonal(n, rng, special=True, count=len(idx))
 
         def measure(o):
-            kinds, residual = _local_kinds(b @ o @ bh)
-            return (kinds == "neither").astype(float), {"residual": residual}
+            u = b @ o @ bh
+            return ((_local_kinds(u) == "neither").astype(float),
+                    lambda rows: {"residual": _neither_residual(u[rows])})
     elif condition == 4:
         def draw(rng, idx):
             return haar_unitary(d, rng, count=len(idx))
@@ -436,7 +437,7 @@ def check_det_criterion_agreement(trials=1000, seed=0, tol=TOL):
         o, want_positive = batch
         u = _BELL @ o @ _BELL.conj().T
         det_verdict = _det_verdicts(u, tol)
-        factor_verdict = _local_kinds(u)[0]
+        factor_verdict = _local_kinds(u)
         expected = np.where(want_positive, "local", "local_flip")
         mismatch = (det_verdict != expected) | (factor_verdict != expected)
         return mismatch.astype(float), {"det_verdict": det_verdict,

@@ -6,6 +6,22 @@ U = (U1 tensor U2) F with F the flip. operator_schmidt detects which case
 holds: it expands U = sum_i s_i A_i tensor B_i with trace-orthonormal
 factors, and a unitary is a tensor product exactly when a single
 coefficient s_0 = d survives.
+
+The sampled checks decide the kind of a whole stack without most of the
+SVDs (_local_kinds). One step of complete pivoting on each reshuffled
+matrix R, at the entry R_pq of largest modulus, leaves
+S = R - R[:,q] R[p,:] / R_pq. Eckart-Young gives s_1 <= ||S||_F, and the
+pivot column gives s_0 >= ||R[:,q]||; every 2 x 2 minor through the pivot
+is R_pq S_ij and bounds s_0 s_1 from below, so
+s_1/s_0 >= max|S_ij| |R_pq| / ||R||_F^2. A spectrum is certified rank one
+when ||S||_F < RANK_TOL ||R[:,q]|| / 2 and certified not rank one when
+max|S_ij| |R_pq| > 2 RANK_TOL ||R||_F^2; the factor-2 margins make either
+certificate agree with the SVD's own s_1/s_0 < RANK_TOL. Only the
+matrices that neither certificate settles go to the SVD, the flip is
+examined only where U is not local, and the "neither" residual is left to
+_neither_residual, which the checks run on their witness rows alone.
+factor_local, which also returns the factors, always takes the SVD and is
+the reference the stacked path is tested against.
 """
 
 from dataclasses import dataclass
@@ -132,24 +148,67 @@ def factor_local(u, tol=INPUT_TOL):
     return FactorizationResult("neither", None, residual)
 
 
-def _local_kinds(u):
-    """factor_local's kind and "neither" residual for a (n, d^2, d^2) stack.
+def _flip_reshuffle(u, d):
+    """R(U F) for one operator or a stack, by axes: R(U F)[(i,j),(k,l)] = U[(i,k),(l,j)]."""
+    lead = u.shape[:-2]
+    n = len(lead)
+    axes = (*range(n), n, n + 3, n + 1, n + 2)
+    return u.reshape(*lead, d, d, d, d).transpose(axes).reshape(*lead, d * d, d * d)
 
-    Same unitarity gate and rank-one rule as factor_local, on the stacked
-    singular values alone; the residual is meaningful where the kind is
-    "neither".
+
+def _rank_one(r):
+    """_is_rank_one of the operator-Schmidt spectrum of each matrix in an (n, m, m) stack.
+
+    One pivot step decides most of them (module docstring); the SVD runs
+    only on the rest.
+    """
+    n, m = r.shape[0], r.shape[-1]
+    rows = np.arange(n)
+    modulus = np.abs(r.reshape(n, m * m))
+    p, q = np.divmod(modulus.argmax(axis=1), m)
+    pivot = r[rows, p, q]
+    column = r[rows, :, q]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rest = r - column[:, :, None] * (r[rows, p, :] / pivot[:, None])[:, None, :]
+    rest_modulus = np.abs(rest.reshape(n, m * m))
+    # a NaN from a zero pivot fails both comparisons and leaves the matrix undecided
+    yes = np.linalg.norm(rest_modulus, axis=1) < 0.5 * RANK_TOL * np.linalg.norm(column, axis=1)
+    no = (rest_modulus.max(axis=1) * np.abs(pivot)
+          > 2.0 * RANK_TOL * np.einsum("ij,ij->i", modulus, modulus))
+    undecided = ~(yes | no)
+    if undecided.any():
+        yes[undecided] = _is_rank_one(np.linalg.svd(r[undecided], compute_uv=False))
+    return yes
+
+
+def _local_kinds(u):
+    """factor_local's kind for each operator of a (n, d^2, d^2) stack.
+
+    Same unitarity gate and rank-one rule as factor_local; the flip is
+    tested only for the operators that are not local.
     """
     d = _square_side(u.shape[-1])
     _require_unitary(u, INPUT_TOL)
+    local = _rank_one(_reshuffle(u, d))
+    flip = np.zeros_like(local)
+    rest = np.flatnonzero(~local)
+    if len(rest):
+        flip[rest] = _rank_one(_flip_reshuffle(u[rest], d))
+    return np.where(local, "local", np.where(flip, "local_flip", "neither"))
+
+
+def _neither_residual(u):
+    """factor_local's "neither" residual for each operator of a (n, d^2, d^2) stack.
+
+    The distance to the nearest product or product-times-flip operator,
+    from the two full spectra.
+    """
+    d = _square_side(u.shape[-1])
     s_plain = np.linalg.svd(_reshuffle(u, d), compute_uv=False)
-    s_flip = np.linalg.svd(_reshuffle(u @ flip_operator(d), d), compute_uv=False)
-    kinds = np.where(
-        _is_rank_one(s_plain), "local", np.where(_is_rank_one(s_flip), "local_flip", "neither")
-    )
-    residual = np.minimum(
+    s_flip = np.linalg.svd(_flip_reshuffle(u, d), compute_uv=False)
+    return np.minimum(
         np.linalg.norm(s_plain[..., 1:], axis=-1), np.linalg.norm(s_flip[..., 1:], axis=-1)
     )
-    return kinds, residual
 
 
 def check_preserves_max_entangled(u, trials=500, seed=0, tol=TOL):

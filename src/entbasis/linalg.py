@@ -115,11 +115,9 @@ def schmidt(v):
 
 def flip_operator(d):
     """Swap operator F on C^d tensor C^d: F(phi tensor psi) = psi tensor phi."""
-    f = np.zeros((d * d, d * d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            f[i * d + j, j * d + i] = 1.0
-    return f
+    # F[(i,j),(k,l)] = I[(j,i),(k,l)]: the identity with its two row factors swapped
+    eye = np.eye(d * d, dtype=complex).reshape(d, d, d * d)
+    return eye.transpose(1, 0, 2).reshape(d * d, d * d)
 
 
 def _rng(seed):

@@ -134,12 +134,16 @@ def sample_violations(trials, seed, tol, draw, measure, per_trial, unit="trial")
     Trials run in chunks of chunk_size(per_trial). For each chunk,
     draw(rng, idx) gets the chunk's Generator and its global trial indices
     and returns a batch of inputs; measure(batch) returns the per-trial
-    violations as one array, or a pair (violations, fields) whose dict of
-    per-trial arrays adds named entries to each witness. Every trial with
-    violation >= tol is a witness {unit: index, "seed": seed, "violation":
-    v, **fields}, up to MAX_WITNESSES, in trial order. Returns the
-    violations of all trials and the witnesses; the caller reduces them to
-    its report.
+    violations as one array, or a pair (violations, fields) whose fields
+    add named entries to each witness. fields is a dict of per-trial
+    arrays, or a callable rows -> dict that the engine calls with the
+    chunk positions of that chunk's witnesses only, and returns one entry
+    per row: a field that costs more than the violation itself (an SVD
+    residual, say) is then computed for at most MAX_WITNESSES trials of the
+    whole run. Every trial with violation >= tol is a witness {unit: index,
+    "seed": seed, "violation": v, **fields}, up to MAX_WITNESSES, in trial
+    order. Returns the violations of all trials and the witnesses; the
+    caller reduces them to its report.
     """
     require_positive(trials, unit + "s")
     step = chunk_size(per_trial)
@@ -150,10 +154,16 @@ def sample_violations(trials, seed, tol, draw, measure, per_trial, unit="trial")
         out = measure(draw(chunk_rng(seed, chunk), idx))
         v, fields = out if isinstance(out, tuple) else (out, {})
         violations[idx] = v
-        fields = {name: np.asarray(f) for name, f in fields.items()}
-        for k in np.flatnonzero(violations[idx] >= tol)[: MAX_WITNESSES - len(witnesses)]:
+        rows = np.flatnonzero(violations[idx] >= tol)[: MAX_WITNESSES - len(witnesses)]
+        if not len(rows):
+            continue
+        if callable(fields):
+            picked = fields(rows)
+        else:
+            picked = {name: np.asarray(f)[rows] for name, f in fields.items()}
+        for j, k in enumerate(rows):
             witnesses.append(
                 {unit: int(idx[k]), **seed_tag(seed), "violation": float(violations[idx[k]]),
-                 **{name: f[k].tolist() for name, f in fields.items()}}
+                 **{name: np.asarray(f)[j].tolist() for name, f in picked.items()}}
             )
     return violations, witnesses

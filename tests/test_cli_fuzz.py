@@ -2,8 +2,9 @@
 
 Whatever the files hold and whatever text a numeric flag gets, `main`
 returns 0, 1 or 2, or argparse exits with 2; no exception escapes, so no
-traceback is printed. Sizes stay small: `check clifford --count N` builds
-matrices of order 2^((N-1)/2), so counts and dims are bounded below.
+traceback is printed. Sizes stay small: dims and trial counts are bounded
+below, and `check clifford --count` is fuzzed up to the largest count the
+command accepts (order 2^((N-1)/2) = 256 at N = 17, under a second).
 """
 
 import contextlib
@@ -18,7 +19,7 @@ hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
 from entbasis import cyclic_latin_square, fourier_basis, fourier_hadamard  # noqa: E402
-from entbasis.cli import main  # noqa: E402
+from entbasis.cli import MAX_CLIFFORD_COUNT, main  # noqa: E402
 from entbasis.fileio import dump_basis, matrix_to_obj, save_json  # noqa: E402
 from test_fileio_fuzz import json_values, matrix_objects, numbers  # noqa: E402
 
@@ -139,7 +140,7 @@ INT_FLAGS = {
                       ["check", "universality"],
                       ["check", "universality", "--dim", "3", "--candidates", "2"]]),
     "--candidates": (5, [["check", "universality", "--dim", "3", "--trials", "5"]]),
-    "--count": (15, [["check", "clifford"]]),
+    "--count": (MAX_CLIFFORD_COUNT, [["check", "clifford"]]),
 }
 
 
@@ -178,3 +179,11 @@ def test_numeric_flag_exit_code(argv, workdir):
     files = {"f2": workdir / "f2.json", "cnot": workdir / "cnot.json"}
     argv = [arg.format(**files) if arg.startswith("{") else arg for arg in argv]
     assert _exit_code(argv) in (0, 1, 2)
+
+
+def test_clifford_count_bound():
+    # counts above the bound would build generators of order 2^((N-1)/2) >= 512
+    # and are refused before anything is built
+    assert _exit_code(["check", "clifford", "--count", str(MAX_CLIFFORD_COUNT)]) == 0
+    for count in (MAX_CLIFFORD_COUNT + 2, 101, 10**30 + 1):
+        assert _exit_code(["check", "clifford", "--count", str(count)]) == 2

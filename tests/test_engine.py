@@ -290,6 +290,65 @@ def test_generator_seed_runs_one_stream():
     json.dumps(report_to_obj(report))
 
 
+class TestLazyFields:
+    @staticmethod
+    def uniform(rng, idx):
+        return rng.random(len(idx))
+
+    def test_callable_gets_only_the_witness_rows(self):
+        seen = []
+
+        def lazy(x):
+            def fields(rows):
+                seen.append(rows)
+                return {"value": x[rows], "pair": np.stack([rows, rows], axis=1)}
+            return x, fields
+
+        def eager(x):
+            rows = np.arange(len(x))
+            return x, {"value": x, "pair": np.stack([rows, rows], axis=1)}
+
+        # chunks of 32 trials and about 30 violations, of which 8 become witnesses
+        runs = [reports.sample_violations(1000, 3, 0.97, self.uniform, measure, 64)
+                for measure in (lazy, eager)]
+        (v_lazy, w_lazy), (v_eager, w_eager) = runs
+        assert all(len(rows) > 0 for rows in seen)
+        assert sum(len(rows) for rows in seen) == len(w_lazy) == MAX_WITNESSES
+        assert (v_lazy >= 0.97).sum() > MAX_WITNESSES
+        for w in w_lazy:
+            assert w["value"] == w["violation"]
+            assert w["pair"] == [w["trial"] % 32] * 2
+        assert np.array_equal(v_lazy, v_eager)
+        as_report = [report_to_obj(reports.tolerance_report("lazy", v.max(), 0.97, 1000, w))
+                     for v, w in runs]
+        assert as_report[0] == as_report[1]
+
+    def test_condition_3_residuals_only_for_witnesses(self, monkeypatch):
+        lazy = check_bell_condition(FOURIER3, 3, trials=300, seed=2)
+
+        def eager_engine(trials, seed, tol, draw, measure, per_trial, unit="trial"):
+            def eager(batch):
+                v, fields = measure(batch)
+                return v, fields(np.arange(len(v)))
+            return reports.sample_violations(trials, seed, tol, draw, eager, per_trial, unit)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(bell, "sample_violations", eager_engine)
+            assert report_to_obj(check_bell_condition(FOURIER3, 3, 300, 2)) == report_to_obj(lazy)
+        sizes = []
+        real = bell._neither_residual
+
+        def counted(u):
+            sizes.append(len(u))
+            return real(u)
+
+        monkeypatch.setattr(bell, "_neither_residual", counted)
+        assert report_to_obj(check_bell_condition(FOURIER3, 3, 300, 2)) == report_to_obj(lazy)
+        assert sum(sizes) == len(lazy.witnesses) == MAX_WITNESSES
+        for w in lazy.witnesses:
+            assert w["residual"] > 0.1
+
+
 class TestStackedSamplers:
     @pytest.mark.parametrize("sampler", [haar_unitary, haar_special_unitary])
     def test_unitary_stack(self, sampler):
@@ -346,7 +405,7 @@ class TestSharedRules:
             CNOT,
             b @ random_orthogonal(4, rng) @ b.conj().T,
         ])
-        kinds, residual = factorize._local_kinds(us)
+        kinds, residual = factorize._local_kinds(us), factorize._neither_residual(us)
         for u, kind, res in zip(us, kinds, residual):
             single = factor_local(u)
             assert kind == single.kind

@@ -6,13 +6,19 @@ import pytest
 from entbasis import (
     SIGMA1,
     SIGMA3,
+    basis_matrix,
+    bell_matrix,
     check_preserves_max_entangled,
     factor_local,
     flip_operator,
+    fourier_basis,
     haar_unitary,
     operator_schmidt,
+    random_orthogonal,
     tensor,
 )
+from entbasis import factorize
+from entbasis.factorize import _is_rank_one, _reshuffle
 
 CNOT = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
@@ -163,3 +169,68 @@ class TestPreservesMaxEntangled:
             says_neither = factor_local(u, tol=1e-8).kind == "neither"
             witnessed = check_preserves_max_entangled(u, trials=40, seed=t).max_violation > 1e-6
             assert says_neither == witnessed
+
+
+def _svd_kinds(u):
+    """Stacked kinds from two full SVDs per operator: the pivot screen's reference."""
+    d = round(u.shape[-1] ** 0.5)
+    plain = _is_rank_one(np.linalg.svd(_reshuffle(u, d), compute_uv=False))
+    flip = _is_rank_one(np.linalg.svd(_reshuffle(u @ flip_operator(d), d), compute_uv=False))
+    return np.where(plain, "local", np.where(flip, "local_flip", "neither"))
+
+
+def _near_local(d, rng):
+    """(U1 tensor U2) exp(i eps H), ten per eps over 1e-10 ... 1e-6, and each times F."""
+    eps = np.repeat(np.logspace(-10, -6, 41), 10)
+    n = len(eps)
+    h = rng.standard_normal((n, d * d, d * d)) + 1j * rng.standard_normal((n, d * d, d * d))
+    w, v = np.linalg.eigh(h + h.conj().swapaxes(-1, -2))
+    gate = (v * np.exp(1j * eps[:, None] * w)[:, None, :]) @ v.conj().swapaxes(-1, -2)
+    a, b = haar_unitary(d, rng, count=n), haar_unitary(d, rng, count=n)
+    u = np.einsum("tij,tkl->tikjl", a, b).reshape(n, d * d, d * d) @ gate
+    return np.concatenate([u, u @ flip_operator(d)])
+
+
+class TestStackedKinds:
+    def test_flip_reshuffle_equals_reshuffle_of_the_product(self):
+        rng = np.random.default_rng(3)
+        # flip_operator itself equals the loop that built it (test_linalg)
+        for d in range(1, 6):
+            u = haar_unitary(d * d, rng, count=4)
+            fast = factorize._flip_reshuffle(u, d)
+            assert fast.tobytes() == _reshuffle(u @ flip_operator(d), d).tobytes()
+            assert factorize._flip_reshuffle(u[0], d).tobytes() == fast[0].tobytes()
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_pivot_screen_matches_all_svd_reference(self, d, monkeypatch):
+        # near the rank-one threshold the screen defers to the SVD; far from it,
+        # on generic basis-real unitaries and Haar ones, it decides alone
+        rng = np.random.default_rng(10 + d)
+        b = bell_matrix() if d == 2 else basis_matrix(fourier_basis(3))
+        us = np.concatenate([
+            _near_local(d, rng),
+            b @ random_orthogonal(d * d, rng, count=200) @ b.conj().T,
+            haar_unitary(d * d, rng, count=50),
+        ])
+        expected = _svd_kinds(us)
+        assert set(expected) == {"local", "local_flip", "neither"}
+        deferred = []
+
+        def counted(s):
+            deferred.append(len(s))
+            return _is_rank_one(s)
+
+        flipped = []
+        real_flip = factorize._flip_reshuffle
+
+        def flip_counted(u, d):
+            flipped.append(len(u))
+            return real_flip(u, d)
+
+        monkeypatch.setattr(factorize, "_is_rank_one", counted)
+        monkeypatch.setattr(factorize, "_flip_reshuffle", flip_counted)
+        kinds = factorize._local_kinds(us)
+        assert kinds.tolist() == expected.tolist()
+        assert 0 < sum(deferred) < len(us)
+        # the flip is examined only where U is not local
+        assert flipped == [int((kinds != "local").sum())]

@@ -156,6 +156,14 @@ class TestFlip:
             f = flip_operator(d)
             assert np.array_equal(f @ f, np.eye(d * d))
 
+    def test_built_by_index_equals_the_loop(self):
+        for d in range(1, 6):
+            f = np.zeros((d * d, d * d), dtype=complex)
+            for i in range(d):
+                for j in range(d):
+                    f[i * d + j, j * d + i] = 1.0
+            assert flip_operator(d).tobytes() == f.tobytes()
+
     def test_determinant_two_qubits(self):
         # the -1 eigenspace is the one antisymmetric direction
         assert np.linalg.det(flip_operator(2).real) == pytest.approx(-1.0)
