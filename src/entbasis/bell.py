@@ -392,9 +392,8 @@ def _det_verdicts(u, tol):
 
     The Bell-frame matrix B^dag U B is "not_real_in_bell" when an entry
     keeps an imaginary part above tol; otherwise the sign of the
-    determinant of its real part decides.
+    determinant of its real part decides. The caller gates u for unitarity.
     """
-    _require_unitary(u, INPUT_TOL)
     ub = _BELL.conj().T @ u @ _BELL
     real = np.abs(ub.imag).max(axis=(-2, -1)) <= tol
     return np.where(
@@ -414,6 +413,7 @@ def det_criterion(u, tol=TOL):
     u = np.asarray(u, dtype=complex)
     if u.shape != (4, 4):
         raise ValueError("determinant criterion lives on C^2 tensor C^2")
+    _require_unitary(u, INPUT_TOL)
     return str(_det_verdicts(u, tol))
 
 
@@ -436,8 +436,9 @@ def check_det_criterion_agreement(trials=1000, seed=0, tol=TOL):
     def measure(batch):
         o, want_positive = batch
         u = _BELL @ o @ _BELL.conj().T
-        det_verdict = _det_verdicts(u, tol)
+        # _local_kinds runs the unitarity gate for both verdicts
         factor_verdict = _local_kinds(u)
+        det_verdict = _det_verdicts(u, tol)
         expected = np.where(want_positive, "local", "local_flip")
         mismatch = (det_verdict != expected) | (factor_verdict != expected)
         return mismatch.astype(float), {"det_verdict": det_verdict,

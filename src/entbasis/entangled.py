@@ -147,12 +147,6 @@ def basis_matrix(basis):
     return basis.ops.reshape(n, n).T / np.sqrt(basis.dim)
 
 
-# verify_unitary_basis forms its Gram in _GRAM_BLOCKS blocks of rows, each of at least
-# _GRAM_ROWS rows, so that its temporaries hold about n^2 / 8 entries, not n^2
-_GRAM_BLOCKS = 8
-_GRAM_ROWS = 64
-
-
 def verify_unitary_basis(basis, tol=TOL):
     """Check unitarity of each element and (1/d) tr(X_a^dag X_b) = delta_ab.
 
@@ -161,7 +155,48 @@ def verify_unitary_basis(basis, tol=TOL):
     max_orthonormality_residual (largest entry of the Gram matrix minus I).
     On failure the one witness is (a, a) for the first operator whose unitarity
     residual reaches tol, else the pair (a, b) of the largest Gram deviation.
+
+    A stack laid out exactly as shift_multiply_basis builds it (every basis
+    gen writes) is certified from its entries in O(d^4) by
+    _shift_multiply_report; any other stack takes the dense O(d^6) Gram of
+    _gram_report. The residuals of the two paths agree up to rounding, so
+    among Gram deviations that tie within rounding the named pair may differ.
     """
+    parts = _shift_multiply_parts(basis.ops)
+    if parts is None:
+        return _gram_report(basis, tol)
+    return _shift_multiply_report(parts, tol)
+
+
+def _shift_multiply_parts(ops):
+    """hs[j, i, k] = ops[i*d + j, tau[k, j], k] when ops has shift_multiply_basis's layout.
+
+    That layout is: each column of each operator holds exactly one nonzero
+    entry, its row tau[k, j] depends only on j for a = i*d + j, and tau is a
+    Latin square. Any other stack gives None, also one with a zero where
+    the layout needs a nonzero.
+    """
+    n, d = len(ops), ops.shape[-1]
+    # -0.0 compares equal to zero and NaN unequal, so a NaN entry is a nonzero
+    nonzero = ops != 0
+    if n == 0 or not (nonzero.sum(axis=1) == 1).all():
+        return None
+    rows = nonzero.argmax(axis=1)
+    by_column = rows.reshape(d, d, d)
+    if not (by_column == by_column[0]).all() or not validate_latin_square(by_column[0].T):
+        return None
+    entries = np.take_along_axis(ops, rows[:, None, :], axis=1)
+    return entries.reshape(d, d, d).transpose(1, 0, 2)
+
+
+# _gram_report forms its Gram in _GRAM_BLOCKS blocks of rows, each of at least
+# _GRAM_ROWS rows, so that its temporaries hold about n^2 / 8 entries, not n^2
+_GRAM_BLOCKS = 8
+_GRAM_ROWS = 64
+
+
+def _gram_report(basis, tol):
+    """verify_unitary_basis's report from the dense Gram of the whole stack, in O(d^6)."""
     d = basis.dim
     ops = basis.ops
     n = len(ops)
@@ -225,9 +260,10 @@ def _shift_multiply_report(hs, tol):
     a Latin square repeats no symbol in a row, the supports of U^{ij} and
     U^{i'j'} are disjoint for j != j': those Gram entries are exactly zero.
     The (j, j) block is conj(H^{(j)} H^{(j) dag}) / d. Both residuals thus
-    come from the d Hadamard matrices alone, whatever tau is; the report is
-    the one verify_unitary_basis gives on the built family, up to rounding
-    in the residuals.
+    come from the d Hadamard matrices alone, whatever tau is. They equal the
+    dense Gram's (_gram_report) up to rounding, and so does the verdict; the
+    witness pair is the same unless two Gram deviations tie within rounding,
+    where each path may round a different one up.
     """
     d = hs.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):

@@ -33,6 +33,8 @@ from entbasis import (
     universality_search,
     verify_unitary_basis,
 )
+from entbasis import bell, factorize
+from entbasis.reports import chunk_size
 
 CNOT = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
@@ -442,6 +444,20 @@ class TestDetCriterion:
         report = check_det_criterion_agreement(trials=500, seed=0)
         assert report.passed
         assert report.max_violation == 0.0
+
+    def test_agreement_gates_each_chunk_once(self, monkeypatch):
+        # det_criterion gates its own input; the sampled check leaves the gate to
+        # _local_kinds, so each chunk of unitaries is checked exactly once
+        gated = []
+        real_gate = factorize._require_unitary
+        monkeypatch.setattr(factorize, "_require_unitary",
+                            lambda u, tol: gated.append(len(u)) or real_gate(u, tol))
+        monkeypatch.setattr(bell, "_require_unitary",
+                            lambda u, tol: gated.append(len(u)) or real_gate(u, tol))
+        trials = 300
+        assert check_det_criterion_agreement(trials=trials, seed=0)
+        per_chunk = chunk_size(16)
+        assert gated == [min(per_chunk, trials - start) for start in range(0, trials, per_chunk)]
 
     def test_local_unitaries_are_real_in_bell(self):
         # SU(2) x SU(2) conjugation acts as a rotation in Bell coordinates

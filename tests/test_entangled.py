@@ -1,6 +1,7 @@
 """Tests for the vector-operator correspondence and entangled bases."""
 
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,7 +27,12 @@ from entbasis import (
     vector_from_operator,
     verify_unitary_basis,
 )
-from entbasis.entangled import _shift_multiply_ops, _shift_multiply_report
+from entbasis import entangled
+from entbasis.entangled import (
+    _gram_report,
+    _shift_multiply_ops,
+    _shift_multiply_report,
+)
 
 
 def rand_complex(rng, shape):
@@ -360,7 +366,7 @@ def test_certificate_matches_dense_verifier(name):
     hs, tau = _ingredients(name)
     d = len(hs)
     cert = _shift_multiply_report(hs, 1e-10)
-    dense = verify_unitary_basis(EntangledBasis(d, _shift_multiply_ops(hs, tau)), 1e-10)
+    dense = _gram_report(EntangledBasis(d, _shift_multiply_ops(hs, tau)), 1e-10)
     bound = 8 * d * np.finfo(float).eps
     for key in ("max_unitarity_residual", "max_orthonormality_residual"):
         assert abs(cert.details[key] - dense.details[key]) <= bound * max(1.0, dense.details[key])
@@ -377,7 +383,7 @@ def test_certificate_refuses_just_past_tol_at_dense_pair(d, j):
     hs = [fourier_hadamard(d) for _ in range(d)]
     hs[j] = np.kron([[1 + delta, 1 - delta], [1 - delta, -1 - delta]], fourier_hadamard(d // 2))
     tau = cyclic_latin_square(d)
-    dense = verify_unitary_basis(EntangledBasis(d, _shift_multiply_ops(np.stack(hs), tau)))
+    dense = _gram_report(EntangledBasis(d, _shift_multiply_ops(np.stack(hs), tau)), 1e-10)
     assert not dense and dense.witnesses[0]["pair"] == [j, j]
     message = "constructed family fails basis verification at pair [%d, %d]" % (j, j)
     with pytest.raises(ValueError, match=re.escape(message)):
@@ -426,8 +432,157 @@ def test_blocked_gram_matches_whole_product(name):
     basis = BLOCKED_GRAM_BASES[name]()
     assert len(basis.ops) > 64
     unit, orth, pair = _whole_gram_report(basis, 1e-10)
-    report = verify_unitary_basis(basis, 1e-10)
+    report = _gram_report(basis, 1e-10)
     got = report.details["max_unitarity_residual"], report.details["max_orthonormality_residual"]
     np.testing.assert_allclose(got, (unit, orth), rtol=1e-13, atol=1e-15)
     assert report.passed == (pair is None)
     assert (report.witnesses[0]["pair"] if report.witnesses else None) == pair
+
+
+# ---- verify_unitary_basis: the structured path against the dense Gram ----
+
+
+def _dense_deviations(basis):
+    """|(1/d) tr(X_a^dag X_b) - delta_ab| for every pair, from one Gram product."""
+    n, d = len(basis.ops), basis.dim
+    flat = basis.ops.reshape(n, d * d)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.abs(flat.conj() @ flat.T / d - np.eye(n))
+
+
+def _close_or_both_nonfinite(got, want):
+    if np.isfinite(got) or np.isfinite(want):
+        assert abs(got - want) <= 1e-14, (got, want)
+
+
+def assert_matches_dense_oracle(basis, structured, tol=1e-10):
+    """verify_unitary_basis took the path named by structured and agrees with _gram_report.
+
+    Verdicts and witness counts are equal, residuals agree within 1e-14 or
+    are both non-finite, and the witness pair is the dense one unless its
+    dense deviation ties the largest within 1e-14.
+    """
+    with mock.patch.object(entangled, "_gram_report", wraps=_gram_report) as dense:
+        got = verify_unitary_basis(basis, tol)
+    assert dense.called != structured
+    want = _gram_report(basis, tol)
+    assert got.passed == want.passed
+    assert len(got.witnesses) == len(want.witnesses)
+    _close_or_both_nonfinite(got.max_violation, want.max_violation)
+    assert sorted(got.details) == sorted(want.details)
+    for key in want.details:
+        _close_or_both_nonfinite(got.details[key], want.details[key])
+    for mine, theirs in zip(got.witnesses, want.witnesses):
+        _close_or_both_nonfinite(mine["violation"], theirs["violation"])
+        if mine["pair"] != theirs["pair"]:
+            dev = _dense_deviations(basis)
+            assert abs(dev[tuple(mine["pair"])] - dev.max()) <= 1e-14, (mine, theirs)
+    return got
+
+
+def _random_latin_square(d, rng):
+    """A cyclic or, for d = 4 and 8, an elementary abelian table, with its rows,
+    columns and symbols shuffled."""
+    base = (np.bitwise_xor.outer(np.arange(d), np.arange(d)) if d in (4, 8) and rng.random() < 0.5
+            else cyclic_latin_square(d))
+    return rng.permutation(d)[base[rng.permutation(d)][:, rng.permutation(d)]]
+
+
+def _random_hadamard(d, rng):
+    """A Fourier or Sylvester matrix with rephased and shuffled rows and columns."""
+    h = sylvester_hadamard(d) if d & (d - 1) == 0 and rng.random() < 0.5 else fourier_hadamard(d)
+    h = h[rng.permutation(d)][:, rng.permutation(d)]
+    return np.exp(2j * np.pi * rng.random(d))[:, None] * h * np.exp(2j * np.pi * rng.random(d))
+
+
+def _custom_basis(d, seed):
+    rng = np.random.default_rng(seed)
+    return shift_multiply_basis([_random_hadamard(d, rng) for _ in range(d)],
+                                _random_latin_square(d, rng))
+
+
+GEN_BASES = (
+    [pytest.param(lambda d=d: fourier_basis(d), id="fourier%d" % d) for d in range(1, 13)]
+    + [pytest.param(lambda d=d: shift_multiply_basis([sylvester_hadamard(d)] * d,
+                                                     cyclic_latin_square(d)),
+                    id="sylvester%d" % d) for d in (2, 4, 8, 16)]
+    + [pytest.param(lambda d=d, s=s: _custom_basis(d, s), id="custom%d-%d" % (d, s))
+       for d, s in ((3, 0), (4, 1), (4, 2), (5, 3), (6, 4), (8, 5), (8, 6))]
+)
+
+
+@pytest.mark.parametrize("make", GEN_BASES)
+def test_gen_constructions_take_structured_path(make):
+    report = assert_matches_dense_oracle(make(), structured=True)
+    assert report.passed
+
+
+def _flip_sign(ops):
+    # on Fourier d=3 this is entry (0, 2) of operator 7: the Gram deviations at (4, 7)
+    # and (7, 4) then tie within one ulp, and the two paths may name either pair
+    ops[-2].flat[np.flatnonzero(ops[-2])[0]] *= -1
+
+
+def _set_nonzero(value):
+    def edit(ops):
+        ops[-1].flat[np.flatnonzero(ops[-1])[0]] = value
+    return edit
+
+
+def _add_nonzero(ops):
+    ops[1].flat[np.flatnonzero(ops[1] == 0)[0]] = 0.5
+
+
+def _swap_across_columns(ops):
+    # operators 0 and 1 sit in columns j = 0 and j = 1 of the layout
+    ops[[0, 1]] = ops[[1, 0]]
+
+
+def _swap_within_column(ops):
+    # operators 0 and d are rows i = 0 and i = 1 of column j = 0: still the layout
+    d = ops.shape[-1]
+    ops[[0, d]] = ops[[d, 0]]
+
+
+# (edit of the operator stack, whether the result still has shift_multiply_basis's layout)
+PERTURBATIONS = {
+    "scaled-entry": (_set_nonzero(1.5), True),
+    "sign-flip": (_flip_sign, True),
+    "nan": (_set_nonzero(np.nan), True),
+    "nan-imaginary": (_set_nonzero(complex(0.0, np.nan)), True),
+    "inf": (_set_nonzero(np.inf), True),
+    "minus-inf": (_set_nonzero(-np.inf), True),
+    "huge": (_set_nonzero(1e300), True),
+    "duplicate-across-columns": (lambda ops: ops.__setitem__(1, ops[0]), False),
+    "duplicate-within-column": (lambda ops: ops.__setitem__(ops.shape[-1], ops[0]), True),
+    "zero-hadamard-entry": (_set_nonzero(0.0), False),
+    "minus-zero-hadamard-entry": (_set_nonzero(-0.0), False),
+    "extra-nonzero": (_add_nonzero, False),
+    "permuted-order": (_swap_across_columns, False),
+    "permuted-within-column": (_swap_within_column, True),
+}
+
+
+@pytest.mark.parametrize("make", [lambda: fourier_basis(3), lambda: fourier_basis(5),
+                                  lambda: _custom_basis(4, 7)],
+                         ids=["fourier3", "fourier5", "custom4"])
+@pytest.mark.parametrize("name", sorted(PERTURBATIONS))
+def test_perturbed_bases_match_dense_oracle(make, name):
+    edit, structured = PERTURBATIONS[name]
+    basis = make()
+    ops = basis.ops.copy()
+    edit(ops)
+    report = assert_matches_dense_oracle(EntangledBasis(basis.dim, ops), structured)
+    assert report.passed == name.startswith("permuted")
+
+
+def test_non_latin_support_takes_dense_path():
+    # every column j shares one permutation, but two columns share a row of tau:
+    # their operators overlap, which the certificate alone would not see
+    d = 3
+    tau = cyclic_latin_square(d)
+    tau[:, 2] = tau[:, 1]
+    hs = np.stack([fourier_hadamard(d)] * d)
+    basis = EntangledBasis(d, _shift_multiply_ops(hs, tau))
+    report = assert_matches_dense_oracle(basis, structured=False)
+    assert not report and _shift_multiply_report(hs, 1e-10)

@@ -4,6 +4,7 @@ Whatever JSON-shaped value a file holds, `matrix_from_obj` and
 `basis_from_obj` return a finite complex array or raise ValueError, and
 `entbasis verify` exits 0, 1 or 2. Any complex stack is written as the
 stdlib encoder would write it and, when finite, reads back bit-exactly.
+On random monomial stacks, `verify_unitary_basis` agrees with the dense Gram.
 """
 
 import contextlib
@@ -19,7 +20,12 @@ hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 hnp = pytest.importorskip("hypothesis.extra.numpy")
 
-from entbasis import EntangledBasis, fourier_basis  # noqa: E402
+from entbasis import (  # noqa: E402
+    EntangledBasis,
+    cyclic_latin_square,
+    fourier_basis,
+    fourier_hadamard,
+)
 from entbasis.cli import main  # noqa: E402
 from entbasis.fileio import (  # noqa: E402
     basis_from_obj,
@@ -30,6 +36,7 @@ from entbasis.fileio import (  # noqa: E402
     matrix_from_obj,
 )
 from entbasis.layout import _json_floats, scan_layout  # noqa: E402
+from test_entangled import assert_matches_dense_oracle  # noqa: E402
 from test_fileio import _assert_same_as_oracle  # noqa: E402
 
 SETTINGS = hypothesis.settings(max_examples=100, deadline=None)
@@ -296,3 +303,67 @@ def test_basis_and_matrix_commands_exit_code_on_any_file(content, workdir):
                  ["factorize", str(path)]):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             assert main(argv) in (0, 1, 2)
+
+
+# ---- verify_unitary_basis on monomial stacks: structured path or dense Gram ----
+
+
+@st.composite
+def monomial_stacks(draw):
+    """d^2 operators, each one nonzero per column: a Latin square's layout, one
+    permutation per column j, or one per operator; Hadamard rows, unimodular
+    entries, or Hadamard rows with a few entries edited."""
+    d = draw(st.integers(1, 5))
+    perms = st.permutations(range(d))
+    support = draw(st.sampled_from(["latin", "per-column", "per-operator"]))
+    if support == "latin":
+        sym, row, col = (draw(perms) for _ in range(3))
+        tau = np.array(sym)[cyclic_latin_square(d)[list(row)][:, list(col)]]
+        rows = [tau[:, a % d] for a in range(d * d)]
+    elif support == "per-column":
+        columns = [draw(perms) for _ in range(d)]
+        rows = [columns[a % d] for a in range(d * d)]
+    else:
+        rows = [draw(perms) for _ in range(d * d)]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    entries = draw(st.sampled_from(["hadamard", "unimodular", "edited"]))
+    if entries == "unimodular":
+        values = np.exp(2j * np.pi * rng.random((d * d, d)))
+    else:
+        hs = np.exp(2j * np.pi * rng.random((d, d, 1))) * fourier_hadamard(d)
+        values = hs.transpose(1, 0, 2).reshape(d * d, d)
+    if entries == "edited":
+        for _ in range(draw(st.integers(1, 3))):
+            a, k = draw(st.integers(0, d * d - 1)), draw(st.integers(0, d - 1))
+            with np.errstate(invalid="ignore", over="ignore"):
+                values[a, k] = draw(st.sampled_from(
+                    [-values[a, k], 1.5 * values[a, k], (1 + 1e-12) * values[a, k], 0.0, -0.0,
+                     np.nan, np.inf, -np.inf, 1e300]))
+    ops = np.zeros((d * d, d, d), dtype=complex)
+    for a in range(d * d):
+        ops[a, list(rows[a]), np.arange(d)] = values[a]
+    if d > 1 and draw(st.integers(0, 4)) == 0:
+        # one extra nonzero entry
+        a, r, k = (draw(st.integers(0, n - 1)) for n in (d * d, d, d))
+        if ops[a, r, k] == 0:
+            ops[a, r, k] = 0.5
+    return EntangledBasis(d, ops)
+
+
+def _has_layout(ops):
+    """Whether ops is laid out as shift_multiply_basis builds it, restated with loops."""
+    d = ops.shape[-1]
+    tau = np.full((d, d), -1)
+    for a, op in enumerate(ops):
+        for k in range(d):
+            rows = [r for r in range(d) if op[r, k] != 0]
+            if len(rows) != 1 or tau[k, a % d] not in (-1, rows[0]):
+                return False
+            tau[k, a % d] = rows[0]
+    return all(len(set(line)) == d for line in (*tau, *tau.T))
+
+
+@SETTINGS
+@hypothesis.given(basis=monomial_stacks())
+def test_verify_monomial_stacks_match_dense_oracle(basis):
+    assert_matches_dense_oracle(basis, structured=_has_layout(basis.ops))
