@@ -25,22 +25,23 @@ oracle for it and writes the small files, matrices and reports, through
 save_json. Matrix data is read back with one numpy conversion per matrix.
 
 load_basis reads basis files back, and for text in dump_basis's exact
-layout it builds no JSON tree: layout.scan_layout checks the file head
-for dim and scans line-aligned windows of the bytes. Each double has a line of its own: a
-newline, ten spaces, the token, then "," or nothing. A "0.0" token costs
-no parse, since the result starts as +0.0. The other tokens must be JSON
-numbers with a fraction or an exponent, which json reads as floats by
-float(); their bytes are checked against JSON's number grammar, and
-numpy's text reader, which rounds as float() does, parses them. The text
-left when the tokens are taken out must equal the layout's skeleton for
-that dim, built from the head, separator and tail strings that dump_basis
-writes, defined once below. So the file is exactly the text json would read as this basis
-object, and the result is bit for bit basis_from_obj(load_json(path)).
-Every other input goes to that pair of functions, unchanged: other
-whitespace, an integer or non-finite token, a token that is not a JSON
-number, a wrong count, dim < 1. It stays the fallback and the test oracle,
-so the ValueError is the same too. Files of at most 64 KiB go to it as
-well: json reads them in about a millisecond.
+layout it builds no JSON tree. layout.scan_layout matches the file head
+for dim and scans line-aligned windows of the bytes. Each double has a
+line of its own: a newline, ten spaces, the token, then "," or nothing.
+A "0.0" token costs no parse, since the result starts as +0.0; numpy's
+text reader parses the others, which must give 2 d^4 finite doubles.
+dump_basis of that basis then writes into a sink that compares each
+block with the next bytes of the file, and the basis is taken only if
+every byte matches and none is left over. So the writer specifies the
+reader, and no number grammar is checked by hand: the bytes are what
+json.dump writes for this basis, each double spelled as its repr, which
+json reads back as the same double, and the result is bit for bit
+basis_from_obj(load_json(path)). Every other input goes to that pair of
+functions, unchanged: another spelling of a double ("1.00", "1E+16", an
+integer), other whitespace, a non-finite token, a wrong count, dim < 1.
+It stays the fallback and the test oracle, so the ValueError is the same
+too. Files of at most 64 KiB go to it as well: json reads them in about
+a millisecond.
 """
 
 import json
@@ -188,9 +189,10 @@ def report_to_obj(report):
     }
 
 
-# the text dump_basis writes around the doubles, which scan_layout rebuilds as its
-# skeleton: the file's head, an operator's head (%d: cols), the text between a
-# pair's re and im, between two pairs, an operator's tail (%d: rows), and the file's tail
+# the text dump_basis writes around the doubles: the file's head, an operator's head
+# (%d: cols), the text between a pair's re and im, between two pairs, an operator's
+# tail (%d: rows), and the file's tail. scan_layout reads dim off the file's head and
+# leaves the rest to dump_basis, which it runs on what it read to check the file
 FILE_HEAD = '{\n  "dim": %d,\n  "operators": ['
 OP_HEAD = '\n    {\n      "cols": %d,\n      "data": [\n        [\n          '
 RE_IM = ",\n          "

@@ -108,17 +108,18 @@ def validate_latin_square(table):
         raise ValueError("Latin square entries must be integers")
     if t.min() < 0 or t.max() >= d:
         raise ValueError("Latin square entries must lie in [0, %d)" % d)
-    # entries lie in [0, d), so a line is a permutation exactly when no symbol repeats
-    rows, cols = (
-        (np.diff(np.sort(t, axis=axis), axis=axis) == 0).sum(axis=axis) for axis in (1, 0)
-    )
+    # entries lie in [0, d): a line's repeats are as many as the symbols it lacks. The
+    # symbols of row k, then of column k, are counted from key d * k, then d * (d + k)
+    keys = np.stack((t, t.T)).astype(np.intp) + d * np.arange(2 * d).reshape(2, d, 1)
+    missing = np.bincount(keys.ravel(), minlength=2 * d * d).reshape(2, d, d) == 0
+    rows, cols = missing.sum(axis=2).tolist()
 
     def first(repeats):
-        return int(np.flatnonzero(repeats)[0]) if repeats.any() else None
+        return next((k for k, r in enumerate(repeats) if r), None)
 
     return tolerance_report(
         "latin-square",
-        max(rows.max(), cols.max()),
+        max(rows + cols),
         1,
         details={"bad_row": first(rows), "bad_column": first(cols)},
     )

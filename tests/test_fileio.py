@@ -2,6 +2,7 @@
 
 import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -42,7 +43,7 @@ from entbasis.fileio import (
     report_to_obj,
     save_json,
 )
-from entbasis.layout import _json_floats, _parse_into, scan_layout
+from entbasis.layout import _WINDOW, scan_layout
 
 
 class TestMatrixRoundTrip:
@@ -457,7 +458,7 @@ class TestLoadBasis:
         path.write_text(text.replace(old, new, 1))
         with open(path, "rb") as fh:
             taken = scan_layout(fh) is not None
-        assert not taken or old == "          1.0,"
+        assert not taken
         _assert_same_as_oracle(path)
 
     def test_missing_and_empty_files(self, tmp_path):
@@ -478,11 +479,27 @@ class TestLoadBasis:
     ("-.5", False), ("1.e5", False), ("0.0e", False), ("1_000.0", False), ("", False),
     ("1.5-3", False), ("1-5.0", False), ("1.0e+-5", False),
 ])
-def test_json_float_grammar(token, valid):
-    assert _json_floats(np.frombuffer((token + "\n").encode(), np.uint8)) is valid
-    # a valid neighbour on either side changes nothing
-    for text in ("0.5\n%s\n" % token, "%s\n-7e3\n" % token):
-        assert _json_floats(np.frombuffer(text.encode(), np.uint8)) is valid
+def test_json_float_grammar(token, valid, tmp_path):
+    # the token in place of the first double of a file in dump_basis's layout
+    path = _write_basis(fourier_basis(2), tmp_path / "b.json")
+    text = path.read_text()
+    assert text.count("\n          1.0,") > 1
+    path.write_text(text.replace("\n          1.0,", "\n          %s," % token, 1))
+    with open(path, "rb") as fh:
+        assert (scan_layout(fh) is not None) == _is_repr(token)
+    _assert_same_as_oracle(path)
+    if valid:
+        # a JSON number with a fraction or an exponent reads as float() reads it
+        assert load_basis(path).ops.view(float).reshape(-1)[0] == float(token)
+
+
+def _is_repr(token):
+    """Whether token is repr of a finite double: the only spelling dump_basis writes."""
+    try:
+        x = float(token)
+    except ValueError:
+        return False
+    return math.isfinite(x) and repr(x) == token
 
 
 @pytest.mark.parametrize("data", [
@@ -496,13 +513,63 @@ def test_numeric_string_entry_refused(data):
         matrix_from_obj({"rows": 2, "cols": 2, "data": data})
 
 
-def test_empty_final_batch_parses_nothing():
-    # the scan parses its tokens in batches; a batch flushed by the last window leaves none
-    doubles = np.zeros(4)
-    assert _parse_into(doubles, 0, [], [])
-    assert _parse_into(doubles, 2, [np.frombuffer(b"", np.uint8)], [np.zeros(2, bool)])
-    assert _parse_into(doubles, 2, [np.frombuffer(b"1.5\n", np.uint8)], [np.array([False, True])])
-    assert doubles.tolist() == [0.0, 0.0, 0.0, 1.5]
+def test_windows_without_nonzero_doubles_read_as_oracle(tmp_path):
+    # windows with no token to parse: every one of an all-zero basis, and all but
+    # the first when only operator 0 has doubles that are not 0.0
+    zero = EntangledBasis(10, np.zeros((100, 10, 10), dtype=complex))
+    ops = zero.ops.copy()
+    ops[0] = fourier_hadamard(10)
+    for basis in (zero, EntangledBasis(10, ops)):
+        path = _write_basis(basis, tmp_path / "b.json")
+        assert path.stat().st_size > _WINDOW
+        assert _assert_same_as_oracle(path) is not None
+        assert load_basis(path).ops.view(np.int64).tobytes() == basis.ops.view(np.int64).tobytes()
+
+
+def _two_window_basis():
+    """A d=8 stack whose file is longer than a window: the odd operators are zero,
+    the even ones dense with irrational entries."""
+    ops = _haar_basis(8).ops.copy()
+    ops[1::2] = 0
+    return EntangledBasis(8, ops)
+
+
+@pytest.mark.parametrize("where", ["first", "last"])
+def test_negative_zero_spelled_out_is_taken(where, tmp_path):
+    basis = _two_window_basis()
+    text = _dumped_text(basis)
+    k = (text.find if where == "first" else text.rfind)("\n          0.0")
+    assert 0 < k and (where == "first" or k > _WINDOW)
+    path = tmp_path / "b.json"
+    path.write_text(text[:k] + "\n          -0.0" + text[k + 14:])
+    fast = _assert_same_as_oracle(path)
+    assert fast is not None
+    signs = np.signbit(fast.ops.view(float)).sum() - np.signbit(basis.ops.view(float)).sum()
+    assert signs == 1
+
+
+@pytest.mark.parametrize("edit", [
+    "last-0.5", "last-0.50", "last-5e-1", "last-1", "last-x",
+    "append-x", "append-space", "append-newline", "append-0",
+    "truncate-1", "truncate-2", "truncate-half", "truncate-window",
+])
+def test_end_of_two_window_file_same_as_oracle(edit, tmp_path):
+    text = _dumped_text(_two_window_basis())
+    assert len(text) > _WINDOW
+    kind, arg = edit.split("-", 1)
+    if kind == "last":
+        k = text.rfind("\n          ") + 11
+        end = text.index("\n", k)
+        assert text[k:end] == "0.0"
+        text = text[:k] + arg + text[end:]
+    elif kind == "append":
+        text += {"x": "x", "space": " ", "newline": "\n", "0": "0"}[arg]
+    else:
+        text = text[:{"1": -1, "2": -2, "half": len(text) // 2, "window": _WINDOW}[arg]]
+    path = tmp_path / "b.json"
+    path.write_text(text)
+    fast = _assert_same_as_oracle(path)
+    assert (fast is not None) == (edit == "last-0.5")
 
 
 def test_large_layout_file_read_without_json(tmp_path, monkeypatch):

@@ -11,6 +11,7 @@ import contextlib
 import copy
 import io
 import json
+import math
 import re
 
 import numpy as np
@@ -35,9 +36,9 @@ from entbasis.fileio import (  # noqa: E402
     load_json,
     matrix_from_obj,
 )
-from entbasis.layout import _json_floats, scan_layout  # noqa: E402
+from entbasis.layout import scan_layout  # noqa: E402
 from test_entangled import assert_matches_dense_oracle  # noqa: E402
-from test_fileio import _assert_same_as_oracle  # noqa: E402
+from test_fileio import _assert_same_as_oracle, _is_repr  # noqa: E402
 
 SETTINGS = hypothesis.settings(max_examples=100, deadline=None)
 
@@ -180,9 +181,19 @@ number_texts = st.text(alphabet="0123456789.-+eE", max_size=10) | st.sampled_fro
 
 @SETTINGS
 @hypothesis.given(tokens=st.lists(number_texts, min_size=1, max_size=5))
-def test_json_float_grammar_matches_regex(tokens):
-    text = np.frombuffer("".join(t + "\n" for t in tokens).encode(), np.uint8)
-    assert _json_floats(text) == all(JSON_FLOAT.fullmatch(t) for t in tokens)
+def test_json_float_grammar_matches_regex(tokens, workdir):
+    # the first doubles of a Fourier d=2 file spelled as tokens
+    text = io.StringIO()
+    dump_basis(fourier_basis(2), text)
+    doubles = fourier_basis(2).ops.view(float).reshape(-1).tolist()
+    spelled = tokens + [repr(x) for x in doubles[len(tokens):]]
+    path = workdir / "grammar.json"
+    path.write_text(_with_tokens(text.getvalue(), spelled))
+    with open(path, "rb") as fh:
+        assert (scan_layout(fh) is not None) == all(_is_repr(t) for t in tokens)
+    _assert_same_as_oracle(path)
+    if all(JSON_FLOAT.fullmatch(t) and math.isfinite(float(t)) for t in tokens):
+        assert load_basis(path).ops.view(float).reshape(-1).tolist() == [float(t) for t in spelled]
 
 
 def _spellings(x):
@@ -214,8 +225,9 @@ def test_any_json_spelling_reads_as_float_does(values, pick, workdir):
     path = workdir / "spelled.json"
     path.write_text(_with_tokens(text.getvalue(), tokens))
     with open(path, "rb") as fh:
-        assert scan_layout(fh) is not None
-    got = _assert_same_as_oracle(path)
+        assert (scan_layout(fh) is not None) == all(t == repr(float(t)) for t in tokens)
+    _assert_same_as_oracle(path)
+    got = load_basis(path)
     assert got.ops.view(float).reshape(-1).tolist() == [float(t) for t in tokens]
 
 

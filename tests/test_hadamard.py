@@ -120,16 +120,36 @@ class TestValidateLatinSquare:
         assert validate_latin_square([[0, 1], [1, 0]])
 
     def test_out_of_range(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^Latin square entries must lie in \[0, 2\)$"):
             validate_latin_square([[0, 2], [2, 0]])
 
     def test_non_square(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^Latin square must be a square table$"):
             validate_latin_square([[0, 1, 2], [1, 2, 0]])
 
     def test_float_entries_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^Latin square entries must be integers$"):
             validate_latin_square(np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("d", range(1, 8))
+    def test_matches_sort_and_diff_repeat_counts(self, d):
+        # oracle: the repeats of each line counted by a sort and a diff, on random
+        # tables and on Latin squares with one entry edited
+        def first(repeats):
+            return int(np.flatnonzero(repeats)[0]) if repeats.any() else None
+
+        rng = np.random.default_rng(20 + d)
+        tables = [rng.integers(0, d, size=(d, d)) for _ in range(10)]
+        for _ in range(10):
+            t = cyclic_latin_square(d)[rng.permutation(d)][:, rng.permutation(d)]
+            t[rng.integers(d), rng.integers(d)] = rng.integers(d)
+            tables.append(t)
+        for t in tables:
+            rows, cols = ((np.diff(np.sort(t, axis=axis), axis=axis) == 0).sum(axis=axis)
+                          for axis in (1, 0))
+            report = validate_latin_square(t.astype(rng.choice([np.int8, np.uint16, np.uint64])))
+            assert report.max_violation == max(rows.max(), cols.max())
+            assert report.details == {"bad_row": first(rows), "bad_column": first(cols)}
 
     @staticmethod
     def _cancellation_laws_hold(t):
