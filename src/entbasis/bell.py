@@ -428,10 +428,9 @@ def check_det_criterion_agreement(trials=1000, seed=0, tol=TOL):
     """
 
     def draw(rng, idx):
-        o = random_orthogonal(4, rng, count=len(idx))
-        want_positive = idx % 2 == 0
-        o[(np.linalg.det(o) > 0) != want_positive, :, 0] *= -1.0
-        return o, want_positive
+        o = random_orthogonal(4, rng, special=True, count=len(idx))
+        o[idx % 2 == 1, :, 0] *= -1.0  # Haar on the other coset of SO(4) in O(4)
+        return o, idx % 2 == 0
 
     def measure(batch):
         o, want_positive = batch

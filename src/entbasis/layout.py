@@ -70,16 +70,20 @@ def _token_spans(a):
     return starts, nl - (a[nl - 1] == 44)
 
 
+class _Mismatch(Exception):
+    """Raised by _Compare.write at the first text that differs from the file."""
+
+
 class _Compare:
-    """A text sink that compares what is written with the binary file fh from its
-    start; it reads no further after the first mismatch."""
+    """A text sink that compares what is written with the binary file fh from its start."""
 
     def __init__(self, fh):
         fh.seek(0)
-        self.fh, self.same = fh, True
+        self.fh = fh
 
     def write(self, text):
-        self.same = self.same and self.fh.read(len(text)) == text.encode()
+        if self.fh.read(len(text)) != text.encode():
+            raise _Mismatch
 
 
 def scan_layout(fh):
@@ -125,6 +129,8 @@ def scan_layout(fh):
     if count != doubles.size:
         return None
     basis = EntangledBasis(dim, doubles.view(complex).reshape(n, dim, dim))
-    sink = _Compare(fh)
-    dump_basis(basis, sink)
-    return basis if sink.same and fh.read(1) == b"" else None
+    try:
+        dump_basis(basis, _Compare(fh))
+    except _Mismatch:  # dump_basis formats no block after the first that differs
+        return None
+    return basis if fh.read(1) == b"" else None

@@ -3,7 +3,9 @@
 Tensor products, Schmidt decomposition, the flip (swap) operator, and
 seeded Haar-random sampling of unitary and orthogonal matrices. Everything
 here is a pure function of its inputs; randomness enters only through
-explicit seeds.
+explicit seeds. The samplers divide R's diagonal phases out of a QR of a
+Gaussian matrix (Mezzadri, math-ph/0609050), except on SU(2), U(2) and
+SO(4), whose docstrings give exact closed forms and say why each is Haar.
 
 Index conventions are 0-based throughout. A vector in C^d1 tensor C^d2
 stores the amplitude of e_i tensor e_j at position i*d2 + j, which matches
@@ -120,13 +122,6 @@ def flip_operator(d):
     return eye.transpose(1, 0, 2).reshape(d * d, d * d)
 
 
-def _rng(seed):
-    """Accept an integer seed or a ready Generator."""
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 def unitarity_residual(x):
     """||X^dag X - I||_F of a square matrix, or of each matrix in a stack.
 
@@ -140,40 +135,70 @@ def unitarity_residual(x):
         return np.linalg.norm(products - np.eye(x.shape[-1]), axis=(-2, -1))
 
 
+def _quaternions(rng, count):
+    """Uniform unit quaternions, normalised standard-normal 4-vectors (Re a, Im a, Re b, Im b)."""
+    g = rng.standard_normal((4,) if count is None else (count, 4))
+    return g / np.linalg.norm(g, axis=-1, keepdims=True)
+
+
+def _su2(g):
+    """The matrix [[a, -conj(b)], [b, conj(a)]] of each quaternion in g."""
+    a, b = np.moveaxis(g.view(complex), -1, 0)
+    return np.stack([a, -b.conj(), b, a.conj()], axis=-1).reshape(g.shape[:-1] + (2, 2))
+
+
+# _QUAT[j, k] = e_j e_k. p @ _LEFT is x -> p x; q @ _RIGHT_BAR is x -> x q transposed, x -> x q-bar
+_QUAT = np.ascontiguousarray((_su2(np.eye(4))[:, None] @ _su2(np.eye(4)))[..., 0]).view(float)
+_LEFT, _RIGHT_BAR = (_QUAT.transpose(axes).reshape(4, 16) for axes in ((0, 2, 1), (1, 0, 2)))
+
+
+def _qr_haar(d, seed=0, count=None, real=False):
+    """Haar on U(d), or on O(d) if real, by QR at every d: the general path and the oracle."""
+    rng = np.random.default_rng(seed)
+    shape = (d, d) if count is None else (count, d, d)
+    z = rng.standard_normal(shape)
+    z = z if real else (z + 1j * rng.standard_normal(shape)) / np.sqrt(2)
+    q, r = np.linalg.qr(z)
+    phases = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (np.copysign(1.0, phases) if real else phases / np.abs(phases))[..., None, :]
+
+
 def haar_unitary(d, seed=0, count=None):
     """Haar-distributed d x d unitary, or a (count, d, d) stack of them.
 
-    QR of a complex standard-Gaussian matrix; the R diagonal phases are
-    divided out, which is required for the distribution to be Haar
-    (Mezzadri, math-ph/0609050). Deterministic for a fixed integer seed.
+    At d = 2 a Haar SU(2) matrix times e^{i theta}, theta uniform: Haar, since
+    U(2) = U(1) SU(2). Else a QR. Deterministic for a fixed integer seed.
     """
-    rng = _rng(seed)
-    shape = (d, d) if count is None else (count, d, d)
-    z = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
-    q, r = np.linalg.qr(z)
-    phases = np.diagonal(r, axis1=-2, axis2=-1)
-    return q * (phases / np.abs(phases))[..., None, :]
+    if d != 2:
+        return _qr_haar(d, seed, count)
+    rng = np.random.default_rng(seed)
+    u = haar_special_unitary(2, rng, count)
+    return u * np.exp(2j * np.pi * rng.random(u.shape[:-2]))[..., None, None]
 
 
 def haar_special_unitary(d, seed=0, count=None):
-    """Haar unitary (or stack) rescaled by a d-th root of its determinant; det = 1."""
-    u = haar_unitary(d, seed, count)
-    det = np.linalg.det(u)
-    return u * (det ** (-1.0 / d))[..., None, None]
+    """Haar on SU(d), or a stack. At d = 2 the matrix of a unit quaternion, uniform on S^3
+    as a normalised normal 4-vector. Else a QR unitary over a d-th root of its determinant."""
+    if d == 2:
+        return _su2(_quaternions(np.random.default_rng(seed), count))
+    u = _qr_haar(d, seed, count)
+    return u * (np.linalg.det(u) ** (-1.0 / d))[..., None, None]
 
 
 def random_orthogonal(n, seed=0, special=False, count=None):
-    """Random real orthogonal matrix (Haar on O(n)), or a (count, n, n) stack.
+    """Haar on O(n), or on SO(n) if special, as one matrix or a (count, n, n) stack.
 
-    With special=True the determinant is forced to +1 by negating the
-    first column when needed.
-    """
-    rng = _rng(seed)
-    z = rng.standard_normal((n, n) if count is None else (count, n, n))
-    q, r = np.linalg.qr(z)
-    signs = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
-    signs[signs == 0] = 1.0
-    q = q * signs[..., None, :]
-    if special:
-        q[..., 0] *= np.where(np.linalg.det(q) < 0, -1.0, 1.0)[..., None]
-    return q
+    At n = 4, x -> p x q-bar for uniform unit quaternions p, q, a homomorphism of
+    SU(2) x SU(2) onto SO(4) (U1 tensor U2 in the Bell basis) that carries Haar to Haar;
+    unless special, column 0 is negated with probability 1/2. Else a QR."""
+    if n != 4:
+        q = _qr_haar(n, seed, count, real=True)
+        if special:
+            q[..., 0] *= np.where(np.linalg.det(q) < 0, -1.0, 1.0)[..., None]
+        return q
+    rng = np.random.default_rng(seed)
+    p, q = ((_quaternions(rng, count) @ m).reshape(-1, 4, 4) for m in (_LEFT, _RIGHT_BAR))
+    o = (p @ q).reshape((4, 4) if count is None else (count, 4, 4))
+    if not special:
+        o[..., 0] *= np.where(rng.random(o.shape[:-2]) < 0.5, -1.0, 1.0)[..., None]
+    return o

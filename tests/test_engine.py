@@ -360,15 +360,20 @@ class TestStackedSamplers:
             assert np.allclose(np.linalg.det(us), 1.0, atol=1e-12)
 
     def test_orthogonal_stack(self):
-        os_ = random_orthogonal(4, seed=2, special=True, count=20)
-        assert os_.shape == (20, 4, 4) and os_.dtype == float
-        assert np.allclose(np.linalg.det(os_), 1.0, atol=1e-12)
-        dets = np.linalg.det(random_orthogonal(3, seed=1, count=40))
-        assert (dets < 0).any() and (dets > 0).any()
+        for n in (3, 4, 5):
+            os_ = random_orthogonal(n, seed=2, special=True, count=20)
+            assert os_.shape == (20, n, n) and os_.dtype == float
+            assert np.allclose(np.linalg.det(os_), 1.0, atol=1e-12)
+            dets = np.linalg.det(random_orthogonal(n, seed=1, count=40))
+            assert (dets < 0).any() and (dets > 0).any()
+            assert np.allclose(np.abs(dets), 1.0, atol=1e-12)
 
-    @pytest.mark.parametrize("sampler", [haar_unitary, haar_special_unitary, random_orthogonal])
+    @pytest.mark.parametrize("sampler", [
+        haar_unitary, haar_special_unitary, random_orthogonal,
+        lambda d, seed, count=None: random_orthogonal(d, seed, special=True, count=count),
+    ], ids=["haar_unitary", "haar_special_unitary", "random_orthogonal", "special_orthogonal"])
     def test_stack_of_one_is_the_single_draw(self, sampler):
-        for d in (1, 2, 4):
+        for d in (1, 2, 3, 4):
             for seed in range(3):
                 assert np.array_equal(sampler(d, seed, count=1)[0], sampler(d, seed))
 

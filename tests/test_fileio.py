@@ -31,7 +31,7 @@ from entbasis import (
     validate_latin_square,
     verify_unitary_basis,
 )
-from entbasis import fileio
+from entbasis import fileio, layout
 from entbasis.fileio import (
     basis_from_obj,
     basis_to_obj,
@@ -582,3 +582,34 @@ def test_large_layout_file_read_without_json(tmp_path, monkeypatch):
     assert load_basis(large).ops.tobytes() == fourier_basis(8).ops.tobytes()
     assert load_basis(small).ops.tobytes() == fourier_basis(3).ops.tobytes()
     assert read == [small]
+
+
+def test_rejected_file_stops_the_rewrite_at_the_first_mismatch(tmp_path, monkeypatch):
+    # another spelling of the first 1.0: the scan parses every double, and the
+    # write-back differs in its first block, so no later block is formatted
+    basis = fourier_basis(12)
+    text = _dumped_text(basis)
+    path = tmp_path / "b.json"
+    writes, mismatches = [], []
+    compare = layout._Compare.write
+
+    def counted(self, chunk):
+        writes.append(len(chunk))
+        try:
+            compare(self, chunk)
+        except layout._Mismatch:
+            mismatches.append(len(writes))
+            raise
+
+    monkeypatch.setattr(layout._Compare, "write", counted)
+    path.write_text(text)
+    with open(path, "rb") as fh:
+        assert scan_layout(fh) is not None
+    clean_writes = len(writes)
+    assert clean_writes > 8 and not mismatches
+    writes.clear()
+    path.write_text(text.replace("\n          1.0,", "\n          1.00,", 1))
+    with open(path, "rb") as fh:
+        assert scan_layout(fh) is None
+    assert mismatches == [len(writes)] and len(writes) < clean_writes // 2
+    assert load_basis(path).ops.tobytes() == basis.ops.tobytes()

@@ -16,6 +16,7 @@ from entbasis import (
     schmidt,
     tensor,
 )
+from entbasis import linalg
 
 
 def rand_complex(rng, shape):
@@ -216,3 +217,110 @@ class TestRandomOrthogonal:
     def test_both_signs_without_special(self):
         dets = [np.linalg.det(random_orthogonal(3, s)) for s in range(20)]
         assert any(d < 0 for d in dets) and any(d > 0 for d in dets)
+
+
+# ---- the closed-form samplers at d = 2 (n = 4) against the QR path ----------
+
+DRAWS = 20_000
+# about five standard errors of a mean over DRAWS draws: each moment below has
+# variance at most 3 under Haar, so a correct sampler stays inside at these seeds
+MOMENT_BOUND = 5 * np.sqrt(3 / DRAWS)
+# two-sample Kolmogorov-Smirnov critical value at the 1 % level for two samples
+# of DRAWS: c(0.01) sqrt(2 / DRAWS), with c(a) = sqrt(-ln(a / 2) / 2)
+KS_CRITICAL = np.sqrt(-np.log(0.01 / 2) / 2) * np.sqrt(2 / DRAWS)
+
+
+def ks_statistic(x, y):
+    """sup |F_x - F_y| of the two empirical distribution functions."""
+    x, y = np.sort(x), np.sort(y)
+    grid = np.concatenate([x, y])
+    fx = np.searchsorted(x, grid, side="right") / len(x)
+    fy = np.searchsorted(y, grid, side="right") / len(y)
+    return np.abs(fx - fy).max()
+
+
+def qr_special_unitary(seed, count):
+    u = linalg._qr_haar(2, seed, count)
+    return u / np.sqrt(np.linalg.det(u))[:, None, None]
+
+
+def qr_orthogonal(seed, count, special):
+    o = linalg._qr_haar(4, seed, count, real=True)
+    if special:
+        o[np.linalg.det(o) < 0, :, 0] *= -1.0
+    return o
+
+
+TWO_QUBIT = {
+    "su2": lambda seed, count=None: haar_special_unitary(2, seed, count),
+    "u2": lambda seed, count=None: haar_unitary(2, seed, count),
+    "so4": lambda seed, count=None: random_orthogonal(4, seed, True, count),
+    "o4": lambda seed, count=None: random_orthogonal(4, seed, False, count),
+}
+
+
+class TestTwoQubitSamplers:
+    @pytest.mark.parametrize("name", sorted(TWO_QUBIT))
+    def test_exactly_unitary_with_its_determinant(self, name):
+        sampler = TWO_QUBIT[name]
+        for x in (sampler(3, 500), sampler(4)[None]):
+            n = x.shape[-1]
+            assert x.dtype == (float if name in ("so4", "o4") else complex)
+            gram = np.swapaxes(x.conj(), -1, -2) @ x
+            assert np.abs(gram - np.eye(n)).max() < 1e-14
+            dets = np.linalg.det(x)
+            # SU(2) and SO(4) have determinant 1; U(2) and O(4) one of modulus 1
+            target = 1 if name in ("su2", "so4") else dets / np.abs(dets)
+            assert np.abs(dets - target).max() < 1e-14
+
+    def test_orthogonal_without_special_takes_both_signs(self):
+        dets = np.linalg.det(random_orthogonal(4, 5, count=200))
+        assert 60 < (dets < 0).sum() < 140
+        singles = [np.linalg.det(random_orthogonal(4, s)) for s in range(40)]
+        assert min(singles) < 0 < max(singles)
+
+    @pytest.mark.parametrize("name, seed", [("su2", 21), ("u2", 22), ("so4", 23)])
+    def test_trace_moments(self, name, seed):
+        tr = np.trace(TWO_QUBIT[name](seed, DRAWS), axis1=1, axis2=2)
+        assert abs(tr.mean()) < MOMENT_BOUND
+        assert abs((np.abs(tr) ** 2).mean() - 1) < MOMENT_BOUND
+
+    @pytest.mark.parametrize("name, oracle", [
+        ("su2", lambda seed: qr_special_unitary(seed, DRAWS)),
+        ("u2", lambda seed: linalg._qr_haar(2, seed, DRAWS)),
+    ])
+    def test_unitary_same_law_as_qr(self, name, oracle):
+        u, v = TWO_QUBIT[name](31, DRAWS), oracle(32)
+        assert ks_statistic(np.trace(u, axis1=1, axis2=2).real,
+                            np.trace(v, axis1=1, axis2=2).real) < KS_CRITICAL
+        assert ks_statistic(np.abs(u[:, 0, 0]), np.abs(v[:, 0, 0])) < KS_CRITICAL
+        if name == "u2":
+            # neither statistic above sees the phase range: det U is uniform on the circle
+            assert ks_statistic(np.angle(np.linalg.det(u)), np.angle(np.linalg.det(v))) \
+                < KS_CRITICAL
+
+    @pytest.mark.parametrize("special", [True, False])
+    def test_orthogonal_same_law_as_qr(self, special):
+        o, w = random_orthogonal(4, 33, special, DRAWS), qr_orthogonal(34, DRAWS, special)
+        assert ks_statistic(o[:, 0, 0], w[:, 0, 0]) < KS_CRITICAL
+        assert ks_statistic(np.trace(o, axis1=1, axis2=2), np.trace(w, axis1=1, axis2=2)) \
+            < KS_CRITICAL
+
+    def test_ks_tells_su2_from_u2(self):
+        # the statistic has the power to see a missing phase: Re tr of SU(2) against U(2)
+        u, v = haar_special_unitary(2, 35, DRAWS), haar_unitary(2, 36, DRAWS)
+        assert ks_statistic(np.trace(u, axis1=1, axis2=2).real,
+                            np.trace(v, axis1=1, axis2=2).real) > 5 * KS_CRITICAL
+
+    def test_zero_on_the_r_diagonal_keeps_the_orthogonal_column(self, monkeypatch):
+        # measure zero for a Gaussian matrix, but the sign fix must not make it NaN
+        r = np.diag([0.0, -0.0, 2.0, -3.0])
+        monkeypatch.setattr(np.linalg, "qr", lambda z: (np.eye(4), r))
+        assert np.array_equal(linalg._qr_haar(4, 0, real=True), np.diag([1.0, -1.0, 1.0, -1.0]))
+
+    def test_other_sizes_take_the_qr_path(self):
+        for d in (1, 3, 4):
+            assert haar_unitary(d, 7, 3).tobytes() == linalg._qr_haar(d, 7, 3).tobytes()
+        for n in (1, 2, 3, 5):
+            assert random_orthogonal(n, 8, count=3).tobytes() \
+                == linalg._qr_haar(n, 8, 3, real=True).tobytes()
