@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .clifford import _anticommutators
 from .entangled import EntangledBasis, basis_matrix, verify_unitary_basis
 from .factorize import _local_kinds, _neither_residual, _require_unitary, factor_local
 from .linalg import (
@@ -39,10 +40,10 @@ from .linalg import (
 from .reports import (
     INPUT_TOL,
     LEAD_TOL,
-    MAX_WITNESSES,
     TOL,
     CheckReport,
     require_positive,
+    require_tolerance,
     sample_violations,
     tolerance_report,
 )
@@ -186,6 +187,7 @@ def universality_search(dim=3, candidates=50, trials=100, seed=0, threshold=0.1)
     would survive it.
     """
     require_positive(dim, "dim")
+    require_tolerance(threshold)
 
     def draw(rng, idx):
         shape = (len(idx), dim, dim)
@@ -321,7 +323,8 @@ def check_bell_condition(basis, condition, trials=1000, seed=0, tol=TOL):
     if condition not in (2, 3, 4, 5, 6):
         raise ValueError("unknown condition id %r" % (condition,))
     if condition == 6:
-        return _anticommutation(basis, tol)
+        violations, witnesses = _anticommutators(basis.ops.conj().swapaxes(-1, -2), basis.ops, tol)
+        return tolerance_report("bell-condition-6", np.max(violations), tol, witnesses=witnesses)
     d = basis.dim
     n = d * d
     b = basis_matrix(basis)
@@ -368,23 +371,6 @@ def check_bell_condition(basis, condition, trials=1000, seed=0, tol=TOL):
     return tolerance_report(
         "bell-condition-%d" % condition, worst, tol, trials=trials, witnesses=witnesses
     )
-
-
-def _anticommutation(basis, tol):
-    """Condition 6: X_a^dag X_b + X_b^dag X_a = 2 delta_ab I over all pairs."""
-    xs = basis.ops
-    eye = np.eye(basis.dim)
-    worst = 0.0
-    witnesses = []
-    for a in range(len(xs)):
-        for c in range(a, len(xs)):
-            anti = xs[a].conj().T @ xs[c] + xs[c].conj().T @ xs[a]
-            target = 2.0 * eye if a == c else 0.0
-            violation = float(np.linalg.norm(anti - target))
-            worst = max(worst, violation)
-            if violation >= tol and len(witnesses) < MAX_WITNESSES:
-                witnesses.append({"pair": [a, c], "violation": violation})
-    return tolerance_report("bell-condition-6", worst, tol, witnesses=witnesses)
 
 
 def _det_verdicts(u, tol):
@@ -445,14 +431,6 @@ def check_det_criterion_agreement(trials=1000, seed=0, tol=TOL):
 
     # every disagreeing trial is a witness
     violations, witnesses = sample_violations(trials, seed, 1.0, draw, measure, 16)
-    worst = float(violations.mean())
-    passed = worst == 0.0
-    return CheckReport(
-        name="det-criterion-agreement",
-        trials=trials,
-        max_violation=worst,
-        threshold=tol,
-        passed=passed,
-        verdict="no violation found" if passed else "violation witnessed",
-        witnesses=tuple(witnesses),
+    return tolerance_report(
+        "det-criterion-agreement", violations.mean(), tol, trials=trials, witnesses=witnesses
     )

@@ -162,8 +162,8 @@ def cmd_check_universality(args):
 
 
 # N generators have order 2^((N-1)/2) and the check forms about N^2/2 products
-# of them. On a 2-core VM with OpenBLAS, count 17 (order 256) ran in 0.76 s at
-# 53 MB peak RSS and count 19 in 5.9 s at 126 MB; each further step of 2 costs
+# of them. On a 2-core VM with OpenBLAS, count 17 (order 256) ran in 0.8 s at
+# 52 MB peak RSS and count 19 in 5.5 s at 122 MB; each further step of 2 costs
 # about 4.5x the memory and 8x the time
 MAX_CLIFFORD_COUNT = 17
 

@@ -5,6 +5,8 @@ of generators acting irreducibly, the representation dimension 2^((N-1)/2).
 build_clifford_generators realizes that dimension constructively by a
 doubling ladder; clifford_check verifies the relations for any candidate
 family.
+Bell condition 6, X_a^dag X_b + X_b^dag X_a = 2 delta_ab I, is the same
+relation with left factors X^dag: both checks run _anticommutators.
 """
 
 import numpy as np
@@ -34,11 +36,34 @@ def build_clifford_generators(n):
     return gens
 
 
+def _pair_witnesses(v, rows, cols, tol, **kind):
+    """The first MAX_WITNESSES entries v[k] not below tol, as witnesses of (rows[k], cols[k])."""
+    return [{**kind, "pair": [int(rows[k]), int(cols[k])], "violation": float(v[k])}
+            for k in np.flatnonzero(~(v < tol))[:MAX_WITNESSES]]
+
+
+def _anticommutators(left, right, tol, **kind):
+    """||L_a R_b + L_b R_a - 2 delta_ab I||_F over pairs a <= b, row-major, and the witnesses.
+
+    One product pair at a time, on the callers' own matrices: stacking the
+    pairs was no faster and copies the family. Overflow gives inf or NaN, a fail.
+    """
+    rows, cols = np.triu_indices(len(left))
+    eye2 = 2.0 * np.eye(len(left[0]))
+    v = np.empty(len(rows))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, (a, b) in enumerate(zip(rows.tolist(), cols.tolist())):
+            anti = left[a] @ right[b] + left[b] @ right[a]
+            v[k] = np.linalg.norm(anti - eye2 if a == b else anti)
+    return v, _pair_witnesses(v, rows, cols, tol, **kind)
+
+
 def clifford_check(mats, tol=TOL):
     """Verify hermiticity and R_a R_b + R_b R_a = 2 delta_ab I.
 
-    For an odd-sized family the report also records whether the acting
-    dimension equals 2^((N-1)/2), the value forced by irreducibility.
+    Hermiticity witnesses come before anticommutator ones. For an odd-sized
+    family the report also records whether the acting dimension equals
+    2^((N-1)/2), the value forced by irreducibility.
     """
     mats = [np.asarray(r, dtype=complex) for r in mats]
     if not mats:
@@ -48,30 +73,15 @@ def clifford_check(mats, tol=TOL):
         if r.ndim != 2 or r.shape != (d, d):
             raise ValueError("generators must be square matrices of equal dimension")
     n = len(mats)
-    eye = np.eye(d)
-    worst = 0.0
-    witnesses = []
-
-    def note(violation, kind, a, b):
-        nonlocal worst
-        if violation > worst:
-            worst = violation
-        if violation >= tol and len(witnesses) < MAX_WITNESSES:
-            witnesses.append({"kind": kind, "pair": [a, b], "violation": violation})
-
-    for a, r in enumerate(mats):
-        note(float(np.linalg.norm(r - r.conj().T)), "hermiticity", a, a)
-    for a in range(n):
-        for b in range(a, n):
-            anti = mats[a] @ mats[b] + mats[b] @ mats[a]
-            target = 2.0 * eye if a == b else 0.0
-            note(float(np.linalg.norm(anti - target)), "anticommutator", a, b)
+    with np.errstate(over="ignore", invalid="ignore"):
+        herm = np.array([np.linalg.norm(r - r.conj().T) for r in mats])
+    anti, witnesses = _anticommutators(mats, mats, tol, kind="anticommutator")
+    witnesses = _pair_witnesses(herm, range(n), range(n), tol, kind="hermiticity") + witnesses
 
     details = {"count": n, "dimension": d}
     if n % 2 == 1:
         expected = 2 ** ((n - 1) // 2)
         details["expected_dimension"] = expected
         details["dimension_matches"] = bool(d == expected)
-    return tolerance_report(
-        "clifford-relations", worst, tol, witnesses=witnesses, details=details
-    )
+    return tolerance_report("clifford-relations", np.max(np.concatenate((herm, anti))), tol,
+                            witnesses=witnesses[:MAX_WITNESSES], details=details)

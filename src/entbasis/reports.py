@@ -5,7 +5,9 @@ CheckReport never claims a proof: its verdict distinguishes "no violation
 found" (the sampled search came up empty) from "violation witnessed" (a
 concrete counterexample is recorded). Witnesses are small dictionaries that
 identify the violating input by trial index and seed, or by index pair, so
-every witness can be regenerated deterministically.
+every witness can be regenerated deterministically. tolerance_report is the
+pass rule of every check but the counterexample search: a report passes only
+if its worst violation is below tol, which a NaN is not, and it lists no witness.
 
 Sampled checks run through one engine, sample_violations: it draws the
 trials in chunks of stacked arrays, seeds chunk c from the spawn key (c,)
@@ -48,12 +50,11 @@ CHUNK_ENTRIES = 1 << 11
 class CheckReport:
     """Outcome of a property check.
 
-    max_violation is the largest observed deviation, threshold the pass
-    bound it was compared against, and passed the comparison outcome (the
-    direction depends on the check: most pass when the violation stays
-    below threshold, counterexample searches pass when every candidate is
-    violated; the verdict string states which happened). trials is 0 for
-    deterministic checks.
+    max_violation is the largest observed deviation and threshold the pass
+    bound it was compared against. A tolerance_report passes when
+    max_violation < threshold and it lists no witness; the counterexample
+    search passes when every candidate is violated, and the verdict string
+    says which happened. trials is 0 for deterministic checks.
     """
 
     name: str
@@ -79,8 +80,9 @@ class CheckReport:
 
 
 def tolerance_report(name, worst, tol, trials=0, witnesses=(), details=None):
-    """CheckReport for a check that passes when its worst violation is below tol."""
-    passed = bool(worst < tol)
+    """CheckReport that passes only if worst < tol (so not NaN) and it lists no witness."""
+    require_tolerance(tol)
+    passed = bool(worst < tol) and not witnesses
     return CheckReport(
         name=name,
         trials=trials,

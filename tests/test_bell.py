@@ -6,6 +6,7 @@ import pytest
 
 from entbasis import (
     AntilinearOp,
+    CheckReport,
     EntangledBasis,
     PAULIS,
     SIGMA1,
@@ -425,6 +426,25 @@ def test_sampled_checks_refuse_to_draw_nothing(run):
         run()
 
 
+@pytest.mark.parametrize("tol", [float("inf"), 0.0, float("nan"), -1.0])
+@pytest.mark.parametrize("run", [
+    lambda tol: check_bell_condition(bell_basis(), 6, tol=tol),
+    lambda tol: check_bell_condition(bell_basis(), 2, trials=5, tol=tol),
+    lambda tol: universality_search(candidates=1, trials=2, threshold=tol),
+], ids=["bell-6", "bell-2", "search"])
+def test_checks_refuse_meaningless_tolerance(run, tol):
+    with pytest.raises(ValueError, match="tolerance"):
+        run(tol)
+
+
+def test_condition_3_fails_when_it_finds_violations():
+    # each non-factorizable trial is a witness, whatever the fraction is compared against
+    report = check_bell_condition(fourier_basis(3), 3, trials=50, seed=0, tol=1.5)
+    assert report.witnesses and report.max_violation < 1.5
+    assert not report.passed
+    assert report.verdict == "violation witnessed"
+
+
 class TestDetCriterion:
     def test_pauli_product_local(self):
         assert det_criterion(tensor(SIGMA1, SIGMA3)) == "local"
@@ -444,6 +464,25 @@ class TestDetCriterion:
         report = check_det_criterion_agreement(trials=500, seed=0)
         assert report.passed
         assert report.max_violation == 0.0
+
+    @pytest.mark.parametrize("tol", [1e-10, 1e-3, 0.5])
+    def test_agreement_report_as_hand_built(self, tol, monkeypatch):
+        # the report passes exactly when no trial disagrees, at every tolerance
+        report = check_det_criterion_agreement(trials=40, seed=3, tol=tol)
+        assert report == CheckReport("det-criterion-agreement", 40, 0.0, tol, True,
+                                     "no violation found")
+        real = bell._det_verdicts
+
+        def every_third_wrong(u, tol):
+            out = real(u, tol)
+            out[::3] = "not_real_in_bell"
+            return out
+
+        monkeypatch.setattr(bell, "_det_verdicts", every_third_wrong)
+        report = check_det_criterion_agreement(trials=40, seed=3, tol=tol)
+        assert (report.passed, report.verdict) == (False, "violation witnessed")
+        assert report.max_violation == 14 / 40
+        assert [w["trial"] for w in report.witnesses] == list(range(0, 24, 3))
 
     def test_agreement_gates_each_chunk_once(self, monkeypatch):
         # det_criterion gates its own input; the sampled check leaves the gate to

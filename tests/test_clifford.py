@@ -1,9 +1,30 @@
-"""Tests for Clifford generator construction and relation checking."""
+"""Tests for Clifford generator construction and relation checking.
+
+clifford_check and Bell condition 6 share one pair kernel; the two pair
+loops it replaced are kept here as its oracles.
+"""
+
+import json
+import math
 
 import numpy as np
 import pytest
 
-from entbasis import PAULIS, SIGMA1, SIGMA2, build_clifford_generators, clifford_check
+from entbasis import (
+    PAULIS,
+    SIGMA1,
+    SIGMA2,
+    CheckReport,
+    EntangledBasis,
+    bell_basis,
+    build_clifford_generators,
+    check_bell_condition,
+    clifford_check,
+    fourier_basis,
+    haar_unitary,
+)
+from entbasis.fileio import report_to_obj
+from entbasis.reports import MAX_WITNESSES
 
 
 class TestCliffordCheck:
@@ -70,3 +91,156 @@ class TestBuildGenerators:
     def test_even_or_nonpositive_rejected(self, n):
         with pytest.raises(ValueError):
             build_clifford_generators(n)
+
+
+def _loop_report(name, worst, tol, witnesses, details=None):
+    """The report as the loops built it: it passed when worst < tol."""
+    passed = bool(worst < tol)
+    return CheckReport(name, 0, float(worst), tol, passed,
+                       "no violation found" if passed else "violation witnessed",
+                       tuple(witnesses), details or {})
+
+
+def _loop_clifford(mats, tol):
+    """clifford_check as a hand-written loop over the hermiticity row and the pairs a <= b."""
+    mats = [np.asarray(r, dtype=complex) for r in mats]
+    n = len(mats)
+    d = mats[0].shape[0]
+    eye = np.eye(d)
+    worst = 0.0
+    witnesses = []
+
+    def note(violation, kind, a, b):
+        nonlocal worst
+        if violation > worst:
+            worst = violation
+        if violation >= tol and len(witnesses) < MAX_WITNESSES:
+            witnesses.append({"kind": kind, "pair": [a, b], "violation": violation})
+
+    for a, r in enumerate(mats):
+        note(float(np.linalg.norm(r - r.conj().T)), "hermiticity", a, a)
+    for a in range(n):
+        for b in range(a, n):
+            anti = mats[a] @ mats[b] + mats[b] @ mats[a]
+            target = 2.0 * eye if a == b else 0.0
+            note(float(np.linalg.norm(anti - target)), "anticommutator", a, b)
+
+    details = {"count": n, "dimension": d}
+    if n % 2 == 1:
+        expected = 2 ** ((n - 1) // 2)
+        details["expected_dimension"] = expected
+        details["dimension_matches"] = bool(d == expected)
+    return _loop_report("clifford-relations", worst, tol, witnesses, details)
+
+
+def _loop_condition6(basis, tol):
+    """Condition 6 as a hand-written loop over the pairs a <= c."""
+    xs = basis.ops
+    eye = np.eye(basis.dim)
+    worst = 0.0
+    witnesses = []
+    for a in range(len(xs)):
+        for c in range(a, len(xs)):
+            anti = xs[a].conj().T @ xs[c] + xs[c].conj().T @ xs[a]
+            target = 2.0 * eye if a == c else 0.0
+            violation = float(np.linalg.norm(anti - target))
+            worst = max(worst, violation)
+            if violation >= tol and len(witnesses) < MAX_WITNESSES:
+                witnesses.append({"pair": [a, c], "violation": violation})
+    return _loop_report("bell-condition-6", worst, tol, witnesses)
+
+
+def _report_text(report):
+    return json.dumps(report_to_obj(report), sort_keys=True, indent=2)
+
+
+def _local_copy(basis, seed):
+    """X_a -> U1 X_a U2^T for Haar U1, U2 of the basis's order."""
+    rng = np.random.default_rng(seed)
+    u1, u2 = haar_unitary(basis.dim, rng), haar_unitary(basis.dim, rng)
+    return EntangledBasis(basis.dim, u1 @ basis.ops @ u2.T)
+
+
+CONDITION6_BASES = {
+    "bell": bell_basis,
+    **{"rotated-bell-%d" % s: (lambda s=s: _local_copy(bell_basis(), s)) for s in (5, 6)},
+    **{"fourier-%d" % d: (lambda d=d: fourier_basis(d)) for d in range(3, 9)},
+    **{"haar-3-%d" % s: (lambda s=s: _local_copy(fourier_basis(3), s)) for s in (7, 8)},
+}
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-3, 1.5, 3.5])
+@pytest.mark.parametrize("name", sorted(CONDITION6_BASES))
+def test_condition6_report_matches_loop(name, tol):
+    basis = CONDITION6_BASES[name]()
+    report = check_bell_condition(basis, 6, tol=tol)
+    assert _report_text(report) == _report_text(_loop_condition6(basis, tol))
+
+
+def _first_of(n):
+    """The first n generators of the smallest odd family holding n."""
+    return build_clifford_generators(n | 1)[:n]
+
+
+def _broken_at_front():
+    """Three non-hermitian generators, then a family twice over: 3 + 55 bad entries."""
+    gens = build_clifford_generators(5)
+    return [1j * g for g in gens[:3]] + gens + gens
+
+
+BROKEN_FAMILIES = {
+    "duplicate": lambda: [SIGMA1, SIGMA1],
+    "non-hermitian": lambda: [1j * SIGMA2],
+    "tripled": lambda: build_clifford_generators(3) * 3,
+    "broken-at-front": _broken_at_front,
+}
+
+
+@pytest.mark.parametrize("n", range(1, 16))
+def test_clifford_report_matches_loop(n):
+    mats = _first_of(n)
+    assert _report_text(clifford_check(mats)) == _report_text(_loop_clifford(mats, 1e-10))
+
+
+@pytest.mark.parametrize("tol", [1e-10, 0.5, 3.5])
+@pytest.mark.parametrize("name", sorted(BROKEN_FAMILIES))
+def test_broken_clifford_report_matches_loop(name, tol):
+    mats = BROKEN_FAMILIES[name]()
+    report = clifford_check(mats, tol=tol)
+    assert _report_text(report) == _report_text(_loop_clifford(mats, tol))
+
+
+def test_witnesses_truncated_hermiticity_first():
+    report = clifford_check(_broken_at_front())
+    assert not report.passed
+    assert len(report.witnesses) == MAX_WITNESSES
+    kinds = [w["kind"] for w in report.witnesses]
+    assert kinds == ["hermiticity"] * 3 + ["anticommutator"] * 5
+    assert [w["pair"] for w in report.witnesses[:3]] == [[0, 0], [1, 1], [2, 2]]
+    # the anticommutators follow in row-major pair order
+    pairs = [tuple(w["pair"]) for w in report.witnesses[3:]]
+    assert pairs == sorted(pairs)
+
+
+def _nan_bell_basis():
+    ops = bell_basis().ops.copy()
+    ops[1, 0, 0] = np.nan
+    return EntangledBasis(2, ops)
+
+
+NONFINITE = {
+    "nan-basis-operator": lambda: check_bell_condition(_nan_bell_basis(), 6),
+    "nan-generator": lambda: clifford_check([np.full((2, 2), np.nan)]),
+    # both hermitian; their products overflow to inf, and inf - inf is NaN
+    "overflowing-pair": lambda: clifford_check(
+        [[[0, 1e200], [1e200, 0]], [[1e200, 1e200], [1e200, -1e200]]]),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", sorted(NONFINITE))
+def test_nonfinite_products_fail(name):
+    report = NONFINITE[name]()
+    assert not report.passed
+    assert math.isnan(report.max_violation)
+    assert report.witnesses

@@ -191,6 +191,13 @@ def test_every_report_encodes_as_json(name):
     json.dumps(report_to_obj(report))
 
 
+@pytest.mark.parametrize("name", sorted(set(EVERY_CHECK) - {"universality_search"}))
+def test_passing_report_lists_no_witness(name):
+    # the counterexample search lists its violated candidates when it passes, by design
+    report = EVERY_CHECK[name]()
+    assert not (report.passed and report.witnesses)
+
+
 def test_witness_seed_only_when_integer():
     ints = EVERY_CHECK["universality_int_seed"]()
     gens = EVERY_CHECK["universality_generator_seed"]()
