@@ -31,6 +31,7 @@ from .factorize import _local_kinds, _neither_residual, _require_unitary, factor
 from .linalg import (
     PAULIS,
     StateVector,
+    _sandwich,
     haar_special_unitary,
     haar_unitary,
     random_orthogonal,
@@ -146,7 +147,7 @@ def _covariance_violations(a, trials, seed, tol, phase):
         return haar_unitary(d, rng, count=len(idx))
 
     def measure(u):
-        conjugated = u @ a @ u.swapaxes(-1, -2)
+        conjugated = (u.reshape(-1, d) @ a).reshape(u.shape) @ u.swapaxes(-1, -2)
         if phase == "det":
             omega = np.linalg.det(u)
         else:
@@ -187,7 +188,6 @@ def universality_search(dim=3, candidates=50, trials=100, seed=0, threshold=0.1)
     would survive it.
     """
     require_positive(dim, "dim")
-    require_tolerance(threshold)
 
     def draw(rng, idx):
         shape = (len(idx), dim, dim)
@@ -322,6 +322,7 @@ def check_bell_condition(basis, condition, trials=1000, seed=0, tol=TOL):
     """
     if condition not in (2, 3, 4, 5, 6):
         raise ValueError("unknown condition id %r" % (condition,))
+    require_tolerance(tol)
     if condition == 6:
         violations, witnesses = _anticommutators(basis.ops.conj().swapaxes(-1, -2), basis.ops, tol)
         return tolerance_report("bell-condition-6", np.max(violations), tol, witnesses=witnesses)
@@ -338,13 +339,13 @@ def check_bell_condition(basis, condition, trials=1000, seed=0, tol=TOL):
         def measure(pair):
             v1, v2 = pair
             u = np.einsum("tij,tkl->tikjl", v1, v2).reshape(-1, n, n)  # tensor(v1, v2) per trial
-            return _max_entry(np.abs((bh @ u @ b).imag))
+            return _max_entry(np.abs(_sandwich(bh, u, b).imag))
     elif condition == 3:
         def draw(rng, idx):
             return random_orthogonal(n, rng, special=True, count=len(idx))
 
         def measure(o):
-            u = b @ o @ bh
+            u = _sandwich(b, o, bh)
             return ((_local_kinds(u) == "neither").astype(float),
                     lambda rows: {"residual": _neither_residual(u[rows])})
     elif condition == 4:
@@ -380,7 +381,7 @@ def _det_verdicts(u, tol):
     keeps an imaginary part above tol; otherwise the sign of the
     determinant of its real part decides. The caller gates u for unitarity.
     """
-    ub = _BELL.conj().T @ u @ _BELL
+    ub = _sandwich(_BELL.conj().T, u, _BELL)
     real = np.abs(ub.imag).max(axis=(-2, -1)) <= tol
     return np.where(
         real, np.where(np.linalg.det(ub.real) > 0, "local", "local_flip"), "not_real_in_bell"
@@ -412,6 +413,7 @@ def check_det_criterion_agreement(trials=1000, seed=0, tol=TOL):
     of trials where the determinant sign and the factorization verdict
     disagree ("local" with +1, "local_flip" with -1).
     """
+    require_tolerance(tol)
 
     def draw(rng, idx):
         o = random_orthogonal(4, rng, special=True, count=len(idx))
@@ -420,7 +422,7 @@ def check_det_criterion_agreement(trials=1000, seed=0, tol=TOL):
 
     def measure(batch):
         o, want_positive = batch
-        u = _BELL @ o @ _BELL.conj().T
+        u = _sandwich(_BELL, o, _BELL.conj().T)
         # _local_kinds runs the unitarity gate for both verdicts
         factor_verdict = _local_kinds(u)
         det_verdict = _det_verdicts(u, tol)

@@ -135,6 +135,15 @@ def unitarity_residual(x):
         return np.linalg.norm(products - np.eye(x.shape[-1]), axis=(-2, -1))
 
 
+def _sandwich(left, x, right):
+    """left @ x @ right for a matrix x or each of a stack, associated as numpy does, by two GEMMs,
+    not a BLAS call per matrix: left times the matrices side by side, their rows times right."""
+    (m, q), p = x.shape[-2:], left.shape[0]
+    y = left @ x.reshape(-1, m, q).transpose(1, 0, 2).reshape(m, -1)
+    y = y.reshape(p, -1, q).transpose(1, 0, 2).reshape(-1, q) @ right
+    return y.reshape(x.shape[:-2] + (p, right.shape[-1]))
+
+
 def _quaternions(rng, count):
     """Uniform unit quaternions, normalised standard-normal 4-vectors (Re a, Im a, Re b, Im b)."""
     g = rng.standard_normal((4,) if count is None else (count, 4))

@@ -41,9 +41,9 @@ RANK_TOL = 1e-8
 # the first nonzero entry of a matrix
 LEAD_TOL = 1e-12
 
-# complex entries a chunk of trials may hold in its largest per-trial array;
-# keeps a sampled check's memory flat at any dimension
-CHUNK_ENTRIES = 1 << 11
+# complex entries a chunk may hold in its largest per-trial array, so memory stays flat at any
+# d: a check's arrays peak at 1.0 MiB (tracemalloc at d = 2, 3, 8; 0.27 MiB at 1 << 11)
+CHUNK_ENTRIES = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -144,10 +144,11 @@ def sample_violations(trials, seed, tol, draw, measure, per_trial, unit="trial")
     residual, say) is then computed for at most MAX_WITNESSES trials of the
     whole run. Every trial with violation >= tol is a witness {unit: index,
     "seed": seed, "violation": v, **fields}, up to MAX_WITNESSES, in trial
-    order. Returns the violations of all trials and the witnesses; the
-    caller reduces them to its report.
+    order. A bad trial count or tol is refused before the first draw.
+    Returns the violations of all trials and the witnesses for the report.
     """
     require_positive(trials, unit + "s")
+    require_tolerance(tol)
     step = chunk_size(per_trial)
     violations = np.empty(trials)
     witnesses = []

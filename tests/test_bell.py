@@ -34,7 +34,7 @@ from entbasis import (
     universality_search,
     verify_unitary_basis,
 )
-from entbasis import bell, factorize
+from entbasis import bell, factorize, reports
 from entbasis.reports import chunk_size
 
 CNOT = np.array(
@@ -435,6 +435,38 @@ def test_sampled_checks_refuse_to_draw_nothing(run):
 def test_checks_refuse_meaningless_tolerance(run, tol):
     with pytest.raises(ValueError, match="tolerance"):
         run(tol)
+
+
+def _cond(c):
+    return lambda tol: check_bell_condition(fourier_basis(3), c, trials=2000, tol=tol)
+
+
+@pytest.mark.parametrize("run, drawn", [
+    *[(_cond(c), 2000) for c in (2, 3, 4, 5)],
+    (_cond(6), 0),  # deterministic: nothing to draw
+    (lambda tol: check_universality(theta2(), trials=2000, tol=tol), 2000),
+    (lambda tol: check_universality(theta2(), trials=2000, tol=tol, phase="best"), 2000),
+    (lambda tol: check_det_criterion_agreement(trials=2000, tol=tol), 2000),
+    (lambda tol: check_preserves_max_entangled(CNOT, trials=2000, tol=tol), 2000),
+], ids=["bell-2", "bell-3", "bell-4", "bell-5", "bell-6", "universality", "universality-best",
+        "det-criterion", "preserves"])
+def test_meaningless_tolerance_refused_before_the_first_draw(run, drawn, monkeypatch):
+    draws = []
+
+    def counting_engine(trials, seed, tol, draw, measure, per_trial, unit="trial"):
+        def counted(rng, idx):
+            draws.append(len(idx))
+            return draw(rng, idx)
+        return reports.sample_violations(trials, seed, tol, counted, measure, per_trial, unit)
+
+    monkeypatch.setattr(bell, "sample_violations", counting_engine)
+    monkeypatch.setattr(factorize, "sample_violations", counting_engine)
+    for tol in (float("nan"), 0.0, -1.0, float("inf")):
+        with pytest.raises(ValueError, match="tolerance"):
+            run(tol)
+    assert draws == []
+    run(1e-10)  # with a tolerance that means something, the same check draws every trial
+    assert sum(draws) == drawn
 
 
 def test_condition_3_fails_when_it_finds_violations():

@@ -220,6 +220,57 @@ def test_engine_matches_one_trial_oracle(case, engine):
         assert abs(w["violation"] - expected[w["trial"]]) <= 1e-12
 
 
+def stacked_covariance(a, trials, seed, tol, phase):
+    """_covariance_violations with U A U^T as one stacked matmul: the flat U A GEMM's reference."""
+    d = a.shape[0]
+
+    def measure(u):
+        conjugated = u @ a @ u.swapaxes(-1, -2)
+        if phase == "det":
+            omega = np.linalg.det(u)
+        else:
+            z = (a.conj() * conjugated).sum(axis=(1, 2))
+            omega = np.divide(z, np.abs(z), out=np.ones_like(z), where=z != 0)
+        return np.linalg.norm(conjugated - omega[:, None, None] * a, axis=(1, 2))
+
+    def draw(rng, idx):
+        return haar_unitary(d, rng, count=len(idx))
+
+    return bell.sample_violations(trials, seed, tol, draw, measure, d * d)
+
+
+FOURIER4 = fourier_basis(4)
+FRAME_CASES = {
+    "cond2-bell": lambda: check_bell_condition(bell_basis(), 2, 1100, 8),
+    "cond2-fourier3": lambda: check_bell_condition(FOURIER3, 2, 250, 8),
+    "cond2-fourier4": lambda: check_bell_condition(FOURIER4, 2, 70, 8),
+    "cond3-bell": lambda: check_bell_condition(bell_basis(), 3, 1100, 8),
+    "cond3-fourier3": lambda: check_bell_condition(FOURIER3, 3, 250, 8),
+    "cond3-fourier4": lambda: check_bell_condition(FOURIER4, 3, 70, 8),
+    "det-criterion": lambda: check_det_criterion_agreement(1100, 8),
+    "universality-det": lambda: check_universality(theta2(), 2500, 8),
+    "universality-best": lambda: check_universality(AntilinearOp(D3_CANDIDATE), 1000, 8,
+                                                    phase="best"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FRAME_CASES))
+def test_frame_products_match_stacked_matmul(case, engine, monkeypatch):
+    # the same seeds through left @ x @ right, one BLAS call per trial
+    fast = FRAME_CASES[case]()
+    monkeypatch.setattr(bell, "_sandwich", lambda left, x, right: left @ x @ right)
+    monkeypatch.setattr(bell, "_covariance_violations", stacked_covariance)
+    slow = FRAME_CASES[case]()
+    (fast_run, slow_run) = engine.runs
+    assert fast_run["trials"] > chunk_size(fast_run["per_trial"])  # two chunks at least
+    assert fast.passed == slow.passed
+    assert [w["trial"] for w in fast.witnesses] == [w["trial"] for w in slow.witnesses]
+    assert np.all(np.abs(fast_run["violations"] - slow_run["violations"])
+                  <= 1e-12 * np.abs(slow_run["violations"]))
+    for w_fast, w_slow in zip(fast.witnesses, slow.witnesses):
+        assert abs(w_fast["violation"] - w_slow["violation"]) <= 1e-12 * abs(w_slow["violation"])
+
+
 def test_universality_search_matches_check_universality_per_candidate(engine):
     # each candidate's trials come from its chunk's stream, right after the candidates
     report = universality_search(dim=3, candidates=5, trials=30, seed=2)
@@ -308,7 +359,7 @@ class TestLazyFields:
             rows = np.arange(len(x))
             return x, {"value": x, "pair": np.stack([rows, rows], axis=1)}
 
-        # chunks of 32 trials and about 30 violations, of which 8 become witnesses
+        # chunks of chunk_size(64) trials and about 30 violations, of which 8 become witnesses
         runs = [reports.sample_violations(1000, 3, 0.97, self.uniform, measure, 64)
                 for measure in (lazy, eager)]
         (v_lazy, w_lazy), (v_eager, w_eager) = runs
@@ -317,7 +368,7 @@ class TestLazyFields:
         assert (v_lazy >= 0.97).sum() > MAX_WITNESSES
         for w in w_lazy:
             assert w["value"] == w["violation"]
-            assert w["pair"] == [w["trial"] % 32] * 2
+            assert w["pair"] == [w["trial"] % chunk_size(64)] * 2
         assert np.array_equal(v_lazy, v_eager)
         as_report = [report_to_obj(reports.tolerance_report("lazy", v.max(), 0.97, 1000, w))
                      for v, w in runs]

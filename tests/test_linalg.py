@@ -8,6 +8,7 @@ from entbasis import (
     SIGMA2,
     SIGMA3,
     StateVector,
+    bell_matrix,
     dagger,
     flip_operator,
     haar_special_unitary,
@@ -324,3 +325,37 @@ class TestTwoQubitSamplers:
         for n in (1, 2, 3, 5):
             assert random_orthogonal(n, 8, count=3).tobytes() \
                 == linalg._qr_haar(n, 8, 3, real=True).tobytes()
+
+
+class TestSandwich:
+    """linalg._sandwich against the stacked matmul it replaces."""
+
+    @staticmethod
+    def operands(rng, m, count, real):
+        shape = (m, m) if count is None else (count, m, m)
+        x = rng.standard_normal(shape) if real else rand_complex(rng, shape)
+        return rand_complex(rng, (m + 1, m)), x, rand_complex(rng, (m, m - 1))
+
+    @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+    @pytest.mark.parametrize("count", [None, 1, 7, 1000], ids=["2-D", "1", "7", "1000"])
+    @pytest.mark.parametrize("m", [2, 3, 4, 9])
+    def test_matches_stacked_matmul(self, m, count, real):
+        left, x, right = self.operands(np.random.default_rng(m), m, count, real)
+        for view in (x, x.swapaxes(-1, -2)):
+            want = left @ view @ right
+            got = linalg._sandwich(left, view, right)
+            assert got.shape == want.shape
+            assert np.linalg.norm(got - want) <= 1e-15 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("count", [None, 1, 7, 1000], ids=["2-D", "1", "7", "1000"])
+    def test_bell_frame_bit_identical(self, count):
+        # the d=2 checks' reports are byte-identical to those of left @ x @ right
+        b = bell_matrix()
+        rng = np.random.default_rng(5)
+        u = np.kron(haar_special_unitary(2, rng), haar_special_unitary(2, rng))
+        if count is not None:
+            v1, v2 = (haar_special_unitary(2, rng, count) for _ in range(2))
+            u = np.einsum("tij,tkl->tikjl", v1, v2).reshape(count, 4, 4)
+        o = random_orthogonal(4, rng, count=count)
+        for left, x, right in ((b.conj().T, u, b), (b, o, b.conj().T), (b.conj().T, o, b)):
+            assert linalg._sandwich(left, x, right).tobytes() == (left @ x @ right).tobytes()
