@@ -31,6 +31,7 @@ from .factorize import _local_kinds, _neither_residual, _require_unitary, factor
 from .linalg import (
     PAULIS,
     StateVector,
+    _det,
     _sandwich,
     haar_special_unitary,
     haar_unitary,
@@ -384,7 +385,7 @@ def _det_verdicts(u, tol):
     ub = _sandwich(_BELL.conj().T, u, _BELL)
     real = np.abs(ub.imag).max(axis=(-2, -1)) <= tol
     return np.where(
-        real, np.where(np.linalg.det(ub.real) > 0, "local", "local_flip"), "not_real_in_bell"
+        real, np.where(_det(ub.real) > 0, "local", "local_flip"), "not_real_in_bell"
     )
 
 

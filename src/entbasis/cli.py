@@ -93,6 +93,8 @@ def cmd_verify(args):
     basis = load_basis(args.basis)
     report = verify_unitary_basis(basis, args.tol)
     print(report.summary())
+    if args.report:
+        save_json(report_to_obj(report), args.report)
     if not report:
         print("offending pair: %s" % (tuple(report.witnesses[0]["pair"]),))
         return 1
@@ -226,6 +228,7 @@ def build_parser():
     p = sub.add_parser("verify", help="verify a basis file")
     p.add_argument("basis", metavar="BASISFILE")
     p.add_argument("--tol", type=float, default=TOL)
+    p.add_argument("--report", metavar="FILE", help="write a JSON report")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("factorize", help="factor a unitary into local parts")

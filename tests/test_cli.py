@@ -7,9 +7,16 @@ import warnings
 import numpy as np
 import pytest
 
-from entbasis import flip_operator, haar_unitary, tensor
+from entbasis import flip_operator, haar_unitary, tensor, verify_unitary_basis
 from entbasis.cli import main
-from entbasis.fileio import basis_from_obj, load_json, matrix_to_obj, save_json
+from entbasis.fileio import (
+    basis_from_obj,
+    load_basis,
+    load_json,
+    matrix_to_obj,
+    report_to_obj,
+    save_json,
+)
 
 CNOT = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
@@ -70,6 +77,29 @@ def test_verify_detects_corruption(tmp_path):
     obj["operators"][1] = obj["operators"][0]
     save_json(obj, out)
     assert main(["verify", str(out)]) == 1
+
+
+def test_verify_writes_its_report(tmp_path, capsys):
+    basis, report = tmp_path / "b.json", tmp_path / "r.json"
+    main(["gen", "--dim", "3", "--out", str(basis)])
+    assert main(["verify", str(basis), "--report", str(report)]) == 0
+    obj = load_json(report)
+    assert obj == report_to_obj(verify_unitary_basis(load_basis(basis)))
+    assert obj["name"] == "unitary-basis" and obj["passed"] and obj["witnesses"] == []
+    # a corrupted file: the report fails and names the pair that the summary prints
+    corrupt = load_json(basis)
+    corrupt["operators"][1] = corrupt["operators"][0]
+    save_json(corrupt, basis)
+    capsys.readouterr()
+    assert main(["verify", str(basis), "--report", str(report)]) == 1
+    obj = load_json(report)
+    assert not obj["passed"]
+    assert "offending pair: %s" % (tuple(obj["witnesses"][0]["pair"]),) \
+        in capsys.readouterr().out
+    # a NaN tolerance is a usage error, refused before any report is written
+    report.unlink()
+    assert main(["verify", str(basis), "--tol", "nan", "--report", str(report)]) == 2
+    assert not report.exists()
 
 
 def test_verify_malformed_file(tmp_path):

@@ -38,7 +38,7 @@ from entbasis import (
     universality_search,
     vector_from_operator,
 )
-from entbasis import bell, factorize, reports
+from entbasis import bell, factorize, linalg, reports
 from entbasis.fileio import report_to_obj
 from entbasis.reports import MAX_WITNESSES, chunk_rng, chunk_size
 
@@ -267,6 +267,31 @@ def test_frame_products_match_stacked_matmul(case, engine, monkeypatch):
     assert [w["trial"] for w in fast.witnesses] == [w["trial"] for w in slow.witnesses]
     assert np.all(np.abs(fast_run["violations"] - slow_run["violations"])
                   <= 1e-12 * np.abs(slow_run["violations"]))
+    for w_fast, w_slow in zip(fast.witnesses, slow.witnesses):
+        assert abs(w_fast["violation"] - w_slow["violation"]) <= 1e-12 * abs(w_slow["violation"])
+
+
+D3_SAMPLED = {
+    "cond2-fourier3": lambda: check_bell_condition(FOURIER3, 2, 300, 9),
+    "cond4-fourier3": lambda: check_bell_condition(FOURIER3, 4, 300, 9),
+    "search-d3": lambda: universality_search(dim=3, candidates=6, trials=100, seed=9),
+}
+
+
+@pytest.mark.parametrize("case", sorted(D3_SAMPLED))
+def test_d3_reports_match_the_qr_samplers(case, engine, monkeypatch):
+    # the same seeds with every Haar draw by QR and every determinant by LAPACK
+    fast = D3_SAMPLED[case]()
+    monkeypatch.setattr(linalg, "_haar", linalg._qr_haar)
+    monkeypatch.setattr(linalg, "_det", np.linalg.det)
+    slow = D3_SAMPLED[case]()
+    half = len(engine.runs) // 2
+    assert half > 0 and fast.passed == slow.passed
+    assert [w.get("trial", w.get("candidate")) for w in fast.witnesses] \
+        == [w.get("trial", w.get("candidate")) for w in slow.witnesses]
+    for fast_run, slow_run in zip(engine.runs[:half], engine.runs[half:]):
+        assert np.all(np.abs(fast_run["violations"] - slow_run["violations"])
+                      <= 1e-12 * np.abs(slow_run["violations"]))
     for w_fast, w_slow in zip(fast.witnesses, slow.witnesses):
         assert abs(w_fast["violation"] - w_slow["violation"]) <= 1e-12 * abs(w_slow["violation"])
 

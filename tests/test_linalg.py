@@ -327,6 +327,93 @@ class TestTwoQubitSamplers:
                 == linalg._qr_haar(n, 8, 3, real=True).tobytes()
 
 
+# ---- Gram-Schmidt on the whole stack against the QR of the same draws ---------
+
+# the orders and counts that linalg._haar sends to Gram-Schmidt: every other draw is the QR's
+GS_ORDERS = {True: range(3, 10), False: range(3, 6)}
+GS_BOUNDARY = 64
+
+
+def no_qr(*args, **kwargs):
+    raise AssertionError("the Gram-Schmidt path ran a QR")
+
+
+def unitarity_by_matmul(u):
+    return np.linalg.norm(np.swapaxes(u.conj(), -1, -2) @ u - np.eye(u.shape[-1]), axis=(-2, -1))
+
+
+class TestGramSchmidtSampler:
+    @pytest.mark.parametrize("count", [7, GS_BOUNDARY - 1, GS_BOUNDARY, 1000])
+    @pytest.mark.parametrize("d, real", [(d, real) for real in (True, False) for d in range(3, 11)],
+                             ids=lambda v: str(v))
+    def test_same_q_as_the_qr(self, d, real, count, monkeypatch):
+        want = linalg._qr_haar(d, count, count, real)
+        if d not in GS_ORDERS[real] or count < GS_BOUNDARY:
+            assert linalg._haar(d, count, count, real).tobytes() == want.tobytes()
+            return
+        monkeypatch.setattr(np.linalg, "qr", no_qr)
+        got = linalg._haar(d, count, count, real)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-13
+
+    def test_unitary_to_rounding_over_1e5_draws(self):
+        worst = max(unitarity_by_matmul(haar_unitary(3, seed, 1000)).max() for seed in range(100))
+        assert worst <= 1e-13
+
+    @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+    def test_collapsed_column_takes_the_qr(self, real, monkeypatch):
+        # measure zero for Gaussian draws: every third trial gets two equal columns
+        draw = linalg._gaussian
+
+        def equal_columns(d, seed, count, real):
+            z = draw(d, seed, count, real)
+            z[::3, :, 1] = z[::3, :, 0]
+            return z
+
+        monkeypatch.setattr(linalg, "_gaussian", equal_columns)
+        z = equal_columns(3, 5, 100, real)
+        got = linalg._haar(3, 5, 100, real)
+        assert not np.isnan(got).any()
+        assert unitarity_by_matmul(got).max() <= 1e-13
+        assert got[::3].tobytes() == linalg._qr(z[::3], real).tobytes()
+        rest = np.arange(100) % 3 != 0
+        assert np.abs(got[rest] - linalg._qr(z[rest], real)).max() <= 1e-13
+
+
+class TestSmallKernels:
+    """linalg._det and linalg._mul against LAPACK and the matmul."""
+
+    @staticmethod
+    def stack(rng, n, count, real):
+        shape = (n, n) if count is None else (count, n, n)
+        return rng.standard_normal(shape) if real else rand_complex(rng, shape)
+
+    @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+    @pytest.mark.parametrize("count", [None, 1, 7, 1000], ids=["2-D", "1", "7", "1000"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_det_matches_lapack(self, n, count, real):
+        x = self.stack(np.random.default_rng(n), n, count, real)
+        got, want = linalg._det(x), np.linalg.det(x)
+        assert np.shape(got) == np.shape(want) and np.result_type(got) == np.result_type(want)
+        # relative to Hadamard's bound, the product of the row norms, which bounds |det|
+        scale = np.prod(np.linalg.norm(x, axis=-1), axis=-1)
+        assert np.all(np.abs(got - want) <= 1e-13 * scale)
+        u = linalg._qr_haar(n, n, count, real)  # |det| = 1
+        assert np.all(np.abs(linalg._det(u) - np.linalg.det(u)) <= 1e-13)
+
+    @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+    @pytest.mark.parametrize("count", [None, 1, 7, 1000], ids=["2-D", "1", "7", "1000"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 9])
+    def test_mul_matches_matmul(self, n, count, real):
+        rng = np.random.default_rng(n)
+        x, y = self.stack(rng, n, count, real), self.stack(rng, n, count, real)
+        for left in (x, np.swapaxes(x.conj(), -1, -2)):
+            got, want = linalg._mul(left, y), left @ y
+            assert got.shape == want.shape and got.dtype == want.dtype
+            bound = 1e-15 * np.linalg.norm(left, axis=(-2, -1)) * np.linalg.norm(y, axis=(-2, -1))
+            assert np.all(np.linalg.norm(got - want, axis=(-2, -1)) <= bound)
+
+
 class TestSandwich:
     """linalg._sandwich against the stacked matmul it replaces."""
 
