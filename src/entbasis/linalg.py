@@ -169,7 +169,8 @@ _COFACTORS = {(n, k): _cofactors(n, k) for n in range(2, 5) for k in range(2, n 
 
 
 def _det(x):
-    """det of a matrix or each of a stack; of order 2-4, the minors of the last rows by Laplace."""
+    """det of a matrix or each of a stack: of _STACK or more of order 2-4, by Laplace over
+    the minors of the last rows, smallest first, with no LAPACK call per matrix."""
     n = x.shape[-1]
     if not (1 < n <= 4 and x.size >= _STACK * n * n):
         return np.linalg.det(x)

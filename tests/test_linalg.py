@@ -345,7 +345,8 @@ def unitarity_by_matmul(u):
 class TestGramSchmidtSampler:
     @pytest.mark.parametrize("count", [7, GS_BOUNDARY - 1, GS_BOUNDARY, 1000])
     @pytest.mark.parametrize("d, real", [(d, real) for real in (True, False) for d in range(3, 11)],
-                             ids=lambda v: str(v))
+                             ids=["d%d-%s" % (d, "real" if real else "complex")
+                                  for real in (True, False) for d in range(3, 11)])
     def test_same_q_as_the_qr(self, d, real, count, monkeypatch):
         want = linalg._qr_haar(d, count, count, real)
         if d not in GS_ORDERS[real] or count < GS_BOUNDARY:
