@@ -145,7 +145,7 @@ def unitarity_residual(x):
 #   _det order 2-4   1.5-4.4   0.41-1.05  0.11-0.54
 #   _det order 5     5.0-6.1   1.2-1.25   0.60-0.65  (1.7-1.9 at 2000)
 #   _mul order 2-3   1.3-2.5   0.40-1.07  0.22-0.89
-#   _mul order 4     1.6-2.2   1.0-1.66   0.95-1.44
+#   _mul order 4     2.2-3.6   1.0-1.66   0.95-1.44
 _STACK = 64
 
 
