@@ -33,6 +33,7 @@ from .entangled import fourier_basis, shift_multiply_basis, verify_unitary_basis
 from .factorize import factor_local
 from .fileio import (
     _json_int,
+    basis_bytes,
     dump_basis,
     load_basis,
     load_json,
@@ -82,8 +83,8 @@ def cmd_gen(args):
         table = _load_latin(args.latin, d) if args.latin else cyclic_latin_square(d)
         basis = shift_multiply_basis(mats, table, args.tol)
     if args.out:
-        with open(args.out, "w") as fh:
-            dump_basis(basis, fh)
+        with open(args.out, "wb") as fh:
+            fh.writelines(basis_bytes(basis))
     else:
         dump_basis(basis, sys.stdout)
     return 0

@@ -6,42 +6,42 @@ Python repr, which json reads back to the identical double). Keys are
 sorted and indentation is fixed, so identical inputs produce
 byte-identical files.
 
-Basis files, the large ones, are written by dump_basis straight from the
-stacked operator array, a block of operators at a time. A shift-and-multiply
-operator has d nonzero entries of d^2, so most doubles in the file are
-+0.0, the only double whose bits are all zero and the only one spelled
-"0.0", and the writer's work grows with the other doubles alone. Once per
-call it builds the text of a block of operators whose doubles are all
-+0.0, from the head, separator and tail strings defined below, as ASCII
-bytes, and the offset of each double's "0.0" in it. Per block, each
-distinct bit pattern among the doubles whose int64 view is nonzero is
-formatted once (repr, or NaN, Infinity, -Infinity as json spells them),
-and one join alternates the formatted doubles with views of the
-template's text between their slots. Between two neighbours that text is
-their separator, so a dense block slices nothing. The text is exactly
-what json.dump(basis_to_obj(basis), fh, sort_keys=True, indent=2) writes;
-the stdlib encoder (pure Python once indent is set) is kept as the test
-oracle for it and writes the small files, matrices and reports, through
-save_json. Matrix data is read back with one numpy conversion per matrix.
+Basis files are written by basis_bytes as ASCII bytes from the stacked
+operator array, a block of operators at a time: gen --out writes them,
+dump_basis decodes them into a text file and the layout reader compares them
+with the file it read. A shift-and-multiply operator has d nonzero entries
+of d^2, so most doubles in the file are +0.0, the only double whose bits are
+all zero and the only one spelled "0.0", and the writer's work grows with
+the other doubles alone. Once per call it builds the bytes of a block of
+operators whose doubles are all +0.0, from the strings defined below, and
+the offset of each double's "0.0" in it. Consecutive blocks form spans that
+hold at most _BLOCK_DOUBLES of the other doubles, or one block that holds
+more. Each distinct bit pattern among them is formatted once per span (repr,
+or NaN, Infinity, -Infinity as json spells them), and one join per block
+alternates the formatted doubles with views of the template's text between
+them, or their separator if they are neighbours. The bytes are exactly what
+json.dump(basis_to_obj(basis), fh, sort_keys=True, indent=2) writes; the
+stdlib encoder (pure Python once indent is set) is kept as the test oracle
+for it and writes the small files, matrices and reports, through save_json.
+Matrix data is read back with one numpy conversion per matrix.
 
 load_basis reads basis files back, and for text in dump_basis's exact
 layout it builds no JSON tree. layout.scan_layout matches the file head
 for dim and scans line-aligned windows of the bytes. Each double has a
-line of its own: a newline, ten spaces, the token, then "," or nothing.
-A "0.0" token costs no parse, since the result starts as +0.0; numpy's
-text reader parses the others, which must give 2 d^4 finite doubles.
-dump_basis of that basis then writes into a sink that compares each
-block with the next bytes of the file, and the basis is taken only if
-every byte matches and none is left over. So the writer specifies the
-reader, and no number grammar is checked by hand: the bytes are what
-json.dump writes for this basis, each double spelled as its repr, which
-json reads back as the same double, and the result is bit for bit
-basis_from_obj(load_json(path)). Every other input goes to that pair of
-functions, unchanged: another spelling of a double ("1.00", "1E+16", an
-integer), other whitespace, a non-finite token, a wrong count, dim < 1.
-It stays the fallback and the test oracle, so the ValueError is the same
-too. Files of at most 64 KiB go to it as well: json reads them in about
-a millisecond.
+line of its own: a newline, ten spaces, the token, then "," or nothing. A
+"0.0" token costs no parse, since the result starts as +0.0; numpy's text
+reader parses the others, which must give 2 d^4 finite doubles.
+basis_bytes of that basis is then compared with the file, chunk by chunk,
+and the basis is taken only if every byte matches and none is left over.
+So the writer specifies the reader, and no number grammar is checked by
+hand: the bytes are what json.dump writes for this basis, each double
+spelled as its repr, which json reads back as the same double, and the
+result is bit for bit basis_from_obj(load_json(path)). Every other input
+goes to that pair of functions, unchanged: another spelling of a double
+("1.00", "1E+16", an integer), other whitespace, a non-finite token, a
+wrong count, dim < 1. It stays the fallback and the test oracle, so the
+ValueError is the same too. Files of at most 64 KiB go to it as well:
+json reads them in about a millisecond.
 """
 
 import json
@@ -58,6 +58,7 @@ __all__ = [
     "basis_to_obj",
     "basis_from_obj",
     "report_to_obj",
+    "basis_bytes",
     "dump_basis",
     "save_json",
     "load_json",
@@ -203,8 +204,8 @@ FILE_TAIL = "\n  ]\n}\n"
 
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
-# doubles dump_basis formats per block: enough to spread the numpy calls over
-# thousands of entries, few enough that a block's strings stay in cache
+# doubles per block of text, and the most that are not +0.0 per span of blocks: of 1 << 12
+# to 1 << 17, 1 << 13 dumps Fourier d=24 and Sylvester d=16 fastest; larger blocks are slower
 _BLOCK_DOUBLES = 1 << 13
 
 
@@ -214,28 +215,21 @@ def _json_float(x):
     return _JSON_NONFINITE.get(text, text)
 
 
-def dump_basis(basis, fh):
-    """Write basis to the text file fh as save_json(basis_to_obj(basis), path) would.
-
-    The bytes are the same. The operators go out a block at a time, so
-    neither the object tree nor the whole text is ever held. Each block is
-    spliced into a template of all-0.0 operators, built once per call: each
-    distinct double that is not +0.0 is formatted once and fills its slots,
-    so the work grows with those doubles (see the module docstring).
-    """
-    ops = basis.ops
+def basis_bytes(basis):
+    """The bytes save_json(basis_to_obj(basis), path) writes, in chunks: the head, each
+    block of operators and the comma before it, the tail (see the module docstring)."""
+    ops = np.ascontiguousarray(basis.ops)
     n, rows, cols = ops.shape
-    fh.write(FILE_HEAD % basis.dim)
+    yield (FILE_HEAD % basis.dim).encode()
     if not n:
-        fh.write("]\n}\n")
+        yield b"]\n}\n"
         return
-    head, tail = OP_HEAD % cols, OP_TAIL % rows
-    pairs = rows * cols
+    head, tail, pairs = OP_HEAD % cols, OP_TAIL % rows, rows * cols
     step = max(1, _BLOCK_DOUBLES // (2 * pairs))
     block = min(step, n)
     # the text of a block of operators whose doubles are all 0.0, where each double's
     # 0.0 starts in it, and the separator after each double: re/im, pair/pair, op/op.
-    # The text between two slots is a memoryview of the template, not a copy: str
+    # The text between two slots is a memoryview of the template, not a copy: copied
     # slices of a kilobyte or so come from the C heap, and freed there between the
     # blocks' larger strings they left it fragmented and the process larger
     pair = "0.0" + RE_IM + "0.0"
@@ -247,35 +241,48 @@ def dump_basis(basis, fh):
     seps = np.array([RE_IM.encode(), PAIR_SEP.encode()] * pairs, dtype=object)
     seps[-1] = (tail + "," + head).encode()
     seps = np.tile(seps, block)
-    for start in range(0, n, step):
-        # a complex array is its re, im doubles interleaved: the order the file lists them
-        bits = np.ascontiguousarray(ops[start:start + step]).view(np.int64).reshape(-1)
-        end = bits.size // (2 * pairs) * (len(zero_op) + 1) - 1
+    # a complex array is its re, im doubles interleaved: the order the file lists them
+    bits, size = ops.view(np.int64).reshape(-1), 2 * pairs * step
+    hi = 0
+    for start in range(0, bits.size, size):
+        if start == hi:
+            # a span: this block, then the next while at most _BLOCK_DOUBLES doubles are not +0.0
+            hi, room = start + size, _BLOCK_DOUBLES - np.count_nonzero(bits[start:start + size])
+            while hi < bits.size and (room := room - np.count_nonzero(bits[hi:hi + size])) >= 0:
+                hi += size
+            nonzero = start + np.flatnonzero(bits[start:hi])
+            # each distinct double is formatted once per span, however many slots it fills
+            distinct, which = np.unique(bits[nonzero], return_inverse=True)
+            values = distinct.view(np.float64)
+            fmt = repr if np.isfinite(values).all() else _json_float
+            words = np.array([fmt(x).encode() for x in values.tolist()], object)[which].tolist()
+        first, last = np.searchsorted(nonzero, [start, start + size]).tolist()
+        end = min(size, bits.size - start) // (2 * pairs) * (len(zero_op) + 1) - 1
         if start:
-            fh.write(",")
-        nonzero = np.flatnonzero(bits)
-        if not nonzero.size:
-            fh.write(str(template[:end], "ascii"))
+            yield b","
+        if first == last:
+            yield bytes(template[:end])
             continue
-        # each distinct double is formatted once, however many slots it fills
-        distinct, which = np.unique(bits[nonzero], return_inverse=True)
-        values = distinct.view(np.float64)
-        fmt = repr if np.isfinite(values).all() else _json_float
-        words = np.array(list(map(str.encode, map(fmt, values.tolist()))), dtype=object)
-        # the text between two doubles that are not +0.0: the separator after the first
-        # when they are neighbours, so that a dense block slices nothing, else a view of
-        # the template
-        at = slots[nonzero]
-        gaps = seps[nonzero].tolist()
-        apart = np.flatnonzero(np.diff(nonzero) != 1)
+        # the text between two doubles that are not +0.0: their separator when they are
+        # neighbours, so that a dense block slices nothing, else a view of the template
+        nz = nonzero[first:last] - start
+        at = slots[nz]
+        gaps = seps[nz].tolist()
+        apart = np.flatnonzero(np.diff(nz) != 1)
         for k, a, b in zip(apart.tolist(), (at[apart] + 3).tolist(), at[apart + 1].tolist()):
             gaps[k] = template[a:b]
         gaps[-1] = template[at[-1] + 3:end]
-        text = [template[:at[0]]] * (2 * nonzero.size + 1)
-        text[1::2] = words[which].tolist()
+        text = [template[:at[0]]] * (2 * nz.size + 1)
+        text[1::2] = words[first:last]
         text[2::2] = gaps
-        fh.write(str(b"".join(text), "ascii"))
-    fh.write(FILE_TAIL)
+        yield b"".join(text)
+    yield FILE_TAIL.encode()
+
+
+def dump_basis(basis, fh):
+    """Write basis to the text file fh as save_json(basis_to_obj(basis), path) would."""
+    for chunk in basis_bytes(basis):
+        fh.write(str(chunk, "ascii"))
 
 
 def save_json(obj, path):

@@ -1,7 +1,7 @@
 """A reader of basis files in dump_basis's layout that builds no JSON tree.
 
 scan_layout parses the doubles of such a file, writes the basis they make
-back with fileio.dump_basis, and takes it only if that gives the file byte
+back with fileio.basis_bytes, and takes it only if that gives the file byte
 for byte; else it returns None, and fileio.load_basis hands the file to the
 JSON reader. The fileio module docstring says why the two agree bit for bit.
 """
@@ -13,7 +13,7 @@ import re
 import numpy as np
 
 from .entangled import EntangledBasis
-from .fileio import FILE_HEAD, dump_basis
+from .fileio import FILE_HEAD, basis_bytes
 
 __all__ = ["scan_layout"]
 
@@ -71,18 +71,18 @@ def _token_spans(a):
 
 
 class _Mismatch(Exception):
-    """Raised by _Compare.write at the first text that differs from the file."""
+    """Raised by _Compare.write at the first chunk that differs from the file."""
 
 
 class _Compare:
-    """A text sink that compares what is written with the binary file fh from its start."""
+    """A sink that compares the bytes written with the binary file fh from its start."""
 
     def __init__(self, fh):
         fh.seek(0)
         self.fh = fh
 
-    def write(self, text):
-        if self.fh.read(len(text)) != text.encode():
+    def write(self, chunk):
+        if self.fh.read(len(chunk)) != chunk:
             raise _Mismatch
 
 
@@ -90,7 +90,7 @@ def scan_layout(fh):
     """The basis in the binary file fh if fh holds exactly dump_basis's text of it, else None.
 
     The tokens on the doubles' lines must be 2 d^4 finite doubles, and
-    dump_basis of the basis they make must give back every byte of fh.
+    basis_bytes of the basis they make must give back every byte of fh.
     """
     first_window = fh.read(_WINDOW)
     head = _HEAD_RE.match(first_window)
@@ -129,8 +129,10 @@ def scan_layout(fh):
     if count != doubles.size:
         return None
     basis = EntangledBasis(dim, doubles.view(complex).reshape(n, dim, dim))
+    compare = _Compare(fh)
     try:
-        dump_basis(basis, _Compare(fh))
-    except _Mismatch:  # dump_basis formats no block after the first that differs
+        for chunk in basis_bytes(basis):
+            compare.write(chunk)
+    except _Mismatch:  # no span is formatted, and no block joined, after the first that differs
         return None
     return basis if fh.read(1) == b"" else None

@@ -33,6 +33,7 @@ from entbasis import (
 )
 from entbasis import fileio, layout
 from entbasis.fileio import (
+    basis_bytes,
     basis_from_obj,
     basis_to_obj,
     dump_basis,
@@ -304,6 +305,123 @@ class TestDumpBasis:
             dump_basis(basis, fh)
         back = basis_from_obj(load_json(path))
         assert back.ops.tobytes() == basis.ops.tobytes()
+
+
+# doubles per block and per span in the span tests: a d=4 operator holds 32 doubles, so
+# a block is two operators and a basis is 8 blocks
+SMALL_BLOCK = 64
+
+
+def _record_spans(monkeypatch):
+    """A list that gets, for each span basis_bytes formats from now on, its count of
+    doubles that are not +0.0: the size of the span's one np.unique call."""
+    sizes, unique = [], np.unique
+    monkeypatch.setattr(np, "unique", lambda a, **kw: sizes.append(a.size) or unique(a, **kw))
+    return sizes
+
+
+def _span_sizes(basis, monkeypatch):
+    sizes = _record_spans(monkeypatch)
+    b"".join(basis_bytes(basis))
+    return sizes
+
+
+def _greedy_spans(basis, block_doubles):
+    """The span sizes by their rule: a span takes the next block while its doubles that
+    are not +0.0 stay at most SMALL_BLOCK, and takes at least one block."""
+    bits = basis.ops.view(np.int64).reshape(-1)
+    spans = []
+    for start in range(0, bits.size, block_doubles):
+        count = np.count_nonzero(bits[start:start + block_doubles])
+        if spans and spans[-1] + count <= SMALL_BLOCK:
+            spans[-1] += count
+        else:
+            spans.append(count)
+    return spans
+
+
+def _doubles_basis(doubles, d=4):
+    return EntangledBasis(d, np.asarray(doubles, dtype=float).view(complex).reshape(d * d, d, d))
+
+
+def _mixed_density_basis(seed=17):
+    # per operator pair (one block): dense, sparse with repeated values, or all +0.0
+    rng = np.random.default_rng(seed)
+    doubles = np.zeros(2 * 4**4)
+    for k, kind in enumerate("sdszsdss"):
+        block = doubles[64 * k:64 * (k + 1)]
+        if kind == "d":
+            block[:] = rng.standard_normal(64)
+        elif kind == "s":
+            at = rng.choice(64, 9, replace=False)
+            block[at] = rng.choice([0.5, -0.25, 1 / 3, 1e16], 9)
+    return _doubles_basis(doubles)
+
+
+def _late_special_basis():
+    # finite doubles in the first spans; NaN, +-Infinity and -0.0 only in the last block
+    doubles = np.zeros(2 * 4**4)
+    doubles[:448:7] = np.arange(1, 65) / 9
+    doubles[448::11] = [np.nan, np.inf, -np.inf, -0.0, 0.5, np.nan]
+    return _doubles_basis(doubles)
+
+
+def _exact_span_basis():
+    # blocks of 32, 32 and 1 doubles that are not +0.0, then sparse ones: the first span
+    # holds exactly SMALL_BLOCK of them, and the third block starts the next
+    doubles = np.zeros(2 * 4**4)
+    doubles[0:32] = np.arange(1, 33) / 7
+    doubles[64:128:2] = -np.arange(1, 33) / 7
+    doubles[130] = 2.5
+    doubles[200:264:3] = 0.75
+    return _doubles_basis(doubles)
+
+
+SPAN_BASES = {
+    "mixed-density": _mixed_density_basis,
+    "late-special": _late_special_basis,
+    "exact-span": _exact_span_basis,
+}
+
+
+class TestSpans:
+    @pytest.mark.parametrize("name", sorted(SPAN_BASES))
+    def test_same_text_as_stdlib_encoder(self, name, monkeypatch):
+        monkeypatch.setattr(fileio, "_BLOCK_DOUBLES", SMALL_BLOCK)
+        basis = SPAN_BASES[name]()
+        text = _dumped_text(basis)
+        assert text == _oracle_text(basis)
+        assert b"".join(basis_bytes(basis)) == text.encode()
+        sizes = _span_sizes(basis, monkeypatch)
+        assert sizes == _greedy_spans(basis, SMALL_BLOCK)
+        assert 1 < len(sizes) < 8  # several spans, and one of them of several blocks
+
+    def test_exact_span_is_full(self, monkeypatch):
+        monkeypatch.setattr(fileio, "_BLOCK_DOUBLES", SMALL_BLOCK)
+        # the third block would make it one double too many
+        assert _span_sizes(_exact_span_basis(), monkeypatch)[0] == SMALL_BLOCK
+
+    def test_special_values_only_in_the_last_span(self, monkeypatch):
+        monkeypatch.setattr(fileio, "_BLOCK_DOUBLES", SMALL_BLOCK)
+        formatted = []
+        monkeypatch.setattr(fileio, "_json_float", lambda x: formatted.append(x) or
+                            fileio._JSON_NONFINITE.get(repr(x), repr(x)))
+        basis = _late_special_basis()
+        assert b"".join(basis_bytes(basis)) == _oracle_text(basis).encode()
+        # only the last span, of one block, has a double that is not finite
+        assert len(formatted) == 5 and math.isnan(formatted[-1])
+
+    @pytest.mark.parametrize("d", [3, 4, 7])
+    def test_dense_spans_stay_bounded(self, d, monkeypatch):
+        monkeypatch.setattr(fileio, "_BLOCK_DOUBLES", SMALL_BLOCK)
+        rng = np.random.default_rng(d)
+        basis = _doubles_basis(rng.standard_normal(2 * d**4), d)
+        block_doubles = max(1, SMALL_BLOCK // (2 * d * d)) * 2 * d * d
+        sizes = _span_sizes(basis, monkeypatch)
+        assert max(sizes) <= SMALL_BLOCK + block_doubles
+        assert sizes == _greedy_spans(basis, block_doubles)
+        assert sum(sizes) == 2 * d**4
+        assert b"".join(basis_bytes(basis)) == _oracle_text(basis).encode()
 
 
 def _matrix_to_obj_per_entry(m):
@@ -620,3 +738,23 @@ def test_rejected_file_stops_the_rewrite_at_the_first_mismatch(tmp_path, monkeyp
         assert scan_layout(fh) is None
     assert mismatches == [len(writes)] and len(writes) < clean_writes // 2
     assert load_basis(path).ops.tobytes() == basis.ops.tobytes()
+
+
+def test_rejected_file_formats_one_span(tmp_path, monkeypatch):
+    # Fourier d=12 in blocks of 3 operators and spans of 14 blocks: a first 1.0
+    # spelled another way fails the write-back in the first span, and no later span
+    # is formatted
+    monkeypatch.setattr(fileio, "_BLOCK_DOUBLES", 1024)
+    basis = fourier_basis(12)
+    text = _dumped_text(basis)
+    path = tmp_path / "b.json"
+    path.write_text(text)
+    spans = _record_spans(monkeypatch)
+    with open(path, "rb") as fh:
+        assert scan_layout(fh) is not None
+    assert len(spans) == 4
+    spans.clear()
+    path.write_text(text.replace("\n          1.0,", "\n          1.00,", 1))
+    with open(path, "rb") as fh:
+        assert scan_layout(fh) is None
+    assert len(spans) == 1
