@@ -16,6 +16,7 @@ command lines with identical seeds produce byte-identical report files.
 """
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -91,25 +92,13 @@ def cmd_gen(args):
 
 
 def cmd_verify(args):
-    basis = load_basis(args.basis)
-    report = verify_unitary_basis(basis, args.tol)
-    print(report.summary())
-    if args.report:
-        save_json(report_to_obj(report), args.report)
-    if not report:
-        print("offending pair: %s" % (tuple(report.witnesses[0]["pair"]),))
-        return 1
-    return 0
+    report = verify_unitary_basis(load_basis(args.basis), args.tol)
+    return report, ["offending pair: %s" % (tuple(w["pair"]),) for w in report.witnesses[:1]]
 
 
 def cmd_factorize(args):
-    u = matrix_from_obj(load_json(args.matrix))
-    try:
-        result = factor_local(u, args.tol)
-    except ValueError as exc:
-        # non-unitary or misshaped input is a usage problem, not a verdict
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
+    # non-unitary or misshaped input raises ValueError: a usage problem, not a verdict
+    result = factor_local(matrix_from_obj(load_json(args.matrix)), args.tol)
     print("kind: %s" % result.kind)
     print("residual: %.6e" % result.residual)
     obj = {"kind": result.kind, "residual": result.residual}
@@ -135,15 +124,10 @@ def _load_entangled(path, tol):
 
 def cmd_check_bell_all(args):
     basis = _load_entangled(args.basis, INPUT_TOL) if args.basis else bell_basis()
-    reports = [
+    return [
         check_bell_condition(basis, cond, trials=args.trials, seed=args.seed, tol=args.tol)
         for cond in (2, 4, 5, 6)
-    ]
-    for rep in reports:
-        print(rep.summary())
-    if args.report:
-        save_json([report_to_obj(r) for r in reports], args.report)
-    return 0 if all(r.passed for r in reports) else 1
+    ], []
 
 
 def cmd_check_universality(args):
@@ -157,11 +141,7 @@ def cmd_check_universality(args):
             seed=args.seed,
             threshold=args.tol,
         )
-    print(rep.summary())
-    print("verdict: %s" % rep.verdict)
-    if args.report:
-        save_json(report_to_obj(rep), args.report)
-    return 0 if rep.passed else 1
+    return rep, ["verdict: %s" % rep.verdict]
 
 
 # N generators have order 2^((N-1)/2) and the check forms about N^2/2 products
@@ -177,24 +157,15 @@ def cmd_check_clifford(args):
     if args.count > MAX_CLIFFORD_COUNT:
         raise ValueError("generator count must be at most %d, got %d"
                          % (MAX_CLIFFORD_COUNT, args.count))
-    gens = build_clifford_generators(args.count)
-    rep = clifford_check(gens, tol=args.tol)
-    print(rep.summary())
-    print("count %d acting on dimension %d (expected %s)"
-          % (rep.details["count"], rep.details["dimension"],
-             rep.details.get("expected_dimension")))
-    if args.report:
-        save_json(report_to_obj(rep), args.report)
-    return 0 if rep.passed else 1
+    rep = clifford_check(build_clifford_generators(args.count), tol=args.tol)
+    return rep, ["count %d acting on dimension %d (expected %s)"
+                 % (rep.details["count"], rep.details["dimension"],
+                    rep.details.get("expected_dimension"))]
 
 
 def cmd_check_det_criterion(args):
     rep = check_det_criterion_agreement(trials=args.trials, seed=args.seed, tol=args.tol)
-    print(rep.summary())
-    print("verdict: %s" % rep.verdict)
-    if args.report:
-        save_json(report_to_obj(rep), args.report)
-    return 0 if rep.passed else 1
+    return rep, ["verdict: %s" % rep.verdict]
 
 
 def _add_check_flags(p, sampled=True):
@@ -205,6 +176,9 @@ def _add_check_flags(p, sampled=True):
     p.add_argument("--report", metavar="FILE", help="write a JSON report")
 
 
+# one parser per process: each parse_args makes a fresh Namespace, so no state
+# passes from one main() call to the next
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="entbasis",
@@ -269,12 +243,22 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         # every subcommand takes --tol
         require_tolerance(args.tol)
-        return args.func(args)
+        result = args.func(args)
+        if isinstance(result, int):  # gen and factorize print and write their own output
+            return result
+        # a check's report (bell-all's a list, as in its file) and the lines after the summaries
+        found, lines = result
+        one = not isinstance(found, list)
+        reports = [found] if one else found
+        print("\n".join([r.summary() for r in reports] + lines))
+        if args.report:
+            objs = [report_to_obj(r) for r in reports]
+            save_json(objs[0] if one else objs, args.report)
+        return 0 if all(r.passed for r in reports) else 1
     except (ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

@@ -1,16 +1,18 @@
 """Tests for the command-line interface: exit codes, file formats,
 deterministic reports."""
 
+import argparse
 import json
 import warnings
 
 import numpy as np
 import pytest
 
-from entbasis import flip_operator, haar_unitary, tensor, verify_unitary_basis
-from entbasis.cli import main
+from entbasis import flip_operator, fourier_basis, haar_unitary, tensor, verify_unitary_basis
+from entbasis.cli import build_parser, main
 from entbasis.fileio import (
     basis_from_obj,
+    basis_to_obj,
     load_basis,
     load_json,
     matrix_to_obj,
@@ -389,3 +391,88 @@ def test_verify_and_bell_all_read_compact_json(tmp_path):
     compact.write_text(json.dumps(load_json(out)))
     assert main(["verify", str(compact)]) == 0
     assert main(["check", "bell-all", "--basis", str(compact), "--trials", "20"]) == 1
+
+
+def _run(argv, capsys, report=None):
+    """Exit code (main's, or argparse's SystemExit), stdout, stderr and report bytes."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err, report.read_bytes() if report else None
+
+
+def test_parser_built_once_per_process(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    build_parser.cache_clear()
+    build_parser()
+    one_tree = len(built)
+    assert one_tree > 1
+    built.clear()
+    build_parser.cache_clear()
+    for argv in (["gen", "--dim", "2"], ["verify", "missing.json"],
+                 ["check", "det-criterion", "--trials", "10"], ["check", "clifford", "--count", "3"],
+                 ["factorize", "missing.json"]):
+        main(argv)
+    capsys.readouterr()
+    assert len(built) == one_tree
+
+
+def test_reused_parser_is_stateless(tmp_path, monkeypatch, capsys):
+    # each call on the shared parser matches the same call on a freshly built one
+    monkeypatch.chdir(tmp_path)
+    save_json(matrix_to_obj(np.array([[1, 1], [1, -1]], dtype=complex)), "h.json")
+    calls = [
+        (["check", "universality", "--dim", "3", "--candidates", "3", "--trials", "10"], None),
+        (["check", "nope"], None),
+        (["verify", "missing.json"], None),
+        (["check", "bell-all", "--trials", "50", "--seed", "4", "--report", "a.json"],
+         tmp_path / "a.json"),
+        (["gen", "--dim", "2", "--construction", "custom", "--hadamard", "h.json"], None),
+        (["gen", "--dim", "2"], None),
+    ]
+    build_parser.cache_clear()
+    shared = [_run(argv, capsys, report) for argv, report in calls]
+    fresh = []
+    for argv, report in calls:
+        build_parser.cache_clear()
+        fresh.append(_run(argv, capsys, report))
+    assert shared == fresh
+    assert [r[0] for r in shared] == [0, 2, 2, 0, 0, 0]
+    # a subcommand's options do not reach the namespace of the next parse
+    parser = build_parser()
+    parser.parse_args(["check", "universality", "--dim", "3"])
+    assert not hasattr(parser.parse_args(["check", "bell-all"]), "dim")
+    parser.parse_args(["gen", "--dim", "2", "--hadamard", "x", "y"])
+    assert parser.parse_args(["gen", "--dim", "2"]).hadamard is None
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["check", "bell-all", "--help"]])
+def test_help_same_on_first_and_later_calls(argv, capsys):
+    build_parser.cache_clear()
+    first = _run(argv, capsys)
+    assert _run(["check", "det-criterion", "--trials", "10"], capsys)[0] == 0
+    assert first[0] == 0 and first[1].startswith("usage: entbasis")
+    assert _run(argv, capsys) == first
+
+
+def test_verify_prints_every_line_before_writing_its_report(tmp_path, capsys):
+    # the report is written after stdout, so a report that cannot be written (exit 2)
+    # still follows the summary and the offending pair
+    basis = tmp_path / "b.json"
+    obj = basis_to_obj(fourier_basis(2))
+    obj["operators"][1] = obj["operators"][0]
+    save_json(obj, basis)
+    assert main(["verify", str(basis), "--report", str(tmp_path / "no" / "r.json")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[1:] == ["offending pair: (0, 1)"]
+    assert captured.out.startswith("unitary-basis ") and "FAIL" in captured.out
+    assert captured.err.startswith("error: ")
