@@ -21,6 +21,7 @@ This module provides:
     by the sign of their determinant.
 """
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,21 +141,30 @@ def theta_n(n):
     return AntilinearOp(m.astype(complex))
 
 
-def _covariance_violations(a, trials, seed, tol, phase):
-    """Engine run of ||U A U^T - omega A||_F over Haar U; see check_universality."""
-    d = a.shape[0]
+def _covariance_violations(a, trials, seed, tol, phase, per_candidate=None):
+    """Engine run of ||U A U^T - omega A||_F over Haar U; see check_universality. a is one
+    matrix, or a stack of candidates of which trial t tries a[t // per_candidate]."""
+    a = a.reshape(-1, *a.shape[-2:])
+    d = a.shape[-1]
 
     def draw(rng, idx):
-        return haar_unitary(d, rng, count=len(idx))
+        return haar_unitary(d, rng, count=len(idx)), idx // (per_candidate or trials)
 
-    def measure(u):
-        conjugated = (u.reshape(-1, d) @ a).reshape(u.shape) @ u.swapaxes(-1, -2)
+    def measure(batch):
+        u, cand = batch
+        # U A as one GEMM per candidate in the chunk, then U A U^T over the whole chunk
+        ua = np.empty_like(u)
+        rows = np.searchsorted(cand, np.arange(cand[0], cand[-1] + 2))
+        for c, lo, hi in zip(range(cand[0], cand[-1] + 1), rows, rows[1:]):
+            np.matmul(u[lo:hi].reshape(-1, d), a[c], out=ua[lo:hi].reshape(-1, d))
+        conjugated = ua @ u.swapaxes(-1, -2)
+        a_t = a[cand[0]] if cand[0] == cand[-1] else a[cand]  # one candidate broadcasts
         if phase == "det":
             omega = np.linalg.det(u)
         else:
-            z = (a.conj() * conjugated).sum(axis=(1, 2))  # tr(A^dag U A U^T)
+            z = (a_t.conj() * conjugated).sum(axis=(1, 2))  # tr(A^dag U A U^T)
             omega = np.divide(z, np.abs(z), out=np.ones_like(z), where=z != 0)
-        return np.linalg.norm(conjugated - omega[:, None, None] * a, axis=(1, 2))
+        return np.linalg.norm(conjugated - omega[:, None, None] * a_t, axis=(1, 2))
 
     return sample_violations(trials, seed, tol, draw, measure, d * d)
 
@@ -180,31 +190,28 @@ def universality_search(dim=3, candidates=50, trials=100, seed=0, threshold=0.1)
     """Try to break phase-covariance for every sampled antilinear candidate.
 
     Draws `candidates` random nonzero matrices A (normalized in Frobenius
-    norm) and, for each, searches `trials` Haar unitaries for a
-    phase-minimized violation of U A U^T = omega A. The report passes when
-    every candidate is violated beyond `threshold`; max_violation records
-    the weakest violation found, i.e. the most covariant candidate. At
-    dim >= 3 no antilinear operator at all is covariant, so the search
-    succeeds for every candidate; at dim=2 only the spin flip direction
-    would survive it.
+    norm) and, for each, searches `trials` Haar unitaries for a phase-minimized
+    violation of U A U^T = omega A, in one engine run where trial t tries
+    candidate t // trials. The report passes when every candidate is violated
+    beyond `threshold`; max_violation records the weakest violation found,
+    i.e. the most covariant candidate. At dim >= 3 no antilinear operator at
+    all is covariant, so the search succeeds for every candidate; at dim=2
+    only the spin flip direction would survive it.
     """
     require_positive(dim, "dim")
-
-    def draw(rng, idx):
-        shape = (len(idx), dim, dim)
-        a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        return a / np.linalg.norm(a, axis=(1, 2), keepdims=True), rng
-
-    def measure(batch):
-        # a candidate's violation is the worst over its trials, drawn from the same stream
-        cands, rng = batch
-        return np.array([
-            _covariance_violations(a, trials, rng, threshold, "best")[0].max() for a in cands
-        ])
-
-    violations, witnesses = sample_violations(
-        candidates, seed, threshold, draw, measure, dim * dim, unit="candidate"
+    require_positive(candidates, "candidates")
+    require_positive(trials)
+    require_tolerance(threshold)
+    # the root of the seed's spawn tree: chunk c of the engine draws from its child (c,)
+    rng = np.random.default_rng(operator.index(seed))
+    shape = (candidates, dim, dim)
+    a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    a /= np.linalg.norm(a, axis=(1, 2), keepdims=True)
+    violations, witnesses = _covariance_violations(
+        a, candidates * trials, seed, threshold, "best", trials
     )
+    # a candidate's violation is the worst over its trials
+    violations = violations.reshape(candidates, trials).max(axis=1)
     weakest = violations.min()
     passed = bool(weakest > threshold)
     return CheckReport(
@@ -218,7 +225,8 @@ def universality_search(dim=3, candidates=50, trials=100, seed=0, threshold=0.1)
             if passed
             else "no violation found for some candidate"
         ),
-        witnesses=tuple(witnesses) if passed else (),
+        witnesses=tuple({"candidate": w["trial"] // trials, **w} for w in witnesses)
+        if passed else (),
         details={"dim": dim, "candidates": candidates,
                  "weakest_candidate": int(violations.argmin())},
     )

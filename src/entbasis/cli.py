@@ -44,7 +44,7 @@ from .fileio import (
     save_json,
 )
 from .hadamard import cyclic_latin_square, sylvester_hadamard
-from .reports import INPUT_TOL, TOL, require_tolerance
+from .reports import INPUT_TOL, TOL, require_positive, require_tolerance
 
 __all__ = ["main"]
 
@@ -131,6 +131,7 @@ def cmd_check_bell_all(args):
 
 
 def cmd_check_universality(args):
+    require_positive(args.candidates, "candidates")  # at d=2 too, where none is drawn
     if args.dim == 2:
         rep = check_universality(theta2(1.0), trials=args.trials, seed=args.seed, tol=args.tol)
     else:

@@ -16,14 +16,15 @@ violating trials in order. The tolerances every module shares are named
 here once.
 """
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 __all__ = [
     "CheckReport", "MAX_WITNESSES", "CHUNK_ENTRIES", "TOL", "INPUT_TOL", "RANK_TOL", "LEAD_TOL",
-    "tolerance_report", "require_positive", "require_tolerance", "seed_tag", "chunk_size",
-    "chunk_rng", "sample_violations",
+    "tolerance_report", "require_positive", "require_tolerance", "chunk_size", "chunk_rng",
+    "sample_violations",
 ]
 
 # keep reports small and diffable; the seed makes the full set recoverable
@@ -107,30 +108,17 @@ def require_tolerance(tol):
         raise ValueError("tolerance must be finite and positive, got %r" % (tol,))
 
 
-def seed_tag(seed):
-    """{"seed": seed} for an integer seed; a Generator can be neither written nor replayed."""
-    if isinstance(seed, (int, np.integer)):
-        return {"seed": int(seed)}
-    return {}
-
-
 def chunk_size(per_trial):
     """Trials per chunk for a check whose largest per-trial array has per_trial entries."""
     return max(1, CHUNK_ENTRIES // per_trial)
 
 
 def chunk_rng(seed, chunk):
-    """Generator of one chunk: spawn key (chunk,) of an integer seed.
-
-    A Generator seed is drawn from chunk after chunk instead; such a run
-    cannot be replayed from its report, and its witnesses carry no seed.
-    """
-    if isinstance(seed, np.random.Generator):
-        return seed
+    """Generator of one chunk: spawn key (chunk,) of an integer seed."""
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(chunk,)))
 
 
-def sample_violations(trials, seed, tol, draw, measure, per_trial, unit="trial"):
+def sample_violations(trials, seed, tol, draw, measure, per_trial):
     """The sampled-check engine: per-trial violations and the first witnesses.
 
     Trials run in chunks of chunk_size(per_trial). For each chunk,
@@ -142,13 +130,15 @@ def sample_violations(trials, seed, tol, draw, measure, per_trial, unit="trial")
     chunk positions of that chunk's witnesses only, and returns one entry
     per row: a field that costs more than the violation itself (an SVD
     residual, say) is then computed for at most MAX_WITNESSES trials of the
-    whole run. Every trial with violation >= tol is a witness {unit: index,
+    whole run. Every trial with violation >= tol is a witness {"trial": index,
     "seed": seed, "violation": v, **fields}, up to MAX_WITNESSES, in trial
-    order. A bad trial count or tol is refused before the first draw.
+    order. A bad trial count, tol or seed (an integer: a Generator's run could
+    not be replayed) is refused before the first draw.
     Returns the violations of all trials and the witnesses for the report.
     """
-    require_positive(trials, unit + "s")
+    require_positive(trials)
     require_tolerance(tol)
+    seed = operator.index(seed)
     step = chunk_size(per_trial)
     violations = np.empty(trials)
     witnesses = []
@@ -166,7 +156,7 @@ def sample_violations(trials, seed, tol, draw, measure, per_trial, unit="trial")
             picked = {name: np.asarray(f)[rows] for name, f in fields.items()}
         for j, k in enumerate(rows):
             witnesses.append(
-                {unit: int(idx[k]), **seed_tag(seed), "violation": float(violations[idx[k]]),
+                {"trial": int(idx[k]), "seed": seed, "violation": float(violations[idx[k]]),
                  **{name: np.asarray(f)[j].tolist() for name, f in picked.items()}}
             )
     return violations, witnesses

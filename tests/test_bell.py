@@ -448,23 +448,27 @@ def _cond(c):
     (lambda tol: check_universality(theta2(), trials=2000, tol=tol, phase="best"), 2000),
     (lambda tol: check_det_criterion_agreement(trials=2000, tol=tol), 2000),
     (lambda tol: check_preserves_max_entangled(CNOT, trials=2000, tol=tol), 2000),
+    (lambda tol: universality_search(dim=3, candidates=20, trials=100, threshold=tol), 20 * 100),
 ], ids=["bell-2", "bell-3", "bell-4", "bell-5", "bell-6", "universality", "universality-best",
-        "det-criterion", "preserves"])
+        "det-criterion", "preserves", "search"])
 def test_meaningless_tolerance_refused_before_the_first_draw(run, drawn, monkeypatch):
     draws = []
 
-    def counting_engine(trials, seed, tol, draw, measure, per_trial, unit="trial"):
+    def counting_engine(trials, seed, tol, draw, measure, per_trial):
         def counted(rng, idx):
             draws.append(len(idx))
             return draw(rng, idx)
-        return reports.sample_violations(trials, seed, tol, counted, measure, per_trial, unit)
+        return reports.sample_violations(trials, seed, tol, counted, measure, per_trial)
 
     monkeypatch.setattr(bell, "sample_violations", counting_engine)
     monkeypatch.setattr(factorize, "sample_violations", counting_engine)
+    made = []  # Generators built, so a draw outside the engine (the search's candidates) counts
+    real_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda *seed: made.append(seed) or real_rng(*seed))
     for tol in (float("nan"), 0.0, -1.0, float("inf")):
         with pytest.raises(ValueError, match="tolerance"):
             run(tol)
-    assert draws == []
+    assert draws == [] and made == []
     run(1e-10)  # with a tolerance that means something, the same check draws every trial
     assert sum(draws) == drawn
 

@@ -373,6 +373,16 @@ def test_universality_search_threshold_is_tol(tmp_path, capsys):
     assert [r["threshold"] for r in reports.values()] == [1e-10, 5.0]
 
 
+@pytest.mark.parametrize("dim", ["2", "3"])
+@pytest.mark.parametrize("candidates", ["0", "-5"])
+def test_candidates_below_one_refused_at_every_dim(dim, candidates, capsys):
+    # d=2 draws no candidate, but a count below one is still a bad command line
+    argv = ["check", "universality", "--dim", dim, "--candidates", candidates, "--trials", "5"]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: candidates must be at least 1, got %s\n" % candidates
+
+
 def test_factorize_numeric_string_entry_is_usage_error(tmp_path, capsys):
     path = tmp_path / "u.json"
     path.write_text(json.dumps({"rows": 2, "cols": 2,

@@ -39,12 +39,14 @@ from entbasis import (
     vector_from_operator,
 )
 from entbasis import bell, factorize, linalg, reports
-from entbasis.fileio import report_to_obj
+from entbasis.cli import main
+from entbasis.fileio import load_json, report_to_obj
 from entbasis.reports import MAX_WITNESSES, chunk_rng, chunk_size
 
 FOURIER3 = fourier_basis(3)
 CNOT = np.eye(4)[[0, 1, 3, 2]].astype(complex)
 D3_CANDIDATE = np.array([[1, 2j, 0], [0, 1, -1], [1j, 0, 2]]) / 3.5
+ORACLE_SEED = 5
 
 
 class Recorder:
@@ -53,7 +55,7 @@ class Recorder:
     def __init__(self):
         self.runs = []
 
-    def __call__(self, trials, seed, tol, draw, measure, per_trial, unit="trial"):
+    def __call__(self, trials, seed, tol, draw, measure, per_trial):
         chunks = []
 
         def recorded(batch):
@@ -61,7 +63,7 @@ class Recorder:
             chunks.append(np.asarray(out[0] if isinstance(out, tuple) else out))
             return out
 
-        result = reports.sample_violations(trials, seed, tol, draw, recorded, per_trial, unit)
+        result = reports.sample_violations(trials, seed, tol, draw, recorded, per_trial)
         self.runs.append({"trials": trials, "seed": seed, "tol": tol, "draw": draw,
                           "per_trial": per_trial, "violations": np.concatenate(chunks)})
         return result
@@ -123,10 +125,11 @@ def cond5(basis):
     return oracle
 
 
-def covariance(a, phase):
-    def oracle(idx, us):
+def covariance(candidates, phase):
+    def oracle(idx, batch):
         out = []
-        for u in us:
+        for u, c in zip(*batch):
+            a = candidates[c]
             conjugated = u @ a @ u.T
             if phase == "det":
                 omega = np.linalg.det(u)
@@ -136,6 +139,13 @@ def covariance(a, phase):
             out.append(np.linalg.norm(conjugated - omega * a))
         return out
     return oracle
+
+
+def search_candidates(count, seed, dim=3):
+    """universality_search's candidates, drawn again from the root of the seed's spawn tree."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((count, dim, dim)) + 1j * rng.standard_normal((count, dim, dim))
+    return a / np.linalg.norm(a, axis=(1, 2), keepdims=True)
 
 
 def det_agreement(tol):
@@ -179,12 +189,17 @@ CASES = {
     "cond5-bell": (lambda n, s: check_bell_condition(bell_basis(), 5, n, s), cond5(bell_basis())),
     "cond5-fourier3": (lambda n, s: check_bell_condition(FOURIER3, 5, n, s), cond5(FOURIER3)),
     "universality-d2": (lambda n, s: check_universality(theta2(), n, s),
-                        covariance(theta2().matrix, "det")),
+                        covariance([theta2().matrix], "det")),
     "universality-d2-sigma3": (lambda n, s: check_universality(AntilinearOp(SIGMA3), n, s),
-                               covariance(SIGMA3, "det")),
+                               covariance([SIGMA3], "det")),
     "universality-d3-best": (
         lambda n, s: check_universality(AntilinearOp(D3_CANDIDATE), n, s, phase="best"),
-        covariance(D3_CANDIDATE.astype(complex), "best")),
+        covariance([D3_CANDIDATE], "best")),
+    # 7 candidates: the two-chunk run's 917 = 7 x 131 trials, so candidate 6 straddles the
+    # chunk boundary at 910; the oracle's candidates are those of the oracle test's seed
+    "universality-search": (
+        lambda n, s: universality_search(dim=3, candidates=7, trials=-(-n // 7), seed=s),
+        covariance(search_candidates(7, ORACLE_SEED), "best")),
     "det-criterion": (lambda n, s: check_det_criterion_agreement(n, s), det_agreement(1e-10)),
     "preserves-cnot": (lambda n, s: check_preserves_max_entangled(CNOT, n, s), preserves(CNOT)),
     "preserves-local3": (lambda n, s: check_preserves_max_entangled(LOCAL3, n, s),
@@ -208,7 +223,7 @@ def _per_trial(case):
 def test_engine_matches_one_trial_oracle(case, engine):
     run_check, oracle = CASES[case]
     trials = chunk_size(_per_trial(case)) + 7  # two chunks, the second one short
-    report = run_check(trials, 5)
+    report = run_check(trials, ORACLE_SEED)
     (run,) = engine.runs
     assert run["trials"] == trials == report.trials
     expected = np.concatenate([oracle(idx, batch) for idx, batch in redraw(run)])
@@ -216,7 +231,7 @@ def test_engine_matches_one_trial_oracle(case, engine):
     first = np.flatnonzero(expected >= run["tol"])[:MAX_WITNESSES].tolist()
     assert [w["trial"] for w in report.witnesses] == first
     for w in report.witnesses:
-        assert w["seed"] == 5
+        assert w["seed"] == ORACLE_SEED
         assert abs(w["violation"] - expected[w["trial"]]) <= 1e-12
 
 
@@ -285,31 +300,13 @@ def test_d3_reports_match_the_qr_samplers(case, engine, monkeypatch):
     monkeypatch.setattr(linalg, "_haar", linalg._qr_haar)
     monkeypatch.setattr(linalg, "_det", np.linalg.det)
     slow = D3_SAMPLED[case]()
-    half = len(engine.runs) // 2
-    assert half > 0 and fast.passed == slow.passed
-    assert [w.get("trial", w.get("candidate")) for w in fast.witnesses] \
-        == [w.get("trial", w.get("candidate")) for w in slow.witnesses]
-    for fast_run, slow_run in zip(engine.runs[:half], engine.runs[half:]):
-        assert np.all(np.abs(fast_run["violations"] - slow_run["violations"])
-                      <= 1e-12 * np.abs(slow_run["violations"]))
+    fast_run, slow_run = engine.runs
+    assert fast.passed == slow.passed
+    assert [w["trial"] for w in fast.witnesses] == [w["trial"] for w in slow.witnesses]
+    assert np.all(np.abs(fast_run["violations"] - slow_run["violations"])
+                  <= 1e-12 * np.abs(slow_run["violations"]))
     for w_fast, w_slow in zip(fast.witnesses, slow.witnesses):
         assert abs(w_fast["violation"] - w_slow["violation"]) <= 1e-12 * abs(w_slow["violation"])
-
-
-def test_universality_search_matches_check_universality_per_candidate(engine):
-    # each candidate's trials come from its chunk's stream, right after the candidates
-    report = universality_search(dim=3, candidates=5, trials=30, seed=2)
-    outer = engine.runs[-1]
-    assert outer["trials"] == 5
-    expected = []
-    for idx, (cands, rng) in redraw(outer):
-        for a in cands:
-            sub = check_universality(AntilinearOp(a), 30, rng, tol=0.1, phase="best")
-            expected.append(sub.max_violation)
-    assert np.abs(outer["violations"] - expected).max() <= 1e-12
-    assert report.max_violation == min(expected)
-    assert report.details["weakest_candidate"] == int(np.argmin(expected))
-    assert [w["candidate"] for w in report.witnesses] == list(range(5))
 
 
 def test_bell_basis_checks_pass_across_chunks():
@@ -358,12 +355,55 @@ def test_chunk_size_is_derived_from_entries_per_trial():
     assert chunk_size(24 ** 4) == 1
 
 
-def test_generator_seed_runs_one_stream():
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_seed_is_an_integer(case, engine):
+    # a Generator seed would run one stream through every chunk, which no report could replay
     rng = np.random.default_rng(4)
-    report = check_bell_condition(FOURIER3, 4, trials=60, seed=rng)
-    assert not report.passed
-    assert all("seed" not in w for w in report.witnesses)
+    state = rng.bit_generator.state
+    with pytest.raises(TypeError):
+        CASES[case][0](60, rng)
+    assert rng.bit_generator.state == state and engine.runs == []
+    report = CASES[case][0](60, np.int64(4))
+    assert all(type(w["seed"]) is int and w["seed"] == 4 for w in report.witnesses)
     json.dumps(report_to_obj(report))
+
+
+def test_default_search_is_one_engine_run(engine, monkeypatch):
+    # 50 x 100 flat trials in ceil(5000 / chunk_size(9)) Haar stacks, not one stack per candidate
+    counts = []
+
+    def counted(d, seed, count):
+        counts.append(count)
+        return haar_unitary(d, seed, count)
+
+    monkeypatch.setattr(bell, "haar_unitary", counted)
+    report = universality_search(dim=3)
+    (run,) = engine.runs
+    assert run["trials"] == report.trials == 5000
+    assert len(counts) == -(-5000 // chunk_size(9)) == 6 and sum(counts) == 5000
+    # a candidate's violation is the worst of its own 100 trials
+    per_candidate = [run["violations"][100 * c:100 * (c + 1)].max() for c in range(50)]
+    assert report.max_violation == min(per_candidate)
+    assert report.details["weakest_candidate"] == int(np.argmin(per_candidate))
+
+
+@pytest.mark.parametrize("trials", ["3", "1000"])  # 8 witnesses over 3 candidates, or 1
+def test_search_witnesses_replay_from_their_report(trials, tmp_path, capsys):
+    path = tmp_path / "u3.json"
+    argv = ["check", "universality", "--dim", "3", "--trials", trials, "--seed", "4"]
+    assert main(argv + ["--report", str(path)]) == 0
+    obj = load_json(path)
+    candidates = obj["details"]["candidates"]
+    assert len(obj["witnesses"]) == MAX_WITNESSES
+    step = chunk_size(9)
+    for w in obj["witnesses"]:
+        assert w["candidate"] == w["trial"] // int(trials)
+        a = search_candidates(candidates, w["seed"])[w["candidate"]]
+        chunk, k = divmod(w["trial"], step)
+        count = min(step, obj["trials"] - chunk * step)
+        u = haar_unitary(3, chunk_rng(w["seed"], chunk), count=count)[k]
+        (violation,) = covariance([a], "best")(None, ([u], [0]))
+        assert abs(violation - w["violation"]) <= 1e-12
 
 
 class TestLazyFields:
@@ -402,11 +442,11 @@ class TestLazyFields:
     def test_condition_3_residuals_only_for_witnesses(self, monkeypatch):
         lazy = check_bell_condition(FOURIER3, 3, trials=300, seed=2)
 
-        def eager_engine(trials, seed, tol, draw, measure, per_trial, unit="trial"):
+        def eager_engine(trials, seed, tol, draw, measure, per_trial):
             def eager(batch):
                 v, fields = measure(batch)
                 return v, fields(np.arange(len(v)))
-            return reports.sample_violations(trials, seed, tol, draw, eager, per_trial, unit)
+            return reports.sample_violations(trials, seed, tol, draw, eager, per_trial)
 
         with monkeypatch.context() as mp:
             mp.setattr(bell, "sample_violations", eager_engine)
