@@ -112,6 +112,7 @@ class AntilinearOp:
         return self.matrix @ np.conj(other.matrix)
 
     def is_antiunitary(self, tol=TOL):
+        require_tolerance(tol)
         return bool(unitarity_residual(self.matrix) < tol)
 
 
@@ -406,6 +407,7 @@ def det_criterion(u, tol=TOL):
     "local" (U = U1 tensor U2), -1 means "local_flip"
     (U = (U1 tensor U2) F).
     """
+    require_tolerance(tol)
     u = np.asarray(u, dtype=complex)
     if u.shape != (4, 4):
         raise ValueError("determinant criterion lives on C^2 tensor C^2")

@@ -68,6 +68,8 @@ def cmd_gen(args):
     d = args.dim
     if d < 1:
         raise ValueError("dimension must be positive")
+    if args.construction != "custom" and (args.latin or args.hadamard):
+        raise ValueError("--latin and --hadamard need --construction custom")
     if args.construction == "fourier":
         basis = fourier_basis(d, args.tol)
     elif args.construction == "sylvester":

@@ -29,7 +29,7 @@ import numpy as np
 
 from .hadamard import is_hadamard, validate_latin_square, fourier_hadamard, cyclic_latin_square
 from .linalg import StateVector, unitarity_residual
-from .reports import TOL, tolerance_report
+from .reports import TOL, require_tolerance, tolerance_report
 
 __all__ = [
     "omega",
@@ -80,6 +80,7 @@ def reduced_density(v, side, tol=TOL):
     vector. For v = (X tensor I) Omega the results are (1/d) X X^dag and
     (1/d) X^T conj(X) respectively.
     """
+    require_tolerance(tol)
     if abs(v.norm - 1.0) > tol:
         raise ValueError("reduced density needs a unit vector, norm is %.6g" % v.norm)
     m = v.reshaped()

@@ -29,7 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import flip_operator, haar_unitary, tensor, unitarity_residual
-from .reports import INPUT_TOL, LEAD_TOL, RANK_TOL, TOL, sample_violations, tolerance_report
+from .reports import (INPUT_TOL, LEAD_TOL, RANK_TOL, TOL, require_tolerance,
+                      sample_violations, tolerance_report)
 
 __all__ = [
     "operator_schmidt",
@@ -128,6 +129,7 @@ def factor_local(u, tol=INPUT_TOL):
     on U F; each success returns the rescaled unitary factors and the
     reconstruction residual. "neither" reuses the two spectra it tested.
     """
+    require_tolerance(tol)
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValueError("operator must be square")

@@ -8,8 +8,8 @@ byte-identical files.
 
 Basis files are written by basis_bytes as ASCII bytes from the stacked
 operator array, a block of operators at a time: gen --out writes them,
-dump_basis decodes them into a text file and the layout reader compares them
-with the file it read. A shift-and-multiply operator has d nonzero entries
+dump_basis decodes them into a text file and scan_layout compares them with
+the file it read. A shift-and-multiply operator has d nonzero entries
 of d^2, so most doubles in the file are +0.0, the only double whose bits are
 all zero and the only one spelled "0.0", and the writer's work grows with
 the other doubles alone. Once per call it builds the bytes of a block of
@@ -25,28 +25,33 @@ stdlib encoder (pure Python once indent is set) is kept as the test oracle
 for it and writes the small files, matrices and reports, through save_json.
 Matrix data is read back with one numpy conversion per matrix.
 
-load_basis reads basis files back, and for text in dump_basis's exact
-layout it builds no JSON tree. layout.scan_layout matches the file head
-for dim and scans line-aligned windows of the bytes. Each double has a
-line of its own: a newline, ten spaces, the token, then "," or nothing. A
-"0.0" token costs no parse, since the result starts as +0.0; numpy's text
-reader parses the others, which must give 2 d^4 finite doubles.
-basis_bytes of that basis is then compared with the file, chunk by chunk,
-and the basis is taken only if every byte matches and none is left over.
-So the writer specifies the reader, and no number grammar is checked by
-hand: the bytes are what json.dump writes for this basis, each double
-spelled as its repr, which json reads back as the same double, and the
-result is bit for bit basis_from_obj(load_json(path)). Every other input
-goes to that pair of functions, unchanged: another spelling of a double
-("1.00", "1E+16", an integer), other whitespace, a non-finite token, a
-wrong count, dim < 1. It stays the fallback and the test oracle, so the
-ValueError is the same too. Files of at most 64 KiB go to it as well:
-json reads them in about a millisecond.
+load_basis reads basis files back, here too; a file over 64 KiB in
+dump_basis's exact layout goes to scan_layout, which builds no JSON tree.
+It matches the file head for dim and reads the rest in line-aligned
+windows of 256 KiB from a buffer that holds two, never the whole file: a
+whole-file scan of Fourier d=24 (17 MB) took 70 ms against 51 ms, and a
+fresh process that loaded it peaked at 79 MB against 52 MB. The basis it
+builds is the one buffer kept in pages of its own, mapped rather than from
+the heap (scan_layout gives the measured reason). Each double has a line
+of its own: a newline, ten spaces, the token, then "," or nothing. A "0.0"
+token costs no parse, since the result starts as +0.0; numpy's text reader
+parses the others, which must give 2 d^4 finite doubles. basis_bytes of
+that basis is then compared with the file, chunk by chunk, and the basis
+is taken only if every byte matches and none is left over. So the writer
+specifies the reader, and no number grammar is checked by hand: the bytes
+are what json.dump writes for this basis, each double spelled as its repr,
+which json reads back as the same double, and the result is bit for bit
+basis_from_obj(load_json(path)). Every other input goes to that pair of
+functions, unchanged: another spelling of a double ("1.00", "1E+16", an
+integer), other whitespace, a non-finite token, a wrong count, dim < 1. It
+stays the fallback and the test oracle, so the ValueError is the same too.
 """
 
 import json
 import math
+import mmap
 import os
+import re
 
 import numpy as np
 
@@ -193,7 +198,7 @@ def report_to_obj(report):
 # the text dump_basis writes around the doubles: the file's head, an operator's head
 # (%d: cols), the text between a pair's re and im, between two pairs, an operator's
 # tail (%d: rows), and the file's tail. scan_layout reads dim off the file's head and
-# leaves the rest to dump_basis, which it runs on what it read to check the file
+# leaves the rest to basis_bytes, which it runs on what it read to check the file
 FILE_HEAD = '{\n  "dim": %d,\n  "operators": ['
 OP_HEAD = '\n    {\n      "cols": %d,\n      "data": [\n        [\n          '
 RE_IM = ",\n          "
@@ -301,24 +306,115 @@ def load_json(path):
             raise ValueError("JSON nested too deeply") from exc
 
 
-def load_basis(path):
-    """basis_from_obj(load_json(path)), without the JSON tree for dump_basis's layout.
+# bytes read per window; the layout's lines are far shorter
+_WINDOW = 1 << 18
+_HEAD_RE = re.compile(re.escape(FILE_HEAD.encode()).replace(b"%d", b"([1-9][0-9]{0,8})"))
 
-    A file in that layout is scanned a window of lines at a time, and only
-    its doubles that are not 0.0 are parsed; any other text goes to
-    basis_from_obj(load_json(path)). Either way the basis is the same bit for
-    bit, and so is the ValueError (see the module docstring). A file of up to
-    _SCAN_MIN_BYTES goes to json too.
+
+def _line_windows(fh, start):
+    """start, then the rest of fh, as uint8 windows that each end with a newline.
+
+    Each is a view of one buffer, valid until the next is asked for. None
+    ends them at a line longer than a window or a last line without its
+    newline: the layout has neither."""
+    buf = bytearray(2 * _WINDOW)
+    view = np.frombuffer(buf, dtype=np.uint8)
+    have = len(start)
+    buf[:have] = start
+    while True:
+        got = fh.readinto(memoryview(buf)[have:have + _WINDOW])
+        total = have + got
+        cut = buf.rfind(b"\n", 0, total) + 1
+        have = total - cut
+        if have >= _WINDOW or have and not got:
+            yield None
+            return
+        yield view[:cut]
+        buf[:have] = buf[cut:total]
+        if not got:
+            return
+
+
+def _token_spans(a):
+    """Starts and ends of the tokens on the lines of window a with a space
+    at column 9 and none at 10. In the layout those are the doubles' lines (ten
+    spaces, the token, then "," or nothing)."""
+    nl = np.flatnonzero(a == 10)
+    starts = np.empty_like(nl)
+    starts[:1] = 0
+    starts[1:] = nl[:-1] + 1
+    long = nl - starts > 10
+    starts, nl = starts[long], nl[long]
+    hit = (a[starts + 9] == 32) & (a[starts + 10] != 32)
+    starts, nl = starts[hit] + 10, nl[hit]
+    return starts, nl - (a[nl - 1] == 44)
+
+
+def scan_layout(fh):
+    """The basis in the binary file fh if fh holds exactly dump_basis's text of it, else None.
+
+    The tokens on the doubles' lines must be 2 d^4 finite doubles, and
+    basis_bytes of the basis they make must give back every byte of fh.
     """
+    first_window = fh.read(_WINDOW)
+    head = _HEAD_RE.match(first_window)
+    if head is None:
+        return None
+    dim = int(head.group(1))
+    n = dim * dim
+    # every double takes at least "0.0" and a newline; no allocation for a header that lies
+    if 4 * 2 * n * n > os.fstat(fh.fileno()).st_size:
+        return None
+    # the basis in pages of its own, returned to the system when it is dropped: from the
+    # heap (np.zeros) it stayed resident after each verify, and basis-io's peak RSS read
+    # 136.7-137.2 MB against 130.8-131.8 MB (10 runs each, 2-core Xeon VM)
+    doubles = np.frombuffer(mmap.mmap(-1, 16 * n * n), dtype=float)
+    count = 0
+    for a in _line_windows(fh, first_window[head.end():]):
+        if a is None:
+            return None
+        ts, te = _token_spans(a)
+        if count + ts.size > doubles.size:
+            return None
+        # doubles is already +0.0: only the tokens that are not "0.0" are parsed
+        keep = te - ts != 3
+        t3 = ts[~keep]
+        keep[~keep] = (a[t3] != 48) | (a[t3 + 1] != 46) | (a[t3 + 2] != 48)
+        # each kept token with the byte after it, that byte made a newline
+        starts, ends = ts[keep], te[keep] + 1
+        offsets = np.cumsum(ends - starts)
+        text = a[np.repeat(ends - offsets, ends - starts) + np.arange(offsets[-1:].sum())]
+        text[offsets - 1] = 10
+        try:
+            values = np.fromstring(text.tobytes(), dtype=float, sep="\n")
+        except ValueError:
+            return None
+        if values.size != starts.size or not np.isfinite(values).all():
+            return None
+        doubles[count + np.flatnonzero(keep)] = values
+        count += ts.size
+    if count != doubles.size:
+        return None
+    basis = EntangledBasis(dim, doubles.view(complex).reshape(n, dim, dim))
+    fh.seek(0)
+    # basis_bytes is lazy: no span is formatted, and no block joined, after the first that differs
+    for chunk in basis_bytes(basis):
+        if fh.read(len(chunk)) != chunk:
+            return None
+    return basis if fh.read(1) == b"" else None
+
+
+def load_basis(path):
+    """basis_from_obj(load_json(path)), the same bit for bit and error for error; a file
+    over _SCAN_MIN_BYTES in dump_basis's layout is read by scan_layout, without a JSON tree."""
     basis = None
     with open(path, "rb") as fh:
         if os.fstat(fh.fileno()).st_size > _SCAN_MIN_BYTES:
-            from .layout import scan_layout  # loaded only by a process that reads a large file
-
             basis = scan_layout(fh)
     return basis_from_obj(load_json(path)) if basis is None else basis
 
 
-# json reads a file this small in about a millisecond; the scan's mapped buffers and
-# its module would only add to the memory of a process that reads no large file
+# json reads a small file faster than the scan sets up its windows and writes the
+# basis back: gen's d=3 file (5 KiB) took 0.17 ms through json and 0.25 ms through
+# the scan on a 2-core Xeon VM
 _SCAN_MIN_BYTES = 1 << 16

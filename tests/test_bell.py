@@ -28,6 +28,7 @@ from entbasis import (
     fourier_basis,
     haar_special_unitary,
     haar_unitary,
+    reduced_density,
     tensor,
     theta2,
     theta_n,
@@ -426,12 +427,20 @@ def test_sampled_checks_refuse_to_draw_nothing(run):
         run()
 
 
-@pytest.mark.parametrize("tol", [float("inf"), 0.0, float("nan"), -1.0])
+@pytest.mark.parametrize("tol", [float("inf"), 0.0, float("nan"), -1.0, -1e-3])
 @pytest.mark.parametrize("run", [
     lambda tol: check_bell_condition(bell_basis(), 6, tol=tol),
     lambda tol: check_bell_condition(bell_basis(), 2, trials=5, tol=tol),
     lambda tol: universality_search(candidates=1, trials=2, threshold=tol),
-], ids=["bell-6", "bell-2", "search"])
+    # not unitary, which inf would let through as "local"
+    lambda tol: factor_local(np.ones((4, 4)), tol=tol),
+    # NaN would call every input "not_real_in_bell"
+    lambda tol: det_criterion(CNOT, tol),
+    # not a unit vector, which NaN or inf would let through
+    lambda tol: reduced_density(StateVector(2, 2, np.array([1.0, 0, 0, 1.0])), "left", tol),
+    lambda tol: theta2().is_antiunitary(tol),
+], ids=["bell-6", "bell-2", "search", "factor_local", "det_criterion", "reduced_density",
+        "is_antiunitary"])
 def test_checks_refuse_meaningless_tolerance(run, tol):
     with pytest.raises(ValueError, match="tolerance"):
         run(tol)

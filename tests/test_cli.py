@@ -58,6 +58,20 @@ def test_gen_custom_hadamard(tmp_path):
     assert main(["verify", str(out)]) == 0
 
 
+@pytest.mark.parametrize("construction", ["fourier", "sylvester"])
+@pytest.mark.parametrize("flag", ["--latin", "--hadamard"])
+def test_gen_refuses_custom_flags_for_a_fixed_construction(construction, flag, tmp_path, capsys):
+    # the flag would be ignored: the file would be the construction's own basis
+    path, out = tmp_path / "in.json", tmp_path / "b.json"
+    save_json([[(i + j) % 4 for j in range(4)] for i in range(4)] if flag == "--latin"
+              else matrix_to_obj(np.array([[1, 1], [1, -1]], dtype=complex)), path)
+    argv = ["gen", "--dim", "4", "--construction", construction, flag, str(path),
+            "--out", str(out)]
+    assert main(argv) == 2
+    assert "need --construction custom" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_gen_custom_rejects_non_hadamard(tmp_path):
     hpath = tmp_path / "h.json"
     save_json(matrix_to_obj(np.eye(2)), hpath)

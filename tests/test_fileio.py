@@ -3,6 +3,7 @@
 import io
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,8 +32,9 @@ from entbasis import (
     validate_latin_square,
     verify_unitary_basis,
 )
-from entbasis import fileio, layout
+from entbasis import fileio
 from entbasis.fileio import (
+    _WINDOW,
     basis_bytes,
     basis_from_obj,
     basis_to_obj,
@@ -43,8 +45,8 @@ from entbasis.fileio import (
     matrix_to_obj,
     report_to_obj,
     save_json,
+    scan_layout,
 )
-from entbasis.layout import _WINDOW, scan_layout
 
 
 class TestMatrixRoundTrip:
@@ -705,29 +707,46 @@ def test_rejected_file_stops_the_rewrite_at_the_first_mismatch(tmp_path, monkeyp
     basis = fourier_basis(12)
     text = _dumped_text(basis)
     path = tmp_path / "b.json"
-    writes, mismatches = [], []
-    compare = layout._Compare.write
+    drawn, chunks = [], fileio.basis_bytes
 
-    def counted(self, chunk):
-        writes.append(len(chunk))
-        try:
-            compare(self, chunk)
-        except layout._Mismatch:
-            mismatches.append(len(writes))
-            raise
+    def counted(basis):
+        for chunk in chunks(basis):
+            drawn.append(chunk)
+            yield chunk
 
-    monkeypatch.setattr(layout._Compare, "write", counted)
+    monkeypatch.setattr(fileio, "basis_bytes", counted)
     path.write_text(text)
     with open(path, "rb") as fh:
         assert scan_layout(fh) is not None
-    clean_writes = len(writes)
-    assert clean_writes > 8 and not mismatches
-    writes.clear()
-    path.write_text(text.replace("\n          1.0,", "\n          1.00,", 1))
+    clean = len(drawn)
+    assert clean > 8
+    drawn.clear()
+    edited = text.replace("\n          1.0,", "\n          1.00,", 1).encode()
+    path.write_bytes(edited)
     with open(path, "rb") as fh:
         assert scan_layout(fh) is None
-    assert mismatches == [len(writes)] and len(writes) < clean_writes // 2
+    # every chunk drawn but the last matches the file; the last is the first that differs
+    *same, last = drawn
+    offset = sum(map(len, same))
+    assert edited[:offset] == b"".join(same) and edited[offset:offset + len(last)] != last
+    assert len(drawn) < clean // 2
     assert load_basis(path).ops.tobytes() == basis.ops.tobytes()
+
+
+def test_layout_scan_holds_the_basis_not_the_file(tmp_path):
+    # the scan reads the 17 MB file a window at a time: its traced peak is at most the
+    # basis and a few MB, where reading the whole file would add the file
+    basis = fourier_basis(24)
+    path = _write_basis(basis, tmp_path / "f24.json")
+    assert path.stat().st_size > 16 << 20
+    tracemalloc.start()
+    try:
+        read = load_basis(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert read.ops.tobytes() == basis.ops.tobytes()
+    assert peak <= basis.ops.nbytes + (4 << 20)
 
 
 def test_rejected_file_formats_one_span(tmp_path, monkeypatch):

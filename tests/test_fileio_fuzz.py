@@ -36,7 +36,7 @@ from entbasis.fileio import (  # noqa: E402
     load_json,
     matrix_from_obj,
 )
-from entbasis.layout import scan_layout  # noqa: E402
+from entbasis.fileio import scan_layout  # noqa: E402
 from test_entangled import assert_matches_dense_oracle  # noqa: E402
 from test_fileio import _assert_same_as_oracle, _is_repr  # noqa: E402
 
