@@ -27,24 +27,30 @@ Matrix data is read back with one numpy conversion per matrix.
 
 load_basis reads basis files back, here too; a file over 64 KiB in
 dump_basis's exact layout goes to scan_layout, which builds no JSON tree.
-It matches the file head for dim and reads the rest in line-aligned
-windows of 256 KiB from a buffer that holds two, never the whole file: a
-whole-file scan of Fourier d=24 (17 MB) took 70 ms against 51 ms, and a
-fresh process that loaded it peaked at 79 MB against 52 MB. The basis it
-builds is the one buffer kept in pages of its own, mapped rather than from
-the heap (scan_layout gives the measured reason). Each double has a line
-of its own: a newline, ten spaces, the token, then "," or nothing. A "0.0"
-token costs no parse, since the result starts as +0.0; numpy's text reader
-parses the others, which must give 2 d^4 finite doubles. basis_bytes of
-that basis is then compared with the file, chunk by chunk, and the basis
-is taken only if every byte matches and none is left over. So the writer
-specifies the reader, and no number grammar is checked by hand: the bytes
-are what json.dump writes for this basis, each double spelled as its repr,
-which json reads back as the same double, and the result is bit for bit
-basis_from_obj(load_json(path)). Every other input goes to that pair of
-functions, unchanged: another spelling of a double ("1.00", "1E+16", an
-integer), other whitespace, a non-finite token, a wrong count, dim < 1. It
-stays the fallback and the test oracle, so the ValueError is the same too.
+It matches the file head for dim and reads the rest in windows of 256 KiB,
+never the whole file: a whole-file scan of Fourier d=24 (17 MB) took 80 ms
+against 62 ms, and a fresh process that loaded it peaked at 104 MB against
+37 MB. The basis it builds is the one buffer kept in pages of its own,
+mapped rather than from the heap (scan_layout gives the measured reason).
+It starts as +0.0, so only the tokens that are not "0.0" are looked for.
+Marks: a token starts after two spaces with a byte in "-".."9" and is not
+"0.0" before "," or a newline; the comparisons go to bool buffers reused
+for every window. Each is cut as a row of _TOKEN bytes and ends at its
+first "," or newline. Slots: its offset less the extra bytes of the tokens
+before it (length - 3 each) is its "0.0"'s offset in a file of zeros, which
+the writer's own arithmetic (_zero_operator) turns into its double's index.
+Batches: numpy parses the rows each time they hold _BLOCK_DOUBLES tokens,
+and they must give finite doubles. basis_bytes of the basis they make is
+then compared with the file, chunk by chunk. That write-back is the only
+rule that accepts a file: every byte must match and none be left over.
+So the writer specifies the reader, and no number grammar is checked by
+hand: the bytes are what json.dump writes for this basis, each double
+spelled as its repr, which json reads back as the same double, and the
+result is bit for bit basis_from_obj(load_json(path)). Every other input
+goes to that pair of functions, unchanged: another spelling of a double
+("1.00", "1E+16", an integer), other whitespace, a non-finite token, a
+wrong count, dim < 1. It stays the fallback and the test oracle, so the
+ValueError is the same too.
 """
 
 import json
@@ -220,6 +226,15 @@ def _json_float(x):
     return _JSON_NONFINITE.get(text, text)
 
 
+def _zero_operator(rows, cols):
+    """The text of an operator whose doubles are all 0.0, and where their 0.0 start in it:
+    the first's offset, the step from one [re, im] pair to the next and from re to im.
+    Operators follow each other one comma apart."""
+    head, pair = OP_HEAD % cols, "0.0" + RE_IM + "0.0"
+    text = head + (pair + PAIR_SEP) * (rows * cols - 1) + pair + OP_TAIL % rows
+    return text, len(head), len(pair) + len(PAIR_SEP), len(pair) - 3
+
+
 def basis_bytes(basis):
     """The bytes save_json(basis_to_obj(basis), path) writes, in chunks: the head, each
     block of operators and the comma before it, the tail (see the module docstring)."""
@@ -229,7 +244,7 @@ def basis_bytes(basis):
     if not n:
         yield b"]\n}\n"
         return
-    head, tail, pairs = OP_HEAD % cols, OP_TAIL % rows, rows * cols
+    pairs = rows * cols
     step = max(1, _BLOCK_DOUBLES // (2 * pairs))
     block = min(step, n)
     # the text of a block of operators whose doubles are all 0.0, where each double's
@@ -237,14 +252,12 @@ def basis_bytes(basis):
     # The text between two slots is a memoryview of the template, not a copy: copied
     # slices of a kilobyte or so come from the C heap, and freed there between the
     # blocks' larger strings they left it fragmented and the process larger
-    pair = "0.0" + RE_IM + "0.0"
-    zero_op = head + (pair + PAIR_SEP) * (pairs - 1) + pair + tail
+    zero_op, first, stride, gap = _zero_operator(rows, cols)
     template = memoryview(",".join([zero_op] * block).encode())
-    slots = (np.arange(block)[:, None, None] * (len(zero_op) + 1) + len(head)
-             + np.arange(pairs)[:, None] * (len(pair) + len(PAIR_SEP))
-             + [0, len(pair) - 3]).reshape(-1)
+    slots = (np.arange(block)[:, None, None] * (len(zero_op) + 1) + first
+             + np.arange(pairs)[:, None] * stride + [0, gap]).reshape(-1)
     seps = np.array([RE_IM.encode(), PAIR_SEP.encode()] * pairs, dtype=object)
-    seps[-1] = (tail + "," + head).encode()
+    seps[-1] = (OP_TAIL % rows + "," + OP_HEAD % cols).encode()
     seps = np.tile(seps, block)
     # a complex array is its re, im doubles interleaved: the order the file lists them
     bits, size = ops.view(np.int64).reshape(-1), 2 * pairs * step
@@ -306,95 +319,89 @@ def load_json(path):
             raise ValueError("JSON nested too deeply") from exc
 
 
-# bytes read per window; the layout's lines are far shorter
+# bytes read per window, and per token: a double's longest repr has 24, then "," or a newline
 _WINDOW = 1 << 18
+_TOKEN = 25
 _HEAD_RE = re.compile(re.escape(FILE_HEAD.encode()).replace(b"%d", b"([1-9][0-9]{0,8})"))
-
-
-def _line_windows(fh, start):
-    """start, then the rest of fh, as uint8 windows that each end with a newline.
-
-    Each is a view of one buffer, valid until the next is asked for. None
-    ends them at a line longer than a window or a last line without its
-    newline: the layout has neither."""
-    buf = bytearray(2 * _WINDOW)
-    view = np.frombuffer(buf, dtype=np.uint8)
-    have = len(start)
-    buf[:have] = start
-    while True:
-        got = fh.readinto(memoryview(buf)[have:have + _WINDOW])
-        total = have + got
-        cut = buf.rfind(b"\n", 0, total) + 1
-        have = total - cut
-        if have >= _WINDOW or have and not got:
-            yield None
-            return
-        yield view[:cut]
-        buf[:have] = buf[cut:total]
-        if not got:
-            return
-
-
-def _token_spans(a):
-    """Starts and ends of the tokens on the lines of window a with a space
-    at column 9 and none at 10. In the layout those are the doubles' lines (ten
-    spaces, the token, then "," or nothing)."""
-    nl = np.flatnonzero(a == 10)
-    starts = np.empty_like(nl)
-    starts[:1] = 0
-    starts[1:] = nl[:-1] + 1
-    long = nl - starts > 10
-    starts, nl = starts[long], nl[long]
-    hit = (a[starts + 9] == 32) & (a[starts + 10] != 32)
-    starts, nl = starts[hit] + 10, nl[hit]
-    return starts, nl - (a[nl - 1] == 44)
 
 
 def scan_layout(fh):
     """The basis in the binary file fh if fh holds exactly dump_basis's text of it, else None.
 
-    The tokens on the doubles' lines must be 2 d^4 finite doubles, and
-    basis_bytes of the basis they make must give back every byte of fh.
+    The tokens that are not "0.0" must be finite doubles at slots of the
+    layout, and basis_bytes of the basis they make must give back every byte of fh.
     """
-    first_window = fh.read(_WINDOW)
-    head = _HEAD_RE.match(first_window)
+    size = os.fstat(fh.fileno()).st_size
+    cap = min(_WINDOW, size)
+    buf = bytearray(cap + _TOKEN)
+    a = np.frombuffer(buf, dtype=np.uint8)
+    total = fh.readinto(memoryview(buf)[:cap])
+    head = _HEAD_RE.match(buf, 0, total)
     if head is None:
         return None
     dim = int(head.group(1))
     n = dim * dim
     # every double takes at least "0.0" and a newline; no allocation for a header that lies
-    if 4 * 2 * n * n > os.fstat(fh.fileno()).st_size:
+    if 4 * 2 * n * n > size:
         return None
     # the basis in pages of its own, returned to the system when it is dropped: from the
     # heap (np.zeros) it stayed resident after each verify, and basis-io's peak RSS read
     # 136.7-137.2 MB against 130.8-131.8 MB (10 runs each, 2-core Xeon VM)
     doubles = np.frombuffer(mmap.mmap(-1, 16 * n * n), dtype=float)
-    count = 0
-    for a in _line_windows(fh, first_window[head.end():]):
-        if a is None:
-            return None
-        ts, te = _token_spans(a)
-        if count + ts.size > doubles.size:
-            return None
-        # doubles is already +0.0: only the tokens that are not "0.0" are parsed
-        keep = te - ts != 3
-        t3 = ts[~keep]
-        keep[~keep] = (a[t3] != 48) | (a[t3 + 1] != 46) | (a[t3 + 2] != 48)
-        # each kept token with the byte after it, that byte made a newline
-        starts, ends = ts[keep], te[keep] + 1
-        offsets = np.cumsum(ends - starts)
-        text = a[np.repeat(ends - offsets, ends - starts) + np.arange(offsets[-1:].sum())]
-        text[offsets - 1] = 10
-        try:
-            values = np.fromstring(text.tobytes(), dtype=float, sep="\n")
-        except ValueError:
-            return None
-        if values.size != starts.size or not np.isfinite(values).all():
-            return None
-        doubles[count + np.flatnonzero(keep)] = values
-        count += ts.size
-    if count != doubles.size:
-        return None
+    zero_op, first, stride, gap = _zero_operator(dim, dim)
+    rows = np.lib.stride_tricks.sliding_window_view(a, _TOKEN)
+    # reused for every window: with fresh temporaries a warm verify of Fourier d=24 made
+    # 9,295 page faults against 2,151, and took 76-78 ms against 61 ms
+    mark, zero, other = (np.empty(cap, dtype=bool) for _ in range(3))
+    lo, base, extra, batch, at = head.end(), -head.end(), 0, [], []
+    while True:
+        last = total < cap
+        hi = total if last else max(lo, total - _TOKEN)
+        # a token starts after a space with a byte in "-".."9". doubles is already +0.0, so
+        # "0.0" is not marked: in the writer's text a token with "0" first and third is "0.0"
+        # if its fourth byte is "," or a newline (below "0"), else "0.0" and more digits
+        m, z, o, x = mark[:hi - lo], zero[:hi - lo], other[:hi - lo], a[lo:hi]
+        np.equal(a[lo - 1:hi - 1], 32, out=m)
+        m &= np.greater_equal(x, 45, out=o)
+        m &= np.less_equal(x, 57, out=o)
+        np.equal(x, 48, out=z)
+        z &= np.equal(a[lo + 2:hi + 2], 48, out=o)
+        z &= np.less(a[lo + 3:hi + 3], 48, out=o)
+        s = lo + np.flatnonzero(np.greater(m, z, out=m))
+        s = s[a[s - 2] == 32]  # not the digits of "cols": d and "rows": d
+        batch.append(rows[s])
+        at.append(base + s)
+        if last or sum(map(len, at)) >= _BLOCK_DOUBLES:
+            text, at = np.concatenate(batch), np.concatenate(at)
+            # a token ends at "," or a newline: "+" is in the writer's 1e+16
+            end = ((text == 44) | (text == 10)).argmax(1)
+            if not end.all():
+                return None
+            # each token's offset in a file of all 0.0, then its slot in the writer's arithmetic
+            grown = np.cumsum(end - 3)
+            op, r = np.divmod(at - extra - grown + end - 3, len(zero_op) + 1)
+            pair, r = np.divmod(r - first, stride)
+            im, r = np.divmod(r, gap)
+            if at.size and (r.any() or im.max() > 1 or min(op.min(), pair.min()) < 0
+                            or max(op.max(), pair.max()) >= n):
+                return None
+            text[np.arange(_TOKEN) >= end[:, None]] = 0
+            try:
+                values = text.view("S%d" % _TOKEN)[:, 0].astype(float)
+            except ValueError:
+                return None
+            if not np.isfinite(values).all():
+                return None
+            doubles[2 * (op * n + pair) + im] = values
+            extra += grown[-1:].sum()
+            batch, at = [], []
+        if last:
+            break
+        # the bytes a later mark looks two back at, and the rows not yet cut
+        buf[:total - hi + 2] = buf[hi - 2:total]
+        base, lo = base + hi - 2, 2
+        total = total - hi + 2
+        total += fh.readinto(memoryview(buf)[total:cap])
     basis = EntangledBasis(dim, doubles.view(complex).reshape(n, dim, dim))
     fh.seek(0)
     # basis_bytes is lazy: no span is formatted, and no block joined, after the first that differs
@@ -414,7 +421,7 @@ def load_basis(path):
     return basis_from_obj(load_json(path)) if basis is None else basis
 
 
-# json reads a small file faster than the scan sets up its windows and writes the
-# basis back: gen's d=3 file (5 KiB) took 0.17 ms through json and 0.25 ms through
-# the scan on a 2-core Xeon VM
+# json reads a small file faster than the scan sets up and writes the basis back. gen's
+# files through json / the scan, 2-core Xeon VM: d=3 (5 KiB) 0.14-0.19 / 0.43-0.66 ms,
+# d=5 (35 KiB) 0.51-0.88 / 0.73-0.99 ms, d=6 (70 KiB) 0.79-1.59 / 0.90-1.29 ms
 _SCAN_MIN_BYTES = 1 << 16

@@ -514,14 +514,29 @@ def _finite_special_basis():
     return EntangledBasis(3, doubles.view(complex).reshape(9, 3, 3))
 
 
+def _one_in_three_basis(values, d=4):
+    """A stack whose every third double cycles through values, the others 0.0."""
+    doubles = np.zeros(2 * d**4)
+    doubles[::3] = np.resize(values, doubles[::3].size)
+    return _doubles_basis(doubles, d)
+
+
+# doubles whose reprs take 24 bytes, the longest, and doubles whose tokens start as "0.0" does
+LONG_REPRS = [-2.2250738585072014e-308, -1.7976931348623157e+308, -1.2345678901234567e-100]
+assert {len(repr(v)) for v in LONG_REPRS} == {24}
+ZERO_LIKE = [-0.0, 0.01, 0.05, 0.001, 0.0625, 0.0001]
+
+
 LOAD_BASES = {
-    **{"fourier%d" % d: (lambda d=d: fourier_basis(d)) for d in (1, 2, 3, 4, 5, 6, 24)},
+    **{"fourier%d" % d: (lambda d=d: fourier_basis(d)) for d in (1, 2, 3, 4, 5, 6, 10, 20, 24)},
     "sylvester4": lambda: _sylvester_basis(4),
     "sylvester8": lambda: _sylvester_basis(8),
     "sylvester16": lambda: _sylvester_basis(16),
     "klein4": _klein_basis,
     "haar24": _haar_basis,
     "finite-special3": _finite_special_basis,
+    "long-reprs4": lambda: _one_in_three_basis(LONG_REPRS),
+    "zero-like4": lambda: _one_in_three_basis(ZERO_LIKE),
 }
 
 
@@ -556,6 +571,8 @@ class TestLoadBasis:
     @pytest.mark.parametrize("old, new", [
         ("          1.0,", "          1.00,"),        # another spelling of the same double
         ("          0.0\n", "          0\n"),          # an integer token
+        ("          0.0\n", "          0.00\n"),       # other spellings of 0.0
+        ("          0.0\n", "          0.0e0\n"),
         ("          0.0\n", "          \n"),           # a missing token
         ("          0.0\n", "          0.0 \n"),       # other whitespace
         ("          0.0\n", "          NaN\n"),
@@ -588,7 +605,7 @@ class TestLoadBasis:
 @pytest.mark.parametrize("token, valid", [
     ("0.0", True), ("-0.0", True), ("1e-05", True), ("1E+16", True), ("0e5", True),
     ("1.5e-07", True), ("123.456", True), ("-1.0e0", True), ("1.05", True), ("10.5", True),
-    ("2.5e-310", True), ("1e-0005", True), ("-0e-00", True),
+    ("2.5e-310", True), ("1e-0005", True), ("-0e-00", True), ("1e16", True), ("1e+16", True),
     ("01.5", False), ("00.0", False), ("-01.0", False), ("1.", False), (".5", False),
     ("+1.0", False), ("1", False), ("-1", False), ("-", False), ("1e", False), ("1e+", False),
     ("--1.0", False), ("1.0.0", False), ("1e5e5", False), ("1e5.0", False), ("0x1p3", False),
@@ -734,19 +751,53 @@ def test_rejected_file_stops_the_rewrite_at_the_first_mismatch(tmp_path, monkeyp
 
 
 def test_layout_scan_holds_the_basis_not_the_file(tmp_path):
-    # the scan reads the 17 MB file a window at a time: its traced peak is at most the
-    # basis and a few MB, where reading the whole file would add the file
-    basis = fourier_basis(24)
-    path = _write_basis(basis, tmp_path / "f24.json")
-    assert path.stat().st_size > 16 << 20
-    tracemalloc.start()
-    try:
-        read = load_basis(path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert read.ops.tobytes() == basis.ops.tobytes()
-    assert peak <= basis.ops.nbytes + (4 << 20)
+    # the scan reads a file of 17 MB or more a window at a time: its traced peak is at most
+    # the basis and a few MB, where reading the whole file would add the file. In the Haar
+    # basis every double is a token to parse, so parsing them all in one batch would too
+    for basis in (fourier_basis(24), _haar_basis(24)):
+        path = _write_basis(basis, tmp_path / "b24.json")
+        assert path.stat().st_size > 16 << 20
+        tracemalloc.start()
+        try:
+            read = load_basis(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert read.ops.tobytes() == basis.ops.tobytes()
+        assert peak <= basis.ops.nbytes + (4 << 20)
+
+
+@pytest.mark.parametrize("name", ["fourier6", "finite-special3", "long-reprs4", "zero-like4"])
+def test_small_windows_and_batches_read_as_oracle(name, tmp_path, monkeypatch):
+    # windows of 4 KiB, so that tokens straddle them, and a batch parsed once it holds 64
+    # tokens. The scan cuts out the doubles that are not 0.0, each once: the sizes of its
+    # one cumsum per batch add up to their count
+    monkeypatch.setattr(fileio, "_WINDOW", 1 << 12)
+    monkeypatch.setattr(fileio, "_BLOCK_DOUBLES", 64)
+    basis = LOAD_BASES[name]()
+    path = _write_basis(basis, tmp_path / "b.json")
+    assert path.stat().st_size > 1 << 12
+    batches = []
+
+    class Numpy:
+        """numpy as fileio sees it, with the cumsum calls of fileio's own code recorded."""
+        def __getattr__(self, attr):
+            return getattr(np, attr)
+
+        def cumsum(self, a):
+            batches.append(a.size)
+            return np.cumsum(a)
+
+    monkeypatch.setattr(fileio, "np", Numpy())
+    with open(path, "rb") as fh:
+        fast = scan_layout(fh)
+    assert fast is not None
+    want = basis_from_obj(load_json(path))
+    assert fast.ops.view(np.int64).tobytes() == want.ops.view(np.int64).tobytes()
+    assert sum(batches) == np.count_nonzero(basis.ops.view(np.int64))
+    # a batch takes windows while it holds fewer than 64 tokens; a window's lines are
+    # 14 bytes or more, one token each at most
+    assert max(batches) <= 64 + (1 << 12) // 14
 
 
 def test_rejected_file_formats_one_span(tmp_path, monkeypatch):
