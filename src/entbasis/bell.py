@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clifford import _anticommutators
-from .entangled import EntangledBasis, basis_matrix, verify_unitary_basis
+from .entangled import EntangledBasis, _require_basis, basis_matrix
 from .factorize import _local_kinds, _neither_residual, _require_unitary, factor_local
 from .linalg import (
     PAULIS,
@@ -52,7 +52,6 @@ from .reports import (
 )
 
 __all__ = [
-    "bell_unitary_basis",
     "bell_basis",
     "bell_matrix",
     "AntilinearOp",
@@ -69,14 +68,9 @@ __all__ = [
 ]
 
 
-def bell_unitary_basis():
-    """The operators I, i sigma_1, i sigma_2, i sigma_3 of the Bell basis."""
-    return EntangledBasis(2, [np.eye(2)] + [1j * s for s in PAULIS])
-
-
 def bell_basis():
-    """Bell basis: Phi_0 = Omega, Phi_k = (i sigma_k tensor I) Omega, unit norm."""
-    return bell_unitary_basis()
+    """Bell basis Phi_0 = Omega, Phi_k = (i sigma_k tensor I) Omega: the operators I, i sigma_k."""
+    return EntangledBasis(2, [np.eye(2)] + [1j * s for s in PAULIS])
 
 
 def bell_matrix():
@@ -273,14 +267,7 @@ def canonicalize_bell_basis(basis, tol=INPUT_TOL):
     """
     if basis.dim != 2:
         raise ValueError("canonicalization is specific to C^2 tensor C^2")
-    check = verify_unitary_basis(basis, tol)
-    if not check:
-        raise ValueError(
-            "input fails basis invariants: orthonormality %.3e, entanglement %.3e"
-            % (check.details["max_orthonormality_residual"],
-               check.details["max_unitarity_residual"])
-        )
-    psi = basis_matrix(basis)
+    psi = basis_matrix(_require_basis(basis, tol))
     coords = _BELL.conj().T @ psi
     chi = np.sqrt(np.sum(coords * coords, axis=0))
     rel = chi / chi[0]

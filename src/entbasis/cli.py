@@ -30,7 +30,7 @@ from .bell import (
     universality_search,
 )
 from .clifford import build_clifford_generators, clifford_check
-from .entangled import fourier_basis, shift_multiply_basis, verify_unitary_basis
+from .entangled import _require_basis, shift_multiply_basis, verify_unitary_basis
 from .factorize import factor_local
 from .fileio import (
     _json_int,
@@ -43,7 +43,7 @@ from .fileio import (
     report_to_obj,
     save_json,
 )
-from .hadamard import cyclic_latin_square, sylvester_hadamard
+from .hadamard import cyclic_latin_square, fourier_hadamard, sylvester_hadamard
 from .reports import INPUT_TOL, TOL, require_positive, require_tolerance
 
 __all__ = ["main"]
@@ -71,20 +71,19 @@ def cmd_gen(args):
     if args.construction != "custom" and (args.latin or args.hadamard):
         raise ValueError("--latin and --hadamard need --construction custom")
     if args.construction == "fourier":
-        basis = fourier_basis(d, args.tol)
+        mats = [fourier_hadamard(d)]
     elif args.construction == "sylvester":
-        h = sylvester_hadamard(d)
-        basis = shift_multiply_basis([h] * d, cyclic_latin_square(d), args.tol)
-    else:
-        if not args.hadamard:
-            raise ValueError("custom construction needs --hadamard")
+        mats = [sylvester_hadamard(d)]
+    elif args.hadamard:
         mats = [matrix_from_obj(load_json(p)) for p in args.hadamard]
-        if len(mats) == 1:
-            mats = mats * d
-        if len(mats) != d:
-            raise ValueError("need 1 or %d Hadamard files, got %d" % (d, len(mats)))
-        table = _load_latin(args.latin, d) if args.latin else cyclic_latin_square(d)
-        basis = shift_multiply_basis(mats, table, args.tol)
+    else:
+        raise ValueError("custom construction needs --hadamard")
+    if len(mats) == 1:
+        mats = mats * d
+    if len(mats) != d:
+        raise ValueError("need 1 or %d Hadamard files, got %d" % (d, len(mats)))
+    table = _load_latin(args.latin, d) if args.latin else cyclic_latin_square(d)
+    basis = shift_multiply_basis(mats, table, args.tol)
     if args.out:
         with open(args.out, "wb") as fh:
             fh.writelines(basis_bytes(basis))
@@ -113,19 +112,8 @@ def cmd_factorize(args):
     return 0
 
 
-def _load_entangled(path, tol):
-    basis = load_basis(path)
-    report = verify_unitary_basis(basis, tol)
-    if not report:
-        raise ValueError(
-            "input does not verify as a basis: offending pair %s"
-            % (tuple(report.witnesses[0]["pair"]),)
-        )
-    return basis
-
-
 def cmd_check_bell_all(args):
-    basis = _load_entangled(args.basis, INPUT_TOL) if args.basis else bell_basis()
+    basis = _require_basis(load_basis(args.basis), INPUT_TOL) if args.basis else bell_basis()
     return [
         check_bell_condition(basis, cond, trials=args.trials, seed=args.seed, tol=args.tol)
         for cond in (2, 4, 5, 6)

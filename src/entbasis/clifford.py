@@ -12,7 +12,7 @@ relation with left factors X^dag: both checks run _anticommutators.
 import numpy as np
 
 from .linalg import SIGMA1, SIGMA2, SIGMA3
-from .reports import MAX_WITNESSES, TOL, tolerance_report
+from .reports import MAX_WITNESSES, TOL, pair_witnesses, tolerance_report
 
 __all__ = ["build_clifford_generators", "clifford_check"]
 
@@ -36,12 +36,6 @@ def build_clifford_generators(n):
     return gens
 
 
-def _pair_witnesses(v, rows, cols, tol, **kind):
-    """The first MAX_WITNESSES entries v[k] not below tol, as witnesses of (rows[k], cols[k])."""
-    return [{**kind, "pair": [int(rows[k]), int(cols[k])], "violation": float(v[k])}
-            for k in np.flatnonzero(~(v < tol))[:MAX_WITNESSES]]
-
-
 def _anticommutators(left, right, tol, **kind):
     """||L_a R_b + L_b R_a - 2 delta_ab I||_F over pairs a <= b, row-major, and the witnesses.
 
@@ -55,7 +49,7 @@ def _anticommutators(left, right, tol, **kind):
         for k, (a, b) in enumerate(zip(rows.tolist(), cols.tolist())):
             anti = left[a] @ right[b] + left[b] @ right[a]
             v[k] = np.linalg.norm(anti - eye2 if a == b else anti)
-    return v, _pair_witnesses(v, rows, cols, tol, **kind)
+    return v, pair_witnesses(v, rows, cols, tol, **kind)
 
 
 def clifford_check(mats, tol=TOL):
@@ -76,7 +70,7 @@ def clifford_check(mats, tol=TOL):
     with np.errstate(over="ignore", invalid="ignore"):
         herm = np.array([np.linalg.norm(r - r.conj().T) for r in mats])
     anti, witnesses = _anticommutators(mats, mats, tol, kind="anticommutator")
-    witnesses = _pair_witnesses(herm, range(n), range(n), tol, kind="hermiticity") + witnesses
+    witnesses = pair_witnesses(herm, range(n), range(n), tol, kind="hermiticity") + witnesses
 
     details = {"count": n, "dimension": d}
     if n % 2 == 1:

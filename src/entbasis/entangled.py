@@ -29,7 +29,7 @@ import numpy as np
 
 from .hadamard import is_hadamard, validate_latin_square, fourier_hadamard, cyclic_latin_square
 from .linalg import StateVector, unitarity_residual
-from .reports import TOL, require_tolerance, tolerance_report
+from .reports import TOL, pair_witnesses, require_tolerance, tolerance_report
 
 __all__ = [
     "omega",
@@ -81,7 +81,7 @@ def reduced_density(v, side, tol=TOL):
     (1/d) X^T conj(X) respectively.
     """
     require_tolerance(tol)
-    if abs(v.norm - 1.0) > tol:
+    if not abs(v.norm - 1.0) <= tol:  # a NaN norm is refused too
         raise ValueError("reduced density needs a unit vector, norm is %.6g" % v.norm)
     m = v.reshaped()
     if side == "left":
@@ -169,6 +169,18 @@ def verify_unitary_basis(basis, tol=TOL):
     return _shift_multiply_report(parts, tol)
 
 
+def _require_basis(basis, tol):
+    """basis, if it verifies within tol; else ValueError naming its pair and both residuals."""
+    report = verify_unitary_basis(basis, tol)
+    if not report:
+        raise ValueError(
+            "input fails basis invariants at pair %s: unitarity %.3e, orthonormality %.3e"
+            % (tuple(report.witnesses[0]["pair"]), report.details["max_unitarity_residual"],
+               report.details["max_orthonormality_residual"])
+        )
+    return basis
+
+
 def _shift_multiply_parts(ops):
     """hs[j, i, k] = ops[i*d + j, tau[k, j], k] when ops has shift_multiply_basis's layout.
 
@@ -233,14 +245,10 @@ def _basis_report(unit, dev, tol, pair_at):
     """
     worst_unit = float(unit.max())
     worst_orth = float(dev.max())
-    witnesses = ()
     # entries near the double range overflow to a NaN residual, which fails too
-    bad = np.flatnonzero(~(unit < tol))
-    if bad.size:
-        a = int(bad[0])
-        witnesses = ({"pair": [a, a], "violation": float(unit[a])},)
-    elif not worst_orth < tol:
-        witnesses = ({"pair": pair_at(int(dev.argmax())), "violation": worst_orth},)
+    witnesses = pair_witnesses(unit, range(len(unit)), range(len(unit)), tol)[:1]
+    if not witnesses and not worst_orth < tol:
+        witnesses = [{"pair": pair_at(int(dev.argmax())), "violation": worst_orth}]
     return tolerance_report(
         "unitary-basis",
         max(worst_unit, worst_orth),

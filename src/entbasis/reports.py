@@ -3,11 +3,12 @@
 Every verifier and checker in the package returns a CheckReport. A
 CheckReport never claims a proof: its verdict distinguishes "no violation
 found" (the sampled search came up empty) from "violation witnessed" (a
-concrete counterexample is recorded). Witnesses are small dictionaries that
-identify the violating input by trial index and seed, or by index pair, so
-every witness can be regenerated deterministically. tolerance_report is the
-pass rule of every check but the counterexample search: a report passes only
-if its worst violation is below tol, which a NaN is not, and it lists no witness.
+concrete counterexample is recorded). One witness rule holds for every
+check: a violation not below tol, NaN included, is a witness, a small
+dictionary that names the input by trial index and seed, or by index pair
+(pair_witnesses), so it can be regenerated deterministically. The pass rule
+of every check but the counterexample search is tolerance_report: the worst
+violation is below tol, which a NaN is not, and no witness is listed.
 
 Sampled checks run through one engine, sample_violations: it draws the
 trials in chunks of stacked arrays, seeds chunk c from the spawn key (c,)
@@ -24,7 +25,7 @@ import numpy as np
 __all__ = [
     "CheckReport", "MAX_WITNESSES", "CHUNK_ENTRIES", "TOL", "INPUT_TOL", "RANK_TOL", "LEAD_TOL",
     "tolerance_report", "require_positive", "require_tolerance", "chunk_size", "chunk_rng",
-    "sample_violations",
+    "pair_witnesses", "sample_violations",
 ]
 
 # keep reports small and diffable; the seed makes the full set recoverable
@@ -96,6 +97,12 @@ def tolerance_report(name, worst, tol, trials=0, witnesses=(), details=None):
     )
 
 
+def pair_witnesses(v, rows, cols, tol, **kind):
+    """The first MAX_WITNESSES entries v[k] not below tol, as witnesses of (rows[k], cols[k])."""
+    return [{**kind, "pair": [int(rows[k]), int(cols[k])], "violation": float(v[k])}
+            for k in np.flatnonzero(~(v < tol))[:MAX_WITNESSES]]
+
+
 def require_positive(count, what="trials"):
     """A sampled check with nothing to sample would pass without doing any work."""
     if count < 1:
@@ -130,10 +137,12 @@ def sample_violations(trials, seed, tol, draw, measure, per_trial):
     chunk positions of that chunk's witnesses only, and returns one entry
     per row: a field that costs more than the violation itself (an SVD
     residual, say) is then computed for at most MAX_WITNESSES trials of the
-    whole run. Every trial with violation >= tol is a witness {"trial": index,
-    "seed": seed, "violation": v, **fields}, up to MAX_WITNESSES, in trial
-    order. A bad trial count, tol or seed (an integer: a Generator's run could
-    not be replayed) is refused before the first draw.
+    whole run. Every trial whose violation is not below tol, NaN included, is
+    a witness {"trial": index, "seed": seed, "violation": v, **fields}, up to
+    MAX_WITNESSES, in trial order; measure runs with overflow and invalid
+    warnings off, as an inf or NaN is a verdict. A bad trial count, tol or
+    seed (an integer: a Generator's run could not be replayed) is refused
+    before the first draw.
     Returns the violations of all trials and the witnesses for the report.
     """
     require_positive(trials)
@@ -144,10 +153,12 @@ def sample_violations(trials, seed, tol, draw, measure, per_trial):
     witnesses = []
     for chunk, start in enumerate(range(0, trials, step)):
         idx = np.arange(start, min(start + step, trials))
-        out = measure(draw(chunk_rng(seed, chunk), idx))
+        batch = draw(chunk_rng(seed, chunk), idx)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = measure(batch)
         v, fields = out if isinstance(out, tuple) else (out, {})
         violations[idx] = v
-        rows = np.flatnonzero(violations[idx] >= tol)[: MAX_WITNESSES - len(witnesses)]
+        rows = np.flatnonzero(~(violations[idx] < tol))[: MAX_WITNESSES - len(witnesses)]
         if not len(rows):
             continue
         if callable(fields):

@@ -16,7 +16,6 @@ from entbasis import (
     bell_basis,
     bell_conjugate,
     bell_matrix,
-    bell_unitary_basis,
     canonicalize_bell_basis,
     check_bell_condition,
     check_det_criterion_agreement,
@@ -71,7 +70,7 @@ class TestBellBasis:
 
     def test_pauli_family_is_a_unitary_basis(self):
         # trace table of Pauli products: tr((i s_a)^dag (i s_b)) = 2 delta_ab
-        assert verify_unitary_basis(bell_unitary_basis(), tol=1e-14)
+        assert verify_unitary_basis(bell_basis(), tol=1e-14)
 
     def test_bell_matrix_unitary(self):
         b = bell_matrix()

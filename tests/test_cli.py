@@ -8,7 +8,15 @@ import warnings
 import numpy as np
 import pytest
 
-from entbasis import flip_operator, fourier_basis, haar_unitary, tensor, verify_unitary_basis
+from entbasis import (
+    EntangledBasis,
+    canonicalize_bell_basis,
+    flip_operator,
+    fourier_basis,
+    haar_unitary,
+    tensor,
+    verify_unitary_basis,
+)
 from entbasis.cli import build_parser, main
 from entbasis.fileio import (
     basis_from_obj,
@@ -311,6 +319,20 @@ def test_gen_refuses_family_that_fails_certificate(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: constructed family fails basis verification at pair [0, 0]\n"
+
+
+def test_bell_all_and_canonicalization_refuse_a_non_basis_alike(tmp_path, capsys):
+    # one basis gate: both name the pair and both residuals in the same words
+    basis = EntangledBasis(2, fourier_basis(2).ops[[0, 0, 2, 3]])
+    path = tmp_path / "b.json"
+    save_json(basis_to_obj(basis), path)
+    with pytest.raises(ValueError, match="invariants") as exc:
+        canonicalize_bell_basis(basis)
+    assert main(["check", "bell-all", "--basis", str(path), "--trials", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: %s\n" % exc.value
+    assert "at pair (0, 1): unitarity" in captured.err
 
 
 def _tol_argv(command, tmp_path):

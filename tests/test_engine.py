@@ -10,12 +10,14 @@ must name the same trials.
 """
 
 import json
+import warnings
 
 import numpy as np
 import pytest
 
 from entbasis import (
     AntilinearOp,
+    EntangledBasis,
     SIGMA3,
     StateVector,
     basis_matrix,
@@ -536,3 +538,35 @@ class TestSharedRules:
     def test_stacked_kinds_refuse_non_unitary(self):
         with pytest.raises(ValueError, match="unitary"):
             factorize._local_kinds(np.stack([np.eye(4), 2 * np.eye(4)]).astype(complex))
+
+
+def _overflowing_fourier2():
+    ops = fourier_basis(2).ops.copy()
+    ops[1] *= 1e300
+    return EntangledBasis(2, ops)
+
+
+@pytest.mark.parametrize("check", [
+    pytest.param(lambda: check_bell_condition(_overflowing_fourier2(), 2, trials=5), id="cond2"),
+    pytest.param(lambda: check_bell_condition(_overflowing_fourier2(), 5, trials=5), id="cond5"),
+    pytest.param(lambda: check_universality(theta2(1e300), trials=5), id="universality"),
+    pytest.param(lambda: check_preserves_max_entangled(np.full((4, 4), np.nan), trials=5),
+                 id="preserves-nan"),
+])
+def test_inf_or_nan_trial_is_a_witness_without_warnings(check):
+    # a rule of v >= tol would drop the NaN trials, and overflow must not leak a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = check()
+    assert not report.passed
+    assert report.witnesses[0]["trial"] == 0
+
+
+def test_engine_and_pair_witnesses_share_one_rule():
+    tol = 1e-3
+    v = np.array([np.nan, tol, tol / 2, np.inf, -np.inf, 0.5])
+    _, witnesses = reports.sample_violations(
+        len(v), 0, tol, lambda rng, idx: idx, lambda idx: v[idx], 1
+    )
+    pairs = reports.pair_witnesses(v, range(len(v)), range(len(v)), tol)
+    assert [w["trial"] for w in witnesses] == [p["pair"][0] for p in pairs] == [0, 1, 3, 5]

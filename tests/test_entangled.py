@@ -165,6 +165,11 @@ class TestReducedDensity:
         with pytest.raises(ValueError, match="unit vector"):
             reduced_density(StateVector(2, 2, np.array([1.0, 0, 0, 1.0])), "left")
 
+    def test_refuses_nan_vector(self):
+        # abs(nan - 1) > tol is False: a gate written that way returns a NaN density
+        with pytest.raises(ValueError, match="unit vector"):
+            reduced_density(StateVector(2, 2, np.full(4, np.nan)), "left")
+
     def test_unknown_side(self):
         with pytest.raises(ValueError, match="side"):
             reduced_density(omega(2), "middle")
