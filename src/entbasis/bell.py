@@ -343,8 +343,16 @@ def check_bell_condition(basis, condition, trials=1000, seed=0, tol=TOL):
 
         def measure(o):
             u = _sandwich(b, o, bh)
-            return ((_local_kinds(u) == "neither").astype(float),
-                    lambda rows: {"residual": _neither_residual(u[rows])})
+            kinds = _local_kinds(u, refuse=False)
+            # a basis that is not unitary (one that overflows, say) gives trials that are not
+            # unitary either: each is a NaN violation, and has no spectra for a residual
+            v = np.where(kinds == "not unitary", np.nan, kinds == "neither")
+
+            def residual(rows):
+                out, neither = np.full(len(rows), np.nan), v[rows] == 1
+                out[neither] = _neither_residual(u[rows[neither]])
+                return {"residual": out}
+            return v, residual
     elif condition == 4:
         def draw(rng, idx):
             return haar_unitary(d, rng, count=len(idx))

@@ -29,7 +29,7 @@ from .bell import (
     theta2,
     universality_search,
 )
-from .clifford import build_clifford_generators, clifford_check
+from .clifford import _generator_stack, clifford_check
 from .entangled import _require_basis, shift_multiply_basis, verify_unitary_basis
 from .factorize import factor_local
 from .fileio import (
@@ -135,10 +135,10 @@ def cmd_check_universality(args):
     return rep, ["verdict: %s" % rep.verdict]
 
 
-# N generators have order 2^((N-1)/2) and the check forms about N^2/2 products
-# of them. On a 2-core VM with OpenBLAS, count 17 (order 256) ran in 0.8 s at
-# 52 MB peak RSS and count 19 in 5.5 s at 122 MB; each further step of 2 costs
-# about 4.5x the memory and 8x the time
+# N generators have order 2^((N-1)/2). The check works on their monomial parts,
+# O(d) a pair, so memory binds now, not time: on a 2-core VM, count 17 (order 256)
+# ran in 0.05 s at 55 MB peak RSS and count 19 in 0.2 s at 142 MB (0.7 s and 5.5 s
+# with dense products); each further step of 2 costs about 4.5x the memory
 MAX_CLIFFORD_COUNT = 17
 
 
@@ -148,7 +148,7 @@ def cmd_check_clifford(args):
     if args.count > MAX_CLIFFORD_COUNT:
         raise ValueError("generator count must be at most %d, got %d"
                          % (MAX_CLIFFORD_COUNT, args.count))
-    rep = clifford_check(build_clifford_generators(args.count), tol=args.tol)
+    rep = clifford_check(_generator_stack(args.count), tol=args.tol)
     return rep, ["count %d acting on dimension %d (expected %s)"
                  % (rep.details["count"], rep.details["dimension"],
                     rep.details.get("expected_dimension"))]

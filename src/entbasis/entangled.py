@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hadamard import is_hadamard, validate_latin_square, fourier_hadamard, cyclic_latin_square
-from .linalg import StateVector, unitarity_residual
+from .linalg import StateVector, _monomial_parts, unitarity_residual
 from .reports import TOL, pair_witnesses, require_tolerance, tolerance_report
 
 __all__ = [
@@ -185,21 +185,21 @@ def _shift_multiply_parts(ops):
     """hs[j, i, k] = ops[i*d + j, tau[k, j], k] when ops has shift_multiply_basis's layout.
 
     That layout is: each column of each operator holds exactly one nonzero
-    entry, its row tau[k, j] depends only on j for a = i*d + j, and tau is a
-    Latin square. Any other stack gives None, also one with a zero where
-    the layout needs a nonzero.
+    entry (_monomial_parts), its row tau[k, j] depends only on j for
+    a = i*d + j, and tau is a Latin square. Any other stack gives None, also
+    one with a zero where the layout needs a nonzero.
     """
-    n, d = len(ops), ops.shape[-1]
-    # -0.0 compares equal to zero and NaN unequal, so a NaN entry is a nonzero
-    nonzero = ops != 0
-    if n == 0 or not (nonzero.sum(axis=1) == 1).all():
+    d = ops.shape[-1]
+    parts = _monomial_parts(ops) if len(ops) else None
+    if parts is None:
         return None
-    rows = nonzero.argmax(axis=1)
-    by_column = rows.reshape(d, d, d)
-    if not (by_column == by_column[0]).all() or not validate_latin_square(by_column[0].T):
+    # tau[k, j] = rows[j, k]; Latin when each symbol is seen in every row and every column
+    rows, k = parts[0][:d], np.arange(d)
+    seen = np.zeros((2, d, d), dtype=bool)
+    seen[0, rows, k], seen[1, rows, k[:, None]] = True, True
+    if not (seen.all() and (parts[0].reshape(d, d, d) == rows).all()):
         return None
-    entries = np.take_along_axis(ops, rows[:, None, :], axis=1)
-    return entries.reshape(d, d, d).transpose(1, 0, 2)
+    return parts[1].reshape(d, d, d).transpose(1, 0, 2)
 
 
 # _gram_report forms its Gram in _GRAM_BLOCKS blocks of rows, each of at least
@@ -277,7 +277,7 @@ def _shift_multiply_report(hs, tol):
     d = hs.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):
         # unit[i, j]: ||(|H^{(j)}[i, k]|^2 - 1)_k||_2 is the residual of operator i*d + j
-        unit = np.linalg.norm(hs.real**2 + hs.imag**2 - 1.0, axis=-1).T
+        unit = np.sqrt(((hs.real**2 + hs.imag**2 - 1.0) ** 2).sum(axis=-1)).T
         # gram[j, i, i'] = (1/d) tr(U^{ij dag} U^{i'j}) - delta_ii'
         gram = hs.conj() @ hs.transpose(0, 2, 1)
         gram /= d

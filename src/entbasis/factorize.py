@@ -49,8 +49,8 @@ def _square_side(n):
 
 def _require_unitary(u, tol):
     """Refuse an input (or a stack of them) further than tol from unitary."""
-    residual = float(np.max(unitarity_residual(u)))
-    # entries near the double range overflow to a NaN residual, which is refused too
+    residual = float(np.max(unitarity_residual(u), initial=0.0))
+    # an empty stack passes; entries near the double range give a NaN residual, refused too
     if not residual <= tol:
         raise ValueError("input is not unitary: residual %.3e" % residual)
 
@@ -183,14 +183,20 @@ def _rank_one(r):
     return yes
 
 
-def _local_kinds(u):
+def _local_kinds(u, refuse=True):
     """factor_local's kind for each operator of a (n, d^2, d^2) stack.
 
     Same unitarity gate and rank-one rule as factor_local; the flip is
-    tested only for the operators that are not local.
+    tested only for the operators that are not local. With refuse off, an
+    operator the gate would refuse is of kind "not unitary" instead.
     """
     d = _square_side(u.shape[-1])
-    _require_unitary(u, INPUT_TOL)
+    if refuse:
+        _require_unitary(u, INPUT_TOL)
+    elif not (unitary := unitarity_residual(u) <= INPUT_TOL).all():
+        kinds = np.full(len(u), "not unitary")
+        kinds[unitary] = _local_kinds(u[unitary])
+        return kinds
     local = _rank_one(_reshuffle(u, d))
     flip = np.zeros_like(local)
     rest = np.flatnonzero(~local)

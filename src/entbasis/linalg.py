@@ -139,6 +139,20 @@ def unitarity_residual(x):
         return np.linalg.norm(products - np.eye(x.shape[-1]), axis=(-2, -1))
 
 
+def _monomial_parts(stack):
+    """(rows, values) with stack[a] e_k = values[a, k] e_{rows[a, k]}, or None.
+
+    None when a column of the (n, d, d) stack does not hold exactly one nonzero;
+    rows may repeat. -0.0 counts as zero and NaN as nonzero.
+    """
+    nonzero = stack != 0
+    if not (nonzero.sum(axis=-2) == 1).all():
+        return None
+    rows = nonzero.argmax(axis=-2)
+    # a gather, not a column sum: at d=24 the sum of every entry took 5x as long
+    return rows, stack[np.arange(len(rows))[:, None], rows, np.arange(rows.shape[-1])]
+
+
 # Whole-stack arithmetic beats a LAPACK or BLAS call per matrix from _STACK matrices of small
 # order on. Its time over np.linalg.det or the matmul, real and complex, measured as for _haar:
 #   matrices         13        101        512

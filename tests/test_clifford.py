@@ -1,11 +1,14 @@
 """Tests for Clifford generator construction and relation checking.
 
 clifford_check and Bell condition 6 share one pair kernel; the two pair
-loops it replaced are kept here as its oracles.
+loops it replaced are kept here as its oracles. The kernel works on the
+parts of monomial stacks and falls back to dense products; the dense path is
+the oracle of the monomial one.
 """
 
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,6 +17,7 @@ from entbasis import (
     PAULIS,
     SIGMA1,
     SIGMA2,
+    SIGMA3,
     CheckReport,
     EntangledBasis,
     bell_basis,
@@ -23,7 +27,9 @@ from entbasis import (
     fourier_basis,
     haar_unitary,
 )
+from entbasis import clifford
 from entbasis.fileio import report_to_obj
+from entbasis.linalg import _monomial_parts
 from entbasis.reports import MAX_WITNESSES
 
 
@@ -91,6 +97,15 @@ class TestBuildGenerators:
     def test_even_or_nonpositive_rejected(self, n):
         with pytest.raises(ValueError):
             build_clifford_generators(n)
+
+    @pytest.mark.parametrize("n", [1, 3, 5, 7, 9])
+    def test_generators_match_kron_ladder(self, n):
+        # the stack is written block by block; the ladder of Kronecker products is its reference
+        gens = [np.ones((1, 1), dtype=complex)]
+        while len(gens) < n:
+            eye = np.eye(len(gens[0]))
+            gens = [np.kron(SIGMA3, eye), np.kron(SIGMA1, eye)] + [np.kron(SIGMA2, r) for r in gens]
+        assert np.array_equal(build_clifford_generators(n), gens)
 
 
 def _loop_report(name, worst, tol, witnesses, details=None):
@@ -169,12 +184,30 @@ CONDITION6_BASES = {
 }
 
 
+# the monomial path sums each anticommutator in another order than the dense
+# products; on these bases its reports move in their last digits
+MOVED_IN_LAST_DIGITS = {"fourier-7"}
+
+
+def _assert_same_up_to_rounding(got, want, d):
+    """Equal verdicts, witness kinds and pairs; violations within 8 d eps or both not finite."""
+    assert (got.passed, got.verdict, got.details) == (want.passed, want.verdict, want.details)
+    assert ([{k: x for k, x in w.items() if k != "violation"} for w in got.witnesses]
+            == [{k: x for k, x in w.items() if k != "violation"} for w in want.witnesses])
+    for x, y in zip([got.max_violation] + [w["violation"] for w in got.witnesses],
+                    [want.max_violation] + [w["violation"] for w in want.witnesses]):
+        assert abs(x - y) <= 8 * d * np.finfo(float).eps or not (math.isfinite(x) or math.isfinite(y))
+
+
 @pytest.mark.parametrize("tol", [1e-10, 1e-3, 1.5, 3.5])
 @pytest.mark.parametrize("name", sorted(CONDITION6_BASES))
 def test_condition6_report_matches_loop(name, tol):
     basis = CONDITION6_BASES[name]()
     report = check_bell_condition(basis, 6, tol=tol)
-    assert _report_text(report) == _report_text(_loop_condition6(basis, tol))
+    if name in MOVED_IN_LAST_DIGITS:
+        _assert_same_up_to_rounding(report, _loop_condition6(basis, tol), basis.dim)
+    else:
+        assert _report_text(report) == _report_text(_loop_condition6(basis, tol))
 
 
 def _first_of(n):
@@ -244,3 +277,111 @@ def test_nonfinite_products_fail(name):
     assert not report.passed
     assert math.isnan(report.max_violation)
     assert report.witnesses
+
+
+# ---- the monomial path against the dense one ----
+
+
+def _dense_calls(check):
+    """check()'s report and how many times the pair kernel fell back to dense products."""
+    with mock.patch.object(clifford, "_dense_norms", wraps=clifford._dense_norms) as dense:
+        report = check()
+    return report, dense.call_count
+
+
+def _repeated_rows(seed, n=5, d=4):
+    """n column-monomial matrices whose rows repeat, with entries in {1, -1, i, -i, 2}."""
+    rng = np.random.default_rng(seed)
+    mats = np.zeros((n, d, d), dtype=complex)
+    values = np.array([1, -1, 1j, -1j, 2])[rng.integers(0, 5, (n, d))]
+    mats[np.arange(n)[:, None], rng.integers(0, d, (n, d)), np.arange(d)] = values
+    assert any(len(set(r)) < d for r in _monomial_parts(mats)[0])
+    return list(mats)
+
+
+def _nan_monomial_bell_basis():
+    ops = bell_basis().ops.copy()
+    ops[1, 1, 0] = np.nan  # the one nonzero of its column 0
+    return EntangledBasis(2, ops)
+
+
+MONOMIAL_NONFINITE = {
+    "scaled-paulis": lambda: clifford_check([1e200 * s for s in PAULIS]),
+    "nan-nonzero": lambda: clifford_check([SIGMA1, [[np.nan, 0], [0, 1]]]),
+    "nan-nonzero-basis-operator": lambda: check_bell_condition(_nan_monomial_bell_basis(), 6),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", sorted(MONOMIAL_NONFINITE))
+def test_nonfinite_monomial_products_fail(name):
+    report, dense = _dense_calls(MONOMIAL_NONFINITE[name])
+    assert dense == 0
+    assert not report.passed
+    assert not math.isfinite(report.max_violation)
+    assert report.witnesses
+
+
+@pytest.mark.parametrize("name", sorted(CONDITION6_BASES))
+def test_condition6_path_follows_the_layout(name):
+    # shift-and-multiply operators are monomial; a local rotation of them is not
+    basis = CONDITION6_BASES[name]()
+    _, dense = _dense_calls(lambda: check_bell_condition(basis, 6))
+    assert dense == (name.startswith("rotated") or name.startswith("haar"))
+    assert (_monomial_parts(basis.ops) is None) == bool(dense)
+
+
+def test_haar_family_takes_dense_path():
+    _, dense = _dense_calls(lambda: clifford_check(haar_unitary(3, 4, count=5)))
+    assert dense == 1
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_repeated_rows_match_loop(seed):
+    # rows that repeat make L_a R_a land off the diagonal, away from the -2 on row k
+    mats = _repeated_rows(seed)
+    report, dense = _dense_calls(lambda: clifford_check(mats))
+    assert dense == 0
+    assert _report_text(report) == _report_text(_loop_clifford(mats, 1e-10))
+
+
+def test_near_zero_anticommutators_keep_their_digits():
+    # U^dag U - I is 0 up to rounding on the diagonal pairs. Expanding |x + y|^2 into
+    # |x|^2 + |y|^2 + 2 Re(x conj(y)) cancels to 0 there, or leaves a rounding error
+    # whose root reads 2e-8; the dense products read 4.4e-16
+    ops = fourier_basis(3).ops
+    left = ops.conj().swapaxes(-1, -2)
+    rows, cols = np.triu_indices(len(ops))
+    dense = clifford._dense_norms(left, ops, rows, cols)
+    (v, _), calls = _dense_calls(lambda: clifford._anticommutators(left, ops, 1e-10))
+    assert calls == 0
+    assert (dense[rows == cols] < 1e-15).all() and dense[rows == cols].max() > 0
+    np.testing.assert_allclose(v, dense, rtol=8 * 3 * np.finfo(float).eps, atol=0)
+
+
+def _generators(n):
+    return lambda: clifford_check(_first_of(n))
+
+
+# every report the pair kernel makes in this file, and the order of its matrices
+CORPUS = {
+    **{"paulis": (lambda: clifford_check(list(PAULIS)), 2),
+       "duplicate": (lambda: clifford_check([SIGMA1, SIGMA1]), 2)},
+    **{"generators-%d" % n: (_generators(n), 2 ** (n // 2)) for n in range(1, 16)},
+    **{"broken-%s" % name: ((lambda f=f: clifford_check(f())), len(f()[0]))
+       for name, f in BROKEN_FAMILIES.items()},
+    **{"condition6-%s" % name: ((lambda f=f: check_bell_condition(f(), 6)), f().dim)
+       for name, f in CONDITION6_BASES.items()},
+    **{"nonfinite-%s" % name: (f, 2) for name, f in {**NONFINITE, **MONOMIAL_NONFINITE}.items()},
+    **{"repeated-rows-%d" % s: ((lambda s=s: clifford_check(_repeated_rows(s))), 4) for s in range(4)},
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_monomial_path_matches_dense_path(name):
+    check, d = CORPUS[name]
+    report = check()
+    with mock.patch.object(clifford, "_monomial_parts", return_value=None):
+        dense = check()
+    _assert_same_up_to_rounding(report, dense, d)

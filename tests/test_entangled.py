@@ -591,3 +591,15 @@ def test_non_latin_support_takes_dense_path():
     basis = EntangledBasis(d, _shift_multiply_ops(hs, tau))
     report = assert_matches_dense_oracle(basis, structured=False)
     assert not report and _shift_multiply_report(hs, 1e-10)
+
+
+def test_non_permutation_columns_take_dense_path():
+    # two rows of tau agree, so no P_j is a permutation and some row of every
+    # operator is zero, which the certificate alone would not see either
+    d = 3
+    tau = cyclic_latin_square(d)
+    tau[2] = tau[1]
+    hs = np.stack([fourier_hadamard(d)] * d)
+    basis = EntangledBasis(d, _shift_multiply_ops(hs, tau))
+    report = assert_matches_dense_oracle(basis, structured=False)
+    assert not report and _shift_multiply_report(hs, 1e-10)
