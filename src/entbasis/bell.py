@@ -33,6 +33,7 @@ from .linalg import (
     PAULIS,
     StateVector,
     _det,
+    _mul,
     _sandwich,
     haar_special_unitary,
     haar_unitary,
@@ -152,10 +153,10 @@ def _covariance_violations(a, trials, seed, tol, phase, per_candidate=None):
         rows = np.searchsorted(cand, np.arange(cand[0], cand[-1] + 2))
         for c, lo, hi in zip(range(cand[0], cand[-1] + 1), rows, rows[1:]):
             np.matmul(u[lo:hi].reshape(-1, d), a[c], out=ua[lo:hi].reshape(-1, d))
-        conjugated = ua @ u.swapaxes(-1, -2)
+        conjugated = _mul(ua, u.swapaxes(-1, -2))
         a_t = a[cand[0]] if cand[0] == cand[-1] else a[cand]  # one candidate broadcasts
         if phase == "det":
-            omega = np.linalg.det(u)
+            omega = _det(u)
         else:
             z = (a_t.conj() * conjugated).sum(axis=(1, 2))  # tr(A^dag U A U^T)
             omega = np.divide(z, np.abs(z), out=np.ones_like(z), where=z != 0)

@@ -46,16 +46,14 @@ def _generator_stack(n):
     return gens
 
 
-def _anticommutators(left, right, tol, **kind):
+def _anticommutators(left, right, tol, parts=None, **kind):
     """||L_a R_b + L_b R_a - 2 delta_ab I||_F over pairs a <= b, row-major, and the witnesses.
 
-    left and right are (n, d, d) stacks: _monomial_norms when both have _monomial_parts,
-    else _dense_norms, its reference. Overflow gives inf or NaN, a fail.
+    left and right are (n, d, d) stacks, parts their _monomial_parts if known: _monomial_norms
+    when both have parts, else _dense_norms, its reference. Overflow gives inf or NaN, a fail.
     """
     rows, cols = np.nonzero(np.tri(len(left), dtype=bool).T)  # np.triu_indices, 3x faster
-    left_parts = _monomial_parts(left)
-    # clifford_check passes its one stack as both
-    parts = left_parts, left_parts if right is left else _monomial_parts(right)
+    parts = parts or (_monomial_parts(left), _monomial_parts(right))
     with np.errstate(over="ignore", invalid="ignore"):
         if None in parts:
             v = _dense_norms(left, right, rows, cols)
@@ -99,6 +97,16 @@ def _monomial_norms(left, right, rows, cols):
     return v
 
 
+def _monomial_hermiticity(rows, values):
+    """||R - R^dag||_F from the _monomial_parts R e_k = v_k e_{r_k}, in O(d): R - R^dag holds
+    v_k - conj(v_{r_k}) at (r_k, k) if r_{r_k} = k, else v_k there and -conj(v_k) at (k, r_k)."""
+    mirror = values[np.arange(len(rows))[:, None], rows]  # v_{r_k}
+    back = np.take_along_axis(rows, rows, axis=-1) == np.arange(rows.shape[-1])
+    entries = np.concatenate((np.where(back, values - mirror.conj(), values),
+                              np.where(back, 0, values)), axis=-1).view(float)
+    return np.sqrt(np.einsum("ij,ij->i", entries, entries))
+
+
 def clifford_check(mats, tol=TOL):
     """Verify hermiticity and R_a R_b + R_b R_a = 2 delta_ab I.
 
@@ -112,9 +120,11 @@ def clifford_check(mats, tol=TOL):
     if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
         raise ValueError("generators must be square matrices of equal dimension")
     n, d = mats.shape[:2]
+    parts = _monomial_parts(mats)
     with np.errstate(over="ignore", invalid="ignore"):
-        herm = np.array([np.linalg.norm(r - r.conj().T) for r in mats])
-    anti, witnesses = _anticommutators(mats, mats, tol, kind="anticommutator")
+        herm = (np.array([np.linalg.norm(r - r.conj().T) for r in mats]) if parts is None
+                else _monomial_hermiticity(*parts))
+    anti, witnesses = _anticommutators(mats, mats, tol, (parts, parts), kind="anticommutator")
     witnesses = pair_witnesses(herm, range(n), range(n), tol, kind="hermiticity") + witnesses
 
     details = {"count": n, "dimension": d}

@@ -8,16 +8,18 @@ factors, and a unitary is a tensor product exactly when a single
 coefficient s_0 = d survives.
 
 The sampled checks decide the kind of a whole stack without most of the
-SVDs (_local_kinds). One step of complete pivoting on each reshuffled
-matrix R, at the entry R_pq of largest modulus, leaves
-S = R - R[:,q] R[p,:] / R_pq. Eckart-Young gives s_1 <= ||S||_F, and the
-pivot column gives s_0 >= ||R[:,q]||; every 2 x 2 minor through the pivot
-is R_pq S_ij and bounds s_0 s_1 from below, so
-s_1/s_0 >= max|S_ij| |R_pq| / ||R||_F^2. A spectrum is certified rank one
-when ||S||_F < RANK_TOL ||R[:,q]|| / 2 and certified not rank one when
-max|S_ij| |R_pq| > 2 RANK_TOL ||R||_F^2; the factor-2 margins make either
+SVDs (_local_kinds). Every 2 x 2 minor of R is at most s_0 s_1 in modulus, and
+s_0 <= ||R||_F = ||U||_F, so s_1/s_0 > 2 RANK_TOL where a minor exceeds
+2 RANK_TOL ||U||_F^2. The leading one, |U[0,0] U[0,d+1] - U[0,1] U[0,d]|,
+is that of R(U) and of R(U F): it certifies "neither" before any reshuffle
+(a NaN decides nothing). On the rest, one step of complete pivoting on each
+R, at the entry R_pq of largest modulus, leaves S = R - R[:,q] R[p,:] / R_pq.
+Eckart-Young gives s_1 <= ||S||_F and the pivot column s_0 >= ||R[:,q]||;
+the minors through the pivot are R_pq S_ij. So a spectrum is certified rank
+one when ||S||_F < RANK_TOL ||R[:,q]|| / 2 and not rank one when
+max|S_ij| |R_pq| > 2 RANK_TOL ||R||_F^2; the factor-2 margins make every
 certificate agree with the SVD's own s_1/s_0 < RANK_TOL. Only the
-matrices that neither certificate settles go to the SVD, the flip is
+matrices that no certificate settles go to the SVD, the flip is
 examined only where U is not local, and the "neither" residual is left to
 _neither_residual, which the checks run on their witness rows alone.
 factor_local, which also returns the factors, always takes the SVD and is
@@ -197,12 +199,20 @@ def _local_kinds(u, refuse=True):
         kinds = np.full(len(u), "not unitary")
         kinds[unitary] = _local_kinds(u[unitary])
         return kinds
-    local = _rank_one(_reshuffle(u, d))
-    flip = np.zeros_like(local)
-    rest = np.flatnonzero(~local)
-    if len(rest):
-        flip[rest] = _rank_one(_flip_reshuffle(u[rest], d))
-    return np.where(local, "local", np.where(flip, "local_flip", "neither"))
+    # U[0, (j, l)] = R(U)[(0, j), (0, l)] = R(U F)[(0, l), (0, j)]; the index -1 is 0 at d = 1
+    r = u[:, 0].reshape(-1, d, d)[:, :2, :2]
+    minor = np.abs(r[:, 0, 0] * r[:, -1, -1] - r[:, 0, -1] * r[:, -1, 0])
+    x = np.ascontiguousarray(u).view(float)  # ||U||_F^2 as a real dot
+    open_ = ~(minor > 2.0 * RANK_TOL * np.einsum("tij,tij->t", x, x))
+    kinds = np.full(len(u), "neither", dtype="<U10")
+    if open_.any():
+        u = u if open_.all() else u[open_]
+        local = _rank_one(_reshuffle(u, d))
+        flip = ~local
+        if flip.any():
+            flip[~local] = _rank_one(_flip_reshuffle(u[~local], d))
+        kinds[open_] = np.where(local, "local", np.where(flip, "local_flip", "neither"))
+    return kinds
 
 
 def _neither_residual(u):

@@ -225,8 +225,12 @@ def _gaussian(d, seed, count, real):
     """The standard normal matrix, or (count, d, d) stack, behind Haar on U(d) or O(d)."""
     rng = np.random.default_rng(seed)
     shape = (d, d) if count is None else (count, d, d)
-    z = rng.standard_normal(shape)
-    return z if real else (z + 1j * rng.standard_normal(shape)) / np.sqrt(2)
+    if real:
+        return rng.standard_normal(shape)
+    out = np.empty(shape, dtype=complex)  # (z + 1j w) / sqrt(2) to the bit, in place
+    for part in (out.real, out.imag):
+        np.multiply(rng.standard_normal(shape), 1 / np.sqrt(2), out=part)
+    return out
 
 
 def _qr(z, real):

@@ -345,6 +345,40 @@ def test_repeated_rows_match_loop(seed):
     assert _report_text(report) == _report_text(_loop_clifford(mats, 1e-10))
 
 
+def _complex_monomials(seed, repeated, n=6, d=5):
+    """n monomial matrices with complex normal nonzeros, on rows drawn at random, which repeat,
+    or on random permutations, where fixed points and 2-cycles meet their mirror entries."""
+    rng = np.random.default_rng(seed)
+    rows = (rng.integers(0, d, (n, d)) if repeated
+            else np.array([rng.permutation(d) for _ in range(n)]))
+    back = np.take_along_axis(rows, rows, axis=-1) == np.arange(d)  # r_{r_k} = k
+    assert back.any() and not back.all()
+    mats = np.zeros((n, d, d), dtype=complex)
+    mats[np.arange(n)[:, None], rows, np.arange(d)] = (rng.standard_normal((n, d))
+                                                       + 1j * rng.standard_normal((n, d)))
+    return list(mats)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("repeated", [True, False], ids=["repeated-rows", "permutations"])
+def test_hermiticity_from_parts_matches_dense_loop(repeated, seed):
+    # ||R - R^dag||_F from the parts sums the dense entries in another order
+    mats = _complex_monomials(seed, repeated)
+    dense = [np.linalg.norm(r - r.conj().T) for r in mats]
+    rtol = 8 * 5 * np.finfo(float).eps
+    np.testing.assert_allclose(clifford._monomial_hermiticity(*_monomial_parts(np.array(mats))),
+                               dense, rtol=rtol, atol=0)
+    report, calls = _dense_calls(lambda: clifford_check(mats))
+    want = _loop_clifford(mats, 1e-10)
+    assert calls == 0 and (report.passed, report.details) == (want.passed, want.details)
+    assert ([{k: x for k, x in w.items() if k != "violation"} for w in report.witnesses]
+            == [{k: x for k, x in w.items() if k != "violation"} for w in want.witnesses])
+    assert [w["kind"] for w in report.witnesses[:len(mats)]] == ["hermiticity"] * len(mats)
+    np.testing.assert_allclose([report.max_violation] + [w["violation"] for w in report.witnesses],
+                               [want.max_violation] + [w["violation"] for w in want.witnesses],
+                               rtol=rtol, atol=0)
+
+
 def test_near_zero_anticommutators_keep_their_digits():
     # U^dag U - I is 0 up to rounding on the diagonal pairs. Expanding |x + y|^2 into
     # |x|^2 + |y|^2 + 2 Re(x conj(y)) cancels to 0 there, or leaves a rounding error

@@ -1,5 +1,7 @@
 """Tests for operator-Schmidt decomposition and local factorization."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,10 @@ from entbasis import (
     SIGMA1,
     SIGMA3,
     basis_matrix,
+    bell_basis,
     bell_matrix,
+    check_bell_condition,
+    check_det_criterion_agreement,
     check_preserves_max_entangled,
     factor_local,
     flip_operator,
@@ -17,8 +22,10 @@ from entbasis import (
     random_orthogonal,
     tensor,
 )
-from entbasis import factorize
+from entbasis import bell, factorize
 from entbasis.factorize import _is_rank_one, _reshuffle
+from entbasis.fileio import report_to_obj
+from entbasis.reports import MAX_WITNESSES, RANK_TOL
 
 CNOT = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
@@ -207,11 +214,9 @@ class TestStackedKinds:
         # on generic basis-real unitaries and Haar ones, it decides alone
         rng = np.random.default_rng(10 + d)
         b = bell_matrix() if d == 2 else basis_matrix(fourier_basis(3))
-        us = np.concatenate([
-            _near_local(d, rng),
-            b @ random_orthogonal(d * d, rng, count=200) @ b.conj().T,
-            haar_unitary(d * d, rng, count=50),
-        ])
+        near = _near_local(d, rng)
+        real = b @ random_orthogonal(d * d, rng, count=200) @ b.conj().T
+        us = np.concatenate([near, real, haar_unitary(d * d, rng, count=50)])
         expected = _svd_kinds(us)
         assert set(expected) == {"local", "local_flip", "neither"}
         deferred = []
@@ -220,17 +225,105 @@ class TestStackedKinds:
             deferred.append(len(s))
             return _is_rank_one(s)
 
-        flipped = []
-        real_flip = factorize._flip_reshuffle
-
-        def flip_counted(u, d):
-            flipped.append(len(u))
-            return real_flip(u, d)
-
+        pivoted, flipped = _spy(monkeypatch, "_reshuffle"), _spy(monkeypatch, "_flip_reshuffle")
         monkeypatch.setattr(factorize, "_is_rank_one", counted)
-        monkeypatch.setattr(factorize, "_flip_reshuffle", flip_counted)
         kinds = factorize._local_kinds(us)
         assert kinds.tolist() == expected.tolist()
         assert 0 < sum(deferred) < len(us)
-        # the flip is examined only where U is not local
-        assert flipped == [int((kinds != "local").sum())]
+        # the minor certifies "neither" before any reshuffle, but at d=2 no basis-real U
+        open_ = ~_minor_certified(us)
+        assert open_[len(near):len(near) + len(real)].all() == (d == 2) and not open_.all()
+        assert pivoted == [int(open_.sum())]
+        # the flip is examined only where an uncertified U is not local
+        assert flipped == [int((kinds[open_] != "local").sum())]
+
+
+def _spy(monkeypatch, name):
+    """The stack lengths factorize.<name> is called with, in call order."""
+    calls, real = [], getattr(factorize, name)
+    monkeypatch.setattr(factorize, name, lambda u, d: calls.append(len(u)) or real(u, d))
+    return calls
+
+
+def _minor_certified(us):
+    """The minor certificate restated: |U00 U0,d+1 - U01 U0d| > 2 RANK_TOL ||U||_F^2."""
+    d = round(us.shape[-1] ** 0.5)
+    row = us[:, 0]
+    minor = np.abs(row[:, 0] * row[:, d + 1] - row[:, 1] * row[:, d])
+    return minor > 2 * RANK_TOL * np.linalg.norm(us, axis=(1, 2)) ** 2
+
+
+def _products(d, rng, count):
+    """U1 tensor U2 for Haar U1, U2, and each times F: their minor is 0 up to rounding."""
+    a, b = haar_unitary(d, rng, count=count), haar_unitary(d, rng, count=count)
+    u = np.einsum("tij,tkl->tikjl", a, b).reshape(count, d * d, d * d)
+    return np.concatenate([u, u @ flip_operator(d)])
+
+
+class TestMinorCertificate:
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_kinds_match_all_svd_reference(self, d, monkeypatch):
+        rng = np.random.default_rng(20 + d)
+        near, products = _near_local(d, rng), _products(d, rng, 100)
+        haar = haar_unitary(d * d, rng, count=100)
+        us = np.concatenate([near, products, haar])
+        pivoted = _spy(monkeypatch, "_reshuffle")
+        kinds = factorize._local_kinds(us)
+        assert kinds.tolist() == _svd_kinds(us).tolist()
+        # local and local-flip products all reach the pivot, Haar ones never do
+        assert not _minor_certified(products).any() and _minor_certified(haar).all()
+        assert pivoted == [int((~_minor_certified(us)).sum())]
+        assert set(kinds[len(near):len(near) + len(products)]) == {"local", "local_flip"}
+        assert set(kinds[-len(haar):]) == {"neither"}
+        # with refuse off, a NaN operator is named and the others keep their kinds
+        nan = np.full((1, d * d, d * d), np.nan, dtype=complex)
+        named = factorize._local_kinds(np.concatenate([us[:9], nan, us[9:]]), refuse=False)
+        assert named.tolist() == kinds[:9].tolist() + ["not unitary"] + kinds[9:].tolist()
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_bound_holds_at_the_rank_threshold(self, d):
+        # exp(i eps (E_{0,d+1} + E_{d+1,0})) has minor sin(eps) cos(eps) and s1/s0 = sin(eps)/d:
+        # the SVD calls it local up to eps = d RANK_TOL, so a bound below 2 RANK_TOL ||U||_F^2
+        # would certify local operators as "neither"
+        eps = np.logspace(-9, -6, 61)
+        u = np.repeat(np.eye(d * d, dtype=complex)[None], len(eps), axis=0)
+        u[:, 0, 0] = u[:, d + 1, d + 1] = np.cos(eps)
+        u[:, 0, d + 1] = u[:, d + 1, 0] = 1j * np.sin(eps)
+        us = np.concatenate([u, u @ flip_operator(d)])
+        kinds = factorize._local_kinds(us)
+        assert kinds.tolist() == _svd_kinds(us).tolist()
+        assert set(kinds) == {"local", "local_flip", "neither"}
+
+    def test_fourier3_condition3_takes_no_reshuffle_before_its_witnesses(self, monkeypatch):
+        # every basis-real unitary at d=3 is "neither", each certified by its minor: no pivot
+        # runs, and only _neither_residual reshuffles, on the rows that carry a residual
+        pivots = []
+        monkeypatch.setattr(factorize, "_rank_one", lambda r: pivots.append(len(r)))
+        plain, flip = _spy(monkeypatch, "_reshuffle"), _spy(monkeypatch, "_flip_reshuffle")
+        report = check_bell_condition(fourier_basis(3), 3, 1000, 7)
+        assert report.max_violation == 1.0 and len(report.witnesses) == MAX_WITNESSES
+        assert pivots == []
+        assert sum(plain) == sum(flip) == MAX_WITNESSES
+
+    @pytest.mark.parametrize("check, text", [
+        (lambda: check_bell_condition(bell_basis(), 3, 2000, 7),
+         '{"name": "bell-condition-3", "trials": 2000, "maxViolation": 0.0, "threshold": 1e-10, '
+         '"passed": true, "verdict": "no violation found", "witnesses": [], "details": {}}'),
+        (lambda: check_det_criterion_agreement(1000, 7),
+         '{"name": "det-criterion-agreement", "trials": 1000, "maxViolation": 0.0, '
+         '"threshold": 1e-10, "passed": true, "verdict": "no violation found", '
+         '"witnesses": [], "details": {}}'),
+    ], ids=["bell-condition-3", "det-criterion"])
+    def test_d2_stacks_pass_to_the_pivot_as_they_are(self, check, text, monkeypatch):
+        # at d=2 every sampled U is local or local-flip, with a zero minor: the certificate
+        # decides no trial and each chunk reaches the pivot whole, not as a copy
+        given, pivoted = [], []
+        real_kinds, real_reshuffle = factorize._local_kinds, factorize._reshuffle
+        monkeypatch.setattr(bell, "_local_kinds",
+                            lambda u, **kw: given.append(u) or real_kinds(u, **kw))
+        monkeypatch.setattr(factorize, "_reshuffle",
+                            lambda u, d: pivoted.append(u) or real_reshuffle(u, d))
+        report = check()
+        assert len(given) > 1 and len(pivoted) == len(given)
+        assert all(p is g for p, g in zip(pivoted, given))
+        assert json.dumps(report_to_obj(report)) == text

@@ -381,6 +381,20 @@ class TestGramSchmidtSampler:
         assert np.abs(got[rest] - linalg._qr(z[rest], real)).max() <= 1e-13
 
 
+@pytest.mark.parametrize("count", [None, 101, 910], ids=["2-D", "101", "910"])
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_gaussian_draws_equal_the_textbook_expression(d, count):
+    # the complex draw is written in place, with the bits of (z + 1j w) / sqrt(2)
+    shape = (d, d) if count is None else (count, d, d)
+    rng = np.random.default_rng(4)
+    z, w = rng.standard_normal(shape), rng.standard_normal(shape)
+    real, complex_ = linalg._gaussian(d, 4, count, True), linalg._gaussian(d, 4, count, False)
+    assert real.dtype == float and real.tobytes() == z.tobytes()
+    want = (z + 1j * w) / np.sqrt(2)
+    assert complex_.dtype == want.dtype and complex_.shape == want.shape
+    assert complex_.tobytes() == want.tobytes()
+
+
 class TestSmallKernels:
     """linalg._det and linalg._mul against LAPACK and the matmul."""
 
@@ -408,10 +422,12 @@ class TestSmallKernels:
     def test_mul_matches_matmul(self, n, count, real):
         rng = np.random.default_rng(n)
         x, y = self.stack(rng, n, count, real), self.stack(rng, n, count, real)
-        for left in (x, np.swapaxes(x.conj(), -1, -2)):
-            got, want = linalg._mul(left, y), left @ y
+        # U^dag X in the unitarity residual, U A U^T in the universality check
+        for left, right in ((x, y), (np.swapaxes(x.conj(), -1, -2), y), (x, np.swapaxes(y, -1, -2))):
+            got, want = linalg._mul(left, right), left @ right
             assert got.shape == want.shape and got.dtype == want.dtype
-            bound = 1e-15 * np.linalg.norm(left, axis=(-2, -1)) * np.linalg.norm(y, axis=(-2, -1))
+            bound = (1e-15 * np.linalg.norm(left, axis=(-2, -1))
+                     * np.linalg.norm(right, axis=(-2, -1)))
             assert np.all(np.linalg.norm(got - want, axis=(-2, -1)) <= bound)
 
 
