@@ -339,21 +339,19 @@ def check_bell_condition(basis, condition, trials=1000, seed=0, tol=TOL):
             u = np.einsum("tij,tkl->tikjl", v1, v2).reshape(-1, n, n)  # tensor(v1, v2) per trial
             return _max_entry(np.abs(_sandwich(bh, u, b).imag))
     elif condition == 3:
+        # U = B O B^dag is unitary exactly when B is. A basis that fails (one that overflows,
+        # say) makes each trial a NaN violation, with no spectra for a residual
+        unitary = unitarity_residual(b) <= INPUT_TOL
+
         def draw(rng, idx):
             return random_orthogonal(n, rng, special=True, count=len(idx))
 
         def measure(o):
+            if not unitary:
+                return np.full(len(o), np.nan), {"residual": np.full(len(o), np.nan)}
             u = _sandwich(b, o, bh)
-            kinds = _local_kinds(u, refuse=False)
-            # a basis that is not unitary (one that overflows, say) gives trials that are not
-            # unitary either: each is a NaN violation, and has no spectra for a residual
-            v = np.where(kinds == "not unitary", np.nan, kinds == "neither")
-
-            def residual(rows):
-                out, neither = np.full(len(rows), np.nan), v[rows] == 1
-                out[neither] = _neither_residual(u[rows[neither]])
-                return {"residual": out}
-            return v, residual
+            v = (_local_kinds(u) == "neither").astype(float)
+            return v, lambda rows: {"residual": _neither_residual(u[rows])}
     elif condition == 4:
         def draw(rng, idx):
             return haar_unitary(d, rng, count=len(idx))
@@ -385,7 +383,8 @@ def _det_verdicts(u, tol):
 
     The Bell-frame matrix B^dag U B is "not_real_in_bell" when an entry
     keeps an imaginary part above tol; otherwise the sign of the
-    determinant of its real part decides. The caller gates u for unitarity.
+    determinant of its real part decides. u is taken as unitary: det_criterion
+    gates its input, and the sampled check builds u from _BELL.
     """
     ub = _sandwich(_BELL.conj().T, u, _BELL)
     real = np.abs(ub.imag).max(axis=(-2, -1)) <= tol
@@ -430,7 +429,6 @@ def check_det_criterion_agreement(trials=1000, seed=0, tol=TOL):
     def measure(batch):
         o, want_positive = batch
         u = _sandwich(_BELL, o, _BELL.conj().T)
-        # _local_kinds runs the unitarity gate for both verdicts
         factor_verdict = _local_kinds(u)
         det_verdict = _det_verdicts(u, tol)
         expected = np.where(want_positive, "local", "local_flip")

@@ -27,7 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hadamard import is_hadamard, validate_latin_square, fourier_hadamard, cyclic_latin_square
+from .hadamard import (_missing_symbols, cyclic_latin_square, fourier_hadamard, is_hadamard,
+                       validate_latin_square)
 from .linalg import StateVector, _monomial_parts, unitarity_residual
 from .reports import TOL, pair_witnesses, require_tolerance, tolerance_report
 
@@ -193,11 +194,9 @@ def _shift_multiply_parts(ops):
     parts = _monomial_parts(ops) if len(ops) else None
     if parts is None:
         return None
-    # tau[k, j] = rows[j, k]; Latin when each symbol is seen in every row and every column
-    rows, k = parts[0][:d], np.arange(d)
-    seen = np.zeros((2, d, d), dtype=bool)
-    seen[0, rows, k], seen[1, rows, k[:, None]] = True, True
-    if not (seen.all() and (parts[0].reshape(d, d, d) == rows).all()):
+    # tau[k, j] = rows[j, k] is Latin exactly when its transpose rows is
+    rows = parts[0][:d]
+    if _missing_symbols(rows).any() or not (parts[0].reshape(d, d, d) == rows).all():
         return None
     return parts[1].reshape(d, d, d).transpose(1, 0, 2)
 

@@ -23,7 +23,8 @@ matrices that no certificate settles go to the SVD, the flip is
 examined only where U is not local, and the "neither" residual is left to
 _neither_residual, which the checks run on their witness rows alone.
 factor_local, which also returns the factors, always takes the SVD and is
-the reference the stacked path is tested against.
+the reference the stacked path is tested against. No certificate needs a
+unitary U: factor_local gates its input, and condition 3 its basis once.
 """
 
 from dataclasses import dataclass
@@ -49,10 +50,17 @@ def _square_side(n):
     return d
 
 
+def _doubled_operator(u):
+    """(u, d) for a square complex matrix u on C^d tensor C^d; else ValueError."""
+    u = np.asarray(u, dtype=complex)
+    if u.ndim != 2 or u.shape[0] != u.shape[1]:
+        raise ValueError("operator must be square")
+    return u, _square_side(u.shape[0])
+
+
 def _require_unitary(u, tol):
-    """Refuse an input (or a stack of them) further than tol from unitary."""
-    residual = float(np.max(unitarity_residual(u), initial=0.0))
-    # an empty stack passes; entries near the double range give a NaN residual, refused too
+    """Refuse an input further than tol from unitary, or with a NaN residual (overflow)."""
+    residual = float(unitarity_residual(u))
     if not residual <= tol:
         raise ValueError("input is not unitary: residual %.3e" % residual)
 
@@ -77,10 +85,7 @@ def operator_schmidt(u):
     nonincreasing. Computed as the SVD of the reshuffled matrix
     R[(i,j),(k,l)] = U[(i,k),(j,l)].
     """
-    u = np.asarray(u, dtype=complex)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise ValueError("operator must be square")
-    d = _square_side(u.shape[0])
+    u, d = _doubled_operator(u)
     w, s, vh = np.linalg.svd(_reshuffle(u, d))
     left = [w[:, m].reshape(d, d) for m in range(d * d)]
     right = [vh[m, :].reshape(d, d) for m in range(d * d)]
@@ -132,10 +137,7 @@ def factor_local(u, tol=INPUT_TOL):
     reconstruction residual. "neither" reuses the two spectra it tested.
     """
     require_tolerance(tol)
-    u = np.asarray(u, dtype=complex)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise ValueError("operator must be square")
-    d = _square_side(u.shape[0])
+    u, d = _doubled_operator(u)
     _require_unitary(u, tol)
     s_plain, split = _split_product(u, d)
     if split is not None:
@@ -185,20 +187,13 @@ def _rank_one(r):
     return yes
 
 
-def _local_kinds(u, refuse=True):
-    """factor_local's kind for each operator of a (n, d^2, d^2) stack.
+def _local_kinds(u):
+    """factor_local's kind for each operator of a finite (n, d^2, d^2) stack.
 
-    Same unitarity gate and rank-one rule as factor_local; the flip is
-    tested only for the operators that are not local. With refuse off, an
-    operator the gate would refuse is of kind "not unitary" instead.
+    Same rank-one rule as factor_local, sound for any finite matrix: the
+    caller gates what it builds u from. The flip is tested only where U is not local.
     """
     d = _square_side(u.shape[-1])
-    if refuse:
-        _require_unitary(u, INPUT_TOL)
-    elif not (unitary := unitarity_residual(u) <= INPUT_TOL).all():
-        kinds = np.full(len(u), "not unitary")
-        kinds[unitary] = _local_kinds(u[unitary])
-        return kinds
     # U[0, (j, l)] = R(U)[(0, j), (0, l)] = R(U F)[(0, l), (0, j)]; the index -1 is 0 at d = 1
     r = u[:, 0].reshape(-1, d, d)[:, :2, :2]
     minor = np.abs(r[:, 0, 0] * r[:, -1, -1] - r[:, 0, -1] * r[:, -1, 0])
@@ -237,8 +232,7 @@ def check_preserves_max_entangled(u, trials=500, seed=0, tol=TOL):
     sampled counterpart of the factor_local verdict: local and local-flip
     unitaries never produce a violation.
     """
-    u = np.asarray(u, dtype=complex)
-    d = _square_side(u.shape[0])
+    u, d = _doubled_operator(u)
 
     def draw(rng, idx):
         return haar_unitary(d, rng, count=len(idx))

@@ -93,6 +93,14 @@ def cyclic_latin_square(d):
     return (k[:, None] + k[None, :]) % d
 
 
+def _missing_symbols(t):
+    """(2, d, d) mask of the symbols that row [0, k], column [1, k] of t lack; t in [0, d)."""
+    d, k = len(t), np.arange(len(t))
+    seen = np.zeros((2, d, d), dtype=bool)
+    seen[0, k[:, None], t], seen[1, k, t] = True, True  # row i has t[i, j], column j too
+    return ~seen
+
+
 def validate_latin_square(table):
     """Check that each row and each column is a permutation of 0..d-1.
 
@@ -108,18 +116,11 @@ def validate_latin_square(table):
         raise ValueError("Latin square entries must be integers")
     if t.min() < 0 or t.max() >= d:
         raise ValueError("Latin square entries must lie in [0, %d)" % d)
-    # entries lie in [0, d): a line's repeats are as many as the symbols it lacks. The
-    # symbols of row k, then of column k, are counted from key d * k, then d * (d + k)
-    keys = np.stack((t, t.T)).astype(np.intp) + d * np.arange(2 * d).reshape(2, d, 1)
-    missing = np.bincount(keys.ravel(), minlength=2 * d * d).reshape(2, d, d) == 0
-    rows, cols = missing.sum(axis=2).tolist()
+    # a line's repeats are as many as the symbols it lacks
+    rows, cols = _missing_symbols(t).sum(axis=2).tolist()
 
     def first(repeats):
         return next((k for k, r in enumerate(repeats) if r), None)
 
-    return tolerance_report(
-        "latin-square",
-        max(rows + cols),
-        1,
-        details={"bad_row": first(rows), "bad_column": first(cols)},
-    )
+    return tolerance_report("latin-square", max(rows + cols), 1,
+                            details={"bad_row": first(rows), "bad_column": first(cols)})

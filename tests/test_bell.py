@@ -13,6 +13,7 @@ from entbasis import (
     SIGMA2,
     SIGMA3,
     StateVector,
+    basis_matrix,
     bell_basis,
     bell_conjugate,
     bell_matrix,
@@ -31,11 +32,12 @@ from entbasis import (
     tensor,
     theta2,
     theta_n,
+    unitarity_residual,
     universality_search,
     verify_unitary_basis,
 )
 from entbasis import bell, factorize, reports
-from entbasis.reports import chunk_size
+from entbasis.reports import INPUT_TOL, MAX_WITNESSES, chunk_size
 
 CNOT = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
@@ -489,6 +491,47 @@ def test_condition_3_fails_when_it_finds_violations():
     assert report.verdict == "violation witnessed"
 
 
+class TestCondition3BasisGate:
+    def test_basis_gated_once_per_call(self, monkeypatch):
+        # U = B O B^dag is unitary exactly when B is: one residual for the call, none per chunk
+        gated, chunks = [], []
+        real_residual, real_kinds = bell.unitarity_residual, bell._local_kinds
+        for module in (bell, factorize):
+            monkeypatch.setattr(module, "unitarity_residual",
+                                lambda x: gated.append(x.shape) or real_residual(x))
+        monkeypatch.setattr(bell, "_local_kinds", lambda u: chunks.append(len(u)) or real_kinds(u))
+        report = check_bell_condition(fourier_basis(3), 3, trials=1000, seed=0)
+        assert report.max_violation == 1.0
+        assert chunks == [chunk_size(81)] * 9 + [1000 - 9 * chunk_size(81)]
+        assert gated == [(9, 9)]
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_product_basis_gets_finite_verdicts(self, d):
+        # B is the identity while no operator sqrt(d) E_ij is unitary: the gate is on B alone
+        basis = EntangledBasis(d, np.sqrt(d) * np.eye(d * d).reshape(d * d, d, d))
+        assert np.array_equal(basis_matrix(basis), np.eye(d * d))
+        assert not verify_unitary_basis(basis)
+        report = check_bell_condition(basis, 3, trials=200, seed=0)
+        assert 0.5 < report.max_violation <= 1.0 and len(report.witnesses) == MAX_WITNESSES
+        for w in report.witnesses:
+            assert w["violation"] == 1.0 and 0.0 < w["residual"] < np.inf
+
+    def test_basis_beyond_the_input_tolerance_gives_nan_witnesses(self):
+        # scaling the operators by s makes B^dag B = s^2 I, a residual of (s^2 - 1) d
+        ops = fourier_basis(3).ops
+        basis = EntangledBasis(3, np.sqrt(1 + 10 * INPUT_TOL / 3) * ops)
+        assert unitarity_residual(basis_matrix(basis)) == pytest.approx(10 * INPUT_TOL, rel=1e-5)
+        report = check_bell_condition(basis, 3, trials=50, seed=0)
+        assert np.isnan(report.max_violation) and not report.passed
+        assert [w["trial"] for w in report.witnesses] == list(range(MAX_WITNESSES))
+        assert all(np.isnan([w["violation"], w["residual"]]).all() for w in report.witnesses)
+        # a tenth of the tolerance passes the gate, and the same trials get finite verdicts
+        report = check_bell_condition(EntangledBasis(3, np.sqrt(1 + INPUT_TOL / 30) * ops), 3,
+                                      trials=50, seed=0)
+        assert report.max_violation == 1.0
+        assert all(0.0 < w["residual"] < np.inf for w in report.witnesses)
+
+
 class TestDetCriterion:
     def test_pauli_product_local(self):
         assert det_criterion(tensor(SIGMA1, SIGMA3)) == "local"
@@ -528,19 +571,17 @@ class TestDetCriterion:
         assert report.max_violation == 14 / 40
         assert [w["trial"] for w in report.witnesses] == list(range(0, 24, 3))
 
-    def test_agreement_gates_each_chunk_once(self, monkeypatch):
-        # det_criterion gates its own input; the sampled check leaves the gate to
-        # _local_kinds, so each chunk of unitaries is checked exactly once
+    def test_agreement_gates_no_chunk(self, monkeypatch):
+        # det_criterion gates its own input; the sampled check builds each U from the Bell
+        # matrix and an orthogonal draw, so no chunk of them is gated
         gated = []
         real_gate = factorize._require_unitary
-        monkeypatch.setattr(factorize, "_require_unitary",
-                            lambda u, tol: gated.append(len(u)) or real_gate(u, tol))
-        monkeypatch.setattr(bell, "_require_unitary",
-                            lambda u, tol: gated.append(len(u)) or real_gate(u, tol))
-        trials = 300
-        assert check_det_criterion_agreement(trials=trials, seed=0)
-        per_chunk = chunk_size(16)
-        assert gated == [min(per_chunk, trials - start) for start in range(0, trials, per_chunk)]
+        for module in (factorize, bell):
+            monkeypatch.setattr(module, "_require_unitary",
+                                lambda u, tol: gated.append(u) or real_gate(u, tol))
+        assert check_det_criterion_agreement(trials=300, seed=0)
+        assert gated == []
+        assert det_criterion(CNOT) == "not_real_in_bell" and len(gated) == 1
 
     def test_local_unitaries_are_real_in_bell(self):
         # SU(2) x SU(2) conjugation acts as a rotation in Bell coordinates

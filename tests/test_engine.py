@@ -545,15 +545,6 @@ class TestSharedRules:
             if kind == "neither":
                 assert abs(res - single.residual) <= 1e-12
 
-    def test_stacked_kinds_refuse_non_unitary(self):
-        with pytest.raises(ValueError, match="unitary"):
-            factorize._local_kinds(np.stack([np.eye(4), 2 * np.eye(4)]).astype(complex))
-
-    def test_stacked_kinds_name_what_they_do_not_refuse(self):
-        us = np.stack([np.eye(4), 2 * np.eye(4), CNOT, np.full((4, 4), np.nan)]).astype(complex)
-        kinds = factorize._local_kinds(us, refuse=False)
-        assert kinds.tolist() == ["local", "not unitary", "neither", "not unitary"]
-
 
 def _overflowing_fourier2():
     ops = fourier_basis(2).ops.copy()
@@ -578,7 +569,7 @@ def test_inf_or_nan_trial_is_a_witness_without_warnings(check):
 
 
 def test_every_bell_condition_reports_an_overflowing_basis():
-    # condition 3 meets trials the basis left non-unitary: NaN witnesses, not a refusal
+    # condition 3 gates the basis, not its trials: NaN witnesses, not a refusal
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         found = [check_bell_condition(_overflowing_fourier2(), c, trials=5) for c in (2, 3, 4, 5, 6)]
@@ -586,9 +577,7 @@ def test_every_bell_condition_reports_an_overflowing_basis():
     assert all(r.witnesses for r in found)
     first = found[1].witnesses[0]
     assert first["trial"] == 0 and math.isnan(first["violation"]) and math.isnan(first["residual"])
-    # called directly, the unitarity gate still refuses such an operator
-    with pytest.raises(ValueError, match="not unitary"):
-        factorize._local_kinds(np.full((1, 4, 4), np.nan, dtype=complex))
+    # called directly, factor_local's unitarity gate still refuses such an operator
     with pytest.raises(ValueError, match="not unitary"):
         factor_local(np.full((4, 4), np.nan, dtype=complex))
 

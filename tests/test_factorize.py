@@ -82,6 +82,15 @@ class TestOperatorSchmidt:
             operator_schmidt(np.eye(6))
 
 
+@pytest.mark.parametrize("run", [operator_schmidt, factor_local, check_preserves_max_entangled],
+                         ids=["operator_schmidt", "factor_local", "preserves"])
+@pytest.mark.parametrize("u", [np.eye(4)[:, :3], np.ones(4)], ids=["4x3", "vector"])
+def test_every_operator_entry_refuses_a_non_square_input_alike(run, u):
+    # one rule where an operator enters, before any reshape or product meets the wrong shape
+    with pytest.raises(ValueError, match="operator must be square"):
+        run(u)
+
+
 class TestFactorLocal:
     def test_sigma1_sigma3(self):
         result = factor_local(tensor(SIGMA1, SIGMA3))
@@ -275,10 +284,18 @@ class TestMinorCertificate:
         assert pivoted == [int((~_minor_certified(us)).sum())]
         assert set(kinds[len(near):len(near) + len(products)]) == {"local", "local_flip"}
         assert set(kinds[-len(haar):]) == {"neither"}
-        # with refuse off, a NaN operator is named and the others keep their kinds
-        nan = np.full((1, d * d, d * d), np.nan, dtype=complex)
-        named = factorize._local_kinds(np.concatenate([us[:9], nan, us[9:]]), refuse=False)
-        assert named.tolist() == kinds[:9].tolist() + ["not unitary"] + kinds[9:].tolist()
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_kinds_of_finite_non_unitary_stacks_match_all_svd_reference(self, d):
+        # no certificate needs a unitary input: 2 U keeps U's kind, and a Gaussian matrix is
+        # decided as the SVD decides it
+        rng = np.random.default_rng(30 + d)
+        shape = (100, d * d, d * d)
+        gaussian = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        us = np.concatenate([2 * _near_local(d, rng), 2 * _products(d, rng, 50), gaussian])
+        kinds = factorize._local_kinds(us)
+        assert kinds.tolist() == _svd_kinds(us).tolist()
+        assert set(kinds) == {"local", "local_flip", "neither"}
 
     @pytest.mark.parametrize("d", [3, 4])
     def test_bound_holds_at_the_rank_threshold(self, d):
@@ -319,8 +336,7 @@ class TestMinorCertificate:
         # decides no trial and each chunk reaches the pivot whole, not as a copy
         given, pivoted = [], []
         real_kinds, real_reshuffle = factorize._local_kinds, factorize._reshuffle
-        monkeypatch.setattr(bell, "_local_kinds",
-                            lambda u, **kw: given.append(u) or real_kinds(u, **kw))
+        monkeypatch.setattr(bell, "_local_kinds", lambda u: given.append(u) or real_kinds(u))
         monkeypatch.setattr(factorize, "_reshuffle",
                             lambda u, d: pivoted.append(u) or real_reshuffle(u, d))
         report = check()
