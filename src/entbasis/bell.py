@@ -35,6 +35,7 @@ from .linalg import (
     _det,
     _mul,
     _sandwich,
+    _so4,
     haar_special_unitary,
     haar_unitary,
     random_orthogonal,
@@ -306,9 +307,9 @@ def check_bell_condition(basis, condition, trials=1000, seed=0, tol=TOL):
     condition selects the property:
       2: matrix elements <Psi_a, (U1 tensor U2) Psi_b> are real for
          U1, U2 in SU(d) (sampled Haar);
-      3: unitaries that are real orthogonal in basis coordinates factor
-         into local parts, possibly times the flip (sampled; the violation
-         is the fraction of non-factorizable samples);
+      3: unitaries that are real orthogonal in basis coordinates, sampled
+         Haar on O(d^2), factor into local parts, possibly times the flip
+         (the violation is the fraction of non-factorizable samples);
       4: expansion coefficients of maximally entangled vectors are real up
          to a global phase, tested pairwise via Im(c_a conj(c_b)) = 0;
       5: real unit combinations sum_a a_a X_a of the basis operators are
@@ -344,7 +345,7 @@ def check_bell_condition(basis, condition, trials=1000, seed=0, tol=TOL):
         unitary = unitarity_residual(b) <= INPUT_TOL
 
         def draw(rng, idx):
-            return random_orthogonal(n, rng, special=True, count=len(idx))
+            return random_orthogonal(n, rng, count=len(idx))
 
         def measure(o):
             if not unitary:
@@ -422,7 +423,7 @@ def check_det_criterion_agreement(trials=1000, seed=0, tol=TOL):
     require_tolerance(tol)
 
     def draw(rng, idx):
-        o = random_orthogonal(4, rng, special=True, count=len(idx))
+        o = _so4(rng, len(idx))
         o[idx % 2 == 1, :, 0] *= -1.0  # Haar on the other coset of SO(4) in O(4)
         return o, idx % 2 == 0
 

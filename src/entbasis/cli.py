@@ -29,7 +29,7 @@ from .bell import (
     theta2,
     universality_search,
 )
-from .clifford import _generator_stack, clifford_check
+from .clifford import build_clifford_generators, clifford_check
 from .entangled import _require_basis, shift_multiply_basis, verify_unitary_basis
 from .factorize import factor_local
 from .fileio import (
@@ -148,7 +148,7 @@ def cmd_check_clifford(args):
     if args.count > MAX_CLIFFORD_COUNT:
         raise ValueError("generator count must be at most %d, got %d"
                          % (MAX_CLIFFORD_COUNT, args.count))
-    rep = clifford_check(_generator_stack(args.count), tol=args.tol)
+    rep = clifford_check(build_clifford_generators(args.count), tol=args.tol)
     return rep, ["count %d acting on dimension %d (expected %s)"
                  % (rep.details["count"], rep.details["dimension"],
                     rep.details.get("expected_dimension"))]

@@ -18,20 +18,12 @@ __all__ = ["build_clifford_generators", "clifford_check"]
 
 
 def build_clifford_generators(n):
-    """N pairwise anticommuting hermitian unitaries on dimension 2^((N-1)/2).
+    """N pairwise anticommuting hermitian unitaries on dimension 2^((N-1)/2), one (N, d, d) stack.
 
-    N must be odd. The recursion doubles the space per step: from
-    generators R'_a on the smaller space it forms sigma3 tensor I,
-    sigma1 tensor I, and sigma2 tensor R'_a.
-    """
-    return list(_generator_stack(n))
-
-
-def _generator_stack(n):
-    """build_clifford_generators(n) as one (n, d, d) stack, which clifford_check takes as it is.
-
-    Each step writes its blocks into the next stack, as sigma2 tensor R is [[0, -iR], [iR, 0]]:
-    a list, or a kron of the whole stack, would hold the generators twice.
+    N must be odd. The recursion doubles the space per step: from generators R'_a on the
+    smaller space it forms sigma3 tensor I, sigma1 tensor I, and sigma2 tensor R'_a, whose
+    blocks [[0, -iR'], [iR', 0]] it writes into the next stack. clifford_check takes the stack
+    as it is, with no copy.
     """
     if n < 1 or n % 2 == 0:
         raise ValueError("generator count must be odd and positive, got %s" % (n,))

@@ -7,8 +7,8 @@ explicit seeds. Haar on U(d) or O(d) is the Q of a Gaussian matrix with R's
 diagonal made positive (Mezzadri, math-ph/0609050), which is Gram-Schmidt on
 its columns; classical Gram-Schmidt run twice keeps Q orthonormal to rounding
 (Giraud, Langou and Rozloznik, 2005), so _haar runs it on the whole stack where
-that is faster than a QR per matrix, and the QR elsewhere. SU(2), U(2) and SO(4)
-have exact closed forms; their docstrings say why each is Haar.
+that is faster than a QR per matrix, and the QR elsewhere. SU(2), U(2), SO(4) and
+O(4) have exact closed forms; their docstrings say why each is Haar.
 
 Index conventions are 0-based throughout. A vector in C^d1 tensor C^d2
 stores the amplitude of e_i tensor e_j at position i*d2 + j, which matches
@@ -297,20 +297,20 @@ def haar_special_unitary(d, seed=0, count=None):
     return u * (_det(u) ** (-1.0 / d))[..., None, None]
 
 
-def random_orthogonal(n, seed=0, special=False, count=None):
-    """Haar on O(n), or on SO(n) if special, as one matrix or a (count, n, n) stack.
-
-    At n = 4, x -> p x q-bar for uniform unit quaternions p, q, a homomorphism of
-    SU(2) x SU(2) onto SO(4) (U1 tensor U2 in the Bell basis) that carries Haar to Haar;
-    unless special, column 0 is negated with probability 1/2. Else _haar's Q."""
-    if n != 4:
-        q = _haar(n, seed, count, real=True)
-        if special:
-            q[..., 0] *= np.where(_det(q) < 0, -1.0, 1.0)[..., None]
-        return q
-    rng = np.random.default_rng(seed)
+def _so4(rng, count):
+    """Haar on SO(4), one matrix or a (count, 4, 4) stack: x -> p x q-bar for uniform unit
+    quaternions p, then q, drawn from rng. The map is a homomorphism of SU(2) x SU(2) onto
+    SO(4) (U1 tensor U2 in the Bell basis), so it carries Haar to Haar."""
     p, q = ((_quaternions(rng, count) @ m).reshape(-1, 4, 4) for m in (_LEFT, _RIGHT_BAR))
-    o = (p @ q).reshape((4, 4) if count is None else (count, 4, 4))
-    if not special:
-        o[..., 0] *= np.where(rng.random(o.shape[:-2]) < 0.5, -1.0, 1.0)[..., None]
+    return (p @ q).reshape((4, 4) if count is None else (count, 4, 4))
+
+
+def random_orthogonal(n, seed=0, *, count=None):
+    """Haar on O(n), as one matrix or a (count, n, n) stack: _haar's Q, or at n = 4 _so4's
+    draw with column 0 negated with probability 1/2, which weighs SO(4)'s two cosets equally."""
+    if n != 4:
+        return _haar(n, seed, count, real=True)
+    rng = np.random.default_rng(seed)
+    o = _so4(rng, count)
+    o[..., 0] *= np.where(rng.random(o.shape[:-2]) < 0.5, -1.0, 1.0)[..., None]
     return o

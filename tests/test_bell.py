@@ -383,6 +383,16 @@ class TestBellConditions:
         assert report.passed
         assert report.max_violation == 0.0
 
+    def test_bell_condition_3_draws_both_cosets(self, monkeypatch):
+        # O is Haar on O(4): at d=2 both answers of the property, local and local-flip, are seen
+        kinds, real_kinds = [], bell._local_kinds
+        monkeypatch.setattr(bell, "_local_kinds", lambda u: kinds.append(real_kinds(u)) or kinds[-1])
+        report = check_bell_condition(bell_basis(), 3, trials=2000, seed=0)
+        assert report.passed and report.max_violation == 0.0
+        counts = dict(zip(*np.unique(np.concatenate(kinds), return_counts=True)))
+        assert counts.keys() == {"local", "local_flip"} and sum(counts.values()) == 2000
+        assert 900 < counts["local_flip"] < 1100
+
     @pytest.mark.parametrize("cond", [2, 4, 5])
     def test_fourier_d3_fails_sampled_conditions(self, cond):
         basis = EntangledBasis.from_unitary_basis(fourier_basis(3))

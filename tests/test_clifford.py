@@ -93,6 +93,15 @@ class TestBuildGenerators:
             assert np.allclose(g, g.conj().T, atol=1e-14)
             assert np.allclose(g @ g, np.eye(g.shape[0]), atol=1e-14)
 
+    def test_check_takes_the_stack_without_a_copy(self, monkeypatch):
+        # the builder's own array reaches the pair kernel: the family is held once
+        seen, real = [], clifford._monomial_parts
+        monkeypatch.setattr(clifford, "_monomial_parts", lambda s: seen.append(s) or real(s))
+        gens = build_clifford_generators(7)
+        assert isinstance(gens, np.ndarray) and gens.shape == (7, 8, 8)
+        assert clifford_check(gens).passed
+        assert len(seen) == 1 and seen[0] is gens
+
     @pytest.mark.parametrize("n", [0, 2, 4, -1])
     def test_even_or_nonpositive_rejected(self, n):
         with pytest.raises(ValueError):
@@ -218,13 +227,13 @@ def _first_of(n):
 def _broken_at_front():
     """Three non-hermitian generators, then a family twice over: 3 + 55 bad entries."""
     gens = build_clifford_generators(5)
-    return [1j * g for g in gens[:3]] + gens + gens
+    return [1j * g for g in gens[:3]] + list(gens) + list(gens)
 
 
 BROKEN_FAMILIES = {
     "duplicate": lambda: [SIGMA1, SIGMA1],
     "non-hermitian": lambda: [1j * SIGMA2],
-    "tripled": lambda: build_clifford_generators(3) * 3,
+    "tripled": lambda: list(build_clifford_generators(3)) * 3,
     "broken-at-front": _broken_at_front,
 }
 

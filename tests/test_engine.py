@@ -488,20 +488,23 @@ class TestStackedSamplers:
             assert np.allclose(np.linalg.det(us), 1.0, atol=1e-12)
 
     def test_orthogonal_stack(self):
+        os_ = linalg._so4(np.random.default_rng(2), 20)
+        assert os_.shape == (20, 4, 4) and os_.dtype == float
+        assert np.allclose(np.linalg.det(os_), 1.0, atol=1e-12)
         for n in (3, 4, 5):
-            os_ = random_orthogonal(n, seed=2, special=True, count=20)
-            assert os_.shape == (20, n, n) and os_.dtype == float
-            assert np.allclose(np.linalg.det(os_), 1.0, atol=1e-12)
-            dets = np.linalg.det(random_orthogonal(n, seed=1, count=40))
+            os_ = random_orthogonal(n, seed=1, count=40)
+            assert os_.shape == (40, n, n) and os_.dtype == float
+            dets = np.linalg.det(os_)
             assert (dets < 0).any() and (dets > 0).any()
             assert np.allclose(np.abs(dets), 1.0, atol=1e-12)
 
-    @pytest.mark.parametrize("sampler", [
-        haar_unitary, haar_special_unitary, random_orthogonal,
-        lambda d, seed, count=None: random_orthogonal(d, seed, special=True, count=count),
+    @pytest.mark.parametrize("sampler, dims", [
+        (haar_unitary, (1, 2, 3, 4)), (haar_special_unitary, (1, 2, 3, 4)),
+        (random_orthogonal, (1, 2, 3, 4)),
+        (lambda d, seed, count=None: linalg._so4(np.random.default_rng(seed), count), (4,)),
     ], ids=["haar_unitary", "haar_special_unitary", "random_orthogonal", "special_orthogonal"])
-    def test_stack_of_one_is_the_single_draw(self, sampler):
-        for d in (1, 2, 3, 4):
+    def test_stack_of_one_is_the_single_draw(self, sampler, dims):
+        for d in dims:
             for seed in range(3):
                 assert np.array_equal(sampler(d, seed, count=1)[0], sampler(d, seed))
 

@@ -181,7 +181,7 @@ EVERY_CHECK = {
     "det_criterion_agreement": lambda: check_det_criterion_agreement(trials=4),
     "preserves_max_entangled": lambda: check_preserves_max_entangled(
         np.eye(4)[[0, 1, 3, 2]], trials=5),
-    "clifford_check": lambda: clifford_check(build_clifford_generators(3) * 2),
+    "clifford_check": lambda: clifford_check(list(build_clifford_generators(3)) * 2),
 }
 
 

@@ -212,8 +212,13 @@ class TestRandomOrthogonal:
 
     def test_special_determinant(self):
         for seed in range(10):
-            o = random_orthogonal(4, seed, special=True)
+            o = linalg._so4(np.random.default_rng(seed), None)
             assert np.linalg.det(o) == pytest.approx(1.0, abs=1e-10)
+
+    def test_count_is_keyword_only(self):
+        # count is keyword-only: a third positional argument is refused, not taken as count
+        with pytest.raises(TypeError):
+            random_orthogonal(4, 0, True)
 
     def test_both_signs_without_special(self):
         dets = [np.linalg.det(random_orthogonal(3, s)) for s in range(20)]
@@ -255,8 +260,8 @@ def qr_orthogonal(seed, count, special):
 TWO_QUBIT = {
     "su2": lambda seed, count=None: haar_special_unitary(2, seed, count),
     "u2": lambda seed, count=None: haar_unitary(2, seed, count),
-    "so4": lambda seed, count=None: random_orthogonal(4, seed, True, count),
-    "o4": lambda seed, count=None: random_orthogonal(4, seed, False, count),
+    "so4": lambda seed, count=None: linalg._so4(np.random.default_rng(seed), count),
+    "o4": lambda seed, count=None: random_orthogonal(4, seed, count=count),
 }
 
 
@@ -302,7 +307,7 @@ class TestTwoQubitSamplers:
 
     @pytest.mark.parametrize("special", [True, False])
     def test_orthogonal_same_law_as_qr(self, special):
-        o, w = random_orthogonal(4, 33, special, DRAWS), qr_orthogonal(34, DRAWS, special)
+        o, w = TWO_QUBIT["so4" if special else "o4"](33, DRAWS), qr_orthogonal(34, DRAWS, special)
         assert ks_statistic(o[:, 0, 0], w[:, 0, 0]) < KS_CRITICAL
         assert ks_statistic(np.trace(o, axis1=1, axis2=2), np.trace(w, axis1=1, axis2=2)) \
             < KS_CRITICAL
