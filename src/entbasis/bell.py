@@ -48,6 +48,7 @@ from .reports import (
     TOL,
     CheckReport,
     require_positive,
+    require_square,
     require_tolerance,
     sample_violations,
     tolerance_report,
@@ -95,9 +96,7 @@ class AntilinearOp:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("antilinear operator needs a square matrix")
+        m = require_square(np.asarray(self.matrix, dtype=complex), "antilinear operator")
         object.__setattr__(self, "matrix", m)
 
     def __call__(self, v):
@@ -129,8 +128,7 @@ def theta_n(n):
     theta_n(2) equals conjugation in Bell coordinates, and for odd n the
     matrix is antisymmetric, which forces <v, theta_n v> = 0.
     """
-    if n < 1:
-        raise ValueError("need at least one factor")
+    require_positive(n, "factor count")
     j = np.array([[0, 1], [-1, 0]])
     m = np.array([[1]])
     for _ in range(n):
@@ -295,10 +293,11 @@ def canonicalize_bell_basis(basis, tol=INPUT_TOL):
 
 
 def _max_entry(m):
-    """Largest entry of each matrix in a (n, r, r) stack and its index pair."""
+    """Largest entry of each matrix in a (n, r, r) stack, and the fields of its index pair."""
     flat = m.reshape(len(m), -1)
-    k = flat.argmax(axis=1)
-    return flat[np.arange(len(m)), k], {"pair": np.stack(np.unravel_index(k, m.shape[1:]), axis=1)}
+    r, k = m.shape[-1], flat.argmax(axis=1)
+    return flat[np.arange(len(m)), k], lambda rows: {
+        "pair": np.stack(np.divmod(k[rows], r), axis=1)}
 
 
 def check_bell_condition(basis, condition, trials=1000, seed=0, tol=TOL):
@@ -349,7 +348,8 @@ def check_bell_condition(basis, condition, trials=1000, seed=0, tol=TOL):
 
         def measure(o):
             if not unitary:
-                return np.full(len(o), np.nan), {"residual": np.full(len(o), np.nan)}
+                v = np.full(len(o), np.nan)
+                return v, lambda rows: {"residual": v[rows]}
             u = _sandwich(b, o, bh)
             v = (_local_kinds(u) == "neither").astype(float)
             return v, lambda rows: {"residual": _neither_residual(u[rows])}
@@ -434,8 +434,8 @@ def check_det_criterion_agreement(trials=1000, seed=0, tol=TOL):
         det_verdict = _det_verdicts(u, tol)
         expected = np.where(want_positive, "local", "local_flip")
         mismatch = (det_verdict != expected) | (factor_verdict != expected)
-        return mismatch.astype(float), {"det_verdict": det_verdict,
-                                        "factor_verdict": factor_verdict}
+        return mismatch.astype(float), lambda rows: {"det_verdict": det_verdict[rows],
+                                                     "factor_verdict": factor_verdict[rows]}
 
     # every disagreeing trial is a witness
     violations, witnesses = sample_violations(trials, seed, 1.0, draw, measure, 16)

@@ -11,8 +11,8 @@ Subcommands:
                det-criterion
 
 Exit codes: 0 all checks passed (for factorize: ran to completion), 1 a
-property check failed, 2 malformed input or usage error. Identical
-command lines with identical seeds produce byte-identical report files.
+property check failed, 2 malformed input, usage error or memory exhausted.
+Identical command lines with identical seeds produce byte-identical report files.
 """
 
 import argparse
@@ -66,8 +66,7 @@ def _load_latin(path, dim):
 
 def cmd_gen(args):
     d = args.dim
-    if d < 1:
-        raise ValueError("dimension must be positive")
+    require_positive(d, "dim")
     if args.construction != "custom" and (args.latin or args.hadamard):
         raise ValueError("--latin and --hadamard need --construction custom")
     if args.construction == "fourier":
@@ -143,8 +142,6 @@ MAX_CLIFFORD_COUNT = 17
 
 
 def cmd_check_clifford(args):
-    if args.count % 2 == 0:
-        raise ValueError("generator count must be odd")
     if args.count > MAX_CLIFFORD_COUNT:
         raise ValueError("generator count must be at most %d, got %d"
                          % (MAX_CLIFFORD_COUNT, args.count))
@@ -250,7 +247,7 @@ def main(argv=None):
             objs = [report_to_obj(r) for r in reports]
             save_json(objs[0] if one else objs, args.report)
         return 0 if all(r.passed for r in reports) else 1
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

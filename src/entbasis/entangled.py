@@ -30,7 +30,8 @@ import numpy as np
 from .hadamard import (_missing_symbols, cyclic_latin_square, fourier_hadamard, is_hadamard,
                        validate_latin_square)
 from .linalg import StateVector, _monomial_parts, unitarity_residual
-from .reports import TOL, pair_witnesses, require_tolerance, tolerance_report
+from .reports import (TOL, pair_witnesses, require_positive, require_square, require_tolerance,
+                      tolerance_report)
 
 __all__ = [
     "omega",
@@ -48,8 +49,7 @@ __all__ = [
 
 def omega(d):
     """Canonical maximally entangled vector (1/sqrt(d)) sum_a e_a tensor e_a."""
-    if d < 1:
-        raise ValueError("dimension must be positive")
+    require_positive(d, "dimension")
     amps = np.zeros(d * d, dtype=complex)
     amps[:: d + 1] = 1.0 / np.sqrt(d)
     return StateVector(d, d, amps)
@@ -57,9 +57,7 @@ def omega(d):
 
 def vector_from_operator(x, d=None):
     """(X tensor I) Omega: amplitudes[i*d+j] = X[i,j]/sqrt(d)."""
-    x = np.asarray(x, dtype=complex)
-    if x.ndim != 2 or x.shape[0] != x.shape[1]:
-        raise ValueError("operator must be square")
+    x = require_square(np.asarray(x, dtype=complex), "operator")
     if d is not None and x.shape[0] != d:
         raise ValueError("operator size %d does not match dimension %d" % (x.shape[0], d))
     d = x.shape[0]
@@ -105,10 +103,10 @@ def is_max_entangled(v, tol=TOL):
 class EntangledBasis:
     """Ordered basis of d^2 vectors (X_a tensor I) Omega of C^d tensor C^d.
 
-    ops is one complex (d^2, d, d) array holding the operators X_a. The
-    basis is orthonormal and maximally entangled exactly when the X_a are
-    unitaries orthonormal in (1/d) tr(X^dag Y); verify_unitary_basis checks
-    both.
+    dim is d >= 1 and ops one complex (d^2, d, d) array of the operators
+    X_a, or the basis is refused here, whoever builds it. It is orthonormal
+    and maximally entangled exactly when the X_a are unitaries orthonormal
+    in (1/d) tr(X^dag Y); verify_unitary_basis checks both.
     """
 
     dim: int
@@ -116,6 +114,7 @@ class EntangledBasis:
 
     def __post_init__(self):
         d = self.dim
+        require_positive(d, "dim")
         ops = np.asarray(self.ops, dtype=complex)
         if ops.shape != (d * d, d, d):
             raise ValueError(
@@ -191,7 +190,7 @@ def _shift_multiply_parts(ops):
     one with a zero where the layout needs a nonzero.
     """
     d = ops.shape[-1]
-    parts = _monomial_parts(ops) if len(ops) else None
+    parts = _monomial_parts(ops)
     if parts is None:
         return None
     # tau[k, j] = rows[j, k] is Latin exactly when its transpose rows is

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import flip_operator, haar_unitary, tensor, unitarity_residual
-from .reports import (INPUT_TOL, LEAD_TOL, RANK_TOL, TOL, require_tolerance,
+from .reports import (INPUT_TOL, LEAD_TOL, RANK_TOL, TOL, require_square, require_tolerance,
                       sample_violations, tolerance_report)
 
 __all__ = [
@@ -52,9 +52,7 @@ def _square_side(n):
 
 def _doubled_operator(u):
     """(u, d) for a square complex matrix u on C^d tensor C^d; else ValueError."""
-    u = np.asarray(u, dtype=complex)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise ValueError("operator must be square")
+    u = require_square(np.asarray(u, dtype=complex), "operator")
     return u, _square_side(u.shape[0])
 
 

@@ -62,6 +62,7 @@ import re
 import numpy as np
 
 from .entangled import EntangledBasis
+from .reports import require_positive
 
 __all__ = [
     "matrix_to_obj",
@@ -168,8 +169,7 @@ def basis_from_obj(obj):
         dim, raw = _json_int(obj["dim"], "dim"), obj["operators"]
     except (KeyError, TypeError) as exc:
         raise ValueError("basis object needs dim and operators fields") from exc
-    if dim < 1:
-        raise ValueError("dim must be positive")
+    require_positive(dim, "dim")
     if not isinstance(raw, list):
         raise ValueError("basis operators must be a list of matrix objects")
     if len(raw) != dim * dim:
@@ -241,9 +241,6 @@ def basis_bytes(basis):
     ops = np.ascontiguousarray(basis.ops)
     n, rows, cols = ops.shape
     yield (FILE_HEAD % basis.dim).encode()
-    if not n:
-        yield b"]\n}\n"
-        return
     pairs = rows * cols
     step = max(1, _BLOCK_DOUBLES // (2 * pairs))
     block = min(step, n)

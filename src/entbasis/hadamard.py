@@ -14,7 +14,7 @@ in the package.
 
 import numpy as np
 
-from .reports import TOL, tolerance_report
+from .reports import TOL, require_positive, require_square, tolerance_report
 
 __all__ = [
     "fourier_hadamard",
@@ -28,8 +28,7 @@ __all__ = [
 
 def fourier_hadamard(d):
     """Fourier matrix H[k,l] = exp(2 pi i k l / d), the cyclic-group Hadamard."""
-    if d < 1:
-        raise ValueError("order must be positive")
+    require_positive(d, "order")
     k = np.arange(d)
     return np.exp(2j * np.pi * np.outer(k, k) / d)
 
@@ -51,9 +50,7 @@ def is_hadamard(h, tol=TOL):
     max_violation is the larger of the worst entry-modulus deviation from 1
     and the worst entry of H H^dag - d I; details carries each of them.
     """
-    h = np.asarray(h, dtype=complex)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ValueError("Hadamard candidate must be square")
+    h = require_square(np.asarray(h, dtype=complex), "Hadamard candidate")
     d = h.shape[0]
     # entries too large for the product give inf or NaN there; the modulus check fails them
     with np.errstate(over="ignore", invalid="ignore"):
@@ -87,8 +84,7 @@ def tensor_hadamard(h1, h2, tol=TOL):
 
 def cyclic_latin_square(d):
     """Addition table of the cyclic group: table[k,j] = (k+j) mod d."""
-    if d < 1:
-        raise ValueError("order must be positive")
+    require_positive(d, "order")
     k = np.arange(d)
     return (k[:, None] + k[None, :]) % d
 
@@ -108,9 +104,7 @@ def validate_latin_square(table):
     column, so the report passes below 1; details names the first
     violating row and column. Raises on out-of-range entries.
     """
-    t = np.asarray(table)
-    if t.ndim != 2 or t.shape[0] != t.shape[1]:
-        raise ValueError("Latin square must be a square table")
+    t = require_square(np.asarray(table), "Latin square")
     d = t.shape[0]
     if not np.issubdtype(t.dtype, np.integer):
         raise ValueError("Latin square entries must be integers")

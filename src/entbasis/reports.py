@@ -14,7 +14,8 @@ Sampled checks run through one engine, sample_violations: it draws the
 trials in chunks of stacked arrays, seeds chunk c from the spawn key (c,)
 of the check's seed (chunk_rng), and keeps the first MAX_WITNESSES
 violating trials in order. The tolerances every module shares are named
-here once.
+here once, and so are the rules that refuse an input where it enters, with
+one wording each: require_positive, require_square and require_tolerance.
 """
 
 import operator
@@ -24,8 +25,8 @@ import numpy as np
 
 __all__ = [
     "CheckReport", "MAX_WITNESSES", "CHUNK_ENTRIES", "TOL", "INPUT_TOL", "RANK_TOL", "LEAD_TOL",
-    "tolerance_report", "require_positive", "require_tolerance", "chunk_size", "chunk_rng",
-    "pair_witnesses", "sample_violations",
+    "tolerance_report", "require_positive", "require_square", "require_tolerance", "chunk_size",
+    "chunk_rng", "pair_witnesses", "sample_violations",
 ]
 
 # keep reports small and diffable; the seed makes the full set recoverable
@@ -104,9 +105,16 @@ def pair_witnesses(v, rows, cols, tol, **kind):
 
 
 def require_positive(count, what="trials"):
-    """A sampled check with nothing to sample would pass without doing any work."""
+    """A size below 1: no basis, matrix or table to build, or a check with nothing to sample."""
     if count < 1:
         raise ValueError("%s must be at least 1, got %r" % (what, count))
+
+
+def require_square(x, what):
+    """x, if it is one square matrix (an array: the caller converts it)."""
+    if x.ndim != 2 or x.shape[0] != x.shape[1]:
+        raise ValueError("%s must be square" % what)
+    return x
 
 
 def require_tolerance(tol):
@@ -132,17 +140,16 @@ def sample_violations(trials, seed, tol, draw, measure, per_trial):
     draw(rng, idx) gets the chunk's Generator and its global trial indices
     and returns a batch of inputs; measure(batch) returns the per-trial
     violations as one array, or a pair (violations, fields) whose fields
-    add named entries to each witness. fields is a dict of per-trial
-    arrays, or a callable rows -> dict that the engine calls with the
-    chunk positions of that chunk's witnesses only, and returns one entry
-    per row: a field that costs more than the violation itself (an SVD
-    residual, say) is then computed for at most MAX_WITNESSES trials of the
-    whole run. Every trial whose violation is not below tol, NaN included, is
-    a witness {"trial": index, "seed": seed, "violation": v, **fields}, up to
-    MAX_WITNESSES, in trial order; measure runs with overflow and invalid
-    warnings off, as an inf or NaN is a verdict. A bad trial count, tol or
-    seed (an integer: a Generator's run could not be replayed) is refused
-    before the first draw.
+    add named entries to each witness. fields(rows) gets the chunk
+    positions of that chunk's witnesses only and returns a dict with one
+    entry per row, so a chunk with no witness builds no field, and one that
+    costs more than the violation itself (an SVD residual, say) is computed
+    for at most MAX_WITNESSES trials of the whole run. Every trial whose
+    violation is not below tol, NaN included, is a witness {"trial": index,
+    "seed": seed, "violation": v, **fields}, up to MAX_WITNESSES, in trial
+    order; measure runs with overflow and invalid warnings off, as an inf or
+    NaN is a verdict. A bad trial count, tol or seed (an integer: a
+    Generator's run could not be replayed) is refused before the first draw.
     Returns the violations of all trials and the witnesses for the report.
     """
     require_positive(trials)
@@ -156,15 +163,9 @@ def sample_violations(trials, seed, tol, draw, measure, per_trial):
         batch = draw(chunk_rng(seed, chunk), idx)
         with np.errstate(over="ignore", invalid="ignore"):
             out = measure(batch)
-        v, fields = out if isinstance(out, tuple) else (out, {})
-        violations[idx] = v
+        violations[idx], fields = out if isinstance(out, tuple) else (out, None)
         rows = np.flatnonzero(~(violations[idx] < tol))[: MAX_WITNESSES - len(witnesses)]
-        if not len(rows):
-            continue
-        if callable(fields):
-            picked = fields(rows)
-        else:
-            picked = {name: np.asarray(f)[rows] for name, f in fields.items()}
+        picked = fields(rows) if fields and len(rows) else {}
         for j, k in enumerate(rows):
             witnesses.append(
                 {"trial": int(idx[k]), "seed": seed, "violation": float(violations[idx[k]]),

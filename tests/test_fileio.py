@@ -263,7 +263,6 @@ ORACLE_BASES = {
     "haar24": _haar_basis,
     "sparse-special15": _sparse_special_basis,
     "special-values": _special_basis,
-    "dim0": lambda: EntangledBasis(0, np.zeros((0, 0, 0), dtype=complex)),
 }
 
 

@@ -124,7 +124,7 @@ class TestValidateLatinSquare:
             validate_latin_square([[0, 2], [2, 0]])
 
     def test_non_square(self):
-        with pytest.raises(ValueError, match="^Latin square must be a square table$"):
+        with pytest.raises(ValueError, match="^Latin square must be square$"):
             validate_latin_square([[0, 1, 2], [1, 2, 0]])
 
     def test_float_entries_rejected(self):
