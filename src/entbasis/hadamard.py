@@ -7,9 +7,9 @@ table in which every symbol occurs exactly once per row and per column
 (equivalently, a bi-injective composition law).
 
 Latin squares are plain integer ndarrays; Hadamard matrices are plain
-complex ndarrays. Validation is explicit via is_hadamard and
-validate_latin_square, which return a CheckReport like every other check
-in the package.
+complex ndarrays. is_hadamard and validate_latin_square check them and
+return a CheckReport like every other check; shift_multiply_basis asks only
+the latter, and tests its matrices by the basis certificate alone.
 """
 
 import numpy as np
@@ -34,14 +34,13 @@ def fourier_hadamard(d):
 
 
 def sylvester_hadamard(d):
-    """Real {+1,-1} Hadamard matrix of order d = 2^k, as a Kronecker power of F2."""
+    """Real {+1,-1} Hadamard matrix of order d = 2^k, a Kronecker power of [[1, 1], [1, -1]]."""
     if d < 1 or d & (d - 1):
         raise ValueError("Sylvester construction needs a power-of-two order, got %d" % d)
-    h = np.ones((1, 1), dtype=complex)
-    f2 = fourier_hadamard(2)
+    h = np.ones((1, 1))
     while h.shape[0] < d:
-        h = np.kron(f2, h)
-    return h
+        h = np.kron([[1, 1], [1, -1]], h)
+    return h.astype(complex)  # a power in complex arithmetic would hold -0.0j
 
 
 def is_hadamard(h, tol=TOL):

@@ -318,7 +318,19 @@ def test_gen_refuses_family_that_fails_certificate(tmp_path, capsys):
                  "--hadamard", str(hpath)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: constructed family fails basis verification at pair [0, 0]\n"
+    # the refusal of every basis gate, in its words
+    assert captured.err == ("error: input fails basis invariants at pair (0, 0): "
+                            "unitarity 2.546e-10, orthonormality 4.050e-21\n")
+
+
+def test_gen_writes_a_family_verify_passes_at_the_edge_of_tol(tmp_path):
+    # unimodular entries, HH^dag - 2I off by phi but HH^dag / 2 - I by phi / 2 < tol
+    phi = 1.5e-10
+    hpath, out = tmp_path / "h.json", tmp_path / "b.json"
+    save_json(matrix_to_obj(np.array([[1, 1], [1, -np.exp(1j * phi)]])), hpath)
+    assert main(["gen", "--dim", "2", "--construction", "custom", "--hadamard", str(hpath),
+                 "--out", str(out)]) == 0
+    assert main(["verify", str(out)]) == 0
 
 
 def test_bell_all_and_canonicalization_refuse_a_non_basis_alike(tmp_path, capsys):

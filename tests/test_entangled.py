@@ -260,7 +260,7 @@ class TestShiftMultiply:
             EntangledBasis(2, (np.eye(2),) * 3)
 
     def test_invalid_hadamard_rejected(self):
-        with pytest.raises(ValueError, match="Hadamard"):
+        with pytest.raises(ValueError, match=re.escape("invariants at pair (0, 0): unitarity")):
             shift_multiply_basis([np.eye(2)] * 2, cyclic_latin_square(2))
 
     def test_invalid_latin_square_rejected(self):
@@ -390,9 +390,29 @@ def test_certificate_refuses_just_past_tol_at_dense_pair(d, j):
     tau = cyclic_latin_square(d)
     dense = _gram_report(EntangledBasis(d, _shift_multiply_ops(np.stack(hs), tau)), 1e-10)
     assert not dense and dense.witnesses[0]["pair"] == [j, j]
-    message = "constructed family fails basis verification at pair [%d, %d]" % (j, j)
+    message = "input fails basis invariants at pair (%d, %d): unitarity" % (j, j)
     with pytest.raises(ValueError, match=re.escape(message)):
         shift_multiply_basis(hs, tau)
+
+
+@pytest.mark.parametrize("kind", ["phase", "modulus"])
+@pytest.mark.parametrize("factor", [0.5, 0.9, 1.1, 2.0])
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_construction_accepts_exactly_what_verify_accepts(d, factor, kind):
+    # one entry of H^(d-1) moved by a multiple of tol in phase or in modulus: HH^dag - dI
+    # and HH^dag / d - I straddle tol in the phase cases, so a second Hadamard test would
+    # refuse families whose basis verifies
+    tol = 1e-10
+    hs = np.stack([fourier_hadamard(d)] * d)
+    hs[d - 1, 1, 1] *= np.exp(1j * factor * tol) if kind == "phase" else 1 + factor * tol
+    tau = cyclic_latin_square(d)
+    ops = _shift_multiply_ops(hs, tau)
+    report = verify_unitary_basis(EntangledBasis(d, ops), tol)
+    if report:
+        assert np.array_equal(shift_multiply_basis(list(hs), tau, tol).ops, ops)
+    else:
+        with pytest.raises(ValueError):
+            shift_multiply_basis(list(hs), tau, tol)
 
 
 def _whole_gram_report(basis, tol):

@@ -91,6 +91,13 @@ class TestSylvester:
         assert np.abs(h.imag).max() < 1e-15
         assert np.allclose(np.abs(h.real), 1.0, atol=1e-15)
 
+    @pytest.mark.parametrize("d", [2, 4, 8, 16])
+    def test_entries_are_exactly_real_signs(self, d):
+        # no rounding of exp(i pi) and no signed zero, so a written file holds only +-1.0 and 0.0
+        h = sylvester_hadamard(d)
+        assert np.isin(h.real, (1.0, -1.0)).all()
+        assert (h.imag == 0.0).all() and not np.signbit(h.imag).any()
+
     @pytest.mark.parametrize("d", [3, 5, 6, 12])
     def test_non_powers_rejected(self, d):
         with pytest.raises(ValueError):
