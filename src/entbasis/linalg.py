@@ -15,6 +15,7 @@ stores the amplitude of e_i tensor e_j at position i*d2 + j, which matches
 the row-major Kronecker product convention of numpy.
 """
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -160,6 +161,7 @@ def _monomial_parts(stack):
 #   _det order 5     5.0-6.1   1.2-1.25   0.60-0.65  (1.7-1.9 at 2000)
 #   _mul order 2-3   1.3-2.5   0.40-1.07  0.22-0.89
 #   _mul order 4     2.2-3.6   1.0-1.66   0.95-1.44
+# chunks share a draw (sample_violations) only from _STACK trials on: no _haar or _det path moves
 _STACK = 64
 
 
@@ -221,9 +223,30 @@ _QUAT = np.ascontiguousarray((_su2(np.eye(4))[:, None] @ _su2(np.eye(4)))[..., 0
 _LEFT, _RIGHT_BAR = (_QUAT.transpose(axes).reshape(4, 16) for axes in ((0, 2, 1), (1, 0, 2)))
 
 
+class _Chunks:
+    """Generators of consecutive chunks of step trials, each filling its chunk's leading rows."""
+
+    def __init__(self, rngs, step):
+        self.rngs, self.step = rngs, step
+
+    def _fill(self, name, size):
+        out = np.empty(size)
+        for k, rng in enumerate(self.rngs):
+            getattr(rng, name)(out=out[k * self.step:(k + 1) * self.step])
+        return out
+
+    standard_normal = functools.partialmethod(_fill, "standard_normal")
+    random = functools.partialmethod(_fill, "random")
+
+
+def _rng(seed):
+    """seed's Generator, or the Generator or _Chunks given."""
+    return seed if isinstance(seed, _Chunks) else np.random.default_rng(seed)
+
+
 def _gaussian(d, seed, count, real):
     """The standard normal matrix, or (count, d, d) stack, behind Haar on U(d) or O(d)."""
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     shape = (d, d) if count is None else (count, d, d)
     if real:
         return rng.standard_normal(shape)
@@ -283,7 +306,7 @@ def haar_unitary(d, seed=0, count=None):
     """
     if d != 2:
         return _haar(d, seed, count)
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     u = haar_special_unitary(2, rng, count)
     return u * np.exp(2j * np.pi * rng.random(u.shape[:-2]))[..., None, None]
 
@@ -292,7 +315,7 @@ def haar_special_unitary(d, seed=0, count=None):
     """Haar on SU(d), or a stack. At d = 2 the matrix of a unit quaternion, uniform on S^3
     as a normalised normal 4-vector. Else _haar's Q over a d-th root of its determinant."""
     if d == 2:
-        return _su2(_quaternions(np.random.default_rng(seed), count))
+        return _su2(_quaternions(_rng(seed), count))
     u = _haar(d, seed, count)
     return u * (_det(u) ** (-1.0 / d))[..., None, None]
 
@@ -310,7 +333,7 @@ def random_orthogonal(n, seed=0, *, count=None):
     draw with column 0 negated with probability 1/2, which weighs SO(4)'s two cosets equally."""
     if n != 4:
         return _haar(n, seed, count, real=True)
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     o = _so4(rng, count)
     o[..., 0] *= np.where(rng.random(o.shape[:-2]) < 0.5, -1.0, 1.0)[..., None]
     return o

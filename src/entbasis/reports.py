@@ -10,10 +10,10 @@ dictionary that names the input by trial index and seed, or by index pair
 of every check but the counterexample search is tolerance_report: the worst
 violation is below tol, which a NaN is not, and no witness is listed.
 
-Sampled checks run through one engine, sample_violations: it draws the
-trials in chunks of stacked arrays, seeds chunk c from the spawn key (c,)
-of the check's seed (chunk_rng), and keeps the first MAX_WITNESSES
-violating trials in order. The tolerances every module shares are named
+Sampled checks run through one engine, sample_violations: chunk c of the
+trials draws from the spawn key (c,) of the check's seed (chunk_rng), also
+when a draw covers several chunks, and the first MAX_WITNESSES violating
+trials are kept in order. The tolerances every module shares are named
 here once, and so are the rules that refuse an input where it enters, with
 one wording each: require_positive, require_square and require_tolerance.
 """
@@ -22,6 +22,8 @@ import operator
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .linalg import _STACK, _Chunks
 
 __all__ = [
     "CheckReport", "MAX_WITNESSES", "CHUNK_ENTRIES", "TOL", "INPUT_TOL", "RANK_TOL", "LEAD_TOL",
@@ -44,8 +46,7 @@ RANK_TOL = 1e-8
 # the first nonzero entry of a matrix
 LEAD_TOL = 1e-12
 
-# complex entries a chunk may hold in its largest per-trial array, so memory stays flat at any
-# d: a check's arrays peak at 1.0 MiB (tracemalloc at d = 2, 3, 8; 0.27 MiB at 1 << 11)
+# complex entries in a chunk's largest per-trial array, so memory is flat in d: 0.4-1.1 MiB peaks
 CHUNK_ENTRIES = 1 << 13
 
 
@@ -136,21 +137,20 @@ def chunk_rng(seed, chunk):
 def sample_violations(trials, seed, tol, draw, measure, per_trial):
     """The sampled-check engine: per-trial violations and the first witnesses.
 
-    Trials run in chunks of chunk_size(per_trial). For each chunk,
-    draw(rng, idx) gets the chunk's Generator and its global trial indices
-    and returns a batch of inputs; measure(batch) returns the per-trial
-    violations as one array, or a pair (violations, fields) whose fields
-    add named entries to each witness. fields(rows) gets the chunk
-    positions of that chunk's witnesses only and returns a dict with one
-    entry per row, so a chunk with no witness builds no field, and one that
-    costs more than the violation itself (an SVD residual, say) is computed
-    for at most MAX_WITNESSES trials of the whole run. Every trial whose
-    violation is not below tol, NaN included, is a witness {"trial": index,
-    "seed": seed, "violation": v, **fields}, up to MAX_WITNESSES, in trial
-    order; measure runs with overflow and invalid warnings off, as an inf or
-    NaN is a verdict. A bad trial count, tol or seed (an integer: a
-    Generator's run could not be replayed) is refused before the first draw.
-    Returns the violations of all trials and the witnesses for the report.
+    Trials run in chunks of chunk_size(per_trial), chunk c drawn from chunk_rng(seed, c).
+    draw(rng, idx) gets the trial indices of one or more consecutive chunks and, as rng, their
+    Generator or a stand-in for several: it may call only rng.standard_normal and rng.random, the
+    trial count leading the shape, and each chunk's rows come from its own Generator. It returns an
+    array or a tuple of arrays, one row per trial. Chunk 0 is drawn alone, and a draw's bytes per
+    chunk set how many chunks the next takes, up to 16 * CHUNK_ENTRIES bytes; a chunk under _STACK
+    trials, where the samplers switch path, is drawn alone. measure gets one chunk's rows and
+    returns its violations, or a pair (violations, fields) whose fields(rows) gets the chunk
+    positions of its witnesses only and returns a dict of named entries, one per row, so a costly
+    field is built for at most MAX_WITNESSES trials. Every trial whose violation is not below tol,
+    NaN included, is a witness {"trial": index, "seed": seed, "violation": v, **fields}, up to
+    MAX_WITNESSES, in trial order; measure runs with overflow and invalid warnings off, as an inf or
+    NaN is a verdict. A bad trial count, tol or seed (an integer: a Generator's run could not be
+    replayed) is refused before the first draw. Returns all trials' violations and the witnesses.
     """
     require_positive(trials)
     require_tolerance(tol)
@@ -158,17 +158,24 @@ def sample_violations(trials, seed, tol, draw, measure, per_trial):
     step = chunk_size(per_trial)
     violations = np.empty(trials)
     witnesses = []
-    for chunk, start in enumerate(range(0, trials, step)):
-        idx = np.arange(start, min(start + step, trials))
-        batch = draw(chunk_rng(seed, chunk), idx)
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = measure(batch)
-        violations[idx], fields = out if isinstance(out, tuple) else (out, None)
-        rows = np.flatnonzero(~(violations[idx] < tol))[: MAX_WITNESSES - len(witnesses)]
-        picked = fields(rows) if fields and len(rows) else {}
-        for j, k in enumerate(rows):
-            witnesses.append(
+    first, per_draw = 0, 1
+    while first * step < trials:
+        n = max(1, min(per_draw, (trials - _STACK) // step + 1 - first))
+        trial = np.arange(first * step, min((first + n) * step, trials))
+        rngs = [chunk_rng(seed, c) for c in range(first, first + n)]
+        batch = draw(rngs[0] if n == 1 else _Chunks(rngs, step), trial)
+        parts = batch if isinstance(batch, tuple) else (batch,)
+        per_draw = 16 * CHUNK_ENTRIES * n // sum(x.nbytes for x in parts) if step >= _STACK else 1
+        for lo in range(0, len(trial), step):
+            idx, part = trial[lo:lo + step], tuple(x[lo:lo + step] for x in parts)
+            with np.errstate(over="ignore", invalid="ignore"):
+                out = measure(part if isinstance(batch, tuple) else part[0])
+            violations[idx], fields = out if isinstance(out, tuple) else (out, None)
+            rows = np.flatnonzero(~(violations[idx] < tol))[: MAX_WITNESSES - len(witnesses)]
+            picked = fields(rows) if fields and len(rows) else {}
+            witnesses += [
                 {"trial": int(idx[k]), "seed": seed, "violation": float(violations[idx[k]]),
                  **{name: np.asarray(f)[j].tolist() for name, f in picked.items()}}
-            )
+                for j, k in enumerate(rows)]
+        first += n
     return violations, witnesses

@@ -11,6 +11,7 @@ must name the same trials.
 
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -68,7 +69,8 @@ class Recorder:
 
         result = reports.sample_violations(trials, seed, tol, draw, recorded, per_trial)
         self.runs.append({"trials": trials, "seed": seed, "tol": tol, "draw": draw,
-                          "per_trial": per_trial, "violations": np.concatenate(chunks)})
+                          "measure": measure, "per_trial": per_trial,
+                          "violations": np.concatenate(chunks)})
         return result
 
 
@@ -319,6 +321,79 @@ def test_d3_reports_match_the_qr_samplers(case, engine, monkeypatch):
                   <= 1e-12 * np.abs(slow_run["violations"]))
     for w_fast, w_slow in zip(fast.witnesses, slow.witnesses):
         assert abs(w_fast["violation"] - w_slow["violation"]) <= 1e-12 * abs(w_slow["violation"])
+
+
+def each_chunk_alone(run):
+    """Every trial's violation, each chunk drawn alone from its own generator and measured."""
+    out = []
+    for idx, batch in redraw(run):
+        with np.errstate(over="ignore", invalid="ignore"):
+            v = run["measure"](batch)
+        out.append(v[0] if isinstance(v, tuple) else v)
+    return np.concatenate(out)
+
+
+# id -> (run(trials, seed) -> report, trials): every CASES entry over five chunks, the last
+# one short; Fourier d=3 at 150 trials ends in a chunk of 49 and Fourier d=4 has chunks of 32,
+# under _STACK, which are drawn alone
+BATCH_CASES = {
+    **{case: (run_check, None) for case, (run_check, _) in CASES.items()},
+    "cond2-fourier3-150": (lambda n, s: check_bell_condition(FOURIER3, 2, n, s), 150),
+    "cond3-fourier3-150": (lambda n, s: check_bell_condition(FOURIER3, 3, n, s), 150),
+    "cond2-fourier4-300": (lambda n, s: check_bell_condition(FOURIER4, 2, n, s), 300),
+    "cond3-fourier4-300": (lambda n, s: check_bell_condition(FOURIER4, 3, n, s), 300),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BATCH_CASES))
+def test_batched_draws_match_each_chunk_drawn_alone(case, engine):
+    run_check, trials = BATCH_CASES[case]
+    report = run_check(trials or 4 * chunk_size(_per_trial(case)) + 7, ORACLE_SEED)
+    (run,) = engine.runs
+    expected = each_chunk_alone(run)
+    assert np.array_equal(run["violations"], expected)
+    first = np.flatnonzero(~(expected < run["tol"]))[:MAX_WITNESSES]
+    assert [w["trial"] for w in report.witnesses] == first.tolist()
+    assert [w["violation"] for w in report.witnesses] == expected[first].tolist()
+
+
+def test_a_draw_takes_whole_chunks_of_stack_size_within_one_chunks_bytes():
+    sizes = []
+
+    def draw(rng, idx):
+        sizes.append(len(idx))
+        return rng.standard_normal((len(idx), 9))
+
+    def draws(trials, per_trial):
+        sizes.clear()
+        v, witnesses = reports.sample_violations(trials, 0, 2.0, draw, lambda x: x[:, 0], per_trial)
+        # one trial in 44 is a witness: the first ones in trial order, across chunks and draws
+        assert [w["trial"] for w in witnesses] == np.flatnonzero(v >= 2.0)[:MAX_WITNESSES].tolist()
+        return sizes[:]
+
+    # chunks of 101: chunk 0 is drawn alone, and its 101 x 72 bytes let 18 chunks share a draw
+    assert draws(1000, 81) == [101, 899]
+    # a last chunk under _STACK trials is drawn alone
+    assert draws(4 * 101 + 7, 81) == [101, 303, 7]
+    assert draws(150, 81) == [101, 49]
+    # chunks of 512: 36 KiB each, 3 to a draw
+    assert draws(3000, 16) == [512, 1536, 952]
+    # chunks of 32 are under _STACK: one draw each
+    assert draws(100, 256) == [32, 32, 32, 4]
+
+
+@pytest.mark.parametrize("basis, trials", [(FOURIER3, 1000), (bell_basis(), 2000)],
+                         ids=["fourier3", "bell"])
+def test_condition_3_peak_memory_is_a_few_chunks(basis, trials):
+    # 0.81 and 1.08 MiB measured; with every chunk in one draw, Fourier d=3 read 2.63 MiB
+    check_bell_condition(basis, 3, trials)
+    tracemalloc.start()
+    try:
+        check_bell_condition(basis, 3, trials)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * 2 ** 20
 
 
 def test_bell_basis_checks_pass_across_chunks():
