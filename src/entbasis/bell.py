@@ -16,7 +16,7 @@ This module provides:
     characterizations of Bell-like bases (reality of local matrix
     elements, factorizability of basis-real unitaries, reality of
     expansion coefficients, unitarity of real combinations, operator
-    anticommutation);
+    anticommutation): 2, 5 and 6 decided exactly, 3 and 4 by sampling;
   * det_criterion: classification of unitaries real in Bell coordinates
     by the sign of their determinant.
 """
@@ -36,7 +36,6 @@ from .linalg import (
     _mul,
     _sandwich,
     _so4,
-    haar_special_unitary,
     haar_unitary,
     random_orthogonal,
     tensor,
@@ -47,6 +46,7 @@ from .reports import (
     LEAD_TOL,
     TOL,
     CheckReport,
+    pair_witnesses,
     require_positive,
     require_square,
     require_tolerance,
@@ -301,43 +301,50 @@ def _max_entry(m):
 
 
 def check_bell_condition(basis, condition, trials=1000, seed=0, tol=TOL):
-    """Numerically test one of five properties characterizing Bell-like bases.
+    """Test one of five properties characterizing Bell-like bases.
 
-    condition selects the property:
-      2: matrix elements <Psi_a, (U1 tensor U2) Psi_b> are real for
-         U1, U2 in SU(d) (sampled Haar);
+    condition selects the property; 3 and 4 are sampled, 2, 5 and 6 are
+    decided exactly, ignore trials and seed, and report trials 0:
+      2: <Psi_a, (U1 tensor U2) Psi_b> is real for U1, U2 in SU(d), which is
+         real-bilinear: pair (j, k), the witness field, is U1 = E_j, U2 = E_k
+         from a list E in SU(d), violation max |Im B^dag (E_j tensor E_k) B|.
+         At d=2 E is I, i sigma_1..3, which span SU(2) over R (a Haar pair
+         reads at most 4 times the largest); at d >= 3 the centre I and
+         e^(2 pi i/d) I, c B^dag B, fails every basis; at d=1 E is I;
       3: unitaries that are real orthogonal in basis coordinates, sampled
          Haar on O(d^2), factor into local parts, possibly times the flip
          (the violation is the fraction of non-factorizable samples);
       4: expansion coefficients of maximally entangled vectors are real up
          to a global phase, tested pairwise via Im(c_a conj(c_b)) = 0;
-      5: real unit combinations sum_a a_a X_a of the basis operators are
-         unitary;
-      6: X_a^dag X_b + X_b^dag X_a = 2 delta_ab I for all pairs
-         (deterministic; trials is ignored).
+      5: real unit combinations sum_a a_a X_a are unitary: exactly when 6
+         holds, so its violations are 6's, and a unit combination's
+         ||U^dag U - I||_F is at most n/2 times the largest;
+      6: ||X_a^dag X_b + X_b^dag X_a - 2 delta_ab I||_F = 0, pairs a <= b.
 
-    All five hold for the Bell basis and fail for every basis at d >= 3.
+    Every violation not below tol is a witness naming its pair or trial, and
+    a report passes when the largest is below tol. All five hold for the
+    Bell basis and fail for every basis at d >= 3.
     """
     if condition not in (2, 3, 4, 5, 6):
         raise ValueError("unknown condition id %r" % (condition,))
     require_tolerance(tol)
-    if condition == 6:
-        violations, witnesses = _anticommutators(basis.ops.conj().swapaxes(-1, -2), basis.ops, tol)
-        return tolerance_report("bell-condition-6", np.max(violations), tol, witnesses=witnesses)
     d = basis.dim
     n = d * d
     b = basis_matrix(basis)
     bh = b.conj().T
 
     if condition == 2:
-        def draw(rng, idx):
-            return (haar_special_unitary(d, rng, count=len(idx)),
-                    haar_special_unitary(d, rng, count=len(idx)))
-
-        def measure(pair):
-            v1, v2 = pair
-            u = np.einsum("tij,tkl->tikjl", v1, v2).reshape(-1, n, n)  # tensor(v1, v2) per trial
-            return _max_entry(np.abs(_sandwich(bh, u, b).imag))
+        with np.errstate(over="ignore", invalid="ignore"):
+            if d == 2:
+                e = bell_basis().ops
+                m = _sandwich(bh, np.einsum("jab,kcd->jkacbd", e, e).reshape(16, 4, 4), b)
+            else:  # E_j tensor E_k is c_j c_k I
+                e = np.exp(2j * np.pi * np.arange(min(d, 2)) / d)
+                m = np.multiply.outer(np.outer(e, e).ravel(), bh @ b)
+            v = np.abs(m.imag).max(axis=(1, 2))
+        witnesses = pair_witnesses(v, *np.divmod(np.arange(len(v)), len(e)), tol)
+    elif condition in (5, 6):
+        v, witnesses = _anticommutators(basis.ops.conj().swapaxes(-1, -2), basis.ops, tol)
     elif condition == 3:
         # U = B O B^dag is unitary exactly when B is. A basis that fails (one that overflows,
         # say) makes each trial a NaN violation, with no spectra for a residual
@@ -353,7 +360,7 @@ def check_bell_condition(basis, condition, trials=1000, seed=0, tol=TOL):
             u = _sandwich(b, o, bh)
             v = (_local_kinds(u) == "neither").astype(float)
             return v, lambda rows: {"residual": _neither_residual(u[rows])}
-    elif condition == 4:
+    else:
         def draw(rng, idx):
             return haar_unitary(d, rng, count=len(idx))
 
@@ -361,22 +368,14 @@ def check_bell_condition(basis, condition, trials=1000, seed=0, tol=TOL):
             # coefficients over the basis of (V tensor I) Omega, amplitudes vec(V)/sqrt(d)
             c = (v.reshape(-1, n) / np.sqrt(d)) @ b.conj()
             return _max_entry(np.abs((c[:, :, None] * c.conj()[:, None, :]).imag))
-    else:
-        def draw(rng, idx):
-            return rng.standard_normal((len(idx), n))
 
-        def measure(a):
-            a = a / np.linalg.norm(a, axis=1, keepdims=True)
-            return unitarity_residual(np.tensordot(a, basis.ops, axes=1))
-
-    # condition 3 counts non-factorizable trials: each of them is a witness
-    violations, witnesses = sample_violations(
-        trials, seed, 1.0 if condition == 3 else tol, draw, measure, n if condition == 5 else n * n
-    )
-    worst = violations.mean() if condition == 3 else violations.max()
-    return tolerance_report(
-        "bell-condition-%d" % condition, worst, tol, trials=trials, witnesses=witnesses
-    )
+    sampled = condition in (3, 4)
+    if sampled:  # condition 3 counts non-factorizable trials: each of them is a witness
+        v, witnesses = sample_violations(
+            trials, seed, 1.0 if condition == 3 else tol, draw, measure, n * n)
+    worst = v.mean() if condition == 3 else np.max(v)
+    return tolerance_report("bell-condition-%d" % condition, worst, tol,
+                            trials=trials if sampled else 0, witnesses=witnesses)
 
 
 def _det_verdicts(u, tol):

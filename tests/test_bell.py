@@ -1,6 +1,8 @@
 """Tests for the d=2 structure: Bell basis, antilinear operators,
 canonicalization, the five basis conditions, and the determinant criterion."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -22,13 +24,16 @@ from entbasis import (
     check_det_criterion_agreement,
     check_preserves_max_entangled,
     check_universality,
+    cyclic_latin_square,
     det_criterion,
     factor_local,
     flip_operator,
     fourier_basis,
+    fourier_hadamard,
     haar_special_unitary,
     haar_unitary,
     reduced_density,
+    shift_multiply_basis,
     tensor,
     theta2,
     theta_n,
@@ -42,6 +47,14 @@ from entbasis.reports import INPUT_TOL, MAX_WITNESSES, chunk_size
 CNOT = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
 )
+
+
+def random_phase_basis(d, seed):
+    """Shift-and-multiply basis from d Fourier matrices, each with random row and column phases."""
+    rng = np.random.default_rng(seed)
+    hadamards = [np.exp(2j * np.pi * rng.random((d, 1))) * fourier_hadamard(d)
+                 * np.exp(2j * np.pi * rng.random(d)) for _ in range(d)]
+    return shift_multiply_basis(hadamards, cyclic_latin_square(d))
 
 
 def rand_complex(rng, shape):
@@ -422,6 +435,44 @@ class TestBellConditions:
 
     def test_condition_6_ignores_trials(self):
         assert check_bell_condition(bell_basis(), 6, trials=0).passed
+        # conditions 2, 5 and 6 alike draw nothing: any trial count or seed, a Generator
+        # included, gives one report, which says trials 0
+        rng = np.random.default_rng(4)
+        state = rng.bit_generator.state
+        for basis in (bell_basis(), fourier_basis(3)):
+            for cond in (2, 5, 6):
+                found = [check_bell_condition(basis, cond, trials=t, seed=s)
+                         for t, s in ((0, 0), (-3, 7), (10 ** 12, rng))]
+                assert found[0].trials == 0 and found[1:] == found[:1] * 2
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("basis", [
+        fourier_basis(3), fourier_basis(4), fourier_basis(5),
+        random_phase_basis(3, 9),
+    ], ids=["fourier3", "fourier4", "fourier5", "random-phase3"])
+    def test_condition_2_at_d3_and_up_is_the_centre(self, basis):
+        # U1 = I and U2 = e^(2 pi i/d) I are in SU(d), and B^dag (U1 tensor U2) B = e^(2 pi i/d) I
+        report = check_bell_condition(basis, 2)
+        d = basis.dim
+        assert abs(report.max_violation - np.sin(2 * np.pi / d)) <= 1e-12
+        assert report.witnesses[0]["pair"] == [0, 1] and report.trials == 0
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_condition_2_fails_one_vector_only_at_pairs_with_i_sigma_k(self, k):
+        # four equal operators (I + sigma_k)/2: every vector is one psi, and
+        # <psi, (E_j tensor E_l) psi> is complex only at (0, k) and (k, 0), so a list E
+        # without I or without i sigma_k would pass it
+        p = (np.eye(2) + PAULIS[k - 1]) / 2
+        report = check_bell_condition(EntangledBasis(2, [p] * 4), 2)
+        assert [w["pair"] for w in report.witnesses] == [[0, k], [k, 0]]
+        assert report.max_violation == pytest.approx(0.5, abs=1e-12)
+
+    def test_condition_5_is_condition_6s_pair_relations(self):
+        # every Fourier operator is unitary: only the pair relations a < b can fail
+        basis = fourier_basis(3)
+        assert unitarity_residual(basis.ops).max() < 1e-12
+        five, six = (check_bell_condition(basis, c) for c in (5, 6))
+        assert not five.passed and replace(five, name="bell-condition-6") == six
 
 
 @pytest.mark.parametrize("run", [
@@ -462,8 +513,9 @@ def _cond(c):
 
 
 @pytest.mark.parametrize("run, drawn", [
-    *[(_cond(c), 2000) for c in (2, 3, 4, 5)],
-    (_cond(6), 0),  # deterministic: nothing to draw
+    # conditions 2, 5 and 6 are decided exactly: nothing to draw
+    *[(_cond(c), 2000 if c in (3, 4) else 0) for c in (2, 3, 4, 5)],
+    (_cond(6), 0),
     (lambda tol: check_universality(theta2(), trials=2000, tol=tol), 2000),
     (lambda tol: check_universality(theta2(), trials=2000, tol=tol, phase="best"), 2000),
     (lambda tol: check_det_criterion_agreement(trials=2000, tol=tol), 2000),

@@ -7,6 +7,11 @@ every trial one matrix at a time with the public functions (factor_local,
 det_criterion, vector_from_operator, tensor) and a dense unitarity
 residual. Per-trial violations must agree within 1e-12 and the witnesses
 must name the same trials.
+
+Bell conditions 2 and 5 are decided exactly and draw nothing. Their sampled
+forms, Haar SU(d) pairs and unit real combinations, stay here as engine
+clients (sampled_bell_condition) and as the oracle the exact reports are
+held against.
 """
 
 import json
@@ -20,6 +25,7 @@ import pytest
 from entbasis import (
     AntilinearOp,
     EntangledBasis,
+    PAULIS,
     SIGMA3,
     StateVector,
     basis_matrix,
@@ -45,7 +51,7 @@ from entbasis import (
 from entbasis import bell, factorize, linalg, reports
 from entbasis.cli import main
 from entbasis.fileio import load_json, report_to_obj
-from entbasis.reports import MAX_WITNESSES, chunk_rng, chunk_size
+from entbasis.reports import MAX_WITNESSES, TOL, chunk_rng, chunk_size, tolerance_report
 
 FOURIER3 = fourier_basis(3)
 CNOT = np.eye(4)[[0, 1, 3, 2]].astype(complex)
@@ -92,6 +98,35 @@ def redraw(run):
 
 def unitarity(x):
     return np.linalg.norm(x.conj().T @ x - np.eye(x.shape[0]))
+
+
+def sampled_bell_condition(basis, condition, trials, seed, tol=TOL):
+    """Condition 2 over Haar SU(d) pairs (U1, U2), or 5 over unit real combinations, as
+    check_bell_condition sampled them before it decided them exactly: the same draws, measures
+    and chunks, run through the engine. The reference the exact reports are held against."""
+    d = basis.dim
+    n = d * d
+    b = basis_matrix(basis)
+    if condition == 2:
+        def draw(rng, idx):
+            return (haar_special_unitary(d, rng, count=len(idx)),
+                    haar_special_unitary(d, rng, count=len(idx)))
+
+        def measure(pair):
+            u = np.einsum("tij,tkl->tikjl", *pair).reshape(-1, n, n)  # tensor(v1, v2) per trial
+            return bell._max_entry(np.abs(bell._sandwich(b.conj().T, u, b).imag))
+    else:
+        def draw(rng, idx):
+            return rng.standard_normal((len(idx), n))
+
+        def measure(a):
+            a = a / np.linalg.norm(a, axis=1, keepdims=True)
+            return linalg.unitarity_residual(np.tensordot(a, basis.ops, axes=1))
+
+    violations, witnesses = bell.sample_violations(
+        trials, seed, tol, draw, measure, n * n if condition == 2 else n)
+    return tolerance_report("sampled-condition-%d" % condition, violations.max(), tol,
+                            trials=trials, witnesses=witnesses)
 
 
 # ---- one-trial oracles: (idx, batch) -> per-trial violations ---------------
@@ -185,14 +220,14 @@ LOCAL3 = tensor(haar_unitary(3, 1), haar_unitary(3, 2))
 
 # id -> (run(trials, seed) -> report, oracle)
 CASES = {
-    "cond2-bell": (lambda n, s: check_bell_condition(bell_basis(), 2, n, s), cond2(bell_basis())),
-    "cond2-fourier3": (lambda n, s: check_bell_condition(FOURIER3, 2, n, s), cond2(FOURIER3)),
+    "cond2-bell": (lambda n, s: sampled_bell_condition(bell_basis(), 2, n, s), cond2(bell_basis())),
+    "cond2-fourier3": (lambda n, s: sampled_bell_condition(FOURIER3, 2, n, s), cond2(FOURIER3)),
     "cond3-bell": (lambda n, s: check_bell_condition(bell_basis(), 3, n, s), cond3(bell_basis())),
     "cond3-fourier3": (lambda n, s: check_bell_condition(FOURIER3, 3, n, s), cond3(FOURIER3)),
     "cond4-bell": (lambda n, s: check_bell_condition(bell_basis(), 4, n, s), cond4(bell_basis())),
     "cond4-fourier3": (lambda n, s: check_bell_condition(FOURIER3, 4, n, s), cond4(FOURIER3)),
-    "cond5-bell": (lambda n, s: check_bell_condition(bell_basis(), 5, n, s), cond5(bell_basis())),
-    "cond5-fourier3": (lambda n, s: check_bell_condition(FOURIER3, 5, n, s), cond5(FOURIER3)),
+    "cond5-bell": (lambda n, s: sampled_bell_condition(bell_basis(), 5, n, s), cond5(bell_basis())),
+    "cond5-fourier3": (lambda n, s: sampled_bell_condition(FOURIER3, 5, n, s), cond5(FOURIER3)),
     "universality-d2": (lambda n, s: check_universality(theta2(), n, s),
                         covariance([theta2().matrix], "det")),
     "universality-d2-sigma3": (lambda n, s: check_universality(AntilinearOp(SIGMA3), n, s),
@@ -261,9 +296,9 @@ def stacked_covariance(a, trials, seed, tol, phase):
 
 FOURIER4 = fourier_basis(4)
 FRAME_CASES = {
-    "cond2-bell": lambda: check_bell_condition(bell_basis(), 2, 1100, 8),
-    "cond2-fourier3": lambda: check_bell_condition(FOURIER3, 2, 250, 8),
-    "cond2-fourier4": lambda: check_bell_condition(FOURIER4, 2, 70, 8),
+    "cond2-bell": lambda: sampled_bell_condition(bell_basis(), 2, 1100, 8),
+    "cond2-fourier3": lambda: sampled_bell_condition(FOURIER3, 2, 250, 8),
+    "cond2-fourier4": lambda: sampled_bell_condition(FOURIER4, 2, 70, 8),
     "cond3-bell": lambda: check_bell_condition(bell_basis(), 3, 1100, 8),
     "cond3-fourier3": lambda: check_bell_condition(FOURIER3, 3, 250, 8),
     "cond3-fourier4": lambda: check_bell_condition(FOURIER4, 3, 70, 8),
@@ -301,7 +336,7 @@ def test_frame_products_match_stacked_matmul(case, engine, monkeypatch):
 
 
 D3_SAMPLED = {
-    "cond2-fourier3": lambda: check_bell_condition(FOURIER3, 2, 300, 9),
+    "cond2-fourier3": lambda: sampled_bell_condition(FOURIER3, 2, 300, 9),
     "cond4-fourier3": lambda: check_bell_condition(FOURIER3, 4, 300, 9),
     "search-d3": lambda: universality_search(dim=3, candidates=6, trials=100, seed=9),
 }
@@ -338,10 +373,11 @@ def each_chunk_alone(run):
 # under _STACK, which are drawn alone
 BATCH_CASES = {
     **{case: (run_check, None) for case, (run_check, _) in CASES.items()},
-    "cond2-fourier3-150": (lambda n, s: check_bell_condition(FOURIER3, 2, n, s), 150),
+    "cond2-fourier3-150": (lambda n, s: sampled_bell_condition(FOURIER3, 2, n, s), 150),
     "cond3-fourier3-150": (lambda n, s: check_bell_condition(FOURIER3, 3, n, s), 150),
-    "cond2-fourier4-300": (lambda n, s: check_bell_condition(FOURIER4, 2, n, s), 300),
+    "cond2-fourier4-300": (lambda n, s: sampled_bell_condition(FOURIER4, 2, n, s), 300),
     "cond3-fourier4-300": (lambda n, s: check_bell_condition(FOURIER4, 3, n, s), 300),
+    "cond4-fourier4-300": (lambda n, s: check_bell_condition(FOURIER4, 4, n, s), 300),
 }
 
 
@@ -406,13 +442,76 @@ def test_bell_basis_checks_pass_across_chunks():
 
 
 def test_condition_2_witness_pair_names_the_largest_entry(engine):
-    report = check_bell_condition(FOURIER3, 2, trials=40, seed=1)
+    report = sampled_bell_condition(FOURIER3, 2, trials=40, seed=1)
     (run,) = engine.runs
     b = basis_matrix(FOURIER3)
     inputs = {int(t): (v1, v2) for idx, (a, c) in redraw(run) for t, v1, v2 in zip(idx, a, c)}
     for w in report.witnesses:
         m = np.abs((b.conj().T @ tensor(*inputs[w["trial"]]) @ b).imag)
         assert abs(m[tuple(w["pair"])] - m.max()) <= 1e-12
+
+
+# ---- conditions 2 and 5, decided exactly, against dense products pair by pair -----------
+
+def spanning_elements(d):
+    """The list E of condition 2: the quaternion units at d=2, else I and e^(2 pi i/d) I."""
+    if d == 2:
+        return [np.eye(2)] + [1j * s for s in PAULIS]
+    return [np.exp(2j * np.pi * j / d) * np.eye(d) for j in range(min(d, 2))]
+
+
+def dense_condition_2(basis):
+    """(j, k) -> largest |Im| entry of B^dag (E_j tensor E_k) B, one dense product at a time."""
+    b = basis_matrix(basis)
+    e = spanning_elements(basis.dim)
+    return {(j, k): np.abs((b.conj().T @ tensor(e[j], e[k]) @ b).imag).max()
+            for j in range(len(e)) for k in range(len(e))}
+
+
+def dense_condition_5(basis):
+    """(a, b), a <= b -> ||X_a^dag X_b + X_b^dag X_a - 2 delta_ab I||_F, one pair at a time."""
+    x, eye = basis.ops, np.eye(basis.dim)
+    return {(a, b): np.linalg.norm(x[a].conj().T @ x[b] + x[b].conj().T @ x[a] - 2 * (a == b) * eye)
+            for a in range(len(x)) for b in range(a, len(x))}
+
+
+def turned_bell_basis(seed):
+    """The Bell basis turned by Haar local unitaries: the vectors (v tensor w) Phi_a."""
+    rng = np.random.default_rng(seed)
+    v, w = haar_unitary(2, rng), haar_unitary(2, rng)
+    return EntangledBasis(2, v @ bell_basis().ops @ w.T)
+
+
+EXACT_BASES = {
+    "bell": bell_basis, "turned-bell": lambda: turned_bell_basis(3), "d1": lambda: fourier_basis(1),
+    "fourier2": lambda: fourier_basis(2), "fourier3": lambda: FOURIER3,
+    "fourier4": lambda: FOURIER4, "overflowing": lambda: _overflowing_fourier2(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_BASES))
+@pytest.mark.parametrize("condition", [2, 5])
+def test_exact_conditions_match_dense_products(condition, name, engine):
+    basis = EXACT_BASES[name]()
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = (dense_condition_2 if condition == 2 else dense_condition_5)(basis)
+        report = check_bell_condition(basis, condition, trials=7, seed=3)
+    assert engine.runs == [] and report.trials == 0  # nothing is drawn
+    values = np.array(list(expected.values()))
+    witnessed = [list(p) for p, v in expected.items() if not v < TOL][:MAX_WITNESSES]
+    assert [w["pair"] for w in report.witnesses] == witnessed
+    assert report.passed == (not witnessed)
+    finite = np.isfinite(values)
+    if finite.all():
+        assert abs(report.max_violation - values.max()) <= 1e-12
+    else:
+        assert not math.isfinite(report.max_violation)
+    for w in report.witnesses:
+        v = expected[tuple(w["pair"])]
+        if math.isfinite(v):
+            assert abs(w["violation"] - v) <= 1e-12 * max(1.0, v)
+        else:  # an overflow: inf or NaN on either side
+            assert not math.isfinite(w["violation"])
 
 
 @pytest.mark.parametrize("case", ["cond2-fourier3", "cond3-fourier3", "cond4-fourier3",
@@ -621,20 +720,27 @@ def _overflowing_fourier2():
     return EntangledBasis(2, ops)
 
 
-@pytest.mark.parametrize("check", [
-    pytest.param(lambda: check_bell_condition(_overflowing_fourier2(), 2, trials=5), id="cond2"),
-    pytest.param(lambda: check_bell_condition(_overflowing_fourier2(), 5, trials=5), id="cond5"),
-    pytest.param(lambda: check_universality(theta2(1e300), trials=5), id="universality"),
+@pytest.mark.parametrize("check, first", [
+    # conditions 2 and 5 draw nothing: their first witness is a pair, NaN and inf (as in
+    # condition 6's relations)
+    pytest.param(lambda: check_bell_condition(_overflowing_fourier2(), 2, trials=5),
+                 {"pair": [0, 0]}, id="cond2"),
+    pytest.param(lambda: check_bell_condition(_overflowing_fourier2(), 5, trials=5),
+                 {"pair": [0, 1]}, id="cond5"),
+    pytest.param(lambda: check_universality(theta2(1e300), trials=5), {"trial": 0},
+                 id="universality"),
     pytest.param(lambda: check_preserves_max_entangled(np.full((4, 4), np.nan), trials=5),
-                 id="preserves-nan"),
+                 {"trial": 0}, id="preserves-nan"),
 ])
-def test_inf_or_nan_trial_is_a_witness_without_warnings(check):
+def test_inf_or_nan_trial_is_a_witness_without_warnings(check, first):
     # a rule of v >= tol would drop the NaN trials, and overflow must not leak a warning
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         report = check()
     assert not report.passed
-    assert report.witnesses[0]["trial"] == 0
+    assert {key: report.witnesses[0][key] for key in first} == first
+    assert not math.isfinite(report.witnesses[0]["violation"])
+    assert not math.isfinite(report.max_violation)
 
 
 def test_every_bell_condition_reports_an_overflowing_basis():
