@@ -34,6 +34,7 @@ from .linalg import (
     StateVector,
     _det,
     _mul,
+    _reflect,
     _sandwich,
     _so4,
     haar_unitary,
@@ -44,6 +45,7 @@ from .linalg import (
 from .reports import (
     INPUT_TOL,
     LEAD_TOL,
+    RANK_TOL,
     TOL,
     CheckReport,
     pair_witnesses,
@@ -313,7 +315,12 @@ def check_bell_condition(basis, condition, trials=1000, seed=0, tol=TOL):
          e^(2 pi i/d) I, c B^dag B, fails every basis; at d=1 E is I;
       3: unitaries that are real orthogonal in basis coordinates, sampled
          Haar on O(d^2), factor into local parts, possibly times the flip
-         (the violation is the fraction of non-factorizable samples);
+         (the violation is the fraction of non-factorizable samples). At d >= 3
+         O is drawn as reflections (linalg._reflect) applied to B's row 0 alone:
+         U's leading minor certifies "neither" as in factorize, with ||U||_F^2
+         taken as n (the gate keeps it below (1 + INPUT_TOL)^2 n, well inside
+         the factor-2 margin: s_1/s_0 > RANK_TOL still); U is formed for the
+         rest and for the witness rows only;
       4: expansion coefficients of maximally entangled vectors are real up
          to a global phase, tested pairwise via Im(c_a conj(c_b)) = 0;
       5: real unit combinations sum_a a_a X_a are unitary: exactly when 6
@@ -351,15 +358,28 @@ def check_bell_condition(basis, condition, trials=1000, seed=0, tol=TOL):
         unitary = unitarity_residual(b) <= INPUT_TOL
 
         def draw(rng, idx):
-            return random_orthogonal(n, rng, count=len(idx))
+            if d <= 2:
+                return random_orthogonal(n, rng, count=len(idx))
+            g = rng.standard_normal((len(idx), n * (n + 1) // 2))
+            with np.errstate(over="ignore", invalid="ignore"):  # from a basis the gate refuses
+                x = _reflect(g, np.stack([b[0].real, b[0].imag], axis=1))
+                return g, (x[:, 0] + 1j * x[:, 1]).T @ bh[:, [0, 1, d, d + 1]]
 
-        def measure(o):
+        def measure(batch):
+            drawn, r = batch if d > 2 else (batch, None)  # O, or at d >= 3 its normals
             if not unitary:
-                v = np.full(len(o), np.nan)
+                v = np.full(len(drawn), np.nan)
                 return v, lambda rows: {"residual": v[rows]}
-            u = _sandwich(b, o, bh)
-            v = (_local_kinds(u) == "neither").astype(float)
-            return v, lambda rows: {"residual": _neither_residual(u[rows])}
+            if d <= 2:
+                u = _sandwich(b, drawn, bh)
+                at, v = u.__getitem__, (_local_kinds(u) == "neither").astype(float)
+            else:  # U only for open and witness rows, its O reflected from the identity
+                def at(rows):
+                    return _sandwich(b, _reflect(drawn[rows], np.eye(n)).T, bh)
+                v = (np.abs(r[:, 0] * r[:, 3] - r[:, 1] * r[:, 2]) > 2 * RANK_TOL * n).astype(float)
+                if not v.all():
+                    v[v == 0] = _local_kinds(at(v == 0)) == "neither"
+            return v, lambda rows: {"residual": _neither_residual(at(rows))}
     else:
         def draw(rng, idx):
             return haar_unitary(d, rng, count=len(idx))

@@ -1,6 +1,7 @@
 """Tests for the d=2 structure: Bell basis, antilinear operators,
 canonicalization, the five basis conditions, and the determinant criterion."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -555,7 +556,8 @@ def test_condition_3_fails_when_it_finds_violations():
 
 class TestCondition3BasisGate:
     def test_basis_gated_once_per_call(self, monkeypatch):
-        # U = B O B^dag is unitary exactly when B is: one residual for the call, none per chunk
+        # U = B O B^dag is unitary exactly when B is: one residual for the call, none per chunk.
+        # At d >= 3 row 0 of U certifies every trial here, so none reaches the dense kinds
         gated, chunks = [], []
         real_residual, real_kinds = bell.unitarity_residual, bell._local_kinds
         for module in (bell, factorize):
@@ -564,7 +566,7 @@ class TestCondition3BasisGate:
         monkeypatch.setattr(bell, "_local_kinds", lambda u: chunks.append(len(u)) or real_kinds(u))
         report = check_bell_condition(fourier_basis(3), 3, trials=1000, seed=0)
         assert report.max_violation == 1.0
-        assert chunks == [chunk_size(81)] * 9 + [1000 - 9 * chunk_size(81)]
+        assert chunks == []
         assert gated == [(9, 9)]
 
     @pytest.mark.parametrize("d", [2, 3])
@@ -577,6 +579,16 @@ class TestCondition3BasisGate:
         assert 0.5 < report.max_violation <= 1.0 and len(report.witnesses) == MAX_WITNESSES
         for w in report.witnesses:
             assert w["violation"] == 1.0 and 0.0 < w["residual"] < np.inf
+
+    def test_overflowing_basis_at_d3_gives_nan_witnesses_without_warnings(self):
+        # row 0 of U is drawn whatever the gate found, and overflows here: it must stay quiet
+        ops = fourier_basis(3).ops.copy()
+        ops[:2] *= 1e300
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = check_bell_condition(EntangledBasis(3, ops), 3, trials=50, seed=0)
+        assert np.isnan(report.max_violation) and not report.passed
+        assert all(np.isnan([w["violation"], w["residual"]]).all() for w in report.witnesses)
 
     def test_basis_beyond_the_input_tolerance_gives_nan_witnesses(self):
         # scaling the operators by s makes B^dag B = s^2 I, a residual of (s^2 - 1) d

@@ -224,6 +224,21 @@ class TestCheck:
         assert all(not o["passed"] for o in objs)
         assert all(o["witnesses"] for o in objs)
 
+    def test_bell_all_runs_the_pair_kernel_once(self, tmp_path, monkeypatch):
+        # condition 5's report is condition 6's under its own name: one kernel call for both
+        from entbasis import bell
+        calls, real = [], bell._anticommutators
+        monkeypatch.setattr(bell, "_anticommutators", lambda *a: calls.append(1) or real(*a))
+        basis = tmp_path / "b3.json"
+        main(["gen", "--dim", "3", "--out", str(basis)])
+        report = tmp_path / "r.json"
+        assert main(["check", "bell-all", "--basis", str(basis), "--trials", "50",
+                     "--report", str(report)]) == 1
+        assert len(calls) == 1
+        five, six = load_json(report)[2:]
+        assert five["name"] == "bell-condition-5" and six["name"] == "bell-condition-6"
+        assert {**five, "name": None} == {**six, "name": None}
+
     def test_universality_d2(self):
         assert main(["check", "universality", "--trials", "200"]) == 0
 

@@ -52,6 +52,8 @@ from entbasis import bell, factorize, linalg, reports
 from entbasis.cli import main
 from entbasis.fileio import load_json, report_to_obj
 from entbasis.reports import MAX_WITNESSES, TOL, chunk_rng, chunk_size, tolerance_report
+from test_bell import random_phase_basis
+from test_linalg import dense_reflections, formed, normals_of
 
 FOURIER3 = fourier_basis(3)
 CNOT = np.eye(4)[[0, 1, 3, 2]].astype(complex)
@@ -66,16 +68,17 @@ class Recorder:
         self.runs = []
 
     def __call__(self, trials, seed, tol, draw, measure, per_trial):
-        chunks = []
+        chunks, batches = [], []
 
         def recorded(batch):
             out = measure(batch)
             chunks.append(np.asarray(out[0] if isinstance(out, tuple) else out))
+            batches.append(batch)
             return out
 
         result = reports.sample_violations(trials, seed, tol, draw, recorded, per_trial)
         self.runs.append({"trials": trials, "seed": seed, "tol": tol, "draw": draw,
-                          "measure": measure, "per_trial": per_trial,
+                          "measure": measure, "per_trial": per_trial, "batches": batches,
                           "violations": np.concatenate(chunks)})
         return result
 
@@ -141,8 +144,11 @@ def cond2(basis):
 
 def cond3(basis):
     b = basis_matrix(basis)
+    n = len(b)
 
-    def oracle(idx, o):
+    def oracle(idx, batch):
+        # at d >= 3 a trial draws the normals of its O's reflections, each O built densely here
+        o = batch if n <= 4 else [dense_reflections(normals, n) for normals in batch[0]]
         return [float(factor_local(b @ x @ b.conj().T).kind == "neither") for x in o]
     return oracle
 
@@ -430,6 +436,112 @@ def test_condition_3_peak_memory_is_a_few_chunks(basis, trials):
     finally:
         tracemalloc.stop()
     assert peak < 1.25 * 2 ** 20
+
+
+# ---- condition 3 at d >= 3: the row-0 certificate against the dense kinds, same draws ---------
+
+def product_basis(d):
+    """The basis of the operators sqrt(d) E_ij, whose matrix B is the identity."""
+    return EntangledBasis(d, np.sqrt(d) * np.eye(d * d).reshape(d * d, d, d))
+
+
+ROW_BASES = {"fourier3": lambda: FOURIER3, "fourier4": lambda: FOURIER4,
+             "fourier5": lambda: fourier_basis(5), "product3": lambda: product_basis(3),
+             "random-phase3": lambda: random_phase_basis(3, 9)}
+
+
+@pytest.mark.parametrize("seed", [0, 7, 8])
+@pytest.mark.parametrize("trials", [150, 411, 1000])
+@pytest.mark.parametrize("name", sorted(ROW_BASES))
+def test_condition_3_row_certificate_matches_the_dense_kinds(name, trials, seed, engine):
+    basis = ROW_BASES[name]()
+    b = basis_matrix(basis)
+    d, n = basis.dim, len(b)
+    report = check_bell_condition(basis, 3, trials, seed)
+    (run,) = engine.runs
+    expected = []
+    for (idx, (g, _)), (g_seen, r_seen) in zip(redraw(run), run["batches"], strict=True):
+        # each chunk's normals are its own Generator's, drawn in a batch or alone, and its row
+        # certificate is row 0 of the U that they form
+        assert np.array_equal(g_seen, g)
+        u = linalg._sandwich(b, formed(g, n), b.conj().T)
+        assert np.abs(r_seen - u[:, 0, [0, 1, d, d + 1]]).max() <= 1e-13
+        expected.append(factorize._local_kinds(u) == "neither")
+    expected = np.concatenate(expected).astype(float)
+    assert np.array_equal(run["violations"], expected)
+    assert report.max_violation == expected.mean() and not report.passed
+    first = np.flatnonzero(expected)[:MAX_WITNESSES]
+    assert [w["trial"] for w in report.witnesses] == first.tolist()
+
+
+class ChosenNormals:
+    """Stands in for a chunk's Generator and hands condition 3 the given normals."""
+
+    def __init__(self, g):
+        self.g = g
+
+    def standard_normal(self, shape):
+        assert shape == self.g.shape
+        return self.g.copy()
+
+
+def open_targets(basis, rng):
+    """Orthogonal O whose U = B O B^dag has a zero leading minor of R(U), which the row
+    certificate leaves open: local and local-flip U and, at B = I, the "neither" 1 + O(8).
+    Three Haar O(9) follow, which row 0 certifies "neither"."""
+    if basis_matrix(basis)[0, 0] != 1:  # Fourier d=3: B O B^dag is local for O = +-I
+        return [np.eye(9), -np.eye(9)] + list(random_orthogonal(9, rng, count=3))
+    local = [np.kron(random_orthogonal(3, rng), random_orthogonal(3, rng)) for _ in range(6)]
+    other = [np.eye(9) for _ in range(3)]
+    for o in other:
+        o[1:, 1:] = random_orthogonal(8, rng)
+    flip = flip_operator(3).real
+    haar = list(random_orthogonal(9, rng, count=3))
+    return local[:3] + [o @ flip for o in local[3:]] + other + haar
+
+
+@pytest.mark.parametrize("name", ["fourier3", "product3"])
+def test_condition_3_open_trials_take_the_dense_kinds(name, engine, monkeypatch):
+    basis = ROW_BASES[name]()
+    b = basis_matrix(basis)
+    targets = open_targets(basis, np.random.default_rng(11))
+    g = np.array([normals_of(o) for o in targets])
+    recorder, kinds, real_kinds = bell.sample_violations, [], bell._local_kinds
+
+    def chosen(trials, seed, tol, draw, measure, per_trial):
+        def given(rng, idx):
+            return draw(ChosenNormals(g[idx]), idx)
+        return recorder(trials, seed, tol, given, measure, per_trial)
+
+    monkeypatch.setattr(bell, "sample_violations", chosen)
+    monkeypatch.setattr(bell, "_local_kinds", lambda u: kinds.append(len(u)) or real_kinds(u))
+    report = check_bell_condition(basis, 3, trials=len(targets), seed=0)
+    (run,) = engine.runs
+    factored = [factor_local(b @ o @ b.conj().T) for o in targets]
+    assert np.array_equal(run["violations"], [float(f.kind == "neither") for f in factored])
+    assert {f.kind for f in factored} == ({"local", "neither"} if name == "fourier3"
+                                          else {"local", "local_flip", "neither"})
+    assert kinds == [len(targets) - 3]  # all but the Haar draws go to the dense kinds
+    assert [w["trial"] for w in report.witnesses] == [t for t, f in enumerate(factored)
+                                                      if f.kind == "neither"]
+    for w in report.witnesses:
+        assert abs(w["residual"] - factored[w["trial"]].residual) <= 1e-12
+
+
+@pytest.mark.parametrize("d, trials", [(3, 1000), (10, 8)])
+def test_condition_3_witnesses_replay_from_their_chunk(d, trials):
+    # at d = 10 a chunk is one trial, so each witness replays from a Generator of its own
+    basis = fourier_basis(d)
+    b, n = basis_matrix(basis), d * d
+    report = check_bell_condition(basis, 3, trials, seed=7)
+    step = chunk_size(n * n)
+    assert len(report.witnesses) == MAX_WITNESSES
+    for w in report.witnesses:
+        chunk, k = divmod(w["trial"], step)
+        count = min(step, trials - chunk * step)
+        g = chunk_rng(7, chunk).standard_normal((count, n * (n + 1) // 2))[k:k + 1]
+        u = linalg._sandwich(b, formed(g, n), b.conj().T)
+        assert factorize._neither_residual(u)[0] == w["residual"]
 
 
 def test_bell_basis_checks_pass_across_chunks():
