@@ -13,11 +13,22 @@ Subcommands:
 Exit codes: 0 all checks passed (for factorize: ran to completion), 1 a
 property check failed, 2 malformed input, usage error or memory exhausted.
 Identical command lines with identical seeds produce byte-identical report files.
+
+Where the C library is glibc, main pins malloc's trim and mmap thresholds at 32 MiB
+each, once per process. At the defaults (128 KiB) the d=2 checks' 64-128 KiB chunk
+arrays were unmapped or trimmed after each call and faulted in again on the next: 590
+minor faults per warm det-criterion call and 124 per universality --dim 2 (2000
+trials, one process each), against 0 pinned. 32 MiB is glibc's own ceiling for its
+dynamic mmap threshold on 64-bit. Either threshold set alone fixes the other at 128
+KiB; a 64 MiB trim threshold let the basis-io bench's peak RSS creep 4 % in 25 s.
+A library caller gets the same once main has run in its process.
 """
 
 import argparse
+import ctypes
 import dataclasses
 import functools
+import os
 import sys
 
 import numpy as np
@@ -68,6 +79,8 @@ def _load_latin(path, dim):
 def cmd_gen(args):
     d = args.dim
     require_positive(d, "dim")
+    if d > MAX_GEN_DIM:
+        raise ValueError("dim must be at most %d, got %d" % (MAX_GEN_DIM, d))
     if args.construction != "custom" and (args.latin or args.hadamard):
         raise ValueError("--latin and --hadamard need --construction custom")
     if args.construction == "fourier":
@@ -140,6 +153,12 @@ def cmd_check_universality(args):
 # with dense products); each further step of 2 costs about 4.5x the memory
 MAX_CLIFFORD_COUNT = 17
 
+# gen holds the whole basis, a (d^2, d, d) complex stack of 16 d^4 bytes. Under 2 GiB of
+# address space (one BLAS thread, 2-core VM) gen --dim 104 --out ran in 9.6 s at 1.89 GB
+# peak RSS and wrote a 5.9 GB file; at 105 the 1.81 GiB stack left no room for the
+# (d, d, d) temporaries that fill it, and from 106 on the stack itself is refused
+MAX_GEN_DIM = 104
+
 
 def cmd_check_clifford(args):
     if args.count > MAX_CLIFFORD_COUNT:
@@ -177,7 +196,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a shift-and-multiply basis")
-    p.add_argument("--dim", type=int, required=True)
+    p.add_argument("--dim", type=int, required=True, help="at most %d" % MAX_GEN_DIM)
     p.add_argument("--construction", choices=("fourier", "sylvester", "custom"),
                    default="fourier")
     p.add_argument("--hadamard", nargs="+", metavar="FILE",
@@ -230,7 +249,21 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _pin_malloc():
+    try:
+        glibc = os.confstr("CS_GNU_LIBC_VERSION")
+    except (AttributeError, ValueError, OSError):  # no confstr, or not glibc
+        glibc = None
+    if glibc:
+        mallopt = ctypes.CDLL(None).mallopt
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        mallopt(-1, 32 << 20)  # M_TRIM_THRESHOLD
+        mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+
+
 def main(argv=None):
+    _pin_malloc()
     args = build_parser().parse_args(argv)
     try:
         # every subcommand takes --tol

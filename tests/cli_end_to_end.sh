@@ -1,0 +1,232 @@
+#!/usr/bin/env bash
+# The installed console script end to end: gen, verify, factorize and check runs, their exit
+# codes, and cmp of files and reports that must be byte-identical. It works in a temporary
+# directory, removed on exit, and takes the command from $ENTBASIS (default entbasis):
+#   ENTBASIS="python -m entbasis.cli" PYTHONPATH="$PWD/src" bash tests/cli_end_to_end.sh
+set -e
+ENTBASIS=${ENTBASIS:-entbasis}
+# a numpy warning that leaks out of a CLI run fails the script, as it fails pytest
+export PYTHONWARNINGS=error::RuntimeWarning
+work=$(mktemp -d)
+trap 'rm -rf "$work"' EXIT
+cd "$work"
+# expect CODE CMD...: run CMD, and fail the script unless it exits with CODE
+expect() {
+  local want=$1 code=0
+  shift
+  "$@" || code=$?
+  test "$code" -eq "$want"
+}
+$ENTBASIS gen --dim 3 --out b3.json
+$ENTBASIS gen --dim 3 > b3_stdout.json
+cmp b3.json b3_stdout.json
+# gen --out writes the bytes themselves, stdout their text: the same file
+for d in 1 2 5; do
+  $ENTBASIS gen --dim "$d" --out "f$d.json"
+  $ENTBASIS gen --dim "$d" > "f${d}_stdout.json"
+  cmp "f$d.json" "f${d}_stdout.json"
+done
+$ENTBASIS verify b3.json
+# the same basis as compact JSON is read by the general reader
+python -c "import json; json.dump(json.load(open('b3.json')), open('b3c.json', 'w'))"
+$ENTBASIS verify b3c.json
+$ENTBASIS gen --dim 8 --construction sylvester --out s8.json
+$ENTBASIS gen --dim 8 --construction sylvester > s8_stdout.json
+cmp s8.json s8_stdout.json
+$ENTBASIS verify s8.json
+# a Sylvester file holds only +-1.0 and 0.0, no rounding residue such as 1.2e-16
+if grep -q 'e-' s8.json; then exit 1; fi
+$ENTBASIS gen --dim 16 --construction sylvester --out s16.json
+$ENTBASIS gen --dim 16 --construction sylvester > s16_stdout.json
+cmp s16.json s16_stdout.json
+# eight Hadamard matrices with random phases on both sides: the basis's doubles that
+# are not 0.0 are nearly all distinct, and its one block is one span
+python -c "
+import numpy as np
+from entbasis import fourier_hadamard
+from entbasis.fileio import matrix_to_obj, save_json
+rng = np.random.default_rng(5)
+for k in range(8):
+    phases = np.exp(2j * np.pi * rng.random((2, 8)))
+    save_json(matrix_to_obj(phases[0][:, None] * fourier_hadamard(8) * phases[1]), 'h%d.json' % k)
+"
+$ENTBASIS gen --dim 8 --construction custom --hadamard h?.json --out c8.json
+$ENTBASIS gen --dim 8 --construction custom --hadamard h?.json > c8_stdout.json
+cmp c8.json c8_stdout.json
+$ENTBASIS verify c8.json
+# gen accepts a family exactly when verify passes its basis: here HH^dag - 2I is off
+# by 1.5e-10 but HH^dag / 2 - I by 7.5e-11 < tol; the identity is refused (exit 2)
+python -c "
+import numpy as np
+from entbasis.fileio import matrix_to_obj, save_json
+save_json(matrix_to_obj(np.array([[1, 1], [1, -np.exp(1.5e-10j)]])), 'hphi.json')
+save_json(matrix_to_obj(np.eye(2)), 'heye.json')
+"
+expect 0 $ENTBASIS gen --dim 2 --construction custom --hadamard hphi.json --out phi.json
+expect 0 $ENTBASIS verify phi.json
+expect 2 $ENTBASIS gen --dim 2 --construction custom --hadamard heye.json
+# "cols": 10 and "rows": 10 hold a 0 that starts no token
+$ENTBASIS gen --dim 10 --out f10.json
+$ENTBASIS gen --dim 10 > f10_stdout.json
+cmp f10.json f10_stdout.json
+$ENTBASIS verify f10.json
+# about 1 MB with irrational entries: the layout scan reads it in several
+# windows, and the writer splices many distinct doubles per block
+$ENTBASIS gen --dim 12 --out f12.json
+$ENTBASIS gen --dim 12 > f12_stdout.json
+cmp f12.json f12_stdout.json
+$ENTBASIS verify f12.json
+python -c "import json; json.dump(json.load(open('f12.json')), open('f12c.json', 'w'))"
+$ENTBASIS verify f12c.json
+# verify certifies gen's own layout from its entries; anything else takes the dense Gram
+$ENTBASIS gen --dim 24 --out f24.json
+$ENTBASIS gen --dim 24 > f24_stdout.json
+cmp f24.json f24_stdout.json
+$ENTBASIS verify f24.json
+python -c "t = open('f24.json').read(); open('f24_flip.json', 'w').write(t.replace('\n          1.0,', '\n          -1.0,', 1))"
+python -c "t = open('f24.json').read(); open('f24_extra.json', 'w').write(t.replace('\n          0.0,', '\n          0.5,', 1))"
+# 1e+16 is the writer's own spelling: the scan takes the file, and verify fails it
+python -c "t = open('f24.json').read(); open('f24_exp.json', 'w').write(t.replace('\n          0.0,', '\n          1e+16,', 1))"
+for bad in f24_flip.json f24_extra.json f24_exp.json; do
+  if cmp -s f24.json "$bad"; then exit 1; fi
+  expect 1 $ENTBASIS verify "$bad"
+done
+# another spelling of a double goes to the general reader: the same basis, exit 0
+python -c "t = open('f24.json').read(); open('f24_respelled.json', 'w').write(t.replace('\n          1.0,', '\n          1.00,', 1))"
+if cmp -s f24.json f24_respelled.json; then exit 1; fi
+$ENTBASIS verify f24_respelled.json
+# text after the basis is not JSON: a usage error
+cp f24.json f24_trailing.json
+printf x >> f24_trailing.json
+expect 2 $ENTBASIS verify f24_trailing.json
+$ENTBASIS check bell-all --trials 50
+# every condition fails at d=3: the script must exit 1, not 0 or 2
+expect 1 $ENTBASIS check bell-all --basis b3.json --trials 50
+# a NaN tolerance is a usage error, not a failed check
+expect 2 $ENTBASIS verify b3.json --tol nan
+# an allocation the machine cannot make is a usage error, not a failed check: each
+# run gets 2 GiB of address space, as uncapped a 7 TiB array may be granted
+for suite in bell-all det-criterion; do
+  (ulimit -v 2097152; export OPENBLAS_NUM_THREADS=1
+   expect 2 $ENTBASIS check "$suite" --trials 1000000000000)
+done
+$ENTBASIS check det-criterion --trials 200
+# equal command lines write byte-identical reports
+$ENTBASIS check det-criterion --trials 300 --seed 4 --report dc_a.json
+$ENTBASIS check det-criterion --trials 300 --seed 4 --report dc_b.json
+cmp dc_a.json dc_b.json
+# several main() calls in one process share one parser: a usage error first,
+# then the same report as the console script's
+python -c "
+from entbasis.cli import main
+try:
+    main(['check', 'nope'])
+    raise AssertionError('no usage error')
+except SystemExit as exc:
+    assert exc.code == 2, exc.code
+assert main(['verify', 'missing.json']) == 2
+assert main(['check', 'det-criterion', '--trials', '300', '--seed', '4', '--report', 'dc_c.json']) == 0
+"
+cmp dc_a.json dc_c.json
+$ENTBASIS check universality --dim 2 --trials 300
+# equal command lines write byte-identical reports across chunks, at d=2 and at d=3
+$ENTBASIS check bell-all --trials 300 --seed 4 --report ba_a.json
+$ENTBASIS check bell-all --trials 300 --seed 4 --report ba_b.json
+cmp ba_a.json ba_b.json
+for run in a b; do
+  expect 1 $ENTBASIS check bell-all --basis b3.json --trials 300 --seed 4 --report "b3_$run.json"
+done
+cmp b3_a.json b3_b.json
+# d=3 chunks of 101: at 1000 trials several share one draw; at 150 the last chunk, 49
+# trials, is under 64 and is drawn alone
+for t in 1000 150; do
+  for run in a b; do
+    expect 1 $ENTBASIS check bell-all --basis b3.json --trials "$t" --seed 4 --report "b3_${t}_$run.json"
+  done
+  cmp "b3_${t}_a.json" "b3_${t}_b.json"
+done
+# a witness replays from its chunk drawn alone: condition 4's listed violations and
+# pairs of the 1000-trial report, recomputed exactly
+python -c "
+import json
+import numpy as np
+from entbasis import basis_matrix, haar_unitary
+from entbasis.fileio import load_basis
+from entbasis.reports import chunk_rng
+b = basis_matrix(load_basis('b3.json'))
+(report,) = [r for r in json.load(open('b3_1000_a.json')) if r['name'] == 'bell-condition-4']
+assert report['witnesses']
+for w in report['witnesses']:
+    chunk, k = divmod(w['trial'], 101)
+    v = haar_unitary(3, chunk_rng(4, chunk), count=min(101, 1000 - 101 * chunk))
+    c = (v.reshape(-1, 9) / np.sqrt(3)) @ b.conj()
+    m = np.abs((c[:, :, None] * c.conj()[:, None, :]).imag)[k]
+    assert m.max() == w['violation'] and m[tuple(w['pair'])] == m.max(), w
+"
+# conditions 2 and 5 draw nothing: condition 2 is the centre pair (I, e^(2 pi i/3) I)
+# at sin(2 pi/3), condition 5 reads condition 6's pair residual, and condition 4 keeps
+# its sampled form
+python -c "
+import json, math
+r = {x['name']: x for x in json.load(open('b3_1000_a.json'))}
+two, four = r['bell-condition-2'], r['bell-condition-4']
+assert two['trials'] == 0 and two['witnesses'][0]['pair'] == [0, 1], two
+assert abs(two['maxViolation'] - math.sin(2 * math.pi / 3)) <= 1e-12, two
+assert r['bell-condition-5']['maxViolation'] == r['bell-condition-6']['maxViolation']
+assert four['trials'] == 1000 and len(four['witnesses']) == 8, four
+assert all(set(w) == {'trial', 'seed', 'violation', 'pair'} for w in four['witnesses'])
+"
+# d=3 search: one engine run of 50 x 300 flat trials, in Haar stacks of up to 910
+# that take Gram-Schmidt
+$ENTBASIS check universality --dim 3 --trials 300 --seed 4 --report u3_a.json
+$ENTBASIS check universality --dim 3 --trials 300 --seed 4 --report u3_b.json
+cmp u3_a.json u3_b.json
+# d=2: one chunk of 300 trials, whose U A U^T and det(U) take the whole-stack kernels
+$ENTBASIS check universality --dim 2 --trials 300 --seed 4 --report u2_a.json
+$ENTBASIS check universality --dim 2 --trials 300 --seed 4 --report u2_b.json
+cmp u2_a.json u2_b.json
+# a candidate count below one is a usage error at d=2 too, where none is drawn
+expect 2 $ENTBASIS check universality --dim 2 --candidates 0
+# --latin and --hadamard would be ignored outside --construction custom: a usage error
+python -c "import json; json.dump([[0, 1, 2], [1, 2, 0], [2, 0, 1]], open('lat.json', 'w'))"
+expect 2 $ENTBASIS gen --dim 3 --latin lat.json
+expect 2 $ENTBASIS gen --dim 3 --construction sylvester --hadamard h0.json
+# d=4: chunks of 32, never merged, drawn by QR; every condition fails, so each run
+# exits 1
+$ENTBASIS gen --dim 4 --out b4.json
+for run in a b; do
+  expect 1 $ENTBASIS check bell-all --basis b4.json --trials 100 --seed 4 --report "b4_$run.json"
+done
+cmp b4_a.json b4_b.json
+# verify writes its report too
+$ENTBASIS verify b3.json --report v3_a.json
+$ENTBASIS verify b3.json --report v3_b.json
+cmp v3_a.json v3_b.json
+# equal command lines write byte-identical Clifford reports
+$ENTBASIS check clifford --count 13 --report cl_a.json
+$ENTBASIS check clifford --count 13 --report cl_b.json
+cmp cl_a.json cl_b.json
+# the largest family allowed passes
+$ENTBASIS check clifford --count 17
+# 19 Clifford generators would be matrices of order 512: refused before building
+expect 2 $ENTBASIS check clifford --count 19
+# factorize: a local product, the same times the flip, and a non-unitary 4x4
+python -c "
+import numpy as np
+from entbasis import flip_operator, haar_unitary, tensor
+from entbasis.fileio import matrix_to_obj, save_json
+rng = np.random.default_rng(3)
+local = tensor(haar_unitary(2, rng), haar_unitary(2, rng))
+save_json(matrix_to_obj(local), 'loc.json')
+save_json(matrix_to_obj(local @ flip_operator(2)), 'loc_flip.json')
+save_json(matrix_to_obj(2 * np.eye(4)), 'not_unitary.json')
+"
+$ENTBASIS factorize loc.json > loc.txt
+grep -qx "kind: local" loc.txt
+$ENTBASIS factorize loc_flip.json > loc_flip.txt
+grep -qx "kind: local_flip" loc_flip.txt
+# equal command lines write byte-identical factorize reports
+$ENTBASIS factorize loc_flip.json --report fz_a.json
+$ENTBASIS factorize loc_flip.json --report fz_b.json
+cmp fz_a.json fz_b.json
+expect 2 $ENTBASIS factorize not_unitary.json

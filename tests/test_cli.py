@@ -3,11 +3,16 @@ deterministic reports."""
 
 import argparse
 import json
+import os
+import platform
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+import entbasis
 from entbasis import (
     EntangledBasis,
     canonicalize_bell_basis,
@@ -17,6 +22,7 @@ from entbasis import (
     tensor,
     verify_unitary_basis,
 )
+from entbasis import cli
 from entbasis.cli import build_parser, main
 from entbasis.fileio import (
     basis_from_obj,
@@ -549,3 +555,62 @@ def test_verify_prints_every_line_before_writing_its_report(tmp_path, capsys):
     assert captured.out.splitlines()[1:] == ["offending pair: (0, 1)"]
     assert captured.out.startswith("unitary-basis ") and "FAIL" in captured.out
     assert captured.err.startswith("error: ")
+
+
+# one fresh process per command, so that no earlier call has moved glibc's dynamic
+# thresholds: 5 warm calls, then the mean minor-fault count of 20 more
+_WARM_FAULTS = """
+import contextlib, io, resource, sys
+from entbasis.cli import main
+def call():
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(sys.argv[1:]) == 0
+for _ in range(5):
+    call()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(20):
+    call()
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's malloc thresholds")
+@pytest.mark.parametrize("argv", [
+    ["check", "det-criterion", "--trials", "2000"],
+    ["check", "universality", "--dim", "2", "--trials", "2000"],
+    ["gen", "--dim", "24", "--out", "f24.json"],
+], ids=["det-criterion", "universality", "gen"])
+def test_warm_calls_fault_in_no_fresh_memory(argv, tmp_path):
+    # at glibc's default thresholds the d=2 checks' 64-128 KiB chunk arrays are unmapped
+    # or trimmed after each call (hundreds of faults a call); with an mmap threshold under
+    # gen's 5.3 MB stack, gen's is
+    src = os.path.dirname(os.path.dirname(entbasis.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", _WARM_FAULTS, *argv], cwd=tmp_path,
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert float(run.stdout) <= 8
+
+
+# os.confstr raises ValueError where the name is unknown (macOS), OSError where the C
+# library refuses it, and returns None where it is unset
+@pytest.mark.parametrize("error", [ValueError("unrecognized configuration name"),
+                                   OSError(22, "Invalid argument"), None],
+                         ids=["unknown-name", "refused", "unset"])
+def test_main_leaves_malloc_alone_where_the_c_library_is_not_glibc(error, monkeypatch, capsys):
+    def confstr(name):
+        if error:
+            raise error
+
+    def no_mallopt(name):
+        raise AssertionError("C library loaded")
+    monkeypatch.setattr(cli.os, "confstr", confstr)
+    monkeypatch.setattr(cli.ctypes, "CDLL", no_mallopt)
+    cli._pin_malloc.cache_clear()
+    try:
+        assert main(["check", "det-criterion", "--trials", "10"]) == 0
+    finally:
+        monkeypatch.undo()
+        cli._pin_malloc.cache_clear()
+    assert capsys.readouterr().out.startswith("det-criterion")

@@ -24,6 +24,7 @@ from entbasis import (
     validate_latin_square,
     vector_from_operator,
 )
+from entbasis import cli
 from entbasis.cli import main
 from entbasis.fileio import basis_from_obj, load_basis, save_json
 
@@ -68,6 +69,17 @@ def test_cli_refusal_exits_2_with_the_shared_wording(argv, message, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == "error: %s\n" % message
+
+
+def test_gen_past_the_size_cap_is_refused_before_building(monkeypatch, capsys):
+    def build(*args):
+        raise AssertionError("built")
+    monkeypatch.setattr(cli, "fourier_hadamard", build)
+    monkeypatch.setattr(cli, "shift_multiply_basis", build)
+    argv = ["gen", "--dim", str(cli.MAX_GEN_DIM + 1)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: dim must be at most %d, got %d\n" % (
+        cli.MAX_GEN_DIM, cli.MAX_GEN_DIM + 1)
 
 
 def test_empty_basis_is_refused_where_it_is_made(tmp_path, capsys):
