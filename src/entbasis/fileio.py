@@ -39,10 +39,12 @@ for every window. Each is cut as a row of _TOKEN bytes and ends at its
 first "," or newline. Slots: its offset less the extra bytes of the tokens
 before it (length - 3 each) is its "0.0"'s offset in a file of zeros, which
 the writer's own arithmetic (_zero_operator) turns into its double's index.
-Batches: numpy parses the rows each time they hold _BLOCK_DOUBLES tokens,
-and they must give finite doubles. basis_bytes of the basis they make is
-then compared with the file, chunk by chunk. That write-back is the only
-rule that accepts a file: every byte must match and none be left over.
+Batches: each time the rows hold _BLOCK_DOUBLES tokens, numpy parses each
+distinct token among them once, and they must give finite doubles. Two
+tokens that share a 64-bit key mixed from their bytes share a double, wrong
+for one of them, which the write-back refuses: basis_bytes of the basis
+they make is compared with the file, chunk by chunk. That write-back is the
+only rule that accepts a file: every byte must match and none be left over.
 So the writer specifies the reader, and no number grammar is checked by
 hand: the bytes are what json.dump writes for this basis, each double
 spelled as its repr, which json reads back as the same double, and the
@@ -265,7 +267,7 @@ def basis_bytes(basis):
             hi, room = start + size, _BLOCK_DOUBLES - np.count_nonzero(bits[start:start + size])
             while hi < bits.size and (room := room - np.count_nonzero(bits[hi:hi + size])) >= 0:
                 hi += size
-            nonzero = start + np.flatnonzero(bits[start:hi])
+            nonzero = start + np.flatnonzero(bits[start:hi] != 0)
             # each distinct double is formatted once per span, however many slots it fills
             distinct, which = np.unique(bits[nonzero], return_inverse=True)
             values = distinct.view(np.float64)
@@ -319,6 +321,8 @@ def load_json(path):
 # bytes read per window, and per token: a double's longest repr has 24, then "," or a newline
 _WINDOW = 1 << 18
 _TOKEN = 25
+# odd multipliers of a token's second and third 8-byte words in its key
+_KEY_MIX = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xC2B2AE3D27D4EB4F))
 _HEAD_RE = re.compile(re.escape(FILE_HEAD.encode()).replace(b"%d", b"([1-9][0-9]{0,8})"))
 
 
@@ -343,8 +347,12 @@ def scan_layout(fh):
         return None
     # the basis in pages of its own, returned to the system when it is dropped: from the
     # heap (np.zeros) it stayed resident after each verify, and basis-io's peak RSS read
-    # 136.7-137.2 MB against 130.8-131.8 MB (10 runs each, 2-core Xeon VM)
-    doubles = np.frombuffer(mmap.mmap(-1, 16 * n * n), dtype=float)
+    # 136.7-137.2 MB against 130.8-131.8 MB (10 runs each, 2-core Xeon VM). Mapped private and
+    # populated, d=24's 1,296 pages take 1.1 ms to touch and unmap, not 2.4-3.2 ms page by page
+    private = getattr(mmap, "MAP_PRIVATE", None)
+    doubles = np.frombuffer(mmap.mmap(-1, 16 * n * n) if private is None else mmap.mmap(
+        -1, 16 * n * n, private | mmap.MAP_ANONYMOUS | getattr(mmap, "MAP_POPULATE", 0)),
+        dtype=float)
     zero_op, first, stride, gap = _zero_operator(dim, dim)
     rows = np.lib.stride_tricks.sliding_window_view(a, _TOKEN)
     # reused for every window: with fresh temporaries a warm verify of Fourier d=24 made
@@ -383,13 +391,20 @@ def scan_layout(fh):
                             or max(op.max(), pair.max()) >= n):
                 return None
             text[np.arange(_TOKEN) >= end[:, None]] = 0
+            # each distinct token is parsed once, keyed by its first 24 bytes: the token and its
+            # zeroed tail. Tokens that share a key get one double, which the write-back refuses
+            words = np.ndarray((len(text), 3), np.uint64, text, 0, (_TOKEN, 8))
+            key = words[:, 0] + words[:, 1] * _KEY_MIX[0] + words[:, 2] * _KEY_MIX[1]
+            distinct, which = np.unique(key, return_inverse=True)
+            row = np.empty(distinct.size, dtype=np.intp)
+            row[which] = np.arange(which.size)
             try:
-                values = text.view("S%d" % _TOKEN)[:, 0].astype(float)
+                values = text.take(row, 0).view("S%d" % _TOKEN)[:, 0].astype(float)
             except ValueError:
                 return None
             if not np.isfinite(values).all():
                 return None
-            doubles[2 * (op * n + pair) + im] = values
+            doubles[2 * (op * n + pair) + im] = values[which]
             extra += grown[-1:].sum()
             batch, at = [], []
         if last:
@@ -418,7 +433,7 @@ def load_basis(path):
     return basis_from_obj(load_json(path)) if basis is None else basis
 
 
-# json reads a small file faster than the scan sets up and writes the basis back. gen's
-# files through json / the scan, 2-core Xeon VM: d=3 (5 KiB) 0.14-0.19 / 0.43-0.66 ms,
-# d=5 (35 KiB) 0.51-0.88 / 0.73-0.99 ms, d=6 (70 KiB) 0.79-1.59 / 0.90-1.29 ms
+# json reads a small file faster than the scan sets up and writes the basis back. gen's files,
+# json / scan in ms, best of 5x200 (2-core Xeon VM): d=3 (5 KiB) 0.09-0.10 / 0.27-0.29, d=5
+# (35 KiB) 0.39-0.40 / 0.40-0.45, d=6 (70 KiB) 0.74-0.75 / 0.56, d=7 (128 KiB) 1.26-1.31 / 0.78-0.87
 _SCAN_MIN_BYTES = 1 << 16

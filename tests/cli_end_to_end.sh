@@ -95,6 +95,12 @@ done
 python -c "t = open('f24.json').read(); open('f24_respelled.json', 'w').write(t.replace('\n          1.0,', '\n          1.00,', 1))"
 if cmp -s f24.json f24_respelled.json; then exit 1; fi
 $ENTBASIS verify f24_respelled.json
+# under 2 GiB of address space the scan's populated map of the basis and the general
+# reader's JSON tree both fit: each verify passes
+for f in f24.json f24_respelled.json; do
+  (ulimit -v 2097152; export OPENBLAS_NUM_THREADS=1
+   expect 0 $ENTBASIS verify "$f")
+done
 # text after the basis is not JSON: a usage error
 cp f24.json f24_trailing.json
 printf x >> f24_trailing.json

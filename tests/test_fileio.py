@@ -3,6 +3,7 @@
 import io
 import json
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -305,9 +306,16 @@ SMALL_BLOCK = 64
 
 def _record_spans(monkeypatch):
     """A list that gets, for each span basis_bytes formats from now on, its count of
-    doubles that are not +0.0: the size of the span's one np.unique call."""
+    doubles that are not +0.0: the size of the span's one np.unique call. The calls
+    scan_layout makes for its own batches are not recorded."""
     sizes, unique = [], np.unique
-    monkeypatch.setattr(np, "unique", lambda a, **kw: sizes.append(a.size) or unique(a, **kw))
+
+    def recorded(a, **kw):
+        if sys._getframe(1).f_code is basis_bytes.__code__:
+            sizes.append(a.size)
+        return unique(a, **kw)
+
+    monkeypatch.setattr(np, "unique", recorded)
     return sizes
 
 
@@ -797,6 +805,51 @@ def test_small_windows_and_batches_read_as_oracle(name, tmp_path, monkeypatch):
     # a batch takes windows while it holds fewer than 64 tokens; a window's lines are
     # 14 bytes or more, one token each at most
     assert max(batches) <= 64 + (1 << 12) // 14
+
+
+def test_batch_parses_each_distinct_token_once(tmp_path, monkeypatch):
+    # Sylvester d=16 holds 4,096 doubles that are not 0.0, each 1.0 or -1.0. In batches
+    # of 64 tokens or more the scan converts at most those two strings per batch: the
+    # sizes of its one isfinite call per batch, which runs on the parsed doubles
+    monkeypatch.setattr(fileio, "_BLOCK_DOUBLES", 64)
+    basis = LOAD_BASES["sylvester16"]()
+    path = _write_basis(basis, tmp_path / "b.json")
+    batches, parsed = [], []
+
+    class Numpy:
+        """numpy as fileio sees it, with scan_layout's cumsum and isfinite calls recorded."""
+        def __getattr__(self, attr):
+            return getattr(np, attr)
+
+        def cumsum(self, a):
+            batches.append(a.size)
+            return np.cumsum(a)
+
+        def isfinite(self, a):
+            if sys._getframe(1).f_code is scan_layout.__code__:
+                parsed.append(a.tolist())
+            return np.isfinite(a)
+
+    monkeypatch.setattr(fileio, "np", Numpy())
+    with open(path, "rb") as fh:
+        fast = scan_layout(fh)
+    assert fast is not None
+    assert fast.ops.view(np.int64).tobytes() == basis.ops.view(np.int64).tobytes()
+    assert sum(batches) == np.count_nonzero(basis.ops.view(np.int64)) == 4096
+    assert len(parsed) == len(batches) > 1
+    assert all(sorted(values) in ([-1.0], [1.0], [-1.0, 1.0]) for values in parsed)
+
+
+def test_tokens_sharing_a_key_give_the_file_to_json(tmp_path, monkeypatch):
+    # every key taken from a token's first 8 bytes: in Fourier d=24, -0.7071067811865475
+    # and -0.7071067811865474 share one, so one of them is given the other's double,
+    # and the write-back refuses the file
+    monkeypatch.setattr(fileio, "_KEY_MIX", (np.uint64(0), np.uint64(0)))
+    path = _write_basis(fourier_basis(24), tmp_path / "f24.json")
+    with open(path, "rb") as fh:
+        assert scan_layout(fh) is None
+    want = basis_from_obj(load_json(path))
+    assert load_basis(path).ops.view(np.int64).tobytes() == want.ops.view(np.int64).tobytes()
 
 
 def test_rejected_file_formats_one_span(tmp_path, monkeypatch):
