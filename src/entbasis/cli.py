@@ -22,6 +22,7 @@ trials, one process each), against 0 pinned. 32 MiB is glibc's own ceiling for i
 dynamic mmap threshold on 64-bit. Either threshold set alone fixes the other at 128
 KiB; a 64 MiB trim threshold let the basis-io bench's peak RSS creep 4 % in 25 s.
 A library caller gets the same once main has run in its process.
+Importing entbasis starts numpy's BLAS on one thread unless numpy or a thread count came first.
 """
 
 import argparse

@@ -98,7 +98,7 @@ $ENTBASIS verify f24_respelled.json
 # under 2 GiB of address space the scan's populated map of the basis and the general
 # reader's JSON tree both fit: each verify passes
 for f in f24.json f24_respelled.json; do
-  (ulimit -v 2097152; export OPENBLAS_NUM_THREADS=1
+  (ulimit -v 2097152
    expect 0 $ENTBASIS verify "$f")
 done
 # text after the basis is not JSON: a usage error
@@ -113,7 +113,7 @@ expect 2 $ENTBASIS verify b3.json --tol nan
 # an allocation the machine cannot make is a usage error, not a failed check: each
 # run gets 2 GiB of address space, as uncapped a 7 TiB array may be granted
 for suite in bell-all det-criterion; do
-  (ulimit -v 2097152; export OPENBLAS_NUM_THREADS=1
+  (ulimit -v 2097152
    expect 2 $ENTBASIS check "$suite" --trials 1000000000000)
 done
 $ENTBASIS check det-criterion --trials 200

@@ -585,7 +585,7 @@ def test_warm_calls_fault_in_no_fresh_memory(argv, tmp_path):
     # or trimmed after each call (hundreds of faults a call); with an mmap threshold under
     # gen's 5.3 MB stack, gen's is
     src = os.path.dirname(os.path.dirname(entbasis.__file__))
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+    env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     run = subprocess.run([sys.executable, "-c", _WARM_FAULTS, *argv], cwd=tmp_path,
                          capture_output=True, text=True, env=env, timeout=120)
@@ -614,3 +614,38 @@ def test_main_leaves_malloc_alone_where_the_c_library_is_not_glibc(error, monkey
         monkeypatch.undo()
         cli._pin_malloc.cache_clear()
     assert capsys.readouterr().out.startswith("det-criterion")
+
+
+# a fresh process per case: its OS threads once numpy's BLAS has loaded, and what it
+# leaves of OPENBLAS_NUM_THREADS
+_THREADS = """
+import os, sys
+exec(sys.argv[1])
+print(len(os.listdir("/proc/self/task")), os.environ.get("OPENBLAS_NUM_THREADS"))
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="numpy's BLAS is OpenBLAS on Linux")
+@pytest.mark.parametrize("first, preset, expect", [
+    ("import entbasis", None, lambda tasks: tasks == 1),
+    ("import entbasis", "2", lambda tasks: tasks == 2),
+    ("import numpy, entbasis", None, lambda tasks: tasks > 1),
+], ids=["entbasis-first", "user-count", "numpy-first"])
+def test_loading_entbasis_starts_blas_with_one_thread(first, preset, expect):
+    # OpenBLAS starts one thread per CPU when numpy loads it, unless a thread variable
+    # says otherwise; entbasis sets one only while it loads numpy itself
+    if preset or first.startswith("import numpy"):
+        if len(os.sched_getaffinity(0)) < 2:
+            pytest.skip("OpenBLAS starts one thread on one CPU anyway")
+    src = os.path.dirname(os.path.dirname(entbasis.__file__))
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    if preset:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    run = subprocess.run([sys.executable, "-c", _THREADS, first],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+    tasks, left = run.stdout.split()
+    assert expect(int(tasks)), run.stdout
+    assert left == (preset or "None")

@@ -107,7 +107,7 @@ sys.exit(main(sys.argv[1:]))
 @pytest.mark.parametrize("suite", ["bell-all", "det-criterion"])
 def test_allocation_the_machine_cannot_make_exits_2(suite):
     src = os.path.dirname(os.path.dirname(entbasis.__file__))
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+    env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     run = subprocess.run(
         [sys.executable, "-c", _CAPPED_MAIN, "check", suite, "--trials", "1000000000000"],
