@@ -12,40 +12,37 @@ This module provides:
   * canonicalize_bell_basis: recovery of the local unitaries, phases and
     index permutation relating an arbitrary maximally entangled basis of
     C^2 tensor C^2 to the Bell basis;
-  * check_bell_condition: numerical checkers for five equivalent
+  * check_bell_condition: exact deciders for five equivalent
     characterizations of Bell-like bases (reality of local matrix
     elements, factorizability of basis-real unitaries, reality of
     expansion coefficients, unitarity of real combinations, operator
-    anticommutation): 2, 5 and 6 decided exactly, 3 and 4 by sampling;
+    anticommutation), each from products of basis operators, no sampling;
   * det_criterion: classification of unitaries real in Bell coordinates
     by the sign of their determinant.
 """
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .clifford import _anticommutators
-from .entangled import EntangledBasis, _require_basis, basis_matrix
-from .factorize import _local_kinds, _neither_residual, _require_unitary, factor_local
+from .entangled import EntangledBasis, _require_basis, basis_matrix, verify_unitary_basis
+from .factorize import _local_kinds, _require_unitary, factor_local
 from .linalg import (
     PAULIS,
     StateVector,
     _det,
     _mul,
-    _reflect,
     _sandwich,
     _so4,
     haar_unitary,
-    random_orthogonal,
     tensor,
     unitarity_residual,
 )
 from .reports import (
     INPUT_TOL,
     LEAD_TOL,
-    RANK_TOL,
     TOL,
     CheckReport,
     pair_witnesses,
@@ -294,108 +291,80 @@ def canonicalize_bell_basis(basis, tol=INPUT_TOL):
     return BellCanonicalization(u1, u2, tuple(phases.tolist()), permutation, residual)
 
 
-def _max_entry(m):
-    """Largest entry of each matrix in a (n, r, r) stack, and the fields of its index pair."""
-    flat = m.reshape(len(m), -1)
-    r, k = m.shape[-1], flat.argmax(axis=1)
-    return flat[np.arange(len(m)), k], lambda rows: {
-        "pair": np.stack(np.divmod(k[rows], r), axis=1)}
+def _pair_reports(basis, tol):
+    """Condition 4's report and condition 6's, from one run of the pair kernel.
+
+    Condition 6's norm of a pair j < k is s_jk = ||X_j^dag X_k + X_k^dag X_j||_F. For unitary X
+    and orthonormal b_j = vec(X_j)/sqrt(d), the distance of m_jk = b_j b_k^dag - b_k b_j^dag from
+    the local algebra span{Y tensor I, I tensor Z}, by partial traces, is
+    r_jk = sqrt(2 (d (d^2 - 4) + s_jk^2) / d^3): s_jk / 2 at d=2, at least sqrt(2 - 8/d^2) at
+    d >= 3, with no cancellation. A basis that fails verify_unitary_basis within INPUT_TOL gets
+    NaN at every pair; at d=1, which has no pair, that gate alone decides.
+    """
+    d, n = basis.dim, len(basis.ops)
+    v, witnesses = _anticommutators(basis.ops.conj().swapaxes(-1, -2), basis.ops, tol)
+    six = tolerance_report("bell-condition-6", np.max(v), tol, witnesses=witnesses)
+    rows, cols = np.nonzero(np.tri(n, dtype=bool).T)  # the kernel's pairs a <= b, row-major
+    off = rows < cols
+    s = v[off]
+    if verify_unitary_basis(basis, INPUT_TOL):
+        r, worst = np.sqrt(2 * (d * (d * d - 4) + s * s) / d ** 3), 0.0
+    else:
+        r, worst = np.full(len(s), np.nan), np.nan
+    four = tolerance_report("bell-condition-4", np.max(r, initial=worst), tol,
+                            witnesses=pair_witnesses(r, rows[off], cols[off], tol))
+    return four, six
 
 
 def check_bell_condition(basis, condition, trials=1000, seed=0, tol=TOL):
-    """Test one of five properties characterizing Bell-like bases.
+    """Decide one of five properties characterizing Bell-like bases.
 
-    condition selects the property; 3 and 4 are sampled, 2, 5 and 6 are
-    decided exactly, ignore trials and seed, and report trials 0:
+    Each condition is decided exactly: trials and seed are ignored and the report says trials 0.
+    condition selects the property:
       2: <Psi_a, (U1 tensor U2) Psi_b> is real for U1, U2 in SU(d), which is
          real-bilinear: pair (j, k), the witness field, is U1 = E_j, U2 = E_k
          from a list E in SU(d), violation max |Im B^dag (E_j tensor E_k) B|.
          At d=2 E is I, i sigma_1..3, which span SU(2) over R (a Haar pair
          reads at most 4 times the largest); at d >= 3 the centre I and
          e^(2 pi i/d) I, c B^dag B, fails every basis; at d=1 E is I;
-      3: unitaries that are real orthogonal in basis coordinates, sampled
-         Haar on O(d^2), factor into local parts, possibly times the flip
-         (the violation is the fraction of non-factorizable samples). At d >= 3
-         O is drawn as reflections (linalg._reflect) applied to B's row 0 alone:
-         U's leading minor certifies "neither" as in factorize, with ||U||_F^2
-         taken as n (the gate keeps it below (1 + INPUT_TOL)^2 n, well inside
-         the factor-2 margin: s_1/s_0 > RANK_TOL still); U is formed for the
-         rest and for the witness rows only;
+      3: unitaries B O B^dag with O real orthogonal factor into local parts, possibly
+         times the flip. SO(d^2) is connected, so this holds exactly when every
+         B (E_jk - E_kj) B^dag = m_jk lies in the local algebra (at d=2 the other coset
+         then normalises the local group, and at d=1 -I is local): the violation of
+         pair (j, k), j < k, is m_jk's distance r_jk from it (_pair_reports);
       4: expansion coefficients of maximally entangled vectors are real up
-         to a global phase, tested pairwise via Im(c_a conj(c_b)) = 0;
+         to a global phase, Im(c_j conj(c_k)) = 0. Over phi = (V tensor I) Omega
+         the phi phi^dag span the complement of the traceless local algebra (the
+         second moments of V tensor conj(V)), so this is 3's test on the same pairs
+         and reports 3's r_jk; a sampled |Im(c_j conj(c_k))| is at most r_jk / 2;
       5: real unit combinations sum_a a_a X_a are unitary: exactly when 6
          holds, so its violations are 6's, and a unit combination's
          ||U^dag U - I||_F is at most n/2 times the largest;
       6: ||X_a^dag X_b + X_b^dag X_a - 2 delta_ab I||_F = 0, pairs a <= b.
 
-    Every violation not below tol is a witness naming its pair or trial, and
-    a report passes when the largest is below tol. All five hold for the
-    Bell basis and fail for every basis at d >= 3.
+    Every violation not below tol is a witness naming its pair, and a report
+    passes when the largest is below tol. All five hold for the Bell basis and
+    fail for every basis at d >= 3.
     """
     if condition not in (2, 3, 4, 5, 6):
         raise ValueError("unknown condition id %r" % (condition,))
     require_tolerance(tol)
+    if condition != 2:
+        four, six = _pair_reports(basis, tol)
+        return replace(four if condition < 5 else six, name="bell-condition-%d" % condition)
     d = basis.dim
-    n = d * d
     b = basis_matrix(basis)
     bh = b.conj().T
-
-    if condition == 2:
-        with np.errstate(over="ignore", invalid="ignore"):
-            if d == 2:
-                e = bell_basis().ops
-                m = _sandwich(bh, np.einsum("jab,kcd->jkacbd", e, e).reshape(16, 4, 4), b)
-            else:  # E_j tensor E_k is c_j c_k I
-                e = np.exp(2j * np.pi * np.arange(min(d, 2)) / d)
-                m = np.multiply.outer(np.outer(e, e).ravel(), bh @ b)
-            v = np.abs(m.imag).max(axis=(1, 2))
-        witnesses = pair_witnesses(v, *np.divmod(np.arange(len(v)), len(e)), tol)
-    elif condition in (5, 6):
-        v, witnesses = _anticommutators(basis.ops.conj().swapaxes(-1, -2), basis.ops, tol)
-    elif condition == 3:
-        # U = B O B^dag is unitary exactly when B is. A basis that fails (one that overflows,
-        # say) makes each trial a NaN violation, with no spectra for a residual
-        unitary = unitarity_residual(b) <= INPUT_TOL
-
-        def draw(rng, idx):
-            if d <= 2:
-                return random_orthogonal(n, rng, count=len(idx))
-            g = rng.standard_normal((len(idx), n * (n + 1) // 2))
-            with np.errstate(over="ignore", invalid="ignore"):  # from a basis the gate refuses
-                x = _reflect(g, np.stack([b[0].real, b[0].imag], axis=1))
-                return g, (x[:, 0] + 1j * x[:, 1]).T @ bh[:, [0, 1, d, d + 1]]
-
-        def measure(batch):
-            drawn, r = batch if d > 2 else (batch, None)  # O, or at d >= 3 its normals
-            if not unitary:
-                v = np.full(len(drawn), np.nan)
-                return v, lambda rows: {"residual": v[rows]}
-            if d <= 2:
-                u = _sandwich(b, drawn, bh)
-                at, v = u.__getitem__, (_local_kinds(u) == "neither").astype(float)
-            else:  # U only for open and witness rows, its O reflected from the identity
-                def at(rows):
-                    return _sandwich(b, _reflect(drawn[rows], np.eye(n)).T, bh)
-                v = (np.abs(r[:, 0] * r[:, 3] - r[:, 1] * r[:, 2]) > 2 * RANK_TOL * n).astype(float)
-                if not v.all():
-                    v[v == 0] = _local_kinds(at(v == 0)) == "neither"
-            return v, lambda rows: {"residual": _neither_residual(at(rows))}
-    else:
-        def draw(rng, idx):
-            return haar_unitary(d, rng, count=len(idx))
-
-        def measure(v):
-            # coefficients over the basis of (V tensor I) Omega, amplitudes vec(V)/sqrt(d)
-            c = (v.reshape(-1, n) / np.sqrt(d)) @ b.conj()
-            return _max_entry(np.abs((c[:, :, None] * c.conj()[:, None, :]).imag))
-
-    sampled = condition in (3, 4)
-    if sampled:  # condition 3 counts non-factorizable trials: each of them is a witness
-        v, witnesses = sample_violations(
-            trials, seed, 1.0 if condition == 3 else tol, draw, measure, n * n)
-    worst = v.mean() if condition == 3 else np.max(v)
-    return tolerance_report("bell-condition-%d" % condition, worst, tol,
-                            trials=trials if sampled else 0, witnesses=witnesses)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if d == 2:
+            e = bell_basis().ops
+            m = _sandwich(bh, np.einsum("jab,kcd->jkacbd", e, e).reshape(16, 4, 4), b)
+        else:  # E_j tensor E_k is c_j c_k I
+            e = np.exp(2j * np.pi * np.arange(min(d, 2)) / d)
+            m = np.multiply.outer(np.outer(e, e).ravel(), bh @ b)
+        v = np.abs(m.imag).max(axis=(1, 2))
+    witnesses = pair_witnesses(v, *np.divmod(np.arange(len(v)), len(e)), tol)
+    return tolerance_report("bell-condition-2", np.max(v), tol, witnesses=witnesses)
 
 
 def _det_verdicts(u, tol):

@@ -7,8 +7,8 @@ holds: it expands U = sum_i s_i A_i tensor B_i with trace-orthonormal
 factors, and a unitary is a tensor product exactly when a single
 coefficient s_0 = d survives.
 
-The sampled checks decide the kind of a whole stack without most of the
-SVDs (_local_kinds). Every 2 x 2 minor of R is at most s_0 s_1 in modulus, and
+The sampled det-criterion check decides the kind of a whole stack without most of
+the SVDs (_local_kinds). Every 2 x 2 minor of R is at most s_0 s_1 in modulus, and
 s_0 <= ||R||_F = ||U||_F, so s_1/s_0 > 2 RANK_TOL where a minor exceeds
 2 RANK_TOL ||U||_F^2. The leading one, |U[0,0] U[0,d+1] - U[0,1] U[0,d]|,
 is that of R(U) and of R(U F): it certifies "neither" before any reshuffle
@@ -19,12 +19,11 @@ the minors through the pivot are R_pq S_ij. So a spectrum is certified rank
 one when ||S||_F < RANK_TOL ||R[:,q]|| / 2 and not rank one when
 max|S_ij| |R_pq| > 2 RANK_TOL ||R||_F^2; the factor-2 margins make every
 certificate agree with the SVD's own s_1/s_0 < RANK_TOL. Only the
-matrices that no certificate settles go to the SVD, the flip is
-examined only where U is not local, and the "neither" residual is left to
-_neither_residual, which the checks run on their witness rows alone.
-factor_local, which also returns the factors, always takes the SVD and is
-the reference the stacked path is tested against. No certificate needs a
-unitary U: factor_local gates its input, and condition 3 its basis once.
+matrices that no certificate settles go to the SVD, and the flip is
+examined only where U is not local. factor_local, which also returns the
+factors and the "neither" residual, always takes the SVD and is the
+reference the stacked path is tested against. No certificate needs a
+unitary U: factor_local gates its input.
 """
 
 from dataclasses import dataclass
@@ -206,20 +205,6 @@ def _local_kinds(u):
             flip[~local] = _rank_one(_flip_reshuffle(u[~local], d))
         kinds[open_] = np.where(local, "local", np.where(flip, "local_flip", "neither"))
     return kinds
-
-
-def _neither_residual(u):
-    """factor_local's "neither" residual for each operator of a (n, d^2, d^2) stack.
-
-    The distance to the nearest product or product-times-flip operator,
-    from the two full spectra.
-    """
-    d = _square_side(u.shape[-1])
-    s_plain = np.linalg.svd(_reshuffle(u, d), compute_uv=False)
-    s_flip = np.linalg.svd(_flip_reshuffle(u, d), compute_uv=False)
-    return np.minimum(
-        np.linalg.norm(s_plain[..., 1:], axis=-1), np.linalg.norm(s_flip[..., 1:], axis=-1)
-    )
 
 
 def check_preserves_max_entangled(u, trials=500, seed=0, tol=TOL):

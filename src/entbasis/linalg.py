@@ -328,29 +328,6 @@ def _so4(rng, count):
     return (p @ q).reshape((4, 4) if count is None else (count, 4, 4))
 
 
-def _reflect(g, x):
-    """The rows x[:, i] times each trial's Haar O on O(n), n >= 2, as (n, k, count), trial last, by
-    Stewart's sampler (SIAM J. Numer. Anal. 17 (1980) 403; Mezzadri, math-ph/0609050). g holds
-    n(n+1)/2 normals a trial. Step m = n, ..., 2 reflects the last m coordinates to swap e_(n-m) and
-    the direction of the next m normals (I if they are 0), so column n-m of O is uniform on the
-    sphere its earlier columns leave. The reflections fix det O at (-1)^(n-1), so the last normal's
-    sign, applied to the last coordinate, weighs both cosets of O(n) equally."""
-    n = len(x)
-    x = np.repeat(x[..., None], len(g), axis=2)
-    at = np.cumsum([0, *range(n, 1, -1)])  # each vector's start, then the last entry's index
-    v = g.T.copy()
-    sq = v * v
-    sq[at] = 0.0
-    rest = np.add.reduceat(sq, at)  # squared norms but the leading entries: no cancellation
-    v[at] -= np.sqrt(v[at] ** 2 + rest)
-    sq = v[at] ** 2 + rest  # |v|^2, and inf for a zero v
-    v /= np.repeat(np.sqrt(np.where(sq > 0, sq, np.inf) / 2), range(n, 0, -1), axis=0)
-    for m, lo in zip(range(n, 1, -1), at):
-        x[n - m:] -= np.einsum("ikt,it->kt", x[n - m:], v[lo:lo + m]) * v[lo:lo + m, None]
-    x[-1] *= np.copysign(1.0, g[:, -1])
-    return x
-
-
 def random_orthogonal(n, seed=0, *, count=None):
     """Haar on O(n), as one matrix or a (count, n, n) stack: _haar's Q, or at n = 4 _so4's
     draw with column 0 negated with probability 1/2, which weighs SO(4)'s two cosets equally."""

@@ -111,8 +111,9 @@ expect 1 $ENTBASIS check bell-all --basis b3.json --trials 50
 # a NaN tolerance is a usage error, not a failed check
 expect 2 $ENTBASIS verify b3.json --tol nan
 # an allocation the machine cannot make is a usage error, not a failed check: each
-# run gets 2 GiB of address space, as uncapped a 7 TiB array may be granted
-for suite in bell-all det-criterion; do
+# run gets 2 GiB of address space, as uncapped a 7 TiB array may be granted. Both
+# suites sample (universality at its default --dim 2)
+for suite in universality det-criterion; do
   (ulimit -v 2097152
    expect 2 $ENTBASIS check "$suite" --trials 1000000000000)
 done
@@ -135,7 +136,7 @@ assert main(['check', 'det-criterion', '--trials', '300', '--seed', '4', '--repo
 "
 cmp dc_a.json dc_c.json
 $ENTBASIS check universality --dim 2 --trials 300
-# equal command lines write byte-identical reports across chunks, at d=2 and at d=3
+# equal command lines write byte-identical reports, at d=2 and at d=3
 $ENTBASIS check bell-all --trials 300 --seed 4 --report ba_a.json
 $ENTBASIS check bell-all --trials 300 --seed 4 --report ba_b.json
 cmp ba_a.json ba_b.json
@@ -143,44 +144,30 @@ for run in a b; do
   expect 1 $ENTBASIS check bell-all --basis b3.json --trials 300 --seed 4 --report "b3_$run.json"
 done
 cmp b3_a.json b3_b.json
-# d=3 chunks of 101: at 1000 trials several share one draw; at 150 the last chunk, 49
-# trials, is under 64 and is drawn alone
+# bell-all decides every condition exactly: --trials and --seed reach nothing, so runs at
+# 1000 and 150 trials write the same bytes as the 300-trial run
 for t in 1000 150; do
   for run in a b; do
     expect 1 $ENTBASIS check bell-all --basis b3.json --trials "$t" --seed 4 --report "b3_${t}_$run.json"
   done
   cmp "b3_${t}_a.json" "b3_${t}_b.json"
+  cmp "b3_${t}_a.json" b3_a.json
 done
-# a witness replays from its chunk drawn alone: condition 4's listed violations and
-# pairs of the 1000-trial report, recomputed exactly
-python -c "
-import json
-import numpy as np
-from entbasis import basis_matrix, haar_unitary
-from entbasis.fileio import load_basis
-from entbasis.reports import chunk_rng
-b = basis_matrix(load_basis('b3.json'))
-(report,) = [r for r in json.load(open('b3_1000_a.json')) if r['name'] == 'bell-condition-4']
-assert report['witnesses']
-for w in report['witnesses']:
-    chunk, k = divmod(w['trial'], 101)
-    v = haar_unitary(3, chunk_rng(4, chunk), count=min(101, 1000 - 101 * chunk))
-    c = (v.reshape(-1, 9) / np.sqrt(3)) @ b.conj()
-    m = np.abs((c[:, :, None] * c.conj()[:, None, :]).imag)[k]
-    assert m.max() == w['violation'] and m[tuple(w['pair'])] == m.max(), w
-"
-# conditions 2 and 5 draw nothing: condition 2 is the centre pair (I, e^(2 pi i/3) I)
-# at sin(2 pi/3), condition 5 reads condition 6's pair residual, and condition 4 keeps
-# its sampled form
+# nothing is drawn: condition 2 is the centre pair (I, e^(2 pi i/3) I) at sin(2 pi/3),
+# condition 5 reads condition 6's pair residual, and condition 4's witnesses are pairs
+# (j, k) whose residual is at least sqrt(2 - 8/d^2)
 python -c "
 import json, math
 r = {x['name']: x for x in json.load(open('b3_1000_a.json'))}
 two, four = r['bell-condition-2'], r['bell-condition-4']
-assert two['trials'] == 0 and two['witnesses'][0]['pair'] == [0, 1], two
+assert all(x['trials'] == 0 for x in r.values()), r
+assert two['witnesses'][0]['pair'] == [0, 1], two
 assert abs(two['maxViolation'] - math.sin(2 * math.pi / 3)) <= 1e-12, two
 assert r['bell-condition-5']['maxViolation'] == r['bell-condition-6']['maxViolation']
-assert four['trials'] == 1000 and len(four['witnesses']) == 8, four
-assert all(set(w) == {'trial', 'seed', 'violation', 'pair'} for w in four['witnesses'])
+assert len(four['witnesses']) == 8, four
+assert all(set(w) == {'pair', 'violation'} and w['pair'][0] < w['pair'][1]
+           for w in four['witnesses']), four
+assert all(w['violation'] >= math.sqrt(2 - 8 / 9) for w in four['witnesses']), four
 "
 # d=3 search: one engine run of 50 x 300 flat trials, in Haar stacks of up to 910
 # that take Gram-Schmidt
@@ -197,8 +184,7 @@ expect 2 $ENTBASIS check universality --dim 2 --candidates 0
 python -c "import json; json.dump([[0, 1, 2], [1, 2, 0], [2, 0, 1]], open('lat.json', 'w'))"
 expect 2 $ENTBASIS gen --dim 3 --latin lat.json
 expect 2 $ENTBASIS gen --dim 3 --construction sylvester --hadamard h0.json
-# d=4: chunks of 32, never merged, drawn by QR; every condition fails, so each run
-# exits 1
+# d=4: every condition fails, so each run exits 1
 $ENTBASIS gen --dim 4 --out b4.json
 for run in a b; do
   expect 1 $ENTBASIS check bell-all --basis b4.json --trials 100 --seed 4 --report "b4_$run.json"

@@ -120,15 +120,13 @@ def test_criterion_02_correspondence_identities():
 
 def test_criterion_03_bell_conditions_hold():
     basis = bell_basis()
-    reports = {c: check_bell_condition(basis, c, trials=1000, seed=11, tol=1e-10)
-               for c in (2, 4, 5, 6)}
-    fraction = check_bell_condition(basis, 3, trials=500, seed=11, tol=1e-10)
+    reports = {c: check_bell_condition(basis, c, tol=1e-10) for c in (2, 3, 4, 5, 6)}
     worst = max(r.max_violation for r in reports.values())
-    ok = all(r.passed for r in reports.values()) and fraction.max_violation == 0.0
+    ok = all(r.passed and r.trials == 0 for r in reports.values()) and \
+        reports[3].max_violation == 0.0
     _check(3, "Bell basis satisfies conditions 2-6", ok,
-           "conditions 2/4/5/6 worst %.2e at 1000 trials, "
-           "non-factorizable fraction %.3f at 500 trials"
-           % (worst, fraction.max_violation))
+           "conditions 2-6 worst %.2e, decided exactly; condition 3's pair residual %.3f"
+           % (worst, reports[3].max_violation))
 
 
 def test_criterion_04_conditions_fail_at_d3():

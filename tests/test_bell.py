@@ -50,6 +50,12 @@ CNOT = np.array(
 )
 
 
+def sampled_bell_condition(*args):
+    """test_engine's sampled forms of the Bell conditions (it imports this module first)."""
+    from test_engine import sampled_bell_condition
+    return sampled_bell_condition(*args)
+
+
 def random_phase_basis(d, seed):
     """Shift-and-multiply basis from d Fourier matrices, each with random row and column phases."""
     rng = np.random.default_rng(seed)
@@ -398,10 +404,11 @@ class TestBellConditions:
         assert report.max_violation == 0.0
 
     def test_bell_condition_3_draws_both_cosets(self, monkeypatch):
-        # O is Haar on O(4): at d=2 both answers of the property, local and local-flip, are seen
+        # the sampled form draws O Haar on O(4): at d=2 both answers of the property, local and
+        # local-flip, are seen
         kinds, real_kinds = [], bell._local_kinds
         monkeypatch.setattr(bell, "_local_kinds", lambda u: kinds.append(real_kinds(u)) or kinds[-1])
-        report = check_bell_condition(bell_basis(), 3, trials=2000, seed=0)
+        report = sampled_bell_condition(bell_basis(), 3, 2000, 0)
         assert report.passed and report.max_violation == 0.0
         counts = dict(zip(*np.unique(np.concatenate(kinds), return_counts=True)))
         assert counts.keys() == {"local", "local_flip"} and sum(counts.values()) == 2000
@@ -436,12 +443,12 @@ class TestBellConditions:
 
     def test_condition_6_ignores_trials(self):
         assert check_bell_condition(bell_basis(), 6, trials=0).passed
-        # conditions 2, 5 and 6 alike draw nothing: any trial count or seed, a Generator
+        # every condition alike draws nothing: any trial count or seed, a Generator
         # included, gives one report, which says trials 0
         rng = np.random.default_rng(4)
         state = rng.bit_generator.state
         for basis in (bell_basis(), fourier_basis(3)):
-            for cond in (2, 5, 6):
+            for cond in (2, 3, 4, 5, 6):
                 found = [check_bell_condition(basis, cond, trials=t, seed=s)
                          for t, s in ((0, 0), (-3, 7), (10 ** 12, rng))]
                 assert found[0].trials == 0 and found[1:] == found[:1] * 2
@@ -475,9 +482,25 @@ class TestBellConditions:
         five, six = (check_bell_condition(basis, c) for c in (5, 6))
         assert not five.passed and replace(five, name="bell-condition-6") == six
 
+    def test_conditions_3_and_4_are_one_pair_rule(self):
+        three, four = (check_bell_condition(random_phase_basis(3, 2), c) for c in (3, 4))
+        assert not three.passed and replace(three, name="bell-condition-4") == four
+
+    @pytest.mark.parametrize("d", [3, 4, 5])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_pair_residuals_at_d3_and_up_are_bounded_below(self, d, seed, monkeypatch):
+        # each trace in r_jk^2 is at most d in size, so every pair fails by sqrt(2 - 8/d^2)
+        seen, real = [], bell.pair_witnesses
+        monkeypatch.setattr(bell, "pair_witnesses", lambda v, *a: seen.append(v) or real(v, *a))
+        report = check_bell_condition(random_phase_basis(d, seed), 3)
+        (r,) = seen
+        assert len(r) == d * d * (d * d - 1) // 2
+        assert r.min() >= np.sqrt(2 - 8 / d ** 2) * (1 - 1e-15)
+        assert [w["pair"] for w in report.witnesses] == [[0, k] for k in range(1, 9)]
+
 
 @pytest.mark.parametrize("run", [
-    lambda: check_bell_condition(bell_basis(), 3, trials=0),
+    lambda: sampled_bell_condition(bell_basis(), 3, 0, 0),  # the form condition 3 had sampled
     lambda: check_universality(theta2(), trials=0),
     lambda: universality_search(candidates=0),
     lambda: universality_search(trials=0),
@@ -514,9 +537,8 @@ def _cond(c):
 
 
 @pytest.mark.parametrize("run, drawn", [
-    # conditions 2, 5 and 6 are decided exactly: nothing to draw
-    *[(_cond(c), 2000 if c in (3, 4) else 0) for c in (2, 3, 4, 5)],
-    (_cond(6), 0),
+    # every Bell condition is decided exactly: nothing to draw
+    *[(_cond(c), 0) for c in (2, 3, 4, 5, 6)],
     (lambda tol: check_universality(theta2(), trials=2000, tol=tol), 2000),
     (lambda tol: check_universality(theta2(), trials=2000, tol=tol, phase="best"), 2000),
     (lambda tol: check_det_criterion_agreement(trials=2000, tol=tol), 2000),
@@ -547,63 +569,69 @@ def test_meaningless_tolerance_refused_before_the_first_draw(run, drawn, monkeyp
 
 
 def test_condition_3_fails_when_it_finds_violations():
-    # each non-factorizable trial is a witness, whatever the fraction is compared against
-    report = check_bell_condition(fourier_basis(3), 3, trials=50, seed=0, tol=1.5)
-    assert report.witnesses and report.max_violation < 1.5
-    assert not report.passed
+    # every pair of Fourier d=3 is 1.247 from the local algebra: each residual not below tol
+    # is a witness, and tol above them all passes
+    report = check_bell_condition(fourier_basis(3), 3, tol=1.24)
+    assert report.max_violation == pytest.approx(np.sqrt(14) / 3, abs=1e-12)
+    assert len(report.witnesses) == MAX_WITNESSES and not report.passed
+    assert all(w["violation"] >= 1.24 for w in report.witnesses)
     assert report.verdict == "violation witnessed"
+    assert check_bell_condition(fourier_basis(3), 3, tol=1.25).passed
 
 
 class TestCondition3BasisGate:
     def test_basis_gated_once_per_call(self, monkeypatch):
-        # U = B O B^dag is unitary exactly when B is: one residual for the call, none per chunk.
-        # At d >= 3 row 0 of U certifies every trial here, so none reaches the dense kinds
-        gated, chunks = [], []
-        real_residual, real_kinds = bell.unitarity_residual, bell._local_kinds
-        for module in (bell, factorize):
-            monkeypatch.setattr(module, "unitarity_residual",
-                                lambda x: gated.append(x.shape) or real_residual(x))
-        monkeypatch.setattr(bell, "_local_kinds", lambda u: chunks.append(len(u)) or real_kinds(u))
-        report = check_bell_condition(fourier_basis(3), 3, trials=1000, seed=0)
-        assert report.max_violation == 1.0
-        assert chunks == []
-        assert gated == [(9, 9)]
+        # the pair rule needs a basis of unitaries: one verify_unitary_basis for the call
+        gated, real_verify = [], bell.verify_unitary_basis
+        monkeypatch.setattr(bell, "verify_unitary_basis",
+                            lambda basis, tol: gated.append(tol) or real_verify(basis, tol))
+        for cond in (3, 4):
+            assert not check_bell_condition(fourier_basis(3), cond, trials=1000, seed=0)
+        assert gated == [INPUT_TOL] * 2
 
     @pytest.mark.parametrize("d", [2, 3])
-    def test_product_basis_gets_finite_verdicts(self, d):
-        # B is the identity while no operator sqrt(d) E_ij is unitary: the gate is on B alone
+    def test_product_basis_gets_nan_witnesses(self, d):
+        # B is the identity while no operator sqrt(d) E_ij is unitary: the gate refuses it
         basis = EntangledBasis(d, np.sqrt(d) * np.eye(d * d).reshape(d * d, d, d))
         assert np.array_equal(basis_matrix(basis), np.eye(d * d))
         assert not verify_unitary_basis(basis)
-        report = check_bell_condition(basis, 3, trials=200, seed=0)
-        assert 0.5 < report.max_violation <= 1.0 and len(report.witnesses) == MAX_WITNESSES
-        for w in report.witnesses:
-            assert w["violation"] == 1.0 and 0.0 < w["residual"] < np.inf
+        for cond in (3, 4):
+            report = check_bell_condition(basis, cond)
+            assert np.isnan(report.max_violation) and not report.passed
+            assert len(report.witnesses) == min(MAX_WITNESSES, d * d * (d * d - 1) // 2)
+            assert all(np.isnan(w["violation"]) for w in report.witnesses)
 
     def test_overflowing_basis_at_d3_gives_nan_witnesses_without_warnings(self):
-        # row 0 of U is drawn whatever the gate found, and overflows here: it must stay quiet
+        # condition 6's kernel runs whatever the gate found, and overflows here: it must stay quiet
         ops = fourier_basis(3).ops.copy()
         ops[:2] *= 1e300
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            report = check_bell_condition(EntangledBasis(3, ops), 3, trials=50, seed=0)
+            report = check_bell_condition(EntangledBasis(3, ops), 3)
         assert np.isnan(report.max_violation) and not report.passed
-        assert all(np.isnan([w["violation"], w["residual"]]).all() for w in report.witnesses)
+        assert report.witnesses[0]["pair"] == [0, 1]
+        assert all(np.isnan(w["violation"]) for w in report.witnesses)
 
     def test_basis_beyond_the_input_tolerance_gives_nan_witnesses(self):
         # scaling the operators by s makes B^dag B = s^2 I, a residual of (s^2 - 1) d
         ops = fourier_basis(3).ops
         basis = EntangledBasis(3, np.sqrt(1 + 10 * INPUT_TOL / 3) * ops)
         assert unitarity_residual(basis_matrix(basis)) == pytest.approx(10 * INPUT_TOL, rel=1e-5)
-        report = check_bell_condition(basis, 3, trials=50, seed=0)
+        report = check_bell_condition(basis, 3)
         assert np.isnan(report.max_violation) and not report.passed
-        assert [w["trial"] for w in report.witnesses] == list(range(MAX_WITNESSES))
-        assert all(np.isnan([w["violation"], w["residual"]]).all() for w in report.witnesses)
-        # a tenth of the tolerance passes the gate, and the same trials get finite verdicts
-        report = check_bell_condition(EntangledBasis(3, np.sqrt(1 + INPUT_TOL / 30) * ops), 3,
-                                      trials=50, seed=0)
-        assert report.max_violation == 1.0
-        assert all(0.0 < w["residual"] < np.inf for w in report.witnesses)
+        assert [w["pair"] for w in report.witnesses] == [[0, k] for k in range(1, 9)]
+        assert all(np.isnan(w["violation"]) for w in report.witnesses)
+        # a tenth of the tolerance passes the gate, and the same pairs get finite residuals
+        report = check_bell_condition(EntangledBasis(3, np.sqrt(1 + INPUT_TOL / 30) * ops), 3)
+        assert report.max_violation == pytest.approx(np.sqrt(14) / 3, rel=1e-8)
+        assert [w["pair"] for w in report.witnesses] == [[0, k] for k in range(1, 9)]
+
+    def test_d1_is_decided_by_the_gate_alone(self):
+        # one operator, so no pair: the unitary 1 x 1 basis passes, a scaled one fails
+        for cond in (3, 4):
+            assert check_bell_condition(fourier_basis(1), cond).max_violation == 0.0
+            report = check_bell_condition(EntangledBasis(1, [[[2.0]]]), cond)
+            assert np.isnan(report.max_violation) and report.witnesses == ()
 
 
 class TestDetCriterion:

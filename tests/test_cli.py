@@ -245,6 +245,16 @@ class TestCheck:
         assert five["name"] == "bell-condition-5" and six["name"] == "bell-condition-6"
         assert {**five, "name": None} == {**six, "name": None}
 
+    def test_bell_all_ignores_trials_and_seed(self, tmp_path):
+        # every condition is decided exactly: the flags are accepted and reach nothing
+        basis, r1, r2 = tmp_path / "b3.json", tmp_path / "r1.json", tmp_path / "r2.json"
+        main(["gen", "--dim", "3", "--out", str(basis)])
+        for path, trials, seed in ((r1, "5", "1"), (r2, "3000", "9")):
+            assert main(["check", "bell-all", "--basis", str(basis), "--trials", trials,
+                         "--seed", seed, "--report", str(path)]) == 1
+        assert r1.read_bytes() == r2.read_bytes()
+        assert [o["trials"] for o in load_json(r1)] == [0] * 4
+
     def test_universality_d2(self):
         assert main(["check", "universality", "--trials", "200"]) == 0
 
@@ -265,7 +275,7 @@ class TestCheck:
         assert main(["check", "det-criterion", "--trials", "100"]) == 0
 
     @pytest.mark.parametrize("argv", [
-        ["check", "bell-all", "--trials", "0"],
+        ["check", "universality", "--dim", "2", "--trials", "0"],
         ["check", "det-criterion", "--trials", "-3"],
         ["check", "universality", "--dim", "3", "--candidates", "0"],
         ["check", "universality", "--dim", "0"],
@@ -276,7 +286,7 @@ class TestCheck:
         assert main(argv) == 2
 
     def test_reports_byte_identical_for_equal_seeds(self, tmp_path):
-        # the failing d=3 run records witnesses and spans several chunks of trials
+        # the failing d=3 run records witnesses
         b3 = tmp_path / "b3.json"
         assert main(["gen", "--dim", "3", "--out", str(b3)]) == 0
         for extra, trials, code in (([], "60", 0), (["--basis", str(b3)], "500", 1)):

@@ -8,10 +8,10 @@ det_criterion, vector_from_operator, tensor) and a dense unitarity
 residual. Per-trial violations must agree within 1e-12 and the witnesses
 must name the same trials.
 
-Bell conditions 2 and 5 are decided exactly and draw nothing. Their sampled
-forms, Haar SU(d) pairs and unit real combinations, stay here as engine
-clients (sampled_bell_condition) and as the oracle the exact reports are
-held against.
+Bell conditions 2 to 6 are decided exactly and draw nothing. The sampled
+forms of 2 to 5, Haar SU(d) pairs, Haar O(d^2), Haar V and unit real
+combinations, stay here as engine clients (sampled_bell_condition) and as
+the oracle the exact reports are held against.
 """
 
 import json
@@ -53,7 +53,6 @@ from entbasis.cli import main
 from entbasis.fileio import load_json, report_to_obj
 from entbasis.reports import MAX_WITNESSES, TOL, chunk_rng, chunk_size, tolerance_report
 from test_bell import random_phase_basis
-from test_linalg import dense_reflections, formed, normals_of
 
 FOURIER3 = fourier_basis(3)
 CNOT = np.eye(4)[[0, 1, 3, 2]].astype(complex)
@@ -103,10 +102,21 @@ def unitarity(x):
     return np.linalg.norm(x.conj().T @ x - np.eye(x.shape[0]))
 
 
+def _max_entry(m):
+    """Largest entry of each matrix in a (n, r, r) stack, and the fields of its index pair."""
+    flat = m.reshape(len(m), -1)
+    r, k = m.shape[-1], flat.argmax(axis=1)
+    return flat[np.arange(len(m)), k], lambda rows: {
+        "pair": np.stack(np.divmod(k[rows], r), axis=1)}
+
+
 def sampled_bell_condition(basis, condition, trials, seed, tol=TOL):
-    """Condition 2 over Haar SU(d) pairs (U1, U2), or 5 over unit real combinations, as
-    check_bell_condition sampled them before it decided them exactly: the same draws, measures
-    and chunks, run through the engine. The reference the exact reports are held against."""
+    """Condition 2 over Haar SU(d) pairs (U1, U2), 3 over Haar O(d^2), 4 over Haar V, or 5 over
+    unit real combinations, as check_bell_condition sampled them before it decided them exactly,
+    run through the engine in the same chunks. The reference the exact reports are held against.
+    Condition 3's violation is the fraction of trials whose B O B^dag does not factor (kinds as
+    _local_kinds decides them), and each of those trials is a witness; condition 4's is the largest
+    |Im(c_j conj(c_k))| of the coefficients c of (V tensor I) Omega, its witness field the pair."""
     d = basis.dim
     n = d * d
     b = basis_matrix(basis)
@@ -117,7 +127,20 @@ def sampled_bell_condition(basis, condition, trials, seed, tol=TOL):
 
         def measure(pair):
             u = np.einsum("tij,tkl->tikjl", *pair).reshape(-1, n, n)  # tensor(v1, v2) per trial
-            return bell._max_entry(np.abs(bell._sandwich(b.conj().T, u, b).imag))
+            return _max_entry(np.abs(bell._sandwich(b.conj().T, u, b).imag))
+    elif condition == 3:
+        def draw(rng, idx):
+            return random_orthogonal(n, rng, count=len(idx))
+
+        def measure(o):
+            return (bell._local_kinds(bell._sandwich(b, o, b.conj().T)) == "neither").astype(float)
+    elif condition == 4:
+        def draw(rng, idx):
+            return haar_unitary(d, rng, count=len(idx))
+
+        def measure(v):
+            c = (v.reshape(-1, n) / np.sqrt(d)) @ b.conj()  # amplitudes vec(V)/sqrt(d)
+            return _max_entry(np.abs((c[:, :, None] * c.conj()[:, None, :]).imag))
     else:
         def draw(rng, idx):
             return rng.standard_normal((len(idx), n))
@@ -127,9 +150,10 @@ def sampled_bell_condition(basis, condition, trials, seed, tol=TOL):
             return linalg.unitarity_residual(np.tensordot(a, basis.ops, axes=1))
 
     violations, witnesses = bell.sample_violations(
-        trials, seed, tol, draw, measure, n * n if condition == 2 else n)
-    return tolerance_report("sampled-condition-%d" % condition, violations.max(), tol,
-                            trials=trials, witnesses=witnesses)
+        trials, seed, 1.0 if condition == 3 else tol, draw, measure, n if condition == 5 else n * n)
+    worst = violations.mean() if condition == 3 else violations.max()
+    return tolerance_report("sampled-condition-%d" % condition, worst, tol, trials=trials,
+                            witnesses=witnesses)
 
 
 # ---- one-trial oracles: (idx, batch) -> per-trial violations ---------------
@@ -144,11 +168,8 @@ def cond2(basis):
 
 def cond3(basis):
     b = basis_matrix(basis)
-    n = len(b)
 
-    def oracle(idx, batch):
-        # at d >= 3 a trial draws the normals of its O's reflections, each O built densely here
-        o = batch if n <= 4 else [dense_reflections(normals, n) for normals in batch[0]]
+    def oracle(idx, o):
         return [float(factor_local(b @ x @ b.conj().T).kind == "neither") for x in o]
     return oracle
 
@@ -228,10 +249,10 @@ LOCAL3 = tensor(haar_unitary(3, 1), haar_unitary(3, 2))
 CASES = {
     "cond2-bell": (lambda n, s: sampled_bell_condition(bell_basis(), 2, n, s), cond2(bell_basis())),
     "cond2-fourier3": (lambda n, s: sampled_bell_condition(FOURIER3, 2, n, s), cond2(FOURIER3)),
-    "cond3-bell": (lambda n, s: check_bell_condition(bell_basis(), 3, n, s), cond3(bell_basis())),
-    "cond3-fourier3": (lambda n, s: check_bell_condition(FOURIER3, 3, n, s), cond3(FOURIER3)),
-    "cond4-bell": (lambda n, s: check_bell_condition(bell_basis(), 4, n, s), cond4(bell_basis())),
-    "cond4-fourier3": (lambda n, s: check_bell_condition(FOURIER3, 4, n, s), cond4(FOURIER3)),
+    "cond3-bell": (lambda n, s: sampled_bell_condition(bell_basis(), 3, n, s), cond3(bell_basis())),
+    "cond3-fourier3": (lambda n, s: sampled_bell_condition(FOURIER3, 3, n, s), cond3(FOURIER3)),
+    "cond4-bell": (lambda n, s: sampled_bell_condition(bell_basis(), 4, n, s), cond4(bell_basis())),
+    "cond4-fourier3": (lambda n, s: sampled_bell_condition(FOURIER3, 4, n, s), cond4(FOURIER3)),
     "cond5-bell": (lambda n, s: sampled_bell_condition(bell_basis(), 5, n, s), cond5(bell_basis())),
     "cond5-fourier3": (lambda n, s: sampled_bell_condition(FOURIER3, 5, n, s), cond5(FOURIER3)),
     "universality-d2": (lambda n, s: check_universality(theta2(), n, s),
@@ -305,9 +326,9 @@ FRAME_CASES = {
     "cond2-bell": lambda: sampled_bell_condition(bell_basis(), 2, 1100, 8),
     "cond2-fourier3": lambda: sampled_bell_condition(FOURIER3, 2, 250, 8),
     "cond2-fourier4": lambda: sampled_bell_condition(FOURIER4, 2, 70, 8),
-    "cond3-bell": lambda: check_bell_condition(bell_basis(), 3, 1100, 8),
-    "cond3-fourier3": lambda: check_bell_condition(FOURIER3, 3, 250, 8),
-    "cond3-fourier4": lambda: check_bell_condition(FOURIER4, 3, 70, 8),
+    "cond3-bell": lambda: sampled_bell_condition(bell_basis(), 3, 1100, 8),
+    "cond3-fourier3": lambda: sampled_bell_condition(FOURIER3, 3, 250, 8),
+    "cond3-fourier4": lambda: sampled_bell_condition(FOURIER4, 3, 70, 8),
     "det-criterion": lambda: check_det_criterion_agreement(1100, 8),
     "universality-det": lambda: check_universality(theta2(), 2500, 8),
     "universality-best": lambda: check_universality(AntilinearOp(D3_CANDIDATE), 1000, 8,
@@ -343,7 +364,7 @@ def test_frame_products_match_stacked_matmul(case, engine, monkeypatch):
 
 D3_SAMPLED = {
     "cond2-fourier3": lambda: sampled_bell_condition(FOURIER3, 2, 300, 9),
-    "cond4-fourier3": lambda: check_bell_condition(FOURIER3, 4, 300, 9),
+    "cond4-fourier3": lambda: sampled_bell_condition(FOURIER3, 4, 300, 9),
     "search-d3": lambda: universality_search(dim=3, candidates=6, trials=100, seed=9),
 }
 
@@ -375,15 +396,16 @@ def each_chunk_alone(run):
 
 
 # id -> (run(trials, seed) -> report, trials): every CASES entry over five chunks, the last
-# one short; Fourier d=3 at 150 trials ends in a chunk of 49 and Fourier d=4 has chunks of 32,
-# under _STACK, which are drawn alone
+# one short (411 trials at d=3); Fourier d=3 at 150 trials ends in a chunk of 49, at 1000 several
+# chunks share a draw, and Fourier d=4 has chunks of 32, under _STACK, which are drawn alone
 BATCH_CASES = {
     **{case: (run_check, None) for case, (run_check, _) in CASES.items()},
     "cond2-fourier3-150": (lambda n, s: sampled_bell_condition(FOURIER3, 2, n, s), 150),
-    "cond3-fourier3-150": (lambda n, s: check_bell_condition(FOURIER3, 3, n, s), 150),
+    "cond3-fourier3-150": (lambda n, s: sampled_bell_condition(FOURIER3, 3, n, s), 150),
+    "cond3-fourier3-1000": (lambda n, s: sampled_bell_condition(FOURIER3, 3, n, s), 1000),
     "cond2-fourier4-300": (lambda n, s: sampled_bell_condition(FOURIER4, 2, n, s), 300),
-    "cond3-fourier4-300": (lambda n, s: check_bell_condition(FOURIER4, 3, n, s), 300),
-    "cond4-fourier4-300": (lambda n, s: check_bell_condition(FOURIER4, 4, n, s), 300),
+    "cond3-fourier4-300": (lambda n, s: sampled_bell_condition(FOURIER4, 3, n, s), 300),
+    "cond4-fourier4-300": (lambda n, s: sampled_bell_condition(FOURIER4, 4, n, s), 300),
 }
 
 
@@ -427,22 +449,30 @@ def test_a_draw_takes_whole_chunks_of_stack_size_within_one_chunks_bytes():
 @pytest.mark.parametrize("basis, trials", [(FOURIER3, 1000), (bell_basis(), 2000)],
                          ids=["fourier3", "bell"])
 def test_condition_3_peak_memory_is_a_few_chunks(basis, trials):
-    # 0.81 and 1.08 MiB measured; with every chunk in one draw, Fourier d=3 read 2.63 MiB
-    check_bell_condition(basis, 3, trials)
+    # 0.68 and 0.95 MiB measured for the sampled form, whose O and U hold n^2 entries a trial
+    sampled_bell_condition(basis, 3, trials, 0)
     tracemalloc.start()
     try:
-        check_bell_condition(basis, 3, trials)
+        sampled_bell_condition(basis, 3, trials, 0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1.25 * 2 ** 20
 
 
-# ---- condition 3 at d >= 3: the row-0 certificate against the dense kinds, same draws ---------
+# ---- condition 3's sampled form: _local_kinds' row-0 certificate against the SVD kinds ----------
 
 def product_basis(d):
     """The basis of the operators sqrt(d) E_ij, whose matrix B is the identity."""
     return EntangledBasis(d, np.sqrt(d) * np.eye(d * d).reshape(d * d, d, d))
+
+
+def svd_kinds(u):
+    """factor_local's kind of each U in a stack, from the full spectra of R(U) and R(U F)."""
+    d = round(u.shape[-1] ** 0.5)
+    plain, flip = (factorize._is_rank_one(np.linalg.svd(factorize._reshuffle(x, d), compute_uv=False))
+                   for x in (u, u @ flip_operator(d)))
+    return np.where(plain, "local", np.where(flip, "local_flip", "neither"))
 
 
 ROW_BASES = {"fourier3": lambda: FOURIER3, "fourier4": lambda: FOURIER4,
@@ -454,35 +484,21 @@ ROW_BASES = {"fourier3": lambda: FOURIER3, "fourier4": lambda: FOURIER4,
 @pytest.mark.parametrize("trials", [150, 411, 1000])
 @pytest.mark.parametrize("name", sorted(ROW_BASES))
 def test_condition_3_row_certificate_matches_the_dense_kinds(name, trials, seed, engine):
+    # the kinds come from _local_kinds, whose first certificate reads row 0 of U alone; each
+    # chunk's O is its own Generator's, drawn in a batch or alone
     basis = ROW_BASES[name]()
     b = basis_matrix(basis)
-    d, n = basis.dim, len(b)
-    report = check_bell_condition(basis, 3, trials, seed)
+    report = sampled_bell_condition(basis, 3, trials, seed)
     (run,) = engine.runs
     expected = []
-    for (idx, (g, _)), (g_seen, r_seen) in zip(redraw(run), run["batches"], strict=True):
-        # each chunk's normals are its own Generator's, drawn in a batch or alone, and its row
-        # certificate is row 0 of the U that they form
-        assert np.array_equal(g_seen, g)
-        u = linalg._sandwich(b, formed(g, n), b.conj().T)
-        assert np.abs(r_seen - u[:, 0, [0, 1, d, d + 1]]).max() <= 1e-13
-        expected.append(factorize._local_kinds(u) == "neither")
+    for (idx, o), o_seen in zip(redraw(run), run["batches"], strict=True):
+        assert np.array_equal(o_seen, o)
+        expected.append(svd_kinds(linalg._sandwich(b, o, b.conj().T)) == "neither")
     expected = np.concatenate(expected).astype(float)
     assert np.array_equal(run["violations"], expected)
     assert report.max_violation == expected.mean() and not report.passed
     first = np.flatnonzero(expected)[:MAX_WITNESSES]
     assert [w["trial"] for w in report.witnesses] == first.tolist()
-
-
-class ChosenNormals:
-    """Stands in for a chunk's Generator and hands condition 3 the given normals."""
-
-    def __init__(self, g):
-        self.g = g
-
-    def standard_normal(self, shape):
-        assert shape == self.g.shape
-        return self.g.copy()
 
 
 def open_targets(basis, rng):
@@ -504,28 +520,23 @@ def open_targets(basis, rng):
 def test_condition_3_open_trials_take_the_dense_kinds(name, engine, monkeypatch):
     basis = ROW_BASES[name]()
     b = basis_matrix(basis)
-    targets = open_targets(basis, np.random.default_rng(11))
-    g = np.array([normals_of(o) for o in targets])
-    recorder, kinds, real_kinds = bell.sample_violations, [], bell._local_kinds
+    targets = np.array(open_targets(basis, np.random.default_rng(11)))
+    recorder, pivoted, real_rank_one = bell.sample_violations, [], factorize._rank_one
 
     def chosen(trials, seed, tol, draw, measure, per_trial):
-        def given(rng, idx):
-            return draw(ChosenNormals(g[idx]), idx)
-        return recorder(trials, seed, tol, given, measure, per_trial)
+        return recorder(trials, seed, tol, lambda rng, idx: targets[idx], measure, per_trial)
 
     monkeypatch.setattr(bell, "sample_violations", chosen)
-    monkeypatch.setattr(bell, "_local_kinds", lambda u: kinds.append(len(u)) or real_kinds(u))
-    report = check_bell_condition(basis, 3, trials=len(targets), seed=0)
+    monkeypatch.setattr(factorize, "_rank_one", lambda r: pivoted.append(len(r)) or real_rank_one(r))
+    report = sampled_bell_condition(basis, 3, trials=len(targets), seed=0)
     (run,) = engine.runs
     factored = [factor_local(b @ o @ b.conj().T) for o in targets]
     assert np.array_equal(run["violations"], [float(f.kind == "neither") for f in factored])
     assert {f.kind for f in factored} == ({"local", "neither"} if name == "fourier3"
                                           else {"local", "local_flip", "neither"})
-    assert kinds == [len(targets) - 3]  # all but the Haar draws go to the dense kinds
+    assert pivoted[0] == len(targets) - 3  # all but the Haar draws go on to the pivot
     assert [w["trial"] for w in report.witnesses] == [t for t, f in enumerate(factored)
                                                       if f.kind == "neither"]
-    for w in report.witnesses:
-        assert abs(w["residual"] - factored[w["trial"]].residual) <= 1e-12
 
 
 @pytest.mark.parametrize("d, trials", [(3, 1000), (10, 8)])
@@ -533,15 +544,13 @@ def test_condition_3_witnesses_replay_from_their_chunk(d, trials):
     # at d = 10 a chunk is one trial, so each witness replays from a Generator of its own
     basis = fourier_basis(d)
     b, n = basis_matrix(basis), d * d
-    report = check_bell_condition(basis, 3, trials, seed=7)
+    report = sampled_bell_condition(basis, 3, trials, seed=7)
     step = chunk_size(n * n)
     assert len(report.witnesses) == MAX_WITNESSES
     for w in report.witnesses:
         chunk, k = divmod(w["trial"], step)
-        count = min(step, trials - chunk * step)
-        g = chunk_rng(7, chunk).standard_normal((count, n * (n + 1) // 2))[k:k + 1]
-        u = linalg._sandwich(b, formed(g, n), b.conj().T)
-        assert factorize._neither_residual(u)[0] == w["residual"]
+        o = random_orthogonal(n, chunk_rng(7, chunk), count=min(step, trials - chunk * step))[k]
+        assert w["violation"] == 1.0 and factor_local(b @ o @ b.conj().T).kind == "neither"
 
 
 def test_bell_basis_checks_pass_across_chunks():
@@ -624,6 +633,62 @@ def test_exact_conditions_match_dense_products(condition, name, engine):
             assert abs(w["violation"] - v) <= 1e-12 * max(1.0, v)
         else:  # an overflow: inf or NaN on either side
             assert not math.isfinite(w["violation"])
+
+
+# ---- conditions 3 and 4, decided exactly, against a dense partial-trace projection ----------
+
+def dense_pair_residuals(basis):
+    """(j, k), j < k -> distance of m_jk = b_j b_k^dag - b_k b_j^dag from span{Y tensor I,
+    I tensor Z}, projected densely: P m = Tr_2(m)/d tensor I + I tensor Tr_1(m)/d - tr(m) I/d^2."""
+    b, d = basis_matrix(basis), basis.dim
+    eye, out = np.eye(d), {}
+    for j in range(d * d):
+        for k in range(j + 1, d * d):
+            m = np.outer(b[:, j], b[:, k].conj()) - np.outer(b[:, k], b[:, j].conj())
+            t = m.reshape(d, d, d, d)
+            p = (np.kron(np.einsum("ikjk->ij", t) / d, eye) + np.kron(eye, np.einsum("kikj->ij", t) / d)
+                 - np.trace(m) / d ** 2 * np.eye(d * d))
+            out[j, k] = np.linalg.norm(m - p)
+    return out
+
+
+def phased_bell_basis():
+    """The Bell basis with X_2 times e^(0.7i): the three pairs with X_2 fail, the rest pass."""
+    ops = bell_basis().ops.copy()
+    ops[2] *= np.exp(0.7j)
+    return EntangledBasis(2, ops)
+
+
+PAIR_BASES = {
+    "bell": bell_basis, "turned-bell": lambda: turned_bell_basis(3), "phased-bell": phased_bell_basis,
+    "fourier2": lambda: fourier_basis(2), "fourier3": lambda: FOURIER3, "fourier4": lambda: FOURIER4,
+    "random-phase3": lambda: random_phase_basis(3, 9),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PAIR_BASES))
+@pytest.mark.parametrize("condition", [3, 4])
+def test_pair_residuals_match_the_dense_projection(condition, name, engine, monkeypatch):
+    basis = PAIR_BASES[name]()
+    d = basis.dim
+    expected = dense_pair_residuals(basis)
+    seen, real = [], bell.pair_witnesses
+    monkeypatch.setattr(bell, "pair_witnesses", lambda v, *a: seen.append(v) or real(v, *a))
+    report = check_bell_condition(basis, condition, trials=7, seed=3)
+    assert engine.runs == [] and report.trials == 0  # nothing is drawn
+    (r,) = seen
+    assert np.abs(r - list(expected.values())).max() <= 8 * d * np.finfo(float).eps
+    witnessed = [list(p) for p, v in expected.items() if not v < TOL][:MAX_WITNESSES]
+    assert [w["pair"] for w in report.witnesses] == witnessed
+    assert report.passed == (not witnessed) == (name in ("bell", "turned-bell"))
+    assert report.max_violation == r.max()
+    if name == "phased-bell":
+        assert witnessed == [[0, 2], [1, 2], [2, 3]]
+    # the sampled form gives the same verdict, and a sampled |Im(c_j conj(c_k))| is at most r / 2
+    sampled = sampled_bell_condition(basis, condition, 300, 0)
+    assert sampled.passed == report.passed
+    if condition == 4:
+        assert sampled.max_violation <= report.max_violation / 2 + 1e-14
 
 
 @pytest.mark.parametrize("case", ["cond2-fourier3", "cond3-fourier3", "cond4-fourier3",
@@ -727,32 +792,6 @@ class TestLazyFields:
             assert w["value"] == w["violation"]
             assert w["pair"] == [w["trial"] % chunk_size(64)] * 2
 
-    def test_condition_3_residuals_only_for_witnesses(self, monkeypatch):
-        lazy = check_bell_condition(FOURIER3, 3, trials=300, seed=2)
-
-        def eager_engine(trials, seed, tol, draw, measure, per_trial):
-            def eager(batch):
-                v, fields = measure(batch)
-                every = fields(np.arange(len(v)))
-                return v, lambda rows: {name: f[rows] for name, f in every.items()}
-            return reports.sample_violations(trials, seed, tol, draw, eager, per_trial)
-
-        with monkeypatch.context() as mp:
-            mp.setattr(bell, "sample_violations", eager_engine)
-            assert report_to_obj(check_bell_condition(FOURIER3, 3, 300, 2)) == report_to_obj(lazy)
-        sizes = []
-        real = bell._neither_residual
-
-        def counted(u):
-            sizes.append(len(u))
-            return real(u)
-
-        monkeypatch.setattr(bell, "_neither_residual", counted)
-        assert report_to_obj(check_bell_condition(FOURIER3, 3, 300, 2)) == report_to_obj(lazy)
-        assert sum(sizes) == len(lazy.witnesses) == MAX_WITNESSES
-        for w in lazy.witnesses:
-            assert w["residual"] > 0.1
-
 
 class TestStackedSamplers:
     @pytest.mark.parametrize("sampler", [haar_unitary, haar_special_unitary])
@@ -818,12 +857,9 @@ class TestSharedRules:
             CNOT,
             b @ random_orthogonal(4, rng) @ b.conj().T,
         ])
-        kinds, residual = factorize._local_kinds(us), factorize._neither_residual(us)
-        for u, kind, res in zip(us, kinds, residual):
-            single = factor_local(u)
-            assert kind == single.kind
-            if kind == "neither":
-                assert abs(res - single.residual) <= 1e-12
+        kinds = factorize._local_kinds(us)
+        assert kinds.tolist() == [factor_local(u).kind for u in us]
+        assert set(kinds) == {"local", "local_flip", "neither"}
 
 
 def _overflowing_fourier2():
@@ -856,14 +892,15 @@ def test_inf_or_nan_trial_is_a_witness_without_warnings(check, first):
 
 
 def test_every_bell_condition_reports_an_overflowing_basis():
-    # condition 3 gates the basis, not its trials: NaN witnesses, not a refusal
+    # conditions 3 and 4 gate the basis: NaN witnesses at every pair, not a refusal
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         found = [check_bell_condition(_overflowing_fourier2(), c, trials=5) for c in (2, 3, 4, 5, 6)]
     assert [r.passed for r in found] == [False] * 5
     assert all(r.witnesses for r in found)
-    first = found[1].witnesses[0]
-    assert first["trial"] == 0 and math.isnan(first["violation"]) and math.isnan(first["residual"])
+    for r in found[1:3]:
+        assert [w["pair"] for w in r.witnesses] == [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]]
+        assert all(math.isnan(w["violation"]) for w in r.witnesses)
     # called directly, factor_local's unitarity gate still refuses such an operator
     with pytest.raises(ValueError, match="not unitary"):
         factor_local(np.full((4, 4), np.nan, dtype=complex))

@@ -11,7 +11,6 @@ from entbasis import (
     basis_matrix,
     bell_basis,
     bell_matrix,
-    check_bell_condition,
     check_det_criterion_agreement,
     check_preserves_max_entangled,
     factor_local,
@@ -25,7 +24,8 @@ from entbasis import (
 from entbasis import bell, factorize
 from entbasis.factorize import _is_rank_one, _reshuffle
 from entbasis.fileio import report_to_obj
-from entbasis.reports import MAX_WITNESSES, RANK_TOL
+from entbasis.reports import RANK_TOL
+from test_engine import sampled_bell_condition
 
 CNOT = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
@@ -312,20 +312,22 @@ class TestMinorCertificate:
         assert set(kinds) == {"local", "local_flip", "neither"}
 
     def test_fourier3_condition3_takes_no_reshuffle_before_its_witnesses(self, monkeypatch):
-        # every basis-real unitary at d=3 is "neither", each certified by its minor: no pivot
-        # runs, and only _neither_residual reshuffles, on the rows that carry a residual
+        # every basis-real unitary B O B^dag at d=3 is "neither", each certified by its minor:
+        # no pivot runs and nothing is reshuffled
         pivots = []
         monkeypatch.setattr(factorize, "_rank_one", lambda r: pivots.append(len(r)))
         plain, flip = _spy(monkeypatch, "_reshuffle"), _spy(monkeypatch, "_flip_reshuffle")
-        report = check_bell_condition(fourier_basis(3), 3, 1000, 7)
-        assert report.max_violation == 1.0 and len(report.witnesses) == MAX_WITNESSES
-        assert pivots == []
-        assert sum(plain) == sum(flip) == MAX_WITNESSES
+        b = basis_matrix(fourier_basis(3))
+        us = b @ random_orthogonal(9, 7, count=1000) @ b.conj().T
+        assert (factorize._local_kinds(us) == "neither").all()
+        assert pivots == [] and plain == flip == []
 
     @pytest.mark.parametrize("check, text", [
-        (lambda: check_bell_condition(bell_basis(), 3, 2000, 7),
-         '{"name": "bell-condition-3", "trials": 2000, "maxViolation": 0.0, "threshold": 1e-10, '
-         '"passed": true, "verdict": "no violation found", "witnesses": [], "details": {}}'),
+        # condition 3's sampled form, whose kinds come from _local_kinds
+        (lambda: sampled_bell_condition(bell_basis(), 3, 2000, 7),
+         '{"name": "sampled-condition-3", "trials": 2000, "maxViolation": 0.0, '
+         '"threshold": 1e-10, "passed": true, "verdict": "no violation found", "witnesses": [], '
+         '"details": {}}'),
         (lambda: check_det_criterion_agreement(1000, 7),
          '{"name": "det-criterion-agreement", "trials": 1000, "maxViolation": 0.0, '
          '"threshold": 1e-10, "passed": true, "verdict": "no violation found", '

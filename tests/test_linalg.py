@@ -1,7 +1,5 @@
 """Tests for the linear algebra substrate."""
 
-import warnings
-
 import numpy as np
 import pytest
 
@@ -332,113 +330,6 @@ class TestTwoQubitSamplers:
         for n in (1, 2, 3, 5):
             assert random_orthogonal(n, 8, count=3).tobytes() \
                 == linalg._qr_haar(n, 8, 3, real=True).tobytes()
-
-
-# ---- Haar O(n) as reflections of normal vectors (Stewart), condition 3 at d >= 3 -----
-
-def reflection_normals(n, seed, count):
-    return np.random.default_rng(seed).standard_normal((count, n * (n + 1) // 2))
-
-
-def formed(g, n):
-    """The (count, n, n) stack of O, from the rows of the identity."""
-    return linalg._reflect(g, np.eye(n)).T
-
-
-def dense_reflections(normals, n):
-    """One trial's O as a dense product: I - 2 v v^T / |v|^2 with v = x - |x| e_(n-m) for the
-    m-vector x, m = n, ..., 2 (I where v = 0), then the last normal's sign on column n-1."""
-    o, at = np.eye(n), 0
-    for m in range(n, 1, -1):
-        v = np.zeros(n)
-        v[n - m:] = normals[at:at + m]
-        v[n - m] -= np.linalg.norm(normals[at:at + m])
-        at += m
-        if v @ v > 0:
-            o = o @ (np.eye(n) - 2 * np.outer(v, v) / (v @ v))
-    o[:, -1] *= np.sign(normals[at])
-    return o
-
-
-def normals_of(o):
-    """Normals whose reflections give the orthogonal o: each step's vector is the first column
-    of what the earlier reflections leave, and the last entry the remaining 1 x 1 sign."""
-    out = []
-    while len(o) > 1:
-        x = o[:, 0].copy()
-        out.append(x)
-        v = x - np.eye(len(o))[0]
-        if v @ v > 0:
-            o = (np.eye(len(o)) - 2 * np.outer(v, v) / (v @ v)) @ o
-        o = o[1:, 1:]
-    return np.concatenate(out + [o[0]])
-
-
-class TestReflections:
-    @pytest.mark.parametrize("n", [2, 3, 9, 16])
-    def test_formed_o_is_orthogonal_and_the_dense_product(self, n):
-        g = reflection_normals(n, n, 200)
-        o = formed(g, n)
-        assert np.abs(np.swapaxes(o, 1, 2) @ o - np.eye(n)).max() <= 4 * n * np.finfo(float).eps
-        for t in range(20):
-            assert np.abs(o[t] - dense_reflections(g[t], n)).max() <= 4 * n * np.finfo(float).eps
-
-    @pytest.mark.parametrize("n", [4, 9, 16])
-    def test_row_path_is_the_row_times_o(self, n):
-        # condition 3 applies the reflections to B's row 0, real and imaginary parts as two rows
-        g = reflection_normals(n, 40 + n, 300)
-        rng = np.random.default_rng(n)
-        row = rand_complex(rng, n)
-        row /= np.linalg.norm(row)
-        x = linalg._reflect(g, np.stack([row.real, row.imag], axis=1))
-        assert x.shape == (n, 2, 300)
-        got = (x[:, 0] + 1j * x[:, 1]).T
-        assert np.abs(got - row @ formed(g, n)).max() <= 8 * n * np.finfo(float).eps
-
-    @pytest.mark.parametrize("n", [9, 16])
-    def test_both_cosets_equally(self, n):
-        # n - 1 reflections alone give det (-1)^(n-1): the last normal's sign weighs the cosets
-        dets = np.linalg.det(formed(reflection_normals(n, 50 + n, 4000), n))
-        assert np.abs(np.abs(dets) - 1).max() < 1e-12
-        # 4000 fair coins: five standard deviations are 158
-        assert abs((dets < 0).sum() - 2000) < 158
-
-    def test_first_entry_moments_are_haar(self):
-        # the first entry of a Haar O(n) matrix has E[o^2] = 1/n and E[o^4] = 3/(n(n+2)); at n = 9
-        # their standard deviations over 20,000 draws are 9.5e-4 and 4.8e-4
-        n = 9
-        o00 = linalg._reflect(reflection_normals(n, 60, DRAWS), np.eye(n)[:, :1])[0, 0]
-        assert abs((o00 ** 2).mean() - 1 / n) < 5 * 9.5e-4
-        assert abs((o00 ** 4).mean() - 3 / (n * (n + 2))) < 5 * 4.8e-4
-
-    def test_same_law_as_qr(self):
-        # every entry takes part in the trace: the reflections' law against the QR's, at n = 9
-        o, w = formed(reflection_normals(9, 61, DRAWS), 9), linalg._qr_haar(9, 62, DRAWS, real=True)
-        assert ks_statistic(np.trace(o, axis1=1, axis2=2), np.trace(w, axis1=1, axis2=2)) \
-            < KS_CRITICAL
-        assert ks_statistic(o[:, 4, 7], w[:, 4, 7]) < KS_CRITICAL
-        assert ks_statistic(np.linalg.det(o[:, 5:, 5:]), np.linalg.det(w[:, 5:, 5:])) < KS_CRITICAL
-
-    def test_a_zero_vector_is_taken_as_the_identity(self):
-        # measure zero for normals, but representable: no warning, and O stays orthogonal
-        n = 5
-        g = reflection_normals(n, 63, 3)
-        g[0] = 0.0  # every vector zero: O = I
-        g[1, n:2 * n - 1] = 0.0  # the second vector zero
-        g[2, 2 * n - 1:3 * n - 3] = [2.5, 0.0, 0.0]  # the third along its first axis
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            o = formed(g, n)
-        assert np.array_equal(o[0], np.eye(n))
-        assert np.abs(np.swapaxes(o, 1, 2) @ o - np.eye(n)).max() < 1e-14
-        for t in (1, 2):
-            assert np.abs(o[t] - dense_reflections(g[t], n)).max() < 1e-14
-
-    @pytest.mark.parametrize("n", [3, 9])
-    def test_normals_of_an_orthogonal_matrix_give_it_back(self, n):
-        # the tests' inverse of the sampler, used to hand condition 3 chosen matrices
-        for o in random_orthogonal(n, 64, count=5):
-            assert np.abs(formed(normals_of(o)[None], n)[0] - o).max() < 1e-13
 
 
 # ---- Gram-Schmidt on the whole stack against the QR of the same draws ---------
