@@ -8,7 +8,8 @@ This module provides:
   * the Bell basis and the canonical antilinear spin-flip theta2, its
     n-fold tensor power theta_n, and conjugation in Bell coordinates;
   * check_universality: the phase-covariance U Theta U^dag = det(U) Theta
-    that singles out d=2, plus a counterexample search for d >= 3;
+    that singles out d=2, decided on the generators of u(d), plus a search
+    over seeded candidates for d >= 3;
   * canonicalize_bell_basis: recovery of the local unitaries, phases and
     index permutation relating an arbitrary maximally entangled basis of
     C^2 tensor C^2 to the Bell basis;
@@ -33,16 +34,15 @@ from .linalg import (
     PAULIS,
     StateVector,
     _det,
-    _mul,
     _sandwich,
     _so4,
-    haar_unitary,
     tensor,
     unitarity_residual,
 )
 from .reports import (
     INPUT_TOL,
     LEAD_TOL,
+    MAX_WITNESSES,
     TOL,
     CheckReport,
     pair_witnesses,
@@ -135,82 +135,96 @@ def theta_n(n):
     return AntilinearOp(m.astype(complex))
 
 
-def _covariance_violations(a, trials, seed, tol, phase, per_candidate=None):
-    """Engine run of ||U A U^T - omega A||_F over Haar U; see check_universality. a is one
-    matrix, or a stack of candidates of which trial t tries a[t // per_candidate]."""
-    a = a.reshape(-1, *a.shape[-2:])
+def _covariance_residuals(a, phase):
+    """||R(H)||_F, or ||(1 - P_A) R(H)||_F for phase "best", for each generator H of u(d).
+
+    a is one matrix A or a stack of them. R(H) = H A + A H^T - tr(H) A, and P_A is the
+    projection onto C A (P_0 = 0). The generators span the Hermitian d x d matrices: E_jj for
+    each j, then E_jk + E_kj and i(E_kj - E_jk) for each j < k, row-major. R(E_jj) keeps A_jj,
+    zeroes the rest of row and column j and negates A elsewhere. An off-diagonal R(H) lives on
+    rows and columns j and k, which hold unit multiples of rows and columns k and j of A
+    outside the 2 x 2 block at (j, k), and of A_jk + A_kj and A_jj +- A_kk in it. So every
+    squared norm is a sum of |entries|^2 with no cancellation, from O(d^3) entries per matrix
+    and no image R(H) built.
+    """
     d = a.shape[-1]
+    j, k = np.triu_indices(d, 1)
+    q = np.arange(len(j))
+    p = (a * a.conj()).real
+    keep = 1.0 - np.eye(d)
+    outer = np.einsum("ja,...aj->...j", keep, p @ keep)  # sum of |A_ab|^2 over a, b != j
+    off = np.ones((len(j), d))  # off[q, b]: b is neither j nor k of pair q
+    off[q, j] = off[q, k] = 0.0
+    t = (p + p.swapaxes(-1, -2)) @ off.T
+    ajj, akk = a[..., j, j], a[..., k, k]
+    block = 2 * abs(a[..., j, k] + a[..., k, j]) ** 2 + t[..., j, q] + t[..., k, q]
+    lead = np.diagonal(p, axis1=-2, axis2=-1)
 
-    def draw(rng, idx):
-        return haar_unitary(d, rng, count=len(idx)), idx // (per_candidate or trials)
+    def by_generator(diagonal, real, imaginary):
+        pairs = np.stack([real, imaginary], axis=-1)
+        return np.concatenate([diagonal, pairs.reshape(*pairs.shape[:-2], -1)], axis=-1)
 
-    def measure(batch):
-        u, cand = batch
-        # U A as one GEMM per candidate in the chunk, then U A U^T over the whole chunk
-        ua = np.empty_like(u)
-        rows = np.searchsorted(cand, np.arange(cand[0], cand[-1] + 2))
-        for c, lo, hi in zip(range(cand[0], cand[-1] + 1), rows, rows[1:]):
-            np.matmul(u[lo:hi].reshape(-1, d), a[c], out=ua[lo:hi].reshape(-1, d))
-        conjugated = _mul(ua, u.swapaxes(-1, -2))
-        a_t = a[cand[0]] if cand[0] == cand[-1] else a[cand]  # one candidate broadcasts
-        if phase == "det":
-            omega = _det(u)
-        else:
-            z = (a_t.conj() * conjugated).sum(axis=(1, 2))  # tr(A^dag U A U^T)
-            omega = np.divide(z, np.abs(z), out=np.ones_like(z), where=z != 0)
-        return np.linalg.norm(conjugated - omega[:, None, None] * a_t, axis=(1, 2))
-
-    return sample_violations(trials, seed, tol, draw, measure, d * d)
+    n2 = by_generator(lead + outer, block + 2 * abs(ajj + akk) ** 2,
+                      block + 2 * abs(ajj - akk) ** 2)
+    if phase == "best":
+        # <A, R(H)> is real: 2 Re (C + W)_jk and 2 Im (C - W)_jk off the diagonal, for the
+        # Gram matrices C = A^dag A of the columns and W = A A^dag of the rows
+        ah = a.conj().swapaxes(-1, -2)
+        c, w = ah @ a, a @ ah
+        z = by_generator(lead - outer, 2 * (c + w)[..., j, k].real, 2 * (c - w)[..., j, k].imag)
+        a2 = p.sum(axis=(-2, -1))[..., None]
+        n2 -= z * np.divide(z, a2, out=np.zeros_like(z), where=a2 > 0)
+    return np.sqrt(np.maximum(n2, 0.0))
 
 
 def check_universality(theta, trials=1000, seed=0, tol=TOL, phase="det"):
-    """Test covariance of an antilinear operator under sampled unitaries.
+    """Decide covariance of an antilinear operator under every unitary.
 
-    The conjugated operator U Theta U^dag has matrix U A U^T. With
-    phase="det" the violation per trial is ||U A U^T - det(U) A||_F, the
-    covariance that the spin flip satisfies identically at d=2. With
-    phase="best" the comparison phase is chosen optimally per trial, so a
-    violation certifies that no phase assignment at all can work.
+    The conjugated operator U Theta U^dag has matrix U A U^T. With phase="det" the property is
+    U A U^T = det(U) A for every U in U(d), the covariance the spin flip has at d=2; with
+    phase="best" it is U A U^T in C A, some phase per U. The U that keep either form a closed
+    subgroup and U(d) is connected, so it holds exactly when the derivative along each
+    generator H of u(d) vanishes: R(H) = H A + A H^T - tr(H) A, or its part (1 - P_A) R(H)
+    off C A (_covariance_residuals). The violation is the largest generator residual, and each
+    residual not below tol is a witness naming its generator. trials and seed are accepted and
+    ignored: the report says trials 0.
     """
     if phase not in ("det", "best"):
         raise ValueError("phase must be 'det' or 'best', got %r" % (phase,))
-    a = np.asarray(theta.matrix, dtype=complex)
-    violations, witnesses = _covariance_violations(a, trials, seed, tol, phase)
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = _covariance_residuals(np.asarray(theta.matrix, dtype=complex), phase)
+    witnesses = [{"generator": int(g), "violation": float(v[g])}
+                 for g in np.flatnonzero(~(v < tol))[:MAX_WITNESSES]]
     name = "universality" if phase == "det" else "universality-best-phase"
-    return tolerance_report(name, violations.max(), tol, trials=trials, witnesses=witnesses)
+    return tolerance_report(name, np.max(v), tol, witnesses=witnesses)
 
 
 def universality_search(dim=3, candidates=50, trials=100, seed=0, threshold=0.1):
-    """Try to break phase-covariance for every sampled antilinear candidate.
+    """Decide best-phase covariance for seeded random antilinear candidates.
 
-    Draws `candidates` random nonzero matrices A (normalized in Frobenius
-    norm) and, for each, searches `trials` Haar unitaries for a phase-minimized
-    violation of U A U^T = omega A, in one engine run where trial t tries
-    candidate t // trials. The report passes when every candidate is violated
-    beyond `threshold`; max_violation records the weakest violation found,
-    i.e. the most covariant candidate. At dim >= 3 no antilinear operator at
-    all is covariant, so the search succeeds for every candidate; at dim=2
-    only the spin flip direction would survive it.
+    Draws `candidates` random nonzero matrices A from default_rng(seed), normalized in
+    Frobenius norm, and takes each one's largest best-phase generator residual, as
+    check_universality(phase="best") decides it. The report passes when every candidate is
+    violated beyond `threshold`; max_violation is the weakest candidate's residual, and each
+    of the first MAX_WITNESSES candidates is a witness naming its worst generator. At
+    dim >= 3 no nonzero antilinear operator is covariant, so every candidate fails; at dim=2
+    only the spin flip direction would pass. trials is accepted and ignored.
     """
     require_positive(dim, "dim")
     require_positive(candidates, "candidates")
-    require_positive(trials)
     require_tolerance(threshold)
-    # the root of the seed's spawn tree: chunk c of the engine draws from its child (c,)
-    rng = np.random.default_rng(operator.index(seed))
+    seed = operator.index(seed)
+    rng = np.random.default_rng(seed)
     shape = (candidates, dim, dim)
     a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     a /= np.linalg.norm(a, axis=(1, 2), keepdims=True)
-    violations, witnesses = _covariance_violations(
-        a, candidates * trials, seed, threshold, "best", trials
-    )
-    # a candidate's violation is the worst over its trials
-    violations = violations.reshape(candidates, trials).max(axis=1)
-    weakest = violations.min()
+    residuals = _covariance_residuals(a, "best")
+    worst = residuals.max(axis=1)
+    weakest = worst.min()
     passed = bool(weakest > threshold)
     return CheckReport(
         name="universality-counterexample-search",
-        trials=candidates * trials,
+        trials=0,
         max_violation=float(weakest),
         threshold=threshold,
         passed=passed,
@@ -219,10 +233,11 @@ def universality_search(dim=3, candidates=50, trials=100, seed=0, threshold=0.1)
             if passed
             else "no violation found for some candidate"
         ),
-        witnesses=tuple({"candidate": w["trial"] // trials, **w} for w in witnesses)
+        witnesses=tuple({"candidate": c, "generator": int(r.argmax()), "violation": float(w)}
+                        for c, (r, w) in enumerate(zip(residuals[:MAX_WITNESSES], worst)))
         if passed else (),
-        details={"dim": dim, "candidates": candidates,
-                 "weakest_candidate": int(violations.argmin())},
+        details={"dim": dim, "candidates": candidates, "seed": seed,
+                 "weakest_candidate": int(worst.argmin())},
     )
 
 

@@ -15,12 +15,12 @@ property check failed, 2 malformed input, usage error or memory exhausted.
 Identical command lines with identical seeds produce byte-identical report files.
 
 Where the C library is glibc, main pins malloc's trim and mmap thresholds at 32 MiB
-each, once per process. At the defaults (128 KiB) the d=2 checks' 64-128 KiB chunk
+each, once per process. At the defaults (128 KiB) det-criterion's 64-128 KiB chunk
 arrays were unmapped or trimmed after each call and faulted in again on the next: 590
-minor faults per warm det-criterion call and 124 per universality --dim 2 (2000
-trials, one process each), against 0 pinned. 32 MiB is glibc's own ceiling for its
-dynamic mmap threshold on 64-bit. Either threshold set alone fixes the other at 128
-KiB; a 64 MiB trim threshold let the basis-io bench's peak RSS creep 4 % in 25 s.
+minor faults per warm call (2000 trials, one process), against 0 pinned. 32 MiB is
+glibc's own ceiling for its dynamic mmap threshold on 64-bit. Either threshold set alone
+fixes the other at 128 KiB; a 64 MiB trim threshold let the basis-io bench's peak RSS creep
+4 % in 25 s.
 A library caller gets the same once main has run in its process.
 Importing entbasis starts numpy's BLAS on one thread unless numpy or a thread count came first.
 """
@@ -137,14 +137,10 @@ def cmd_check_bell_all(args):
 def cmd_check_universality(args):
     require_positive(args.candidates, "candidates")  # at d=2 too, where none is drawn
     if args.dim == 2:
-        rep = check_universality(theta2(1.0), trials=args.trials, seed=args.seed, tol=args.tol)
+        rep = check_universality(theta2(1.0), tol=args.tol)
     else:
         rep = universality_search(
-            dim=args.dim,
-            candidates=args.candidates,
-            trials=args.trials,
-            seed=args.seed,
-            threshold=args.tol,
+            dim=args.dim, candidates=args.candidates, seed=args.seed, threshold=args.tol
         )
     return rep, ["verdict: %s" % rep.verdict]
 
@@ -177,12 +173,13 @@ def cmd_check_det_criterion(args):
     return rep, ["verdict: %s" % rep.verdict]
 
 
-def _add_check_flags(p, sampled=True, note=""):
+def _add_check_flags(p, sampled=True, note="", seed_note=None):
     p.add_argument("--tol", type=float, default=TOL, help="pass tolerance (default %g)" % TOL)
     if sampled:
         p.add_argument("--trials", type=int, default=1000,
                        help="sampling trials (default 1000%s)" % note)
-        p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0%s)" % note)
+        p.add_argument("--seed", type=int, default=0,
+                       help="RNG seed (default 0%s)" % (note if seed_note is None else seed_note))
     p.add_argument("--report", metavar="FILE", help="write a JSON report")
 
 
@@ -235,7 +232,8 @@ def build_parser():
     p.add_argument("--dim", type=int, default=2)
     p.add_argument("--candidates", type=int, default=50,
                    help="candidate operators searched at dim >= 3 (default 50)")
-    _add_check_flags(p)
+    _add_check_flags(p, note="; accepted and ignored: u(d)'s generators decide the check",
+                     seed_note="; draws the candidates at dim >= 3")
     p.set_defaults(func=cmd_check_universality)
 
     p = csub.add_parser("clifford", help="anticommutation relations of built generators")

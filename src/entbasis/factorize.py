@@ -30,15 +30,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import flip_operator, haar_unitary, tensor, unitarity_residual
-from .reports import (INPUT_TOL, LEAD_TOL, RANK_TOL, TOL, require_square, require_tolerance,
-                      sample_violations, tolerance_report)
+from .linalg import flip_operator, tensor, unitarity_residual
+from .reports import INPUT_TOL, LEAD_TOL, RANK_TOL, require_square, require_tolerance
 
 __all__ = [
     "operator_schmidt",
     "factor_local",
     "FactorizationResult",
-    "check_preserves_max_entangled",
 ]
 
 
@@ -205,27 +203,3 @@ def _local_kinds(u):
             flip[~local] = _rank_one(_flip_reshuffle(u[~local], d))
         kinds[open_] = np.where(local, "local", np.where(flip, "local_flip", "neither"))
     return kinds
-
-
-def check_preserves_max_entangled(u, trials=500, seed=0, tol=TOL):
-    """Sample maximally entangled vectors and test whether U keeps them so.
-
-    Each trial draws phi = (V tensor I) Omega with Haar V and measures the
-    unitarity residual of the operator corresponding to U phi. This is the
-    sampled counterpart of the factor_local verdict: local and local-flip
-    unitaries never produce a violation.
-    """
-    u, d = _doubled_operator(u)
-
-    def draw(rng, idx):
-        return haar_unitary(d, rng, count=len(idx))
-
-    def measure(v):
-        # phi = vec(V)/sqrt(d); the operator of U phi is sqrt(d) unvec(U phi) = unvec(U vec(V))
-        images = v.reshape(len(v), d * d) @ u.T
-        return unitarity_residual(images.reshape(len(v), d, d))
-
-    violations, witnesses = sample_violations(trials, seed, tol, draw, measure, d * d)
-    return tolerance_report(
-        "preserves-max-entangled", violations.max(), tol, trials=trials, witnesses=witnesses
-    )

@@ -3,19 +3,16 @@
 Tensor products, Schmidt decomposition, the flip (swap) operator, and
 seeded Haar-random sampling of unitary and orthogonal matrices. Everything
 here is a pure function of its inputs; randomness enters only through
-explicit seeds. Haar on U(d) or O(d) is the Q of a Gaussian matrix with R's
-diagonal made positive (Mezzadri, math-ph/0609050), which is Gram-Schmidt on
-its columns; classical Gram-Schmidt run twice keeps Q orthonormal to rounding
-(Giraud, Langou and Rozloznik, 2005), so _haar runs it on the whole stack where
-that is faster than a QR per matrix, and the QR elsewhere. SU(2), U(2), SO(4) and
-O(4) have exact closed forms; their docstrings say why each is Haar.
+explicit seeds. Haar on U(d) or O(d) is the Q of a QR of a Gaussian matrix with
+R's diagonal made positive (Mezzadri, math-ph/0609050), which is Gram-Schmidt on
+its columns. SU(2), U(2), SO(4) and O(4) have exact closed forms; their
+docstrings say why each is Haar.
 
 Index conventions are 0-based throughout. A vector in C^d1 tensor C^d2
 stores the amplitude of e_i tensor e_j at position i*d2 + j, which matches
 the row-major Kronecker product convention of numpy.
 """
 
-import functools
 import itertools
 from dataclasses import dataclass
 
@@ -155,13 +152,13 @@ def _monomial_parts(stack):
 
 
 # Whole-stack arithmetic beats a LAPACK or BLAS call per matrix from _STACK matrices of small
-# order on. Its time over np.linalg.det or the matmul, real and complex, measured as for _haar:
+# order on. Its time over np.linalg.det or the matmul, real and complex, best of 7 on 2 cores
+# (numpy 2.4.6, OpenBLAS 0.3.31):
 #   matrices         13        101        512
 #   _det order 2-4   1.5-4.4   0.41-1.05  0.11-0.54
 #   _det order 5     5.0-6.1   1.2-1.25   0.60-0.65  (1.7-1.9 at 2000)
 #   _mul order 2-3   1.3-2.5   0.40-1.07  0.22-0.89
 #   _mul order 4     2.2-3.6   1.0-1.66   0.95-1.44
-# chunks share a draw (sample_violations) only from _STACK trials on: no _haar or _det path moves
 _STACK = 64
 
 
@@ -223,30 +220,9 @@ _QUAT = np.ascontiguousarray((_su2(np.eye(4))[:, None] @ _su2(np.eye(4)))[..., 0
 _LEFT, _RIGHT_BAR = (_QUAT.transpose(axes).reshape(4, 16) for axes in ((0, 2, 1), (1, 0, 2)))
 
 
-class _Chunks:
-    """Generators of consecutive chunks of step trials, each filling its chunk's leading rows."""
-
-    def __init__(self, rngs, step):
-        self.rngs, self.step = rngs, step
-
-    def _fill(self, name, size):
-        out = np.empty(size)
-        for k, rng in enumerate(self.rngs):
-            getattr(rng, name)(out=out[k * self.step:(k + 1) * self.step])
-        return out
-
-    standard_normal = functools.partialmethod(_fill, "standard_normal")
-    random = functools.partialmethod(_fill, "random")
-
-
-def _rng(seed):
-    """seed's Generator, or the Generator or _Chunks given."""
-    return seed if isinstance(seed, _Chunks) else np.random.default_rng(seed)
-
-
 def _gaussian(d, seed, count, real):
     """The standard normal matrix, or (count, d, d) stack, behind Haar on U(d) or O(d)."""
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     shape = (d, d) if count is None else (count, d, d)
     if real:
         return rng.standard_normal(shape)
@@ -256,46 +232,13 @@ def _gaussian(d, seed, count, real):
     return out
 
 
-def _qr(z, real):
-    """Q of a QR of z, or of each of a stack, with R's diagonal made positive where nonzero."""
-    q, r = np.linalg.qr(z)
+def _haar(d, seed=0, count=None, real=False):
+    """Haar on U(d), or on O(d) if real: the Q of a QR of _gaussian's matrix or of each of its
+    stack, with R's diagonal made positive where nonzero."""
+    q, r = np.linalg.qr(_gaussian(d, seed, count, real))
     p = np.diagonal(r, axis1=-2, axis2=-1)
     p = np.copysign(1.0, p) if real else np.divide(p, abs(p), out=np.ones_like(p), where=p != 0)
     return q * p[..., None, :]
-
-
-def _qr_haar(d, seed=0, count=None, real=False):
-    """Haar on U(d), or on O(d) if real, by QR at every d: the oracle of _haar."""
-    return _qr(_gaussian(d, seed, count, real), real)
-
-
-def _haar(d, seed=0, count=None, real=False):
-    """_qr_haar's matrix or stack from the same draws. A trial with a column that kept under
-    1e-8 of its norm after projection, measure zero, takes the QR."""
-    z = _gaussian(d, seed, count, real)
-    # Gram-Schmidt's time over the QR's, best of 7 on 2 cores (numpy 2.4.6, OpenBLAS 0.3.31):
-    #   draws         1    2    13   32   48    64    101   1000
-    #   real d=3      2.3  2.2  1.7  1.1  1.07  0.78  0.57  0.15
-    #   real d=9      6.3  6.8  2.8  1.7  1.07  0.90  0.83  0.41
-    #   complex d=3   2.4  2.3  1.7  1.2  0.89  0.77  0.67  0.39
-    #   complex d=5   3.9  3.7  2.0  1.3  1.04  0.91  0.58  0.56
-    # Complex d=6-9 wins only from 256-1000 draws on, d >= 10 nowhere; real d=10-15 wins at
-    # 101 but no check draws those stacks, and at d=10 the two Q differed by up to 4.5e-13.
-    if not (3 <= d <= (9 if real else 5) and (count or 0) >= _STACK):
-        return _qr(z, real)
-    a = np.ascontiguousarray(z.transpose(2, 1, 0))  # a[j, i, t] = z[t, i, j]
-    q, sq = np.empty_like(a), np.empty(a.shape[::2])  # sq: squared norms after projection
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for j, v in enumerate(a):
-            for _ in range(2 if j else 0):
-                v = v - np.einsum("kit,kt->it", q[:j], np.einsum("kit,it->kt", q[:j].conj(), v))
-            sq[j] = (v * v.conj()).real.sum(axis=0)
-            q[j] = v / np.sqrt(sq[j])
-    q = np.ascontiguousarray(q.transpose(2, 1, 0))
-    collapsed = (sq < 1e-16 * (a * a.conj()).real.sum(axis=1)).any(axis=0)
-    if collapsed.any():
-        q[collapsed] = _qr(z[collapsed], real)
-    return q
 
 
 def haar_unitary(d, seed=0, count=None):
@@ -306,7 +249,7 @@ def haar_unitary(d, seed=0, count=None):
     """
     if d != 2:
         return _haar(d, seed, count)
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     u = haar_special_unitary(2, rng, count)
     return u * np.exp(2j * np.pi * rng.random(u.shape[:-2]))[..., None, None]
 
@@ -315,7 +258,7 @@ def haar_special_unitary(d, seed=0, count=None):
     """Haar on SU(d), or a stack. At d = 2 the matrix of a unit quaternion, uniform on S^3
     as a normalised normal 4-vector. Else _haar's Q over a d-th root of its determinant."""
     if d == 2:
-        return _su2(_quaternions(_rng(seed), count))
+        return _su2(_quaternions(np.random.default_rng(seed), count))
     u = _haar(d, seed, count)
     return u * (_det(u) ** (-1.0 / d))[..., None, None]
 
@@ -333,7 +276,7 @@ def random_orthogonal(n, seed=0, *, count=None):
     draw with column 0 negated with probability 1/2, which weighs SO(4)'s two cosets equally."""
     if n != 4:
         return _haar(n, seed, count, real=True)
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     o = _so4(rng, count)
     o[..., 0] *= np.where(rng.random(o.shape[:-2]) < 0.5, -1.0, 1.0)[..., None]
     return o

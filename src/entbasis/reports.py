@@ -10,10 +10,10 @@ dictionary that names the input by trial index and seed, or by index pair
 of every check but the counterexample search is tolerance_report: the worst
 violation is below tol, which a NaN is not, and no witness is listed.
 
-Sampled checks run through one engine, sample_violations: chunk c of the
-trials draws from the spawn key (c,) of the check's seed (chunk_rng), also
-when a draw covers several chunks, and the first MAX_WITNESSES violating
-trials are kept in order. The tolerances every module shares are named
+The sampled check, det-criterion agreement, runs through the engine
+sample_violations: chunk c of the trials draws from the spawn key (c,) of the
+check's seed (chunk_rng), and the first MAX_WITNESSES violating trials are
+kept in order. The tolerances every module shares are named
 here once, and so are the rules that refuse an input where it enters, with
 one wording each: require_positive, require_square and require_tolerance.
 """
@@ -22,8 +22,6 @@ import operator
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from .linalg import _STACK, _Chunks
 
 __all__ = [
     "CheckReport", "MAX_WITNESSES", "CHUNK_ENTRIES", "TOL", "INPUT_TOL", "RANK_TOL", "LEAD_TOL",
@@ -137,19 +135,15 @@ def chunk_rng(seed, chunk):
 def sample_violations(trials, seed, tol, draw, measure, per_trial):
     """The sampled-check engine: per-trial violations and the first witnesses.
 
-    Trials run in chunks of chunk_size(per_trial), chunk c drawn from chunk_rng(seed, c).
-    draw(rng, idx) gets the trial indices of one or more consecutive chunks and, as rng, their
-    Generator or a stand-in for several: it may call only rng.standard_normal and rng.random, the
-    trial count leading the shape, and each chunk's rows come from its own Generator. It returns an
-    array or a tuple of arrays, one row per trial. Chunk 0 is drawn alone, and a draw's bytes per
-    chunk set how many chunks the next takes, up to 16 * CHUNK_ENTRIES bytes; a chunk under _STACK
-    trials, where the samplers switch path, is drawn alone. measure gets one chunk's rows and
-    returns its violations, or a pair (violations, fields) whose fields(rows) gets the chunk
-    positions of its witnesses only and returns a dict of named entries, one per row, so a costly
-    field is built for at most MAX_WITNESSES trials. Every trial whose violation is not below tol,
-    NaN included, is a witness {"trial": index, "seed": seed, "violation": v, **fields}, up to
-    MAX_WITNESSES, in trial order; measure runs with overflow and invalid warnings off, as an inf or
-    NaN is a verdict. A bad trial count, tol or seed (an integer: a Generator's run could not be
+    Trials run in chunks of chunk_size(per_trial), chunk c drawn from chunk_rng(seed, c):
+    draw(rng, idx) gets one chunk's Generator and trial indices and returns an array or a tuple
+    of arrays, one row per trial. measure gets those rows and returns the chunk's violations, or
+    a pair (violations, fields) whose fields(rows) gets the chunk positions of its witnesses only
+    and returns a dict of named entries, one per row, so a costly field is built for at most
+    MAX_WITNESSES trials. Every trial whose violation is not below tol, NaN included, is a
+    witness {"trial": index, "seed": seed, "violation": v, **fields}, up to MAX_WITNESSES, in
+    trial order; measure runs with overflow and invalid warnings off, as an inf or NaN is a
+    verdict. A bad trial count, tol or seed (an integer: a Generator's run could not be
     replayed) is refused before the first draw. Returns all trials' violations and the witnesses.
     """
     require_positive(trials)
@@ -158,24 +152,16 @@ def sample_violations(trials, seed, tol, draw, measure, per_trial):
     step = chunk_size(per_trial)
     violations = np.empty(trials)
     witnesses = []
-    first, per_draw = 0, 1
-    while first * step < trials:
-        n = max(1, min(per_draw, (trials - _STACK) // step + 1 - first))
-        trial = np.arange(first * step, min((first + n) * step, trials))
-        rngs = [chunk_rng(seed, c) for c in range(first, first + n)]
-        batch = draw(rngs[0] if n == 1 else _Chunks(rngs, step), trial)
-        parts = batch if isinstance(batch, tuple) else (batch,)
-        per_draw = 16 * CHUNK_ENTRIES * n // sum(x.nbytes for x in parts) if step >= _STACK else 1
-        for lo in range(0, len(trial), step):
-            idx, part = trial[lo:lo + step], tuple(x[lo:lo + step] for x in parts)
-            with np.errstate(over="ignore", invalid="ignore"):
-                out = measure(part if isinstance(batch, tuple) else part[0])
-            violations[idx], fields = out if isinstance(out, tuple) else (out, None)
-            rows = np.flatnonzero(~(violations[idx] < tol))[: MAX_WITNESSES - len(witnesses)]
-            picked = fields(rows) if fields and len(rows) else {}
-            witnesses += [
-                {"trial": int(idx[k]), "seed": seed, "violation": float(violations[idx[k]]),
-                 **{name: np.asarray(f)[j].tolist() for name, f in picked.items()}}
-                for j, k in enumerate(rows)]
-        first += n
+    for c, start in enumerate(range(0, trials, step)):
+        idx = np.arange(start, min(start + step, trials))
+        batch = draw(chunk_rng(seed, c), idx)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = measure(batch)
+        violations[idx], fields = out if isinstance(out, tuple) else (out, None)
+        rows = np.flatnonzero(~(violations[idx] < tol))[: MAX_WITNESSES - len(witnesses)]
+        picked = fields(rows) if fields and len(rows) else {}
+        witnesses += [
+            {"trial": int(idx[k]), "seed": seed, "violation": float(violations[idx[k]]),
+             **{name: np.asarray(f)[j].tolist() for name, f in picked.items()}}
+            for j, k in enumerate(rows)]
     return violations, witnesses

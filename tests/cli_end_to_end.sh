@@ -110,13 +110,11 @@ $ENTBASIS check bell-all --trials 50
 expect 1 $ENTBASIS check bell-all --basis b3.json --trials 50
 # a NaN tolerance is a usage error, not a failed check
 expect 2 $ENTBASIS verify b3.json --tol nan
-# an allocation the machine cannot make is a usage error, not a failed check: each
-# run gets 2 GiB of address space, as uncapped a 7 TiB array may be granted. Both
-# suites sample (universality at its default --dim 2)
-for suite in universality det-criterion; do
-  (ulimit -v 2097152
-   expect 2 $ENTBASIS check "$suite" --trials 1000000000000)
-done
+# an allocation the machine cannot make is a usage error, not a failed check: the run
+# gets 2 GiB of address space, as uncapped a 7 TiB array may be granted. det-criterion is
+# the one suite that samples
+(ulimit -v 2097152
+ expect 2 $ENTBASIS check det-criterion --trials 1000000000000)
 $ENTBASIS check det-criterion --trials 200
 # equal command lines write byte-identical reports
 $ENTBASIS check det-criterion --trials 300 --seed 4 --report dc_a.json
@@ -169,15 +167,31 @@ assert all(set(w) == {'pair', 'violation'} and w['pair'][0] < w['pair'][1]
            for w in four['witnesses']), four
 assert all(w['violation'] >= math.sqrt(2 - 8 / 9) for w in four['witnesses']), four
 "
-# d=3 search: one engine run of 50 x 300 flat trials, in Haar stacks of up to 910
-# that take Gram-Schmidt
+# d=3 search: the 50 candidates of seed 4, each decided on the 9 generators of u(3)
 $ENTBASIS check universality --dim 3 --trials 300 --seed 4 --report u3_a.json
 $ENTBASIS check universality --dim 3 --trials 300 --seed 4 --report u3_b.json
 cmp u3_a.json u3_b.json
-# d=2: one chunk of 300 trials, whose U A U^T and det(U) take the whole-stack kernels
+# d=2: the spin flip, decided on the 4 generators of u(2)
 $ENTBASIS check universality --dim 2 --trials 300 --seed 4 --report u2_a.json
 $ENTBASIS check universality --dim 2 --trials 300 --seed 4 --report u2_b.json
 cmp u2_a.json u2_b.json
+# universality samples nothing: --trials reaches nothing, so runs at 1000 and 150 trials
+# write the same bytes as the 300-trial run, at d=2 and at d=3
+for dim in 2 3; do
+  for t in 1000 150; do
+    $ENTBASIS check universality --dim "$dim" --trials "$t" --seed 4 --report "u${dim}_$t.json"
+    cmp "u${dim}_$t.json" "u${dim}_a.json"
+  done
+done
+python -c "
+import json
+for dim in (2, 3):
+    r = json.load(open('u%d_a.json' % dim))
+    assert r['trials'] == 0 and r['passed'], r
+r = json.load(open('u3_a.json'))
+assert r['details']['seed'] == 4 and len(r['witnesses']) == 8, r
+assert all(set(w) == {'candidate', 'generator', 'violation'} for w in r['witnesses']), r
+"
 # a candidate count below one is a usage error at d=2 too, where none is drawn
 expect 2 $ENTBASIS check universality --dim 2 --candidates 0
 # --latin and --hadamard would be ignored outside --construction custom: a usage error

@@ -275,14 +275,13 @@ class TestCheck:
         assert main(["check", "det-criterion", "--trials", "100"]) == 0
 
     @pytest.mark.parametrize("argv", [
-        ["check", "universality", "--dim", "2", "--trials", "0"],
         ["check", "det-criterion", "--trials", "-3"],
         ["check", "universality", "--dim", "3", "--candidates", "0"],
         ["check", "universality", "--dim", "0"],
         ["check", "universality", "--dim", "-1"],
     ])
     def test_no_samples_is_usage_error(self, argv):
-        # a sampled check that draws nothing must not pass
+        # a sampled check that draws nothing, or a search with no candidate, must not pass
         assert main(argv) == 2
 
     def test_reports_byte_identical_for_equal_seeds(self, tmp_path):
@@ -591,7 +590,7 @@ print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20)
     ["gen", "--dim", "24", "--out", "f24.json"],
 ], ids=["det-criterion", "universality", "gen"])
 def test_warm_calls_fault_in_no_fresh_memory(argv, tmp_path):
-    # at glibc's default thresholds the d=2 checks' 64-128 KiB chunk arrays are unmapped
+    # at glibc's default thresholds det-criterion's 64-128 KiB chunk arrays are unmapped
     # or trimmed after each call (hundreds of faults a call); with an mmap threshold under
     # gen's 5.3 MB stack, gen's is
     src = os.path.dirname(os.path.dirname(entbasis.__file__))

@@ -8,14 +8,18 @@ det_criterion, vector_from_operator, tensor) and a dense unitarity
 residual. Per-trial violations must agree within 1e-12 and the witnesses
 must name the same trials.
 
-Bell conditions 2 to 6 are decided exactly and draw nothing. The sampled
-forms of 2 to 5, Haar SU(d) pairs, Haar O(d^2), Haar V and unit real
-combinations, stay here as engine clients (sampled_bell_condition) and as
-the oracle the exact reports are held against.
+Bell conditions 2 to 6 and phase covariance are decided exactly and draw
+nothing. Their sampled forms stay here as engine clients and as the oracle
+the exact reports are held against: Bell conditions 2 to 5 over Haar SU(d)
+pairs, Haar O(d^2), Haar V and unit real combinations
+(sampled_bell_condition), covariance over Haar U (sampled_covariance), and
+maximal entanglement kept under U over Haar V (sampled_preserves), the
+sampled counterpart of factor_local's verdict.
 """
 
 import json
 import math
+import operator
 import tracemalloc
 import warnings
 
@@ -24,6 +28,7 @@ import pytest
 
 from entbasis import (
     AntilinearOp,
+    CheckReport,
     EntangledBasis,
     PAULIS,
     SIGMA3,
@@ -33,7 +38,6 @@ from entbasis import (
     bell_matrix,
     check_bell_condition,
     check_det_criterion_agreement,
-    check_preserves_max_entangled,
     check_universality,
     det_criterion,
     factor_local,
@@ -86,7 +90,6 @@ class Recorder:
 def engine(monkeypatch):
     recorder = Recorder()
     monkeypatch.setattr(bell, "sample_violations", recorder)
-    monkeypatch.setattr(factorize, "sample_violations", recorder)
     return recorder
 
 
@@ -153,6 +156,103 @@ def sampled_bell_condition(basis, condition, trials, seed, tol=TOL):
         trials, seed, 1.0 if condition == 3 else tol, draw, measure, n if condition == 5 else n * n)
     worst = violations.mean() if condition == 3 else violations.max()
     return tolerance_report("sampled-condition-%d" % condition, worst, tol, trials=trials,
+                            witnesses=witnesses)
+
+
+def sampled_covariance(a, trials, seed, tol, phase, per_candidate=None):
+    """Engine run of ||U A U^T - omega A||_F over Haar U, the sampled form of check_universality
+    that its generator residuals are held against: omega is det(U), or for phase "best" the
+    phase of tr(A^dag U A U^T). a is one matrix, or a stack of candidates of which trial t tries
+    a[t // per_candidate]. Products and determinants go through linalg._mul and linalg._det."""
+    a = a.reshape(-1, *a.shape[-2:])
+    d = a.shape[-1]
+
+    def draw(rng, idx):
+        return haar_unitary(d, rng, count=len(idx)), idx // (per_candidate or trials)
+
+    def measure(batch):
+        u, cand = batch
+        a_t = a[cand]
+        conjugated = linalg._mul(linalg._mul(u, a_t), u.swapaxes(-1, -2))
+        if phase == "det":
+            omega = linalg._det(u)
+        else:
+            z = (a_t.conj() * conjugated).sum(axis=(1, 2))  # tr(A^dag U A U^T)
+            omega = np.divide(z, np.abs(z), out=np.ones_like(z), where=z != 0)
+        return np.linalg.norm(conjugated - omega[:, None, None] * a_t, axis=(1, 2))
+
+    return bell.sample_violations(trials, seed, tol, draw, measure, d * d)
+
+
+def sampled_universality(theta, trials, seed, tol=TOL, phase="det"):
+    """check_universality's sampled form: the largest violation over trials Haar U."""
+    a = np.asarray(theta.matrix, dtype=complex)
+    violations, witnesses = sampled_covariance(a, trials, seed, tol, phase)
+    return tolerance_report("sampled-universality", violations.max(), tol, trials=trials,
+                            witnesses=witnesses)
+
+
+def sampled_search(dim, candidates, trials, seed, threshold=0.1):
+    """universality_search's sampled form: universality_search's candidates, each tried on
+    trials Haar U under the best phase in one engine run; a candidate's violation is the worst
+    of its trials, and the report passes when the weakest candidate's is above threshold."""
+    seed = operator.index(seed)
+    a = search_candidates(candidates, seed, dim)
+    violations, witnesses = sampled_covariance(a, candidates * trials, seed, threshold, "best",
+                                               trials)
+    weakest = violations.reshape(candidates, trials).max(axis=1).min()
+    passed = bool(weakest > threshold)
+    return CheckReport("sampled-search", candidates * trials, float(weakest), threshold, passed,
+                       "violation witnessed" if passed else "no violation found",
+                       tuple({"candidate": w["trial"] // trials, **w} for w in witnesses)
+                       if passed else ())
+
+
+def hermitian_generators(d):
+    """E_jj for each j, then E_jk + E_kj and i(E_kj - E_jk) for each j < k, row-major."""
+    out = []
+    for j in range(d):
+        out.append(np.zeros((d, d), dtype=complex))
+        out[-1][j, j] = 1.0
+    for j in range(d):
+        for k in range(j + 1, d):
+            real, imaginary = np.zeros((2, d, d), dtype=complex)
+            real[j, k] = real[k, j] = 1.0
+            imaginary[j, k], imaginary[k, j] = -1j, 1j
+            out += [real, imaginary]
+    return out
+
+
+def dense_covariance_residuals(a, phase):
+    """||R(H)||_F for each generator H, R(H) = H A + A H^T - tr(H) A, built one image at a time,
+    with A's component taken out for phase "best" (none for A = 0)."""
+    a2 = np.vdot(a, a).real
+    out = []
+    for h in hermitian_generators(len(a)):
+        r = h @ a + a @ h.T - np.trace(h) * a
+        if phase == "best" and a2 > 0:
+            r = r - np.vdot(a, r) / a2 * a
+        out.append(np.linalg.norm(r))
+    return np.array(out)
+
+
+def sampled_preserves(u, trials, seed, tol=TOL):
+    """Whether U keeps maximally entangled vectors so, sampled: the unitarity residual of the
+    operator of U phi over phi = (V tensor I) Omega, Haar V. The sampled counterpart of
+    factor_local's verdict: local and local-flip unitaries never give a violation."""
+    u = np.asarray(u, dtype=complex)
+    d = round(len(u) ** 0.5)
+
+    def draw(rng, idx):
+        return haar_unitary(d, rng, count=len(idx))
+
+    def measure(v):
+        # phi = vec(V)/sqrt(d); the operator of U phi is sqrt(d) unvec(U phi) = unvec(U vec(V))
+        images = v.reshape(len(v), d * d) @ u.T
+        return linalg.unitarity_residual(images.reshape(len(v), d, d))
+
+    violations, witnesses = bell.sample_violations(trials, seed, tol, draw, measure, d * d)
+    return tolerance_report("sampled-preserves", violations.max(), tol, trials=trials,
                             witnesses=witnesses)
 
 
@@ -255,23 +355,22 @@ CASES = {
     "cond4-fourier3": (lambda n, s: sampled_bell_condition(FOURIER3, 4, n, s), cond4(FOURIER3)),
     "cond5-bell": (lambda n, s: sampled_bell_condition(bell_basis(), 5, n, s), cond5(bell_basis())),
     "cond5-fourier3": (lambda n, s: sampled_bell_condition(FOURIER3, 5, n, s), cond5(FOURIER3)),
-    "universality-d2": (lambda n, s: check_universality(theta2(), n, s),
+    "universality-d2": (lambda n, s: sampled_universality(theta2(), n, s),
                         covariance([theta2().matrix], "det")),
-    "universality-d2-sigma3": (lambda n, s: check_universality(AntilinearOp(SIGMA3), n, s),
+    "universality-d2-sigma3": (lambda n, s: sampled_universality(AntilinearOp(SIGMA3), n, s),
                                covariance([SIGMA3], "det")),
     "universality-d3-best": (
-        lambda n, s: check_universality(AntilinearOp(D3_CANDIDATE), n, s, phase="best"),
+        lambda n, s: sampled_universality(AntilinearOp(D3_CANDIDATE), n, s, phase="best"),
         covariance([D3_CANDIDATE], "best")),
     # 7 candidates: the two-chunk run's 917 = 7 x 131 trials, so candidate 6 straddles the
     # chunk boundary at 910; the oracle's candidates are those of the oracle test's seed
     "universality-search": (
-        lambda n, s: universality_search(dim=3, candidates=7, trials=-(-n // 7), seed=s),
+        lambda n, s: sampled_search(3, 7, -(-n // 7), s),
         covariance(search_candidates(7, ORACLE_SEED), "best")),
     "det-criterion": (lambda n, s: check_det_criterion_agreement(n, s), det_agreement(1e-10)),
-    "preserves-cnot": (lambda n, s: check_preserves_max_entangled(CNOT, n, s), preserves(CNOT)),
-    "preserves-local3": (lambda n, s: check_preserves_max_entangled(LOCAL3, n, s),
-                         preserves(LOCAL3)),
-    "preserves-flip3": (lambda n, s: check_preserves_max_entangled(flip_operator(3), n, s),
+    "preserves-cnot": (lambda n, s: sampled_preserves(CNOT, n, s), preserves(CNOT)),
+    "preserves-local3": (lambda n, s: sampled_preserves(LOCAL3, n, s), preserves(LOCAL3)),
+    "preserves-flip3": (lambda n, s: sampled_preserves(flip_operator(3), n, s),
                         preserves(flip_operator(3))),
 }
 
@@ -281,7 +380,6 @@ def _per_trial(case):
     recorder = Recorder()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(bell, "sample_violations", recorder)
-        mp.setattr(factorize, "sample_violations", recorder)
         CASES[case][0](1, 0)
     return recorder.runs[0]["per_trial"]
 
@@ -302,25 +400,6 @@ def test_engine_matches_one_trial_oracle(case, engine):
         assert abs(w["violation"] - expected[w["trial"]]) <= 1e-12
 
 
-def stacked_covariance(a, trials, seed, tol, phase):
-    """_covariance_violations with U A U^T as one stacked matmul: the flat U A GEMM's reference."""
-    d = a.shape[0]
-
-    def measure(u):
-        conjugated = u @ a @ u.swapaxes(-1, -2)
-        if phase == "det":
-            omega = np.linalg.det(u)
-        else:
-            z = (a.conj() * conjugated).sum(axis=(1, 2))
-            omega = np.divide(z, np.abs(z), out=np.ones_like(z), where=z != 0)
-        return np.linalg.norm(conjugated - omega[:, None, None] * a, axis=(1, 2))
-
-    def draw(rng, idx):
-        return haar_unitary(d, rng, count=len(idx))
-
-    return bell.sample_violations(trials, seed, tol, draw, measure, d * d)
-
-
 FOURIER4 = fourier_basis(4)
 FRAME_CASES = {
     "cond2-bell": lambda: sampled_bell_condition(bell_basis(), 2, 1100, 8),
@@ -330,9 +409,9 @@ FRAME_CASES = {
     "cond3-fourier3": lambda: sampled_bell_condition(FOURIER3, 3, 250, 8),
     "cond3-fourier4": lambda: sampled_bell_condition(FOURIER4, 3, 70, 8),
     "det-criterion": lambda: check_det_criterion_agreement(1100, 8),
-    "universality-det": lambda: check_universality(theta2(), 2500, 8),
-    "universality-best": lambda: check_universality(AntilinearOp(D3_CANDIDATE), 1000, 8,
-                                                    phase="best"),
+    "universality-det": lambda: sampled_universality(theta2(), 2500, 8),
+    "universality-best": lambda: sampled_universality(AntilinearOp(D3_CANDIDATE), 1000, 8,
+                                                      phase="best"),
 }
 
 
@@ -343,10 +422,11 @@ ROUNDING_ONLY = {"universality-det": 2}
 @pytest.mark.parametrize("case", sorted(FRAME_CASES))
 def test_frame_products_match_stacked_matmul(case, engine, monkeypatch):
     # the same seeds through left @ x @ right, and U A U^T and det(U) one BLAS or LAPACK
-    # call per trial
+    # call per trial, not linalg's whole-stack kernels
     fast = FRAME_CASES[case]()
     monkeypatch.setattr(bell, "_sandwich", lambda left, x, right: left @ x @ right)
-    monkeypatch.setattr(bell, "_covariance_violations", stacked_covariance)
+    monkeypatch.setattr(linalg, "_mul", np.matmul)
+    monkeypatch.setattr(linalg, "_det", np.linalg.det)
     slow = FRAME_CASES[case]()
     (fast_run, slow_run) = engine.runs
     assert fast_run["trials"] > chunk_size(fast_run["per_trial"])  # two chunks at least
@@ -365,15 +445,14 @@ def test_frame_products_match_stacked_matmul(case, engine, monkeypatch):
 D3_SAMPLED = {
     "cond2-fourier3": lambda: sampled_bell_condition(FOURIER3, 2, 300, 9),
     "cond4-fourier3": lambda: sampled_bell_condition(FOURIER3, 4, 300, 9),
-    "search-d3": lambda: universality_search(dim=3, candidates=6, trials=100, seed=9),
+    "search-d3": lambda: sampled_search(3, 6, 100, 9),
 }
 
 
 @pytest.mark.parametrize("case", sorted(D3_SAMPLED))
 def test_d3_reports_match_the_qr_samplers(case, engine, monkeypatch):
-    # the same seeds with every Haar draw by QR and every determinant by LAPACK
+    # the same seeds with every determinant, the SU(d) draws' included, by LAPACK
     fast = D3_SAMPLED[case]()
-    monkeypatch.setattr(linalg, "_haar", linalg._qr_haar)
     monkeypatch.setattr(linalg, "_det", np.linalg.det)
     slow = D3_SAMPLED[case]()
     fast_run, slow_run = engine.runs
@@ -396,8 +475,8 @@ def each_chunk_alone(run):
 
 
 # id -> (run(trials, seed) -> report, trials): every CASES entry over five chunks, the last
-# one short (411 trials at d=3); Fourier d=3 at 150 trials ends in a chunk of 49, at 1000 several
-# chunks share a draw, and Fourier d=4 has chunks of 32, under _STACK, which are drawn alone
+# one short (411 trials at d=3); Fourier d=3 at 150 trials ends in a chunk of 49, at 1000 it
+# takes 10 chunks, and Fourier d=4 has chunks of 32
 BATCH_CASES = {
     **{case: (run_check, None) for case, (run_check, _) in CASES.items()},
     "cond2-fourier3-150": (lambda n, s: sampled_bell_condition(FOURIER3, 2, n, s), 150),
@@ -411,6 +490,7 @@ BATCH_CASES = {
 
 @pytest.mark.parametrize("case", sorted(BATCH_CASES))
 def test_batched_draws_match_each_chunk_drawn_alone(case, engine):
+    # the engine's run is each chunk drawn from its own chunk_rng(seed, c) and measured alone
     run_check, trials = BATCH_CASES[case]
     report = run_check(trials or 4 * chunk_size(_per_trial(case)) + 7, ORACLE_SEED)
     (run,) = engine.runs
@@ -419,31 +499,6 @@ def test_batched_draws_match_each_chunk_drawn_alone(case, engine):
     first = np.flatnonzero(~(expected < run["tol"]))[:MAX_WITNESSES]
     assert [w["trial"] for w in report.witnesses] == first.tolist()
     assert [w["violation"] for w in report.witnesses] == expected[first].tolist()
-
-
-def test_a_draw_takes_whole_chunks_of_stack_size_within_one_chunks_bytes():
-    sizes = []
-
-    def draw(rng, idx):
-        sizes.append(len(idx))
-        return rng.standard_normal((len(idx), 9))
-
-    def draws(trials, per_trial):
-        sizes.clear()
-        v, witnesses = reports.sample_violations(trials, 0, 2.0, draw, lambda x: x[:, 0], per_trial)
-        # one trial in 44 is a witness: the first ones in trial order, across chunks and draws
-        assert [w["trial"] for w in witnesses] == np.flatnonzero(v >= 2.0)[:MAX_WITNESSES].tolist()
-        return sizes[:]
-
-    # chunks of 101: chunk 0 is drawn alone, and its 101 x 72 bytes let 18 chunks share a draw
-    assert draws(1000, 81) == [101, 899]
-    # a last chunk under _STACK trials is drawn alone
-    assert draws(4 * 101 + 7, 81) == [101, 303, 7]
-    assert draws(150, 81) == [101, 49]
-    # chunks of 512: 36 KiB each, 3 to a draw
-    assert draws(3000, 16) == [512, 1536, 952]
-    # chunks of 32 are under _STACK: one draw each
-    assert draws(100, 256) == [32, 32, 32, 4]
 
 
 @pytest.mark.parametrize("basis, trials", [(FOURIER3, 1000), (bell_basis(), 2000)],
@@ -691,6 +746,59 @@ def test_pair_residuals_match_the_dense_projection(condition, name, engine, monk
         assert sampled.max_violation <= report.max_violation / 2 + 1e-14
 
 
+# ---- phase covariance, decided on u(d)'s generators, against dense images ----------------
+
+def _random_operator(d, seed, kind=None):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return {None: a, "antisymmetric": a - a.T, "symmetric": a + a.T}[kind]
+
+
+COVARIANCE_OPERATORS = {
+    "theta2": lambda: theta2().matrix, "theta2-phased": lambda: theta2(np.exp(0.3j)).matrix,
+    "sigma3": lambda: SIGMA3, "d3-candidate": lambda: D3_CANDIDATE,
+    "theta-n2": lambda: bell.theta_n(2).matrix, "theta-n3": lambda: bell.theta_n(3).matrix,
+    "zero3": lambda: np.zeros((3, 3), dtype=complex), "d1": lambda: np.array([[np.exp(0.7j)]]),
+    **{"random%d" % d: (lambda d=d: _random_operator(d, d)) for d in (2, 3, 4, 5)},
+    "antisymmetric3": lambda: _random_operator(3, 6, "antisymmetric"),
+    "symmetric4": lambda: _random_operator(4, 7, "symmetric"),
+}
+
+
+@pytest.mark.parametrize("phase", ["det", "best"])
+@pytest.mark.parametrize("name", sorted(COVARIANCE_OPERATORS))
+def test_covariance_residuals_match_the_dense_images(name, phase, engine, monkeypatch):
+    a = np.asarray(COVARIANCE_OPERATORS[name](), dtype=complex)
+    d = len(a)
+    expected = dense_covariance_residuals(a, phase)
+    seen, real = [], bell._covariance_residuals
+    monkeypatch.setattr(bell, "_covariance_residuals", lambda *x: seen.append(real(*x)) or seen[-1])
+    report = check_universality(AntilinearOp(a), trials=7, seed=3, phase=phase)
+    assert engine.runs == [] and report.trials == 0  # nothing is drawn
+    (v,) = seen
+    assert v.shape == (d * d,)
+    assert np.abs(v - expected).max() <= 8 * d * np.finfo(float).eps * max(1.0, np.linalg.norm(a))
+    assert report.max_violation == v.max()
+    witnessed = np.flatnonzero(expected >= TOL)[:MAX_WITNESSES].tolist()
+    assert [w["generator"] for w in report.witnesses] == witnessed
+    assert report.passed == (not witnessed)
+    # the spin flip's line at d=2, 0 everywhere, and any 1 x 1 operator up to phase
+    covariant = {"theta2", "theta2-phased", "zero3"} | ({"d1"} if phase == "best" else set())
+    assert report.passed == (name in covariant)
+
+
+def test_search_residuals_are_each_candidates_own(engine):
+    # the stacked residuals of the search's candidates are those of each candidate alone
+    report = universality_search(dim=3, candidates=9, seed=2)
+    a = search_candidates(9, 2)
+    worst = [bell._covariance_residuals(x, "best").max() for x in a]
+    assert engine.runs == [] and report.trials == 0
+    assert report.max_violation == min(worst)
+    assert report.details == {"dim": 3, "candidates": 9, "seed": 2,
+                              "weakest_candidate": int(np.argmin(worst))}
+    assert [w["violation"] for w in report.witnesses] == worst[:MAX_WITNESSES]
+
+
 @pytest.mark.parametrize("case", ["cond2-fourier3", "cond3-fourier3", "cond4-fourier3",
                                   "universality-d2-sigma3", "preserves-cnot"])
 def test_chunk_boundaries(case):
@@ -731,42 +839,19 @@ def test_seed_is_an_integer(case, engine):
     json.dumps(report_to_obj(report))
 
 
-def test_default_search_is_one_engine_run(engine, monkeypatch):
-    # 50 x 100 flat trials in ceil(5000 / chunk_size(9)) Haar stacks, not one stack per candidate
-    counts = []
-
-    def counted(d, seed, count):
-        counts.append(count)
-        return haar_unitary(d, seed, count)
-
-    monkeypatch.setattr(bell, "haar_unitary", counted)
-    report = universality_search(dim=3)
-    (run,) = engine.runs
-    assert run["trials"] == report.trials == 5000
-    assert len(counts) == -(-5000 // chunk_size(9)) == 6 and sum(counts) == 5000
-    # a candidate's violation is the worst of its own 100 trials
-    per_candidate = [run["violations"][100 * c:100 * (c + 1)].max() for c in range(50)]
-    assert report.max_violation == min(per_candidate)
-    assert report.details["weakest_candidate"] == int(np.argmin(per_candidate))
-
-
-@pytest.mark.parametrize("trials", ["3", "1000"])  # 8 witnesses over 3 candidates, or 1
+@pytest.mark.parametrize("trials", ["3", "1000"])  # accepted and ignored
 def test_search_witnesses_replay_from_their_report(trials, tmp_path, capsys):
+    # each witness names a candidate drawn from the recorded seed and its worst generator
     path = tmp_path / "u3.json"
     argv = ["check", "universality", "--dim", "3", "--trials", trials, "--seed", "4"]
     assert main(argv + ["--report", str(path)]) == 0
     obj = load_json(path)
-    candidates = obj["details"]["candidates"]
-    assert len(obj["witnesses"]) == MAX_WITNESSES
-    step = chunk_size(9)
-    for w in obj["witnesses"]:
-        assert w["candidate"] == w["trial"] // int(trials)
-        a = search_candidates(candidates, w["seed"])[w["candidate"]]
-        chunk, k = divmod(w["trial"], step)
-        count = min(step, obj["trials"] - chunk * step)
-        u = haar_unitary(3, chunk_rng(w["seed"], chunk), count=count)[k]
-        (violation,) = covariance([a], "best")(None, ([u], [0]))
-        assert abs(violation - w["violation"]) <= 1e-12
+    assert obj["trials"] == 0 and len(obj["witnesses"]) == MAX_WITNESSES
+    candidates = search_candidates(obj["details"]["candidates"], obj["details"]["seed"])
+    for c, w in enumerate(obj["witnesses"]):
+        residuals = dense_covariance_residuals(candidates[w["candidate"]], "best")
+        assert w["candidate"] == c and w["generator"] == int(np.argmax(residuals))
+        assert abs(w["violation"] - residuals.max()) <= 1e-12
 
 
 class TestLazyFields:
@@ -875,9 +960,10 @@ def _overflowing_fourier2():
                  {"pair": [0, 0]}, id="cond2"),
     pytest.param(lambda: check_bell_condition(_overflowing_fourier2(), 5, trials=5),
                  {"pair": [0, 1]}, id="cond5"),
-    pytest.param(lambda: check_universality(theta2(1e300), trials=5), {"trial": 0},
+    # the generator residuals of an overflowing operator: its first generator is a witness
+    pytest.param(lambda: check_universality(theta2(1e300), trials=5), {"generator": 0},
                  id="universality"),
-    pytest.param(lambda: check_preserves_max_entangled(np.full((4, 4), np.nan), trials=5),
+    pytest.param(lambda: sampled_preserves(np.full((4, 4), np.nan), 5, 0),
                  {"trial": 0}, id="preserves-nan"),
 ])
 def test_inf_or_nan_trial_is_a_witness_without_warnings(check, first):

@@ -12,7 +12,6 @@ from entbasis import (
     bell_basis,
     bell_matrix,
     check_det_criterion_agreement,
-    check_preserves_max_entangled,
     factor_local,
     flip_operator,
     fourier_basis,
@@ -25,7 +24,7 @@ from entbasis import bell, factorize
 from entbasis.factorize import _is_rank_one, _reshuffle
 from entbasis.fileio import report_to_obj
 from entbasis.reports import RANK_TOL
-from test_engine import sampled_bell_condition
+from test_engine import sampled_bell_condition, sampled_preserves
 
 CNOT = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
@@ -82,8 +81,8 @@ class TestOperatorSchmidt:
             operator_schmidt(np.eye(6))
 
 
-@pytest.mark.parametrize("run", [operator_schmidt, factor_local, check_preserves_max_entangled],
-                         ids=["operator_schmidt", "factor_local", "preserves"])
+@pytest.mark.parametrize("run", [operator_schmidt, factor_local],
+                         ids=["operator_schmidt", "factor_local"])
 @pytest.mark.parametrize("u", [np.eye(4)[:, :3], np.ones(4)], ids=["4x3", "vector"])
 def test_every_operator_entry_refuses_a_non_square_input_alike(run, u):
     # one rule where an operator enters, before any reshape or product meets the wrong shape
@@ -150,29 +149,23 @@ class TestFactorLocal:
 
 
 class TestPreservesMaxEntangled:
+    # U keeps maximally entangled vectors so exactly when factor_local says local or local_flip
     def test_local_unitary_clean(self):
         rng = np.random.default_rng(5)
         u = tensor(haar_unitary(2, rng), haar_unitary(2, rng))
-        report = check_preserves_max_entangled(u, trials=500, seed=0)
-        assert report.passed
-        assert report.max_violation < 1e-10
-        assert report.verdict == "no violation found"
-        assert report.witnesses == ()
+        result = factor_local(u)
+        assert result.kind == "local" and result.residual < 1e-10
 
     def test_cnot_witness(self):
-        report = check_preserves_max_entangled(CNOT, trials=100, seed=0)
-        assert not report.passed
-        assert report.max_violation > 0.1
-        assert report.witnesses
-        assert report.verdict == "violation witnessed"
+        result = factor_local(CNOT)
+        assert result.kind == "neither" and result.residual > 0.1
 
     def test_flip_clean(self):
-        report = check_preserves_max_entangled(flip_operator(3), trials=200, seed=1)
-        assert report.passed
-        assert report.max_violation < 1e-10
+        result = factor_local(flip_operator(3))
+        assert result.kind == "local_flip" and result.residual < 1e-10
 
     def test_verdict_agreement_with_factor_local(self):
-        # neither-verdicts and sampled violations must name the same inputs
+        # neither-verdicts and violations of the sampled form must name the same inputs
         rng = np.random.default_rng(6)
         f = flip_operator(2)
         for t in range(500):
@@ -183,7 +176,7 @@ class TestPreservesMaxEntangled:
             else:
                 u = haar_unitary(4, rng)
             says_neither = factor_local(u, tol=1e-8).kind == "neither"
-            witnessed = check_preserves_max_entangled(u, trials=40, seed=t).max_violation > 1e-6
+            witnessed = sampled_preserves(u, trials=40, seed=t).max_violation > 1e-6
             assert says_neither == witnessed
 
 

@@ -18,7 +18,6 @@ from entbasis import (
     build_clifford_generators,
     check_bell_condition,
     check_det_criterion_agreement,
-    check_preserves_max_entangled,
     check_universality,
     clifford_check,
     cyclic_latin_square,
@@ -180,8 +179,6 @@ EVERY_CHECK = {
         _d3_antilinear(), trials=5, seed=7, phase="best"),
     "universality_search": lambda: universality_search(candidates=2, trials=5),
     "det_criterion_agreement": lambda: check_det_criterion_agreement(trials=4),
-    "preserves_max_entangled": lambda: check_preserves_max_entangled(
-        np.eye(4)[[0, 1, 3, 2]], trials=5),
     "clifford_check": lambda: clifford_check(list(build_clifford_generators(3)) * 2),
 }
 

@@ -104,7 +104,7 @@ sys.exit(main(sys.argv[1:]))
 """
 
 
-@pytest.mark.parametrize("suite", ["universality", "det-criterion"])  # both sample at d=2
+@pytest.mark.parametrize("suite", ["det-criterion"])  # the one check that samples
 def test_allocation_the_machine_cannot_make_exits_2(suite):
     src = os.path.dirname(os.path.dirname(entbasis.__file__))
     env = dict(os.environ,
