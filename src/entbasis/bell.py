@@ -306,15 +306,16 @@ def canonicalize_bell_basis(basis, tol=INPUT_TOL):
     return BellCanonicalization(u1, u2, tuple(phases.tolist()), permutation, residual)
 
 
-def _pair_reports(basis, tol):
+def _pair_reports(basis, tol, is_basis):
     """Condition 4's report and condition 6's, from one run of the pair kernel.
 
     Condition 6's norm of a pair j < k is s_jk = ||X_j^dag X_k + X_k^dag X_j||_F. For unitary X
     and orthonormal b_j = vec(X_j)/sqrt(d), the distance of m_jk = b_j b_k^dag - b_k b_j^dag from
     the local algebra span{Y tensor I, I tensor Z}, by partial traces, is
     r_jk = sqrt(2 (d (d^2 - 4) + s_jk^2) / d^3): s_jk / 2 at d=2, at least sqrt(2 - 8/d^2) at
-    d >= 3, with no cancellation. A basis that fails verify_unitary_basis within INPUT_TOL gets
-    NaN at every pair; at d=1, which has no pair, that gate alone decides.
+    d >= 3, with no cancellation. is_basis is the caller's verify_unitary_basis verdict within
+    INPUT_TOL: a basis that fails it gets NaN at every pair; at d=1, which has no pair, that
+    gate alone decides.
     """
     d, n = basis.dim, len(basis.ops)
     v, witnesses = _anticommutators(basis.ops.conj().swapaxes(-1, -2), basis.ops, tol)
@@ -322,7 +323,7 @@ def _pair_reports(basis, tol):
     rows, cols = np.nonzero(np.tri(n, dtype=bool).T)  # the kernel's pairs a <= b, row-major
     off = rows < cols
     s = v[off]
-    if verify_unitary_basis(basis, INPUT_TOL):
+    if is_basis:
         r, worst = np.sqrt(2 * (d * (d * d - 4) + s * s) / d ** 3), 0.0
     else:
         r, worst = np.full(len(s), np.nan), np.nan
@@ -365,7 +366,7 @@ def check_bell_condition(basis, condition, trials=1000, seed=0, tol=TOL):
         raise ValueError("unknown condition id %r" % (condition,))
     require_tolerance(tol)
     if condition != 2:
-        four, six = _pair_reports(basis, tol)
+        four, six = _pair_reports(basis, tol, verify_unitary_basis(basis, INPUT_TOL).passed)
         return replace(four if condition < 5 else six, name="bell-condition-%d" % condition)
     d = basis.dim
     b = basis_matrix(basis)
@@ -440,8 +441,8 @@ def check_det_criterion_agreement(trials=1000, seed=0, tol=TOL):
         return mismatch.astype(float), lambda rows: {"det_verdict": det_verdict[rows],
                                                      "factor_verdict": factor_verdict[rows]}
 
-    # every disagreeing trial is a witness
-    violations, witnesses = sample_violations(trials, seed, 1.0, draw, measure, 16)
+    # every disagreeing trial is a witness; the 0/1 mismatches sum exactly
+    mismatches, witnesses = sample_violations(trials, seed, 1.0, draw, measure, 16)
     return tolerance_report(
-        "det-criterion-agreement", violations.mean(), tol, trials=trials, witnesses=witnesses
+        "det-criterion-agreement", mismatches / trials, tol, trials=trials, witnesses=witnesses
     )

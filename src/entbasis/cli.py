@@ -128,9 +128,10 @@ def cmd_factorize(args):
 
 
 def cmd_check_bell_all(args):
-    basis = _require_basis(load_basis(args.basis), INPUT_TOL) if args.basis else bell_basis()
+    # the one verify_unitary_basis of the command: a basis that fails it is refused
+    basis = _require_basis(load_basis(args.basis) if args.basis else bell_basis(), INPUT_TOL)
     two = check_bell_condition(basis, 2, tol=args.tol)
-    four, six = _pair_reports(basis, args.tol)  # condition 5's report is 6's, renamed
+    four, six = _pair_reports(basis, args.tol, True)  # condition 5's report is 6's, renamed
     return [two, four, dataclasses.replace(six, name="bell-condition-5"), six], []
 
 
@@ -157,6 +158,10 @@ MAX_CLIFFORD_COUNT = 17
 # (d, d, d) temporaries that fill it, and from 106 on the stack itself is refused
 MAX_GEN_DIM = 104
 
+# det-criterion's memory is flat in its trials, so time binds: 2.0-3.0 us a trial (200,000
+# took 0.40-0.60 s on a 2-core VM, one BLAS thread), so 10^7 trials run in 20-30 s
+MAX_TRIALS = 10 ** 7
+
 
 def cmd_check_clifford(args):
     if args.count > MAX_CLIFFORD_COUNT:
@@ -169,6 +174,8 @@ def cmd_check_clifford(args):
 
 
 def cmd_check_det_criterion(args):
+    if args.trials > MAX_TRIALS:
+        raise ValueError("trials must be at most %d, got %d" % (MAX_TRIALS, args.trials))
     rep = check_det_criterion_agreement(trials=args.trials, seed=args.seed, tol=args.tol)
     return rep, ["verdict: %s" % rep.verdict]
 
@@ -244,7 +251,7 @@ def build_parser():
 
     p = csub.add_parser("det-criterion",
                         help="determinant classification vs direct factorization")
-    _add_check_flags(p)
+    _add_check_flags(p, note="; at most %d" % MAX_TRIALS, seed_note="")
     p.set_defaults(func=cmd_check_det_criterion)
 
     return parser

@@ -133,7 +133,7 @@ def unitarity_residual(x):
     """
     x = np.asarray(x)
     with np.errstate(over="ignore", invalid="ignore"):
-        products = _mul(np.swapaxes(x.conj(), -1, -2), x)
+        products = np.swapaxes(x.conj(), -1, -2) @ x
         return np.linalg.norm(products - np.eye(x.shape[-1]), axis=(-2, -1))
 
 
@@ -151,24 +151,13 @@ def _monomial_parts(stack):
     return rows, stack[np.arange(len(rows))[:, None], rows, np.arange(rows.shape[-1])]
 
 
-# Whole-stack arithmetic beats a LAPACK or BLAS call per matrix from _STACK matrices of small
-# order on. Its time over np.linalg.det or the matmul, real and complex, best of 7 on 2 cores
-# (numpy 2.4.6, OpenBLAS 0.3.31):
+# Whole-stack arithmetic beats a LAPACK call per matrix from _STACK matrices of small order
+# on. Its time over np.linalg.det, real and complex, best of 7 on 2 cores (numpy 2.4.6,
+# OpenBLAS 0.3.31):
 #   matrices         13        101        512
 #   _det order 2-4   1.5-4.4   0.41-1.05  0.11-0.54
 #   _det order 5     5.0-6.1   1.2-1.25   0.60-0.65  (1.7-1.9 at 2000)
-#   _mul order 2-3   1.3-2.5   0.40-1.07  0.22-0.89
-#   _mul order 4     2.2-3.6   1.0-1.66   0.95-1.44
 _STACK = 64
-
-
-def _mul(x, y):
-    """x @ y, as a sum of broadcast outer products for _STACK or more matrices of order 2-3."""
-    n = x.shape[-1]
-    if not (1 < n <= 3 and x.size >= _STACK * n * n):
-        return x @ y
-    terms = (x[..., :, j, None] * y[..., None, j, :] for j in range(n))
-    return sum(terms, next(terms))
 
 
 def _cofactors(n, k):

@@ -12,10 +12,11 @@ violation is below tol, which a NaN is not, and no witness is listed.
 
 The sampled check, det-criterion agreement, runs through the engine
 sample_violations: chunk c of the trials draws from the spawn key (c,) of the
-check's seed (chunk_rng), and the first MAX_WITNESSES violating trials are
-kept in order. The tolerances every module shares are named
-here once, and so are the rules that refuse an input where it enters, with
-one wording each: require_positive, require_square and require_tolerance.
+check's seed (chunk_rng), the violations fold into a running sum, and the
+first MAX_WITNESSES violating trials are kept in order. The tolerances every
+module shares are named here once, and so are the rules that refuse an input
+where it enters, with one wording each: require_positive, require_square and
+require_tolerance.
 """
 
 import operator
@@ -133,7 +134,7 @@ def chunk_rng(seed, chunk):
 
 
 def sample_violations(trials, seed, tol, draw, measure, per_trial):
-    """The sampled-check engine: per-trial violations and the first witnesses.
+    """The sampled-check engine: the sum of the trials' violations and the first witnesses.
 
     Trials run in chunks of chunk_size(per_trial), chunk c drawn from chunk_rng(seed, c):
     draw(rng, idx) gets one chunk's Generator and trial indices and returns an array or a tuple
@@ -142,26 +143,27 @@ def sample_violations(trials, seed, tol, draw, measure, per_trial):
     and returns a dict of named entries, one per row, so a costly field is built for at most
     MAX_WITNESSES trials. Every trial whose violation is not below tol, NaN included, is a
     witness {"trial": index, "seed": seed, "violation": v, **fields}, up to MAX_WITNESSES, in
-    trial order; measure runs with overflow and invalid warnings off, as an inf or NaN is a
-    verdict. A bad trial count, tol or seed (an integer: a Generator's run could not be
-    replayed) is refused before the first draw. Returns all trials' violations and the witnesses.
+    trial order; measure and the sum run with overflow and invalid warnings off, as an inf or
+    NaN is a verdict. Only the running sum outlives a chunk, so memory is flat in trials, and a
+    NaN violation makes the sum NaN. A bad trial count, tol or seed (an integer: a Generator's
+    run could not be replayed) is refused before the first draw.
     """
     require_positive(trials)
     require_tolerance(tol)
     seed = operator.index(seed)
     step = chunk_size(per_trial)
-    violations = np.empty(trials)
-    witnesses = []
+    total, witnesses = 0.0, []
     for c, start in enumerate(range(0, trials, step)):
         idx = np.arange(start, min(start + step, trials))
         batch = draw(chunk_rng(seed, c), idx)
         with np.errstate(over="ignore", invalid="ignore"):
             out = measure(batch)
-        violations[idx], fields = out if isinstance(out, tuple) else (out, None)
-        rows = np.flatnonzero(~(violations[idx] < tol))[: MAX_WITNESSES - len(witnesses)]
+            v, fields = out if isinstance(out, tuple) else (out, None)
+            total += float(np.sum(v))
+        rows = np.flatnonzero(~(v < tol))[: MAX_WITNESSES - len(witnesses)]
         picked = fields(rows) if fields and len(rows) else {}
         witnesses += [
-            {"trial": int(idx[k]), "seed": seed, "violation": float(violations[idx[k]]),
+            {"trial": int(idx[k]), "seed": seed, "violation": float(v[k]),
              **{name: np.asarray(f)[j].tolist() for name, f in picked.items()}}
             for j, k in enumerate(rows)]
-    return violations, witnesses
+    return total, witnesses

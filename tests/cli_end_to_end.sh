@@ -110,9 +110,16 @@ $ENTBASIS check bell-all --trials 50
 expect 1 $ENTBASIS check bell-all --basis b3.json --trials 50
 # a NaN tolerance is a usage error, not a failed check
 expect 2 $ENTBASIS verify b3.json --tol nan
-# an allocation the machine cannot make is a usage error, not a failed check: the run
-# gets 2 GiB of address space, as uncapped a 7 TiB array may be granted. det-criterion is
-# the one suite that samples
+# a run past det-criterion's trial cap (10^7, 20-30 s) is a usage error, not a failed
+# check: it is refused before the first draw, without an address-space limit (under a
+# timeout, so a lost cap fails here and not by running for weeks) and within 2 GiB, with one
+# error line and nothing on stdout. det-criterion is the one suite that samples
+code=0
+timeout 10 $ENTBASIS check det-criterion --trials 1000000000000 > cap.out 2> cap.err || code=$?
+test "$code" -eq 2
+test ! -s cap.out
+test "$(wc -l < cap.err)" -eq 1
+grep -q '^error: trials must be at most' cap.err
 (ulimit -v 2097152
  expect 2 $ENTBASIS check det-criterion --trials 1000000000000)
 $ENTBASIS check det-criterion --trials 200

@@ -245,6 +245,21 @@ class TestCheck:
         assert five["name"] == "bell-condition-5" and six["name"] == "bell-condition-6"
         assert {**five, "name": None} == {**six, "name": None}
 
+    @pytest.mark.parametrize("given", [True, False], ids=["basis-file", "bell"])
+    def test_bell_all_verifies_the_basis_once(self, given, tmp_path, monkeypatch):
+        # the verdict that lets the basis in is the pair rule's gate: no second verify
+        from entbasis import bell, cli, entangled
+        calls, real = [], entangled.verify_unitary_basis
+        for module in (bell, cli, entangled):
+            monkeypatch.setattr(module, "verify_unitary_basis",
+                                lambda *a: calls.append(1) or real(*a))
+        basis = tmp_path / "b3.json"
+        main(["gen", "--dim", "3", "--out", str(basis)])
+        argv = ["check", "bell-all"] + (["--basis", str(basis)] if given else [])
+        calls.clear()
+        assert main(argv) == (1 if given else 0)
+        assert len(calls) == 1
+
     def test_bell_all_ignores_trials_and_seed(self, tmp_path):
         # every condition is decided exactly: the flags are accepted and reach nothing
         basis, r1, r2 = tmp_path / "b3.json", tmp_path / "r1.json", tmp_path / "r2.json"

@@ -23,7 +23,6 @@ from entbasis import (
 from entbasis import bell, factorize
 from entbasis.factorize import _is_rank_one, _reshuffle
 from entbasis.fileio import report_to_obj
-from entbasis.reports import RANK_TOL
 from test_engine import sampled_bell_condition, sampled_preserves
 
 CNOT = np.array(
@@ -232,12 +231,9 @@ class TestStackedKinds:
         kinds = factorize._local_kinds(us)
         assert kinds.tolist() == expected.tolist()
         assert 0 < sum(deferred) < len(us)
-        # the minor certifies "neither" before any reshuffle, but at d=2 no basis-real U
-        open_ = ~_minor_certified(us)
-        assert open_[len(near):len(near) + len(real)].all() == (d == 2) and not open_.all()
-        assert pivoted == [int(open_.sum())]
-        # the flip is examined only where an uncertified U is not local
-        assert flipped == [int((kinds[open_] != "local").sum())]
+        # every U takes the pivot, and the flip is examined only where U is not local
+        assert pivoted == [len(us)]
+        assert flipped == [int((kinds != "local").sum())]
 
 
 def _spy(monkeypatch, name):
@@ -247,16 +243,8 @@ def _spy(monkeypatch, name):
     return calls
 
 
-def _minor_certified(us):
-    """The minor certificate restated: |U00 U0,d+1 - U01 U0d| > 2 RANK_TOL ||U||_F^2."""
-    d = round(us.shape[-1] ** 0.5)
-    row = us[:, 0]
-    minor = np.abs(row[:, 0] * row[:, d + 1] - row[:, 1] * row[:, d])
-    return minor > 2 * RANK_TOL * np.linalg.norm(us, axis=(1, 2)) ** 2
-
-
 def _products(d, rng, count):
-    """U1 tensor U2 for Haar U1, U2, and each times F: their minor is 0 up to rounding."""
+    """U1 tensor U2 for Haar U1, U2, and each times F."""
     a, b = haar_unitary(d, rng, count=count), haar_unitary(d, rng, count=count)
     u = np.einsum("tij,tkl->tikjl", a, b).reshape(count, d * d, d * d)
     return np.concatenate([u, u @ flip_operator(d)])
@@ -272,9 +260,7 @@ class TestMinorCertificate:
         pivoted = _spy(monkeypatch, "_reshuffle")
         kinds = factorize._local_kinds(us)
         assert kinds.tolist() == _svd_kinds(us).tolist()
-        # local and local-flip products all reach the pivot, Haar ones never do
-        assert not _minor_certified(products).any() and _minor_certified(haar).all()
-        assert pivoted == [int((~_minor_certified(us)).sum())]
+        assert pivoted == [len(us)]
         assert set(kinds[len(near):len(near) + len(products)]) == {"local", "local_flip"}
         assert set(kinds[-len(haar):]) == {"neither"}
 
@@ -292,9 +278,9 @@ class TestMinorCertificate:
 
     @pytest.mark.parametrize("d", [3, 4])
     def test_bound_holds_at_the_rank_threshold(self, d):
-        # exp(i eps (E_{0,d+1} + E_{d+1,0})) has minor sin(eps) cos(eps) and s1/s0 = sin(eps)/d:
-        # the SVD calls it local up to eps = d RANK_TOL, so a bound below 2 RANK_TOL ||U||_F^2
-        # would certify local operators as "neither"
+        # exp(i eps (E_{0,d+1} + E_{d+1,0})) has a 2 x 2 minor sin(eps) cos(eps) of R(U) and
+        # s1/s0 = sin(eps)/d: the SVD calls it local up to eps = d RANK_TOL, so a pivot bound
+        # below 2 RANK_TOL ||R||_F^2 would certify local operators as "neither"
         eps = np.logspace(-9, -6, 61)
         u = np.repeat(np.eye(d * d, dtype=complex)[None], len(eps), axis=0)
         u[:, 0, 0] = u[:, d + 1, d + 1] = np.cos(eps)
@@ -303,17 +289,6 @@ class TestMinorCertificate:
         kinds = factorize._local_kinds(us)
         assert kinds.tolist() == _svd_kinds(us).tolist()
         assert set(kinds) == {"local", "local_flip", "neither"}
-
-    def test_fourier3_condition3_takes_no_reshuffle_before_its_witnesses(self, monkeypatch):
-        # every basis-real unitary B O B^dag at d=3 is "neither", each certified by its minor:
-        # no pivot runs and nothing is reshuffled
-        pivots = []
-        monkeypatch.setattr(factorize, "_rank_one", lambda r: pivots.append(len(r)))
-        plain, flip = _spy(monkeypatch, "_reshuffle"), _spy(monkeypatch, "_flip_reshuffle")
-        b = basis_matrix(fourier_basis(3))
-        us = b @ random_orthogonal(9, 7, count=1000) @ b.conj().T
-        assert (factorize._local_kinds(us) == "neither").all()
-        assert pivots == [] and plain == flip == []
 
     @pytest.mark.parametrize("check, text", [
         # condition 3's sampled form, whose kinds come from _local_kinds
@@ -327,8 +302,8 @@ class TestMinorCertificate:
          '"witnesses": [], "details": {}}'),
     ], ids=["bell-condition-3", "det-criterion"])
     def test_d2_stacks_pass_to_the_pivot_as_they_are(self, check, text, monkeypatch):
-        # at d=2 every sampled U is local or local-flip, with a zero minor: the certificate
-        # decides no trial and each chunk reaches the pivot whole, not as a copy
+        # at d=2 every sampled U is local or local-flip, and each chunk reaches the pivot whole,
+        # not as a copy
         given, pivoted = [], []
         real_kinds, real_reshuffle = factorize._local_kinds, factorize._reshuffle
         monkeypatch.setattr(bell, "_local_kinds", lambda u: given.append(u) or real_kinds(u))

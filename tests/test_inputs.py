@@ -24,7 +24,7 @@ from entbasis import (
     validate_latin_square,
     vector_from_operator,
 )
-from entbasis import cli
+from entbasis import cli, reports
 from entbasis.cli import main
 from entbasis.fileio import basis_from_obj, load_basis, save_json
 
@@ -82,6 +82,19 @@ def test_gen_past_the_size_cap_is_refused_before_building(monkeypatch, capsys):
         cli.MAX_GEN_DIM, cli.MAX_GEN_DIM + 1)
 
 
+def test_det_criterion_past_the_trial_cap_is_refused_before_drawing(monkeypatch, capsys):
+    drawn, real = [], reports.chunk_rng
+    monkeypatch.setattr(reports, "chunk_rng", lambda seed, c: drawn.append(c) or real(seed, c))
+    for trials in (cli.MAX_TRIALS + 1, 10 ** 12):
+        assert main(["check", "det-criterion", "--trials", str(trials)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: trials must be at most %d, got %d\n" % (
+            cli.MAX_TRIALS, trials)
+    assert drawn == []
+    assert main(["check", "det-criterion", "--trials", "600"]) == 0
+    assert drawn == [0, 1]  # a run under the cap draws its chunks through the same spy
+
+
 def test_empty_basis_is_refused_where_it_is_made(tmp_path, capsys):
     with pytest.raises(ValueError, match="^dim must be at least 1, got 0$"):
         EntangledBasis(0, np.zeros((0, 0, 0), dtype=complex))
@@ -93,9 +106,9 @@ def test_empty_basis_is_refused_where_it_is_made(tmp_path, capsys):
     assert capsys.readouterr().err == "error: dim must be at least 1, got 0\n"
 
 
-# one child at a time, capped at 2 GiB of address space before entbasis is imported: a
-# sampled check's violations array of 10^12 doubles cannot be allocated there. Uncapped,
-# with overcommit on, the allocation may succeed and the check would run for hours
+# one child at a time, limited to 2 GiB of address space before entbasis is imported. 10^12
+# trials are past det-criterion's trial cap (cli.MAX_TRIALS), so the run exits 2 before its
+# first draw with or without the limit; below the cap its memory does not grow with trials
 _CAPPED_MAIN = """
 import resource, sys
 resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))

@@ -402,7 +402,8 @@ def test_gaussian_draws_equal_the_textbook_expression(d, count):
 
 
 class TestSmallKernels:
-    """linalg._det and linalg._mul against LAPACK and the matmul."""
+    """linalg._det against LAPACK, and the stacked Gram of unitarity_residual against the
+    matmul of each matrix."""
 
     @staticmethod
     def stack(rng, n, count, real):
@@ -426,15 +427,13 @@ class TestSmallKernels:
     @pytest.mark.parametrize("count", [None, 1, 7, 1000], ids=["2-D", "1", "7", "1000"])
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 9])
     def test_mul_matches_matmul(self, n, count, real):
-        rng = np.random.default_rng(n)
-        x, y = self.stack(rng, n, count, real), self.stack(rng, n, count, real)
-        # U^dag X in the unitarity residual, U A U^T in the universality check
-        for left, right in ((x, y), (np.swapaxes(x.conj(), -1, -2), y), (x, np.swapaxes(y, -1, -2))):
-            got, want = linalg._mul(left, right), left @ right
-            assert got.shape == want.shape and got.dtype == want.dtype
-            bound = (1e-15 * np.linalg.norm(left, axis=(-2, -1))
-                     * np.linalg.norm(right, axis=(-2, -1)))
-            assert np.all(np.linalg.norm(got - want, axis=(-2, -1)) <= bound)
+        # unitarity_residual's stacked Gram X^dag X against one matmul a matrix
+        x = self.stack(np.random.default_rng(n), n, count, real)
+        got = linalg.unitarity_residual(x)
+        want = [np.linalg.norm(m.conj().T @ m - np.eye(n)) for m in x.reshape(-1, n, n)]
+        assert np.shape(got) == x.shape[:-2]
+        scale = np.ravel(np.linalg.norm(x, axis=(-2, -1))) ** 2 + 1
+        assert np.all(np.abs(np.ravel(got) - want) <= 8 * n * np.finfo(float).eps * scale)
 
 
 class TestSandwich:
