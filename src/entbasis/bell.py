@@ -19,7 +19,9 @@ This module provides:
     expansion coefficients, unitarity of real combinations, operator
     anticommutation), each from products of basis operators, no sampling;
   * det_criterion: classification of unitaries real in Bell coordinates
-    by the sign of their determinant.
+    by the sign of their determinant, and check_det_criterion_agreement,
+    which decides exactly, from so(4)'s generators and one unitary per
+    coset of SO(4) in O(4), that it agrees with factor_local.
 """
 
 import operator
@@ -29,16 +31,8 @@ import numpy as np
 
 from .clifford import _anticommutators
 from .entangled import EntangledBasis, _require_basis, basis_matrix, verify_unitary_basis
-from .factorize import _local_kinds, _require_unitary, factor_local
-from .linalg import (
-    PAULIS,
-    StateVector,
-    _det,
-    _sandwich,
-    _so4,
-    tensor,
-    unitarity_residual,
-)
+from .factorize import _require_unitary, factor_local
+from .linalg import PAULIS, StateVector, _sandwich, flip_operator, tensor, unitarity_residual
 from .reports import (
     INPUT_TOL,
     LEAD_TOL,
@@ -49,7 +43,6 @@ from .reports import (
     require_positive,
     require_square,
     require_tolerance,
-    sample_violations,
     tolerance_report,
 )
 
@@ -383,21 +376,6 @@ def check_bell_condition(basis, condition, trials=1000, seed=0, tol=TOL):
     return tolerance_report("bell-condition-2", np.max(v), tol, witnesses=witnesses)
 
 
-def _det_verdicts(u, tol):
-    """det_criterion's verdict for a 4 x 4 unitary or for each of a stack.
-
-    The Bell-frame matrix B^dag U B is "not_real_in_bell" when an entry
-    keeps an imaginary part above tol; otherwise the sign of the
-    determinant of its real part decides. u is taken as unitary: det_criterion
-    gates its input, and the sampled check builds u from _BELL.
-    """
-    ub = _sandwich(_BELL.conj().T, u, _BELL)
-    real = np.abs(ub.imag).max(axis=(-2, -1)) <= tol
-    return np.where(
-        real, np.where(_det(ub.real) > 0, "local", "local_flip"), "not_real_in_bell"
-    )
-
-
 def det_criterion(u, tol=TOL):
     """Classify a two-qubit unitary that is real in Bell coordinates.
 
@@ -412,37 +390,34 @@ def det_criterion(u, tol=TOL):
     if u.shape != (4, 4):
         raise ValueError("determinant criterion lives on C^2 tensor C^2")
     _require_unitary(u, INPUT_TOL)
-    return str(_det_verdicts(u, tol))
+    ub = _BELL.conj().T @ u @ _BELL
+    if not np.abs(ub.imag).max() <= tol:
+        return "not_real_in_bell"
+    return "local" if np.linalg.det(ub.real) > 0 else "local_flip"
 
 
 def check_det_criterion_agreement(trials=1000, seed=0, tol=TOL):
-    """Cross-validate det_criterion against factor_local on sampled inputs.
+    """Decide that det_criterion and factor_local agree on every unitary real in Bell coordinates.
 
-    Each trial builds a unitary that is real orthogonal in Bell
-    coordinates; even trials are forced to determinant +1 and odd trials
-    to -1, so both verdicts are exercised. The violation is the fraction
-    of trials where the determinant sign and the factorization verdict
-    disagree ("local" with +1, "local_flip" with -1).
+    Those unitaries are B O B^dag, B the Bell matrix and O in O(4), which is SO(4) and its coset
+    SO(4) D, D = diag(1, 1, -1, 1). SO(4) is connected, so B SO(4) B^dag lies in the local group
+    exactly when every generator image B (E_jk - E_kj) B^dag = m_jk lies in the local algebra:
+    Bell condition 3's residual r_jk on bell_basis() (_pair_reports). D is the Bell frame of the
+    flip F, so the coset is the local group times F, and F is not local at d=2: no unitary can get
+    both verdicts. So the deciders agree everywhere exactly when every r_jk vanishes, both say
+    "local" on I and both say "local_flip" on F. The violation is the largest r_jk, or 1.0 for a
+    representative on which either decider disagrees; witnesses name the pair or the
+    representative with both verdicts. trials and seed are accepted and ignored: the report says
+    trials 0.
     """
     require_tolerance(tol)
-
-    def draw(rng, idx):
-        o = _so4(rng, len(idx))
-        o[idx % 2 == 1, :, 0] *= -1.0  # Haar on the other coset of SO(4) in O(4)
-        return o, idx % 2 == 0
-
-    def measure(batch):
-        o, want_positive = batch
-        u = _sandwich(_BELL, o, _BELL.conj().T)
-        factor_verdict = _local_kinds(u)
-        det_verdict = _det_verdicts(u, tol)
-        expected = np.where(want_positive, "local", "local_flip")
-        mismatch = (det_verdict != expected) | (factor_verdict != expected)
-        return mismatch.astype(float), lambda rows: {"det_verdict": det_verdict[rows],
-                                                     "factor_verdict": factor_verdict[rows]}
-
-    # every disagreeing trial is a witness; the 0/1 mismatches sum exactly
-    mismatches, witnesses = sample_violations(trials, seed, 1.0, draw, measure, 16)
-    return tolerance_report(
-        "det-criterion-agreement", mismatches / trials, tol, trials=trials, witnesses=witnesses
-    )
+    # bell_basis() is a basis of unitaries, so the pair kernel needs no basis gate
+    four, _ = _pair_reports(bell_basis(), tol, True)
+    worst, witnesses = four.max_violation, list(four.witnesses)
+    for name, u, kind in (("identity", np.eye(4), "local"), ("flip", flip_operator(2), "local_flip")):
+        verdicts = det_criterion(u, tol), factor_local(u).kind
+        if verdicts != (kind, kind):
+            worst = max(worst, 1.0)
+            witnesses.append({"input": name, "det_verdict": verdicts[0],
+                              "factor_verdict": verdicts[1], "violation": 1.0})
+    return tolerance_report("det-criterion-agreement", worst, tol, witnesses=witnesses)

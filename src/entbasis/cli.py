@@ -15,12 +15,12 @@ property check failed, 2 malformed input, usage error or memory exhausted.
 Identical command lines with identical seeds produce byte-identical report files.
 
 Where the C library is glibc, main pins malloc's trim and mmap thresholds at 32 MiB
-each, once per process. At the defaults (128 KiB) det-criterion's 64-128 KiB chunk
-arrays were unmapped or trimmed after each call and faulted in again on the next: 590
-minor faults per warm call (2000 trials, one process), against 0 pinned. 32 MiB is
-glibc's own ceiling for its dynamic mmap threshold on 64-bit. Either threshold set alone
-fixes the other at 128 KiB; a 64 MiB trim threshold let the basis-io bench's peak RSS creep
-4 % in 25 s.
+each, once per process. 32 MiB is glibc's own ceiling for its dynamic mmap threshold on
+64-bit. Either threshold set alone fixes the other at 128 KiB, under gen --dim 24's 5.3 MB
+stack, which is then mapped, unmapped and faulted in again on every warm call: 279 minor
+faults a call with only the trim threshold set and 575 with only the mmap one, against
+0.3 with both (one process, 20 warm calls). A 64 MiB trim threshold let the basis-io
+bench's peak RSS creep 4 % in 25 s.
 A library caller gets the same once main has run in its process.
 Importing entbasis starts numpy's BLAS on one thread unless numpy or a thread count came first.
 """
@@ -158,10 +158,6 @@ MAX_CLIFFORD_COUNT = 17
 # (d, d, d) temporaries that fill it, and from 106 on the stack itself is refused
 MAX_GEN_DIM = 104
 
-# det-criterion's memory is flat in its trials, so time binds: 2.0-3.0 us a trial (200,000
-# took 0.40-0.60 s on a 2-core VM, one BLAS thread), so 10^7 trials run in 20-30 s
-MAX_TRIALS = 10 ** 7
-
 
 def cmd_check_clifford(args):
     if args.count > MAX_CLIFFORD_COUNT:
@@ -174,9 +170,7 @@ def cmd_check_clifford(args):
 
 
 def cmd_check_det_criterion(args):
-    if args.trials > MAX_TRIALS:
-        raise ValueError("trials must be at most %d, got %d" % (MAX_TRIALS, args.trials))
-    rep = check_det_criterion_agreement(trials=args.trials, seed=args.seed, tol=args.tol)
+    rep = check_det_criterion_agreement(tol=args.tol)
     return rep, ["verdict: %s" % rep.verdict]
 
 
@@ -251,7 +245,8 @@ def build_parser():
 
     p = csub.add_parser("det-criterion",
                         help="determinant classification vs direct factorization")
-    _add_check_flags(p, note="; at most %d" % MAX_TRIALS, seed_note="")
+    _add_check_flags(p, note="; accepted and ignored: so(4)'s generators and one unitary per "
+                             "coset decide the check")
     p.set_defaults(func=cmd_check_det_criterion)
 
     return parser

@@ -5,22 +5,8 @@ maximally entangled vectors exactly when U = U1 tensor U2 or
 U = (U1 tensor U2) F with F the flip. operator_schmidt detects which case
 holds: it expands U = sum_i s_i A_i tensor B_i with trace-orthonormal
 factors, and a unitary is a tensor product exactly when a single
-coefficient s_0 = d survives.
-
-The sampled det-criterion check decides the kind of a whole stack without most of
-the SVDs (_local_kinds). One step of complete pivoting on each reshuffled R, at
-the entry R_pq of largest modulus, leaves S = R - R[:,q] R[p,:] / R_pq.
-Eckart-Young gives s_1 <= ||S||_F and the pivot column s_0 >= ||R[:,q]||; the
-2 x 2 minors through the pivot are R_pq S_ij, each at most s_0 s_1 in modulus,
-and s_0 <= ||R||_F. So a spectrum is certified rank one when
-||S||_F < RANK_TOL ||R[:,q]|| / 2 and not rank one when
-max|S_ij| |R_pq| > 2 RANK_TOL ||R||_F^2; the factor-2 margins make every
-certificate agree with the SVD's own s_1/s_0 < RANK_TOL. Only the
-matrices that no certificate settles go to the SVD, and the flip is
-examined only where U is not local. factor_local, which also returns the
-factors and the "neither" residual, always takes the SVD and is the
-reference the stacked path is tested against. No certificate needs a
-unitary U: factor_local gates its input.
+coefficient s_0 = d survives. factor_local, by that SVD, is the one decider;
+bell.check_det_criterion_agreement holds the determinant criterion against it.
 """
 
 from dataclasses import dataclass
@@ -145,49 +131,3 @@ def factor_local(u, tol=INPUT_TOL):
     residual = float(min(np.linalg.norm(s_plain[1:]), np.linalg.norm(s_flip[1:])))
     return FactorizationResult("neither", None, residual)
 
-
-def _flip_reshuffle(u, d):
-    """R(U F) for one operator or a stack, by axes: R(U F)[(i,j),(k,l)] = U[(i,k),(l,j)]."""
-    lead = u.shape[:-2]
-    n = len(lead)
-    axes = (*range(n), n, n + 3, n + 1, n + 2)
-    return u.reshape(*lead, d, d, d, d).transpose(axes).reshape(*lead, d * d, d * d)
-
-
-def _rank_one(r):
-    """_is_rank_one of the operator-Schmidt spectrum of each matrix in an (n, m, m) stack.
-
-    One pivot step decides most of them (module docstring); the SVD runs
-    only on the rest.
-    """
-    n, m = r.shape[0], r.shape[-1]
-    rows = np.arange(n)
-    modulus = np.abs(r.reshape(n, m * m))
-    p, q = np.divmod(modulus.argmax(axis=1), m)
-    pivot = r[rows, p, q]
-    column = r[rows, :, q]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rest = r - column[:, :, None] * (r[rows, p, :] / pivot[:, None])[:, None, :]
-    rest_modulus = np.abs(rest.reshape(n, m * m))
-    # a NaN from a zero pivot fails both comparisons and leaves the matrix undecided
-    yes = np.linalg.norm(rest_modulus, axis=1) < 0.5 * RANK_TOL * np.linalg.norm(column, axis=1)
-    no = (rest_modulus.max(axis=1) * np.abs(pivot)
-          > 2.0 * RANK_TOL * np.einsum("ij,ij->i", modulus, modulus))
-    undecided = ~(yes | no)
-    if undecided.any():
-        yes[undecided] = _is_rank_one(np.linalg.svd(r[undecided], compute_uv=False))
-    return yes
-
-
-def _local_kinds(u):
-    """factor_local's kind for each operator of a finite (n, d^2, d^2) stack.
-
-    Same rank-one rule as factor_local, sound for any finite matrix: the
-    caller gates what it builds u from. The flip is tested only where U is not local.
-    """
-    d = _square_side(u.shape[-1])
-    local = _rank_one(_reshuffle(u, d))
-    flip = ~local
-    if flip.any():
-        flip[~local] = _rank_one(_flip_reshuffle(u[~local], d))
-    return np.where(local, "local", np.where(flip, "local_flip", "neither"))

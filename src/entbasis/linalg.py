@@ -3,17 +3,15 @@
 Tensor products, Schmidt decomposition, the flip (swap) operator, and
 seeded Haar-random sampling of unitary and orthogonal matrices. Everything
 here is a pure function of its inputs; randomness enters only through
-explicit seeds. Haar on U(d) or O(d) is the Q of a QR of a Gaussian matrix with
-R's diagonal made positive (Mezzadri, math-ph/0609050), which is Gram-Schmidt on
-its columns. SU(2), U(2), SO(4) and O(4) have exact closed forms; their
-docstrings say why each is Haar.
+explicit seeds. Haar on U(d) or O(d), at every size, is the Q of a QR of a
+Gaussian matrix with R's diagonal made positive (Mezzadri, math-ph/0609050),
+which is Gram-Schmidt on its columns.
 
 Index conventions are 0-based throughout. A vector in C^d1 tensor C^d2
 stores the amplitude of e_i tensor e_j at position i*d2 + j, which matches
 the row-major Kronecker product convention of numpy.
 """
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -151,38 +149,6 @@ def _monomial_parts(stack):
     return rows, stack[np.arange(len(rows))[:, None], rows, np.arange(rows.shape[-1])]
 
 
-# Whole-stack arithmetic beats a LAPACK call per matrix from _STACK matrices of small order
-# on. Its time over np.linalg.det, real and complex, best of 7 on 2 cores (numpy 2.4.6,
-# OpenBLAS 0.3.31):
-#   matrices         13        101        512
-#   _det order 2-4   1.5-4.4   0.41-1.05  0.11-0.54
-#   _det order 5     5.0-6.1   1.2-1.25   0.60-0.65  (1.7-1.9 at 2000)
-_STACK = 64
-
-
-def _cofactors(n, k):
-    """The k-subsets of range(n) and, for each, the index of each of its (k-1)-subsets."""
-    at = {s: p for p, s in enumerate(itertools.combinations(range(n), k - 1))}
-    subsets = list(itertools.combinations(range(n), k))
-    return np.array(subsets), np.array([[at[s[:i] + s[i + 1:]] for i in range(k)] for s in subsets])
-
-
-_COFACTORS = {(n, k): _cofactors(n, k) for n in range(2, 5) for k in range(2, n + 1)}
-
-
-def _det(x):
-    """det of a matrix or each of a stack: of _STACK or more of order 2-4, by Laplace over
-    the minors of the last rows, smallest first, with no LAPACK call per matrix."""
-    n = x.shape[-1]
-    if not (1 < n <= 4 and x.size >= _STACK * n * n):
-        return np.linalg.det(x)
-    m = x[..., n - 1, :]
-    for k in range(2, n + 1):
-        cols, minors = _COFACTORS[n, k]
-        m = (x[..., n - k, cols] * m[..., minors] * [1.0, -1.0, 1.0, -1.0][:k]).sum(axis=-1)
-    return m[..., 0]
-
-
 def _sandwich(left, x, right):
     """left @ x @ right for a matrix x or each of a stack, associated as numpy does, by two GEMMs,
     not a BLAS call per matrix: left times the matrices side by side, their rows times right."""
@@ -190,23 +156,6 @@ def _sandwich(left, x, right):
     y = left @ x.reshape(-1, m, q).transpose(1, 0, 2).reshape(m, -1)
     y = y.reshape(p, -1, q).transpose(1, 0, 2).reshape(-1, q) @ right
     return y.reshape(x.shape[:-2] + (p, right.shape[-1]))
-
-
-def _quaternions(rng, count):
-    """Uniform unit quaternions, normalised standard-normal 4-vectors (Re a, Im a, Re b, Im b)."""
-    g = rng.standard_normal((4,) if count is None else (count, 4))
-    return g / np.linalg.norm(g, axis=-1, keepdims=True)
-
-
-def _su2(g):
-    """The matrix [[a, -conj(b)], [b, conj(a)]] of each quaternion in g."""
-    a, b = np.moveaxis(g.view(complex), -1, 0)
-    return np.stack([a, -b.conj(), b, a.conj()], axis=-1).reshape(g.shape[:-1] + (2, 2))
-
-
-# _QUAT[j, k] = e_j e_k. p @ _LEFT is x -> p x; q @ _RIGHT_BAR is x -> x q transposed, x -> x q-bar
-_QUAT = np.ascontiguousarray((_su2(np.eye(4))[:, None] @ _su2(np.eye(4)))[..., 0]).view(float)
-_LEFT, _RIGHT_BAR = (_QUAT.transpose(axes).reshape(4, 16) for axes in ((0, 2, 1), (1, 0, 2)))
 
 
 def _gaussian(d, seed, count, real):
@@ -231,41 +180,17 @@ def _haar(d, seed=0, count=None, real=False):
 
 
 def haar_unitary(d, seed=0, count=None):
-    """Haar-distributed d x d unitary, or a (count, d, d) stack of them.
-
-    At d = 2 a Haar SU(2) matrix times e^{i theta}, theta uniform: Haar, since
-    U(2) = U(1) SU(2). Else _haar's Q. Deterministic for a fixed integer seed.
-    """
-    if d != 2:
-        return _haar(d, seed, count)
-    rng = np.random.default_rng(seed)
-    u = haar_special_unitary(2, rng, count)
-    return u * np.exp(2j * np.pi * rng.random(u.shape[:-2]))[..., None, None]
+    """Haar-distributed d x d unitary, or a (count, d, d) stack of them: _haar's Q.
+    Deterministic for a fixed integer seed."""
+    return _haar(d, seed, count)
 
 
 def haar_special_unitary(d, seed=0, count=None):
-    """Haar on SU(d), or a stack. At d = 2 the matrix of a unit quaternion, uniform on S^3
-    as a normalised normal 4-vector. Else _haar's Q over a d-th root of its determinant."""
-    if d == 2:
-        return _su2(_quaternions(np.random.default_rng(seed), count))
+    """Haar on SU(d), or a stack: _haar's Q over a d-th root of its determinant."""
     u = _haar(d, seed, count)
-    return u * (_det(u) ** (-1.0 / d))[..., None, None]
-
-
-def _so4(rng, count):
-    """Haar on SO(4), one matrix or a (count, 4, 4) stack: x -> p x q-bar for uniform unit
-    quaternions p, then q, drawn from rng. The map is a homomorphism of SU(2) x SU(2) onto
-    SO(4) (U1 tensor U2 in the Bell basis), so it carries Haar to Haar."""
-    p, q = ((_quaternions(rng, count) @ m).reshape(-1, 4, 4) for m in (_LEFT, _RIGHT_BAR))
-    return (p @ q).reshape((4, 4) if count is None else (count, 4, 4))
+    return u * (np.linalg.det(u) ** (-1.0 / d))[..., None, None]
 
 
 def random_orthogonal(n, seed=0, *, count=None):
-    """Haar on O(n), as one matrix or a (count, n, n) stack: _haar's Q, or at n = 4 _so4's
-    draw with column 0 negated with probability 1/2, which weighs SO(4)'s two cosets equally."""
-    if n != 4:
-        return _haar(n, seed, count, real=True)
-    rng = np.random.default_rng(seed)
-    o = _so4(rng, count)
-    o[..., 0] *= np.where(rng.random(o.shape[:-2]) < 0.5, -1.0, 1.0)[..., None]
-    return o
+    """Haar on O(n), as one matrix or a (count, n, n) stack: _haar's Q of a real draw."""
+    return _haar(n, seed, count, real=True)

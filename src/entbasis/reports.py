@@ -1,25 +1,19 @@
-"""Common result record for statistical and deterministic checkers.
+"""Common result record for the package's checkers and verifiers.
 
-Every verifier and checker in the package returns a CheckReport. A
-CheckReport never claims a proof: its verdict distinguishes "no violation
-found" (the sampled search came up empty) from "violation witnessed" (a
-concrete counterexample is recorded). One witness rule holds for every
-check: a violation not below tol, NaN included, is a witness, a small
-dictionary that names the input by trial index and seed, or by index pair
-(pair_witnesses), so it can be regenerated deterministically. The pass rule
+Every verifier and checker in the package returns a CheckReport. Its verdict
+distinguishes "no violation found" from "violation witnessed" (a concrete
+counterexample is recorded). One witness rule holds for every check: a
+violation not below tol, NaN included, is a witness, a small dictionary that
+names the input by index pair (pair_witnesses), generator, candidate or
+representative, so it can be regenerated deterministically. The pass rule
 of every check but the counterexample search is tolerance_report: the worst
 violation is below tol, which a NaN is not, and no witness is listed.
 
-The sampled check, det-criterion agreement, runs through the engine
-sample_violations: chunk c of the trials draws from the spawn key (c,) of the
-check's seed (chunk_rng), the violations fold into a running sum, and the
-first MAX_WITNESSES violating trials are kept in order. The tolerances every
-module shares are named here once, and so are the rules that refuse an input
-where it enters, with one wording each: require_positive, require_square and
-require_tolerance.
+The tolerances every module shares are named here once, and so are the rules
+that refuse an input where it enters, with one wording each:
+require_positive, require_square and require_tolerance.
 """
 
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,7 +21,7 @@ import numpy as np
 __all__ = [
     "CheckReport", "MAX_WITNESSES", "CHUNK_ENTRIES", "TOL", "INPUT_TOL", "RANK_TOL", "LEAD_TOL",
     "tolerance_report", "require_positive", "require_square", "require_tolerance", "chunk_size",
-    "chunk_rng", "pair_witnesses", "sample_violations",
+    "pair_witnesses",
 ]
 
 # keep reports small and diffable; the seed makes the full set recoverable
@@ -45,7 +39,8 @@ RANK_TOL = 1e-8
 # the first nonzero entry of a matrix
 LEAD_TOL = 1e-12
 
-# complex entries in a chunk's largest per-trial array, so memory is flat in d: 0.4-1.1 MiB peaks
+# complex entries in a chunk's largest per-item array (clifford._monomial_norms' pair chunks),
+# so memory is flat in d
 CHUNK_ENTRIES = 1 << 13
 
 
@@ -105,7 +100,7 @@ def pair_witnesses(v, rows, cols, tol, **kind):
 
 
 def require_positive(count, what="trials"):
-    """A size below 1: no basis, matrix or table to build, or a check with nothing to sample."""
+    """A size below 1: no basis, matrix, table or candidate to build."""
     if count < 1:
         raise ValueError("%s must be at least 1, got %r" % (what, count))
 
@@ -123,47 +118,6 @@ def require_tolerance(tol):
         raise ValueError("tolerance must be finite and positive, got %r" % (tol,))
 
 
-def chunk_size(per_trial):
-    """Trials per chunk for a check whose largest per-trial array has per_trial entries."""
-    return max(1, CHUNK_ENTRIES // per_trial)
-
-
-def chunk_rng(seed, chunk):
-    """Generator of one chunk: spawn key (chunk,) of an integer seed."""
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(chunk,)))
-
-
-def sample_violations(trials, seed, tol, draw, measure, per_trial):
-    """The sampled-check engine: the sum of the trials' violations and the first witnesses.
-
-    Trials run in chunks of chunk_size(per_trial), chunk c drawn from chunk_rng(seed, c):
-    draw(rng, idx) gets one chunk's Generator and trial indices and returns an array or a tuple
-    of arrays, one row per trial. measure gets those rows and returns the chunk's violations, or
-    a pair (violations, fields) whose fields(rows) gets the chunk positions of its witnesses only
-    and returns a dict of named entries, one per row, so a costly field is built for at most
-    MAX_WITNESSES trials. Every trial whose violation is not below tol, NaN included, is a
-    witness {"trial": index, "seed": seed, "violation": v, **fields}, up to MAX_WITNESSES, in
-    trial order; measure and the sum run with overflow and invalid warnings off, as an inf or
-    NaN is a verdict. Only the running sum outlives a chunk, so memory is flat in trials, and a
-    NaN violation makes the sum NaN. A bad trial count, tol or seed (an integer: a Generator's
-    run could not be replayed) is refused before the first draw.
-    """
-    require_positive(trials)
-    require_tolerance(tol)
-    seed = operator.index(seed)
-    step = chunk_size(per_trial)
-    total, witnesses = 0.0, []
-    for c, start in enumerate(range(0, trials, step)):
-        idx = np.arange(start, min(start + step, trials))
-        batch = draw(chunk_rng(seed, c), idx)
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = measure(batch)
-            v, fields = out if isinstance(out, tuple) else (out, None)
-            total += float(np.sum(v))
-        rows = np.flatnonzero(~(v < tol))[: MAX_WITNESSES - len(witnesses)]
-        picked = fields(rows) if fields and len(rows) else {}
-        witnesses += [
-            {"trial": int(idx[k]), "seed": seed, "violation": float(v[k]),
-             **{name: np.asarray(f)[j].tolist() for name, f in picked.items()}}
-            for j, k in enumerate(rows)]
-    return total, witnesses
+def chunk_size(per_item):
+    """Items per chunk for a loop whose largest per-item array has per_item entries."""
+    return max(1, CHUNK_ENTRIES // per_item)

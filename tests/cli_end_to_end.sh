@@ -110,18 +110,20 @@ $ENTBASIS check bell-all --trials 50
 expect 1 $ENTBASIS check bell-all --basis b3.json --trials 50
 # a NaN tolerance is a usage error, not a failed check
 expect 2 $ENTBASIS verify b3.json --tol nan
-# a run past det-criterion's trial cap (10^7, 20-30 s) is a usage error, not a failed
-# check: it is refused before the first draw, without an address-space limit (under a
-# timeout, so a lost cap fails here and not by running for weeks) and within 2 GiB, with one
-# error line and nothing on stdout. det-criterion is the one suite that samples
+# det-criterion is decided exactly: nothing scales with --trials, so 10^12 trials pass at
+# once (under a timeout, so a trial count that reached a loop fails here)
+timeout 10 $ENTBASIS check det-criterion --trials 1000000000000
+# gen --dim 104, the largest dim it takes, needs a 1.74 GiB basis stack: under 1 GiB of
+# address space the allocation fails at once, a usage error with one error line, nothing on
+# stdout and no file written
 code=0
-timeout 10 $ENTBASIS check det-criterion --trials 1000000000000 > cap.out 2> cap.err || code=$?
+(ulimit -v 1048576
+ timeout 60 $ENTBASIS gen --dim 104 --out big.json > cap.out 2> cap.err) || code=$?
 test "$code" -eq 2
 test ! -s cap.out
 test "$(wc -l < cap.err)" -eq 1
-grep -q '^error: trials must be at most' cap.err
-(ulimit -v 2097152
- expect 2 $ENTBASIS check det-criterion --trials 1000000000000)
+grep -q '^error: Unable to allocate' cap.err
+test ! -e big.json
 $ENTBASIS check det-criterion --trials 200
 # equal command lines write byte-identical reports
 $ENTBASIS check det-criterion --trials 300 --seed 4 --report dc_a.json
@@ -140,6 +142,19 @@ assert main(['verify', 'missing.json']) == 2
 assert main(['check', 'det-criterion', '--trials', '300', '--seed', '4', '--report', 'dc_c.json']) == 0
 "
 cmp dc_a.json dc_c.json
+# det-criterion samples nothing: --trials and --seed reach nothing, so runs at 150, 300 and
+# 1000 trials, seeds 0 and 4, write the same bytes, which say trials 0 and pass
+for t in 150 300 1000; do
+  for seed in 0 4; do
+    $ENTBASIS check det-criterion --trials "$t" --seed "$seed" --report "dc_${t}_$seed.json"
+    cmp "dc_${t}_$seed.json" dc_a.json
+  done
+done
+python -c "
+import json
+r = json.load(open('dc_a.json'))
+assert r['trials'] == 0 and r['passed'] and r['maxViolation'] == 0.0 and r['witnesses'] == [], r
+"
 $ENTBASIS check universality --dim 2 --trials 300
 # equal command lines write byte-identical reports, at d=2 and at d=3
 $ENTBASIS check bell-all --trials 300 --seed 4 --report ba_a.json

@@ -42,8 +42,8 @@ from entbasis import (
     universality_search,
     verify_unitary_basis,
 )
-from entbasis import bell, factorize, reports
-from entbasis.reports import INPUT_TOL, MAX_WITNESSES, chunk_size
+from entbasis import bell, factorize
+from entbasis.reports import INPUT_TOL, MAX_WITNESSES
 
 CNOT = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
@@ -54,6 +54,12 @@ def sampled_bell_condition(*args):
     """test_engine's sampled forms of the Bell conditions (it imports this module first)."""
     from test_engine import sampled_bell_condition
     return sampled_bell_condition(*args)
+
+
+def sampled_det_agreement(*args):
+    """test_engine's sampled form of det-criterion agreement."""
+    from test_engine import sampled_det_agreement
+    return sampled_det_agreement(*args)
 
 
 def random_phase_basis(d, seed):
@@ -449,8 +455,9 @@ class TestBellConditions:
     def test_bell_condition_3_draws_both_cosets(self, monkeypatch):
         # the sampled form draws O Haar on O(4): at d=2 both answers of the property, local and
         # local-flip, are seen
-        kinds, real_kinds = [], bell._local_kinds
-        monkeypatch.setattr(bell, "_local_kinds", lambda u: kinds.append(real_kinds(u)) or kinds[-1])
+        import test_engine
+        kinds, real_kinds = [], test_engine.svd_kinds
+        monkeypatch.setattr(test_engine, "svd_kinds", lambda u: kinds.append(real_kinds(u)) or kinds[-1])
         report = sampled_bell_condition(bell_basis(), 3, 2000, 0)
         assert report.passed and report.max_violation == 0.0
         counts = dict(zip(*np.unique(np.concatenate(kinds), return_counts=True)))
@@ -545,7 +552,7 @@ class TestBellConditions:
 @pytest.mark.parametrize("run", [
     lambda: sampled_bell_condition(bell_basis(), 3, 0, 0),  # the form condition 3 had sampled
     lambda: universality_search(candidates=0),
-    lambda: check_det_criterion_agreement(trials=-3),
+    lambda: sampled_det_agreement(-3, 0),  # the form det-criterion agreement had sampled
 ], ids=["bell-3", "search-candidates", "det-criterion"])
 def test_sampled_checks_refuse_to_draw_nothing(run):
     with pytest.raises(ValueError, match="at least 1"):
@@ -575,34 +582,26 @@ def _cond(c):
     return lambda tol: check_bell_condition(fourier_basis(3), c, trials=2000, tol=tol)
 
 
-@pytest.mark.parametrize("run, drawn", [
-    # every Bell condition and phase covariance is decided exactly: nothing to draw
+@pytest.mark.parametrize("run, generators", [
+    # every Bell condition, phase covariance and det-criterion agreement is decided exactly:
+    # nothing to draw; the search draws its candidates from one Generator
     *[(_cond(c), 0) for c in (2, 3, 4, 5, 6)],
     (lambda tol: check_universality(theta2(), trials=2000, tol=tol), 0),
     (lambda tol: check_universality(theta2(), trials=2000, tol=tol, phase="best"), 0),
-    (lambda tol: check_det_criterion_agreement(trials=2000, tol=tol), 2000),
-    (lambda tol: universality_search(dim=3, candidates=20, trials=100, threshold=tol), 0),
+    (lambda tol: check_det_criterion_agreement(trials=2000, tol=tol), 0),
+    (lambda tol: universality_search(dim=3, candidates=20, trials=100, threshold=tol), 1),
 ], ids=["bell-2", "bell-3", "bell-4", "bell-5", "bell-6", "universality", "universality-best",
         "det-criterion", "search"])
-def test_meaningless_tolerance_refused_before_the_first_draw(run, drawn, monkeypatch):
-    draws = []
-
-    def counting_engine(trials, seed, tol, draw, measure, per_trial):
-        def counted(rng, idx):
-            draws.append(len(idx))
-            return draw(rng, idx)
-        return reports.sample_violations(trials, seed, tol, counted, measure, per_trial)
-
-    monkeypatch.setattr(bell, "sample_violations", counting_engine)
-    made = []  # Generators built, so a draw outside the engine (the search's candidates) counts
+def test_meaningless_tolerance_refused_before_the_first_draw(run, generators, monkeypatch):
+    made = []  # Generators built
     real_rng = np.random.default_rng
     monkeypatch.setattr(np.random, "default_rng", lambda *seed: made.append(seed) or real_rng(*seed))
     for tol in (float("nan"), 0.0, -1.0, float("inf")):
         with pytest.raises(ValueError, match="tolerance"):
             run(tol)
-    assert draws == [] and made == []
-    run(1e-10)  # with a tolerance that means something, a sampled check draws every trial
-    assert sum(draws) == drawn
+    assert made == []
+    run(1e-10)  # with a tolerance that means something, only the search builds a Generator
+    assert len(made) == generators
 
 
 def test_condition_3_fails_when_it_finds_violations():
@@ -689,38 +688,67 @@ class TestDetCriterion:
     def test_agreement_with_factorization(self):
         report = check_det_criterion_agreement(trials=500, seed=0)
         assert report.passed
-        assert report.max_violation == 0.0
+        assert report.max_violation == 0.0 and report.trials == 0
 
     @pytest.mark.parametrize("tol", [1e-10, 1e-3, 0.5])
     def test_agreement_report_as_hand_built(self, tol, monkeypatch):
-        # the report passes exactly when no trial disagrees, at every tolerance
+        # the report passes exactly when no generator residual and no representative fails, at
+        # every tolerance; a det_criterion that always says "local" fails on the flip alone
         report = check_det_criterion_agreement(trials=40, seed=3, tol=tol)
-        assert report == CheckReport("det-criterion-agreement", 40, 0.0, tol, True,
+        assert report == CheckReport("det-criterion-agreement", 0, 0.0, tol, True,
                                      "no violation found")
-        real = bell._det_verdicts
-
-        def every_third_wrong(u, tol):
-            out = real(u, tol)
-            out[::3] = "not_real_in_bell"
-            return out
-
-        monkeypatch.setattr(bell, "_det_verdicts", every_third_wrong)
+        monkeypatch.setattr(bell, "det_criterion", lambda u, tol: "local")
         report = check_det_criterion_agreement(trials=40, seed=3, tol=tol)
-        assert (report.passed, report.verdict) == (False, "violation witnessed")
-        assert report.max_violation == 14 / 40
-        assert [w["trial"] for w in report.witnesses] == list(range(0, 24, 3))
+        assert report == CheckReport(
+            "det-criterion-agreement", 0, 1.0, tol, False, "violation witnessed",
+            ({"input": "flip", "det_verdict": "local", "factor_verdict": "local_flip",
+              "violation": 1.0},))
+
+    def test_agreement_fails_on_a_basis_whose_generators_leave_the_local_algebra(self, monkeypatch):
+        # with the Fourier d=2 basis for the Bell basis, condition 3's pair residuals are
+        # sqrt(2): the generator part fails, and the representatives still agree
+        monkeypatch.setattr(bell, "bell_basis", lambda: fourier_basis(2))
+        report = check_det_criterion_agreement()
+        assert not report.passed and report.max_violation == pytest.approx(np.sqrt(2), abs=1e-12)
+        assert report.witnesses and all(set(w) == {"pair", "violation"} for w in report.witnesses)
+        assert [w["violation"] for w in report.witnesses] == pytest.approx(
+            [np.sqrt(2)] * len(report.witnesses), abs=1e-12)
+
+    @pytest.mark.parametrize("swap", [False, True], ids=["det_criterion", "factor_local"])
+    def test_agreement_fails_when_either_decider_swaps_its_kinds(self, swap, monkeypatch):
+        # each representative is then witnessed, with both verdicts
+        flipped = {"local": "local_flip", "local_flip": "local"}
+        if swap:
+            real = bell.factor_local
+            monkeypatch.setattr(bell, "factor_local",
+                                lambda u: replace(real(u), kind=flipped[real(u).kind]))
+        else:
+            real = bell.det_criterion
+            monkeypatch.setattr(bell, "det_criterion", lambda u, tol: flipped[real(u, tol)])
+        report = check_det_criterion_agreement()
+        assert (report.passed, report.max_violation) == (False, 1.0)
+        assert [w["input"] for w in report.witnesses] == ["identity", "flip"]
+        wrong = "factor_verdict" if swap else "det_verdict"
+        assert [w[wrong] for w in report.witnesses] == ["local_flip", "local"]
 
     def test_agreement_gates_no_chunk(self, monkeypatch):
-        # det_criterion gates its own input; the sampled check builds each U from the Bell
-        # matrix and an orthogonal draw, so no chunk of them is gated
+        # det_criterion and factor_local gate their own input; the exact check hands them its
+        # two representatives, I and F, and no stack of draws
         gated = []
         real_gate = factorize._require_unitary
         for module in (factorize, bell):
             monkeypatch.setattr(module, "_require_unitary",
                                 lambda u, tol: gated.append(u) or real_gate(u, tol))
         assert check_det_criterion_agreement(trials=300, seed=0)
-        assert gated == []
-        assert det_criterion(CNOT) == "not_real_in_bell" and len(gated) == 1
+        assert len(gated) == 4 and all(u.shape == (4, 4) for u in gated)
+        assert sum(np.array_equal(u, np.eye(4)) for u in gated) == 2
+        assert sum(np.array_equal(u, flip_operator(2)) for u in gated) == 2
+        assert det_criterion(CNOT) == "not_real_in_bell" and len(gated) == 5
+
+    def test_sampled_agreement_over_both_cosets(self):
+        # 2,000 Haar O(4) draws, half in each coset: the public deciders never disagree
+        report = sampled_det_agreement(2000, 7)
+        assert report.passed and report.max_violation == 0.0 and report.trials == 2000
 
     def test_local_unitaries_are_real_in_bell(self):
         # SU(2) x SU(2) conjugation acts as a rotation in Bell coordinates

@@ -289,14 +289,28 @@ class TestCheck:
     def test_det_criterion(self):
         assert main(["check", "det-criterion", "--trials", "100"]) == 0
 
+    def test_det_criterion_ignores_trials_and_seed(self, tmp_path, capsys):
+        # decided exactly: the flags are accepted and reach nothing, a trial count below 1 too
+        paths = [tmp_path / ("r%d.json" % k) for k in range(3)]
+        for path, trials, seed in zip(paths, ("-3", "5", "1000000000000"), ("1", "9", "4")):
+            assert main(["check", "det-criterion", "--trials", trials, "--seed", seed,
+                         "--report", str(path)]) == 0
+        assert paths[0].read_bytes() == paths[1].read_bytes() == paths[2].read_bytes()
+        assert load_json(paths[0])["trials"] == 0
+        assert "trials -" in capsys.readouterr().out
+        with pytest.raises(SystemExit):
+            main(["check", "det-criterion", "--help"])
+        assert capsys.readouterr().out.count("accepted and ignored") == 2  # --trials and --seed
+
     @pytest.mark.parametrize("argv", [
-        ["check", "det-criterion", "--trials", "-3"],
+        ["check", "universality", "--candidates", "0"],
         ["check", "universality", "--dim", "3", "--candidates", "0"],
         ["check", "universality", "--dim", "0"],
         ["check", "universality", "--dim", "-1"],
     ])
     def test_no_samples_is_usage_error(self, argv):
-        # a sampled check that draws nothing, or a search with no candidate, must not pass
+        # a search with no candidate, at d=2 too where none is drawn, or no dimension, must not
+        # pass
         assert main(argv) == 2
 
     def test_reports_byte_identical_for_equal_seeds(self, tmp_path):
@@ -600,14 +614,13 @@ print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20)
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's malloc thresholds")
 @pytest.mark.parametrize("argv", [
-    ["check", "det-criterion", "--trials", "2000"],
     ["check", "universality", "--dim", "2", "--trials", "2000"],
     ["gen", "--dim", "24", "--out", "f24.json"],
-], ids=["det-criterion", "universality", "gen"])
+], ids=["universality", "gen"])
 def test_warm_calls_fault_in_no_fresh_memory(argv, tmp_path):
-    # at glibc's default thresholds det-criterion's 64-128 KiB chunk arrays are unmapped
-    # or trimmed after each call (hundreds of faults a call); with an mmap threshold under
-    # gen's 5.3 MB stack, gen's is
+    # either threshold set alone fixes the other at glibc's 128 KiB, under gen's 5.3 MB stack:
+    # gen then maps, unmaps and faults in its stack on every call (279 faults a call with only
+    # the trim threshold set, 575 with only the mmap one, 275 with the mmap one at 4 MiB)
     src = os.path.dirname(os.path.dirname(entbasis.__file__))
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))

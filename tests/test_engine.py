@@ -1,27 +1,21 @@
-"""The sampled-check engine against the public per-matrix functions.
+"""The exact checks against their sampled forms, and those against the public per-matrix functions.
 
-Det-criterion agreement hands its draw and measure steps to
-reports.sample_violations. The tests below record every engine run, draw
-each chunk's inputs again from the chunk's own generator, and recompute
-every trial one matrix at a time with the public functions (factor_local,
-det_criterion, vector_from_operator, tensor) and a dense unitarity
-residual. Per-trial violations must agree within 1e-12 and the witnesses
-must name the same trials.
-
-Bell conditions 2 to 6 and phase covariance are decided exactly. Their
-sampled forms stay here as the oracle the exact reports are held against,
-and they run the engine where det-criterion cannot (a NaN witness, chunks
-other than 512 trials, one-trial chunks): Bell conditions 2 to 5 over Haar
-SU(d) pairs, Haar O(d^2), Haar V and unit real combinations
-(sampled_bell_condition), covariance over Haar U (sampled_covariance), and
-maximal entanglement kept under U over Haar V (sampled_preserves), the
-sampled counterpart of factor_local's verdict. A form that reports its
-largest violation takes it in its own measure (engine_max).
+Bell conditions 2 to 6, phase covariance and det-criterion agreement are decided exactly. Their
+sampled forms stay here as the oracles the exact reports are held against: Bell conditions 2 to
+5 over Haar SU(d) pairs, Haar O(d^2), Haar V and unit real combinations
+(sampled_bell_condition), covariance over Haar U (sampled_covariance), maximal entanglement kept
+under U over Haar V (sampled_preserves), the sampled counterpart of factor_local's verdict, and
+det_criterion against factor_local over Haar O(4) in both cosets (sampled_det_agreement). They
+draw through one loop, sample: chunk c of the trials comes from its own Generator chunk_rng(seed,
+c), so a witness replays from its chunk. The tests below record each run, draw each chunk's
+inputs again, and recompute every trial one matrix at a time with the public functions
+(factor_local, det_criterion, vector_from_operator, tensor) and a dense unitarity residual.
+Per-trial violations must agree within 1e-12 and the witnesses must name the same trials.
 """
 
-import json
 import math
 import operator
+import sys
 import tracemalloc
 import warnings
 
@@ -56,8 +50,9 @@ from entbasis import (
 )
 from entbasis import bell, factorize, linalg, reports
 from entbasis.cli import main
-from entbasis.fileio import load_json, report_to_obj
-from entbasis.reports import MAX_WITNESSES, TOL, chunk_rng, chunk_size, tolerance_report
+from entbasis.fileio import load_json
+from entbasis.reports import (
+    MAX_WITNESSES, TOL, chunk_size, require_positive, require_tolerance, tolerance_report)
 from test_bell import random_phase_basis
 
 FOURIER3 = fourier_basis(3)
@@ -66,33 +61,64 @@ D3_CANDIDATE = np.array([[1, 2j, 0], [0, 1, -1], [1j, 0, 2]]) / 3.5
 ORACLE_SEED = 5
 
 
+def chunk_rng(seed, chunk):
+    """Generator of one chunk: spawn key (chunk,) of an integer seed."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(chunk,)))
+
+
+def sample(trials, seed, tol, draw, measure, per_trial):
+    """The sampled forms' loop: (every trial's violation, the first MAX_WITNESSES witnesses).
+
+    Trials run in chunks of chunk_size(per_trial), chunk c drawn by draw(chunk_rng(seed, c), idx)
+    with idx its trial indices. measure returns a chunk's violations, or (violations, fields)
+    with fields a dict of arrays, one row per trial. Every trial whose violation is not below
+    tol, NaN included, is a witness {"trial", "seed", "violation", **fields}, in trial order.
+    """
+    require_positive(trials)
+    require_tolerance(tol)
+    seed = operator.index(seed)
+    step = chunk_size(per_trial)
+    chunks = []
+    for c, start in enumerate(range(0, trials, step)):
+        idx = np.arange(start, min(start + step, trials))
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = measure(draw(chunk_rng(seed, c), idx))
+        chunks.append(out if isinstance(out, tuple) else (out, {}))
+    v = np.concatenate([x for x, _ in chunks])
+    fields = {name: np.concatenate([f[name] for _, f in chunks]) for name in chunks[0][1]}
+    return v, [{"trial": int(t), "seed": seed, "violation": float(v[t]),
+                **{name: f[t].tolist() for name, f in fields.items()}}
+               for t in np.flatnonzero(~(v < tol))[:MAX_WITNESSES]]
+
+
+_LOOP = sample  # the loop itself, which a Recorder calls while it stands in for sample
+
+
 class Recorder:
-    """Stands in for the engine and keeps each run's draw and per-trial violations."""
+    """Stands in for sample and keeps each run's draw, batches and per-trial violations."""
 
     def __init__(self):
         self.runs = []
 
     def __call__(self, trials, seed, tol, draw, measure, per_trial):
-        chunks, batches = [], []
+        batches = []
 
         def recorded(batch):
-            out = measure(batch)
-            chunks.append(np.asarray(out[0] if isinstance(out, tuple) else out))
             batches.append(batch)
-            return out
+            return measure(batch)
 
-        result = reports.sample_violations(trials, seed, tol, draw, recorded, per_trial)
+        v, witnesses = _LOOP(trials, seed, tol, draw, recorded, per_trial)
         self.runs.append({"trials": trials, "seed": seed, "tol": tol, "draw": draw,
                           "measure": measure, "per_trial": per_trial, "batches": batches,
-                          "violations": np.concatenate(chunks)})
-        return result
+                          "violations": v})
+        return v, witnesses
 
 
 @pytest.fixture
-def engine(monkeypatch):
-    recorder = Recorder()
-    monkeypatch.setattr(bell, "sample_violations", recorder)
-    return recorder
+def recorder(monkeypatch):
+    rec = Recorder()
+    monkeypatch.setattr(sys.modules[__name__], "sample", rec)
+    return rec
 
 
 def redraw(run):
@@ -108,34 +134,27 @@ def unitarity(x):
 
 
 def _max_entry(m):
-    """Largest entry of each matrix in a (n, r, r) stack, and the fields of its index pair."""
+    """Largest entry of each matrix in a (n, r, r) stack, and the field of its index pair."""
     flat = m.reshape(len(m), -1)
     r, k = m.shape[-1], flat.argmax(axis=1)
-    return flat[np.arange(len(m)), k], lambda rows: {
-        "pair": np.stack(np.divmod(k[rows], r), axis=1)}
+    return flat[np.arange(len(m)), k], {"pair": np.stack(np.divmod(k, r), axis=1)}
 
 
-def engine_max(trials, seed, tol, draw, measure, per_trial):
-    """The engine run of a sampled form that reports its largest violation, taken chunk by
-    chunk in measure (a NaN is the largest): (worst, witnesses)."""
-    worst = []
-
-    def measured(batch):
-        out = measure(batch)
-        worst.append(np.max(out[0] if isinstance(out, tuple) else out))
-        return out
-
-    _, witnesses = bell.sample_violations(trials, seed, tol, draw, measured, per_trial)
-    return np.max(worst), witnesses
+def svd_kinds(u):
+    """factor_local's kind of each U in a stack, from the full spectra of R(U) and R(U F)."""
+    d = round(u.shape[-1] ** 0.5)
+    plain, flip = (factorize._is_rank_one(np.linalg.svd(factorize._reshuffle(x, d), compute_uv=False))
+                   for x in (u, u @ flip_operator(d)))
+    return np.where(plain, "local", np.where(flip, "local_flip", "neither"))
 
 
 def sampled_bell_condition(basis, condition, trials, seed, tol=TOL):
     """Condition 2 over Haar SU(d) pairs (U1, U2), 3 over Haar O(d^2), 4 over Haar V, or 5 over
-    unit real combinations, as check_bell_condition sampled them before it decided them exactly,
-    run through the engine in the same chunks. The reference the exact reports are held against.
-    Condition 3's violation is the fraction of trials whose B O B^dag does not factor (kinds as
-    _local_kinds decides them), and each of those trials is a witness; condition 4's is the largest
-    |Im(c_j conj(c_k))| of the coefficients c of (V tensor I) Omega, its witness field the pair."""
+    unit real combinations, as check_bell_condition sampled them before it decided them exactly.
+    The reference the exact reports are held against. Condition 3's violation is the fraction of
+    trials whose B O B^dag does not factor (svd_kinds), and each of those trials is a witness;
+    condition 4's is the largest |Im(c_j conj(c_k))| of the coefficients c of (V tensor I) Omega,
+    its witness field the pair; the others report their largest violation too."""
     d = basis.dim
     n = d * d
     b = basis_matrix(basis)
@@ -152,7 +171,7 @@ def sampled_bell_condition(basis, condition, trials, seed, tol=TOL):
             return random_orthogonal(n, rng, count=len(idx))
 
         def measure(o):
-            return (bell._local_kinds(bell._sandwich(b, o, b.conj().T)) == "neither").astype(float)
+            return (svd_kinds(bell._sandwich(b, o, b.conj().T)) == "neither").astype(float)
     elif condition == 4:
         def draw(rng, idx):
             return haar_unitary(d, rng, count=len(idx))
@@ -169,23 +188,22 @@ def sampled_bell_condition(basis, condition, trials, seed, tol=TOL):
             return linalg.unitarity_residual(np.tensordot(a, basis.ops, axes=1))
 
     if condition == 3:
-        total, witnesses = bell.sample_violations(trials, seed, 1.0, draw, measure, n * n)
-        worst = total / trials
+        v, witnesses = sample(trials, seed, 1.0, draw, measure, n * n)
+        worst = v.mean()
     else:
-        worst, witnesses = engine_max(trials, seed, tol, draw, measure, n if condition == 5 else n * n)
+        v, witnesses = sample(trials, seed, tol, draw, measure, n if condition == 5 else n * n)
+        worst = np.max(v)
     return tolerance_report("sampled-condition-%d" % condition, worst, tol, trials=trials,
                             witnesses=witnesses)
 
 
 def sampled_covariance(a, trials, seed, tol, phase, per_candidate=None):
-    """Engine run of ||U A U^T - omega A||_F over Haar U, the sampled form of check_universality
-    that its generator residuals are held against: omega is det(U), or for phase "best" the
-    phase of tr(A^dag U A U^T). a is one matrix, or a stack of candidates of which trial t tries
-    a[t // per_candidate]. Determinants go through linalg._det. Returns each candidate's largest
-    violation, taken in measure, and the witnesses."""
+    """||U A U^T - omega A||_F over Haar U, the sampled form of check_universality that its
+    generator residuals are held against: omega is det(U), or for phase "best" the phase of
+    tr(A^dag U A U^T). a is one matrix, or a stack of candidates of which trial t tries
+    a[t // per_candidate]. Returns each candidate's largest violation and the witnesses."""
     a = a.reshape(-1, *a.shape[-2:])
     d = a.shape[-1]
-    worst = np.zeros(len(a))
 
     def draw(rng, idx):
         return haar_unitary(d, rng, count=len(idx)), idx // (per_candidate or trials)
@@ -195,16 +213,14 @@ def sampled_covariance(a, trials, seed, tol, phase, per_candidate=None):
         a_t = a[cand]
         conjugated = u @ a_t @ u.swapaxes(-1, -2)
         if phase == "det":
-            omega = linalg._det(u)
+            omega = np.linalg.det(u)
         else:
             z = (a_t.conj() * conjugated).sum(axis=(1, 2))  # tr(A^dag U A U^T)
             omega = np.divide(z, np.abs(z), out=np.ones_like(z), where=z != 0)
-        v = np.linalg.norm(conjugated - omega[:, None, None] * a_t, axis=(1, 2))
-        np.maximum.at(worst, cand, v)
-        return v
+        return np.linalg.norm(conjugated - omega[:, None, None] * a_t, axis=(1, 2))
 
-    _, witnesses = bell.sample_violations(trials, seed, tol, draw, measure, d * d)
-    return worst, witnesses
+    v, witnesses = sample(trials, seed, tol, draw, measure, d * d)
+    return v.reshape(len(a), -1).max(axis=1), witnesses
 
 
 def sampled_universality(theta, trials, seed, tol=TOL, phase="det"):
@@ -217,7 +233,7 @@ def sampled_universality(theta, trials, seed, tol=TOL, phase="det"):
 
 def sampled_search(dim, candidates, trials, seed, threshold=0.1):
     """universality_search's sampled form: universality_search's candidates, each tried on
-    trials Haar U under the best phase in one engine run; a candidate's violation is the worst
+    trials Haar U under the best phase in one run; a candidate's violation is the worst
     of its trials, and the report passes when the weakest candidate's is above threshold."""
     seed = operator.index(seed)
     a = search_candidates(candidates, seed, dim)
@@ -273,8 +289,35 @@ def sampled_preserves(u, trials, seed, tol=TOL):
         images = v.reshape(len(v), d * d) @ u.T
         return linalg.unitarity_residual(images.reshape(len(v), d, d))
 
-    worst, witnesses = engine_max(trials, seed, tol, draw, measure, d * d)
-    return tolerance_report("sampled-preserves", worst, tol, trials=trials,
+    v, witnesses = sample(trials, seed, tol, draw, measure, d * d)
+    return tolerance_report("sampled-preserves", np.max(v), tol, trials=trials,
+                            witnesses=witnesses)
+
+
+def sampled_det_agreement(trials, seed, tol=TOL):
+    """check_det_criterion_agreement's sampled form, as it ran before it was decided exactly:
+    B O B^dag over Haar O(4), column 0 of O signed so that even trials lie in SO(4) and odd ones
+    in its other coset. A trial is a mismatch (violation 1) unless det_criterion and factor_local
+    both say "local" (even) or "local_flip" (odd); the violation is the mismatch fraction, and
+    each mismatch is a witness with both verdicts."""
+    b = bell_matrix()
+
+    def draw(rng, idx):
+        o = random_orthogonal(4, rng, count=len(idx))
+        o[:, :, 0] *= (np.sign(np.linalg.det(o)) * np.where(idx % 2 == 0, 1.0, -1.0))[:, None]
+        return o, idx % 2 == 0
+
+    def measure(batch):
+        o, positive = batch
+        u = bell._sandwich(b, o, b.conj().T)
+        det_verdict = np.array([det_criterion(x, tol) for x in u])
+        factor_verdict = np.array([factor_local(x).kind for x in u])
+        expected = np.where(positive, "local", "local_flip")
+        mismatch = (det_verdict != expected) | (factor_verdict != expected)
+        return mismatch.astype(float), {"det_verdict": det_verdict, "factor_verdict": factor_verdict}
+
+    v, witnesses = sample(trials, seed, 1.0, draw, measure, 16)
+    return tolerance_report("sampled-det-criterion", v.mean(), tol, trials=trials,
                             witnesses=witnesses)
 
 
@@ -389,7 +432,7 @@ CASES = {
     "universality-search": (
         lambda n, s: sampled_search(3, 7, -(-n // 7), s),
         covariance(search_candidates(7, ORACLE_SEED), "best")),
-    "det-criterion": (lambda n, s: check_det_criterion_agreement(n, s), det_agreement(1e-10)),
+    "det-criterion": (lambda n, s: sampled_det_agreement(n, s), det_agreement(1e-10)),
     "preserves-cnot": (lambda n, s: sampled_preserves(CNOT, n, s), preserves(CNOT)),
     "preserves-local3": (lambda n, s: sampled_preserves(LOCAL3, n, s), preserves(LOCAL3)),
     "preserves-flip3": (lambda n, s: sampled_preserves(flip_operator(3), n, s),
@@ -398,20 +441,20 @@ CASES = {
 
 
 def _per_trial(case):
-    """Entries per trial the check declares to the engine, from a one-trial run."""
+    """Entries per trial the sampled form declares to sample, from a one-trial run."""
     recorder = Recorder()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(bell, "sample_violations", recorder)
+        mp.setattr(sys.modules[__name__], "sample", recorder)
         CASES[case][0](1, 0)
     return recorder.runs[0]["per_trial"]
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_engine_matches_one_trial_oracle(case, engine):
+def test_engine_matches_one_trial_oracle(case, recorder):
     run_check, oracle = CASES[case]
     trials = chunk_size(_per_trial(case)) + 7  # two chunks, the second one short
     report = run_check(trials, ORACLE_SEED)
-    (run,) = engine.runs
+    (run,) = recorder.runs
     assert run["trials"] == trials == report.trials
     expected = np.concatenate([oracle(idx, batch) for idx, batch in redraw(run)])
     assert np.abs(run["violations"] - expected).max() <= 1e-12
@@ -430,93 +473,24 @@ FRAME_CASES = {
     "cond3-bell": lambda: sampled_bell_condition(bell_basis(), 3, 1100, 8),
     "cond3-fourier3": lambda: sampled_bell_condition(FOURIER3, 3, 250, 8),
     "cond3-fourier4": lambda: sampled_bell_condition(FOURIER4, 3, 70, 8),
-    "det-criterion": lambda: check_det_criterion_agreement(1100, 8),
-    "universality-det": lambda: sampled_universality(theta2(), 2500, 8),
-    "universality-best": lambda: sampled_universality(AntilinearOp(D3_CANDIDATE), 1000, 8,
-                                                      phase="best"),
+    "det-criterion": lambda: sampled_det_agreement(1100, 8),
 }
-
-
-# the spin flip is covariant at d=2: its violations are rounding error, compared within 8 d eps
-ROUNDING_ONLY = {"universality-det": 2}
 
 
 @pytest.mark.parametrize("case", sorted(FRAME_CASES))
-def test_frame_products_match_stacked_matmul(case, engine, monkeypatch):
-    # the same seeds through left @ x @ right, and det(U) one LAPACK call per trial, not
-    # linalg's whole-stack kernels
+def test_frame_products_match_stacked_matmul(case, recorder, monkeypatch):
+    # the same seeds through left @ x @ right, not _sandwich's two GEMMs
     fast = FRAME_CASES[case]()
     monkeypatch.setattr(bell, "_sandwich", lambda left, x, right: left @ x @ right)
-    monkeypatch.setattr(linalg, "_det", np.linalg.det)
     slow = FRAME_CASES[case]()
-    (fast_run, slow_run) = engine.runs
+    (fast_run, slow_run) = recorder.runs
     assert fast_run["trials"] > chunk_size(fast_run["per_trial"])  # two chunks at least
     assert fast.passed == slow.passed
     assert [w["trial"] for w in fast.witnesses] == [w["trial"] for w in slow.witnesses]
-    if case in ROUNDING_ONLY:
-        bound = 8 * ROUNDING_ONLY[case] * np.finfo(float).eps
-        assert np.all(np.abs(fast_run["violations"] - slow_run["violations"]) <= bound)
-        return
     assert np.all(np.abs(fast_run["violations"] - slow_run["violations"])
                   <= 1e-12 * np.abs(slow_run["violations"]))
     for w_fast, w_slow in zip(fast.witnesses, slow.witnesses):
         assert abs(w_fast["violation"] - w_slow["violation"]) <= 1e-12 * abs(w_slow["violation"])
-
-
-# the one sampled form at d=3 that takes a determinant: SU(3)'s normalisation
-D3_SAMPLED = {"cond2-fourier3": lambda: sampled_bell_condition(FOURIER3, 2, 300, 9)}
-
-
-@pytest.mark.parametrize("case", sorted(D3_SAMPLED))
-def test_d3_reports_match_the_qr_samplers(case, engine, monkeypatch):
-    # the same seeds with every determinant by LAPACK
-    fast = D3_SAMPLED[case]()
-    monkeypatch.setattr(linalg, "_det", np.linalg.det)
-    slow = D3_SAMPLED[case]()
-    fast_run, slow_run = engine.runs
-    assert fast.passed == slow.passed
-    assert [w["trial"] for w in fast.witnesses] == [w["trial"] for w in slow.witnesses]
-    assert np.all(np.abs(fast_run["violations"] - slow_run["violations"])
-                  <= 1e-12 * np.abs(slow_run["violations"]))
-    for w_fast, w_slow in zip(fast.witnesses, slow.witnesses):
-        assert abs(w_fast["violation"] - w_slow["violation"]) <= 1e-12 * abs(w_slow["violation"])
-
-
-def each_chunk_alone(run):
-    """Every trial's violation, each chunk drawn alone from its own generator and measured."""
-    out = []
-    for idx, batch in redraw(run):
-        with np.errstate(over="ignore", invalid="ignore"):
-            v = run["measure"](batch)
-        out.append(v[0] if isinstance(v, tuple) else v)
-    return np.concatenate(out)
-
-
-# id -> (run(trials, seed) -> report, trials): every CASES entry over five chunks, the last
-# one short (411 trials at d=3); Fourier d=3 at 150 trials ends in a chunk of 49, at 1000 it
-# takes 10 chunks, and Fourier d=4 has chunks of 32
-BATCH_CASES = {
-    **{case: (run_check, None) for case, (run_check, _) in CASES.items()},
-    "cond2-fourier3-150": (lambda n, s: sampled_bell_condition(FOURIER3, 2, n, s), 150),
-    "cond3-fourier3-150": (lambda n, s: sampled_bell_condition(FOURIER3, 3, n, s), 150),
-    "cond3-fourier3-1000": (lambda n, s: sampled_bell_condition(FOURIER3, 3, n, s), 1000),
-    "cond2-fourier4-300": (lambda n, s: sampled_bell_condition(FOURIER4, 2, n, s), 300),
-    "cond3-fourier4-300": (lambda n, s: sampled_bell_condition(FOURIER4, 3, n, s), 300),
-    "cond4-fourier4-300": (lambda n, s: sampled_bell_condition(FOURIER4, 4, n, s), 300),
-}
-
-
-@pytest.mark.parametrize("case", sorted(BATCH_CASES))
-def test_batched_draws_match_each_chunk_drawn_alone(case, engine):
-    # the engine's run is each chunk drawn from its own chunk_rng(seed, c) and measured alone
-    run_check, trials = BATCH_CASES[case]
-    report = run_check(trials or 4 * chunk_size(_per_trial(case)) + 7, ORACLE_SEED)
-    (run,) = engine.runs
-    expected = each_chunk_alone(run)
-    assert np.array_equal(run["violations"], expected)
-    first = np.flatnonzero(~(expected < run["tol"]))[:MAX_WITNESSES]
-    assert [w["trial"] for w in report.witnesses] == first.tolist()
-    assert [w["violation"] for w in report.witnesses] == expected[first].tolist()
 
 
 def traced_peak(run):
@@ -533,23 +507,15 @@ def traced_peak(run):
 @pytest.mark.parametrize("basis, trials", [(FOURIER3, 1000), (bell_basis(), 2000)],
                          ids=["fourier3", "bell"])
 def test_condition_3_peak_memory_is_a_few_chunks(basis, trials):
-    # 0.68 and 0.95 MiB measured for the sampled form, whose O and U hold n^2 entries a trial
+    # 0.46 and 0.47 MiB measured for the sampled form, whose O and U hold n^2 entries a trial
     assert traced_peak(lambda: sampled_bell_condition(basis, 3, trials, 0)) < 1.25 * 2 ** 20
 
 
-# ---- condition 3's sampled form: _local_kinds' pivot certificates against the SVD kinds ---------
+# ---- condition 3's sampled form: the stacked SVD kinds against factor_local, draw by draw ------
 
 def product_basis(d):
     """The basis of the operators sqrt(d) E_ij, whose matrix B is the identity."""
     return EntangledBasis(d, np.sqrt(d) * np.eye(d * d).reshape(d * d, d, d))
-
-
-def svd_kinds(u):
-    """factor_local's kind of each U in a stack, from the full spectra of R(U) and R(U F)."""
-    d = round(u.shape[-1] ** 0.5)
-    plain, flip = (factorize._is_rank_one(np.linalg.svd(factorize._reshuffle(x, d), compute_uv=False))
-                   for x in (u, u @ flip_operator(d)))
-    return np.where(plain, "local", np.where(flip, "local_flip", "neither"))
 
 
 ROW_BASES = {"fourier3": lambda: FOURIER3, "fourier4": lambda: FOURIER4,
@@ -560,17 +526,18 @@ ROW_BASES = {"fourier3": lambda: FOURIER3, "fourier4": lambda: FOURIER4,
 @pytest.mark.parametrize("seed", [0, 7, 8])
 @pytest.mark.parametrize("trials", [150, 411, 1000])
 @pytest.mark.parametrize("name", sorted(ROW_BASES))
-def test_condition_3_row_certificate_matches_the_dense_kinds(name, trials, seed, engine):
-    # the kinds come from _local_kinds' pivot step; each chunk's O is its own Generator's
+def test_condition_3_row_certificate_matches_the_dense_kinds(name, trials, seed, recorder):
+    # the sampled form's kinds come from svd_kinds on each chunk's stack; factor_local decides
+    # each O of the chunk, drawn again from its own Generator, on its own
     basis = ROW_BASES[name]()
     b = basis_matrix(basis)
     report = sampled_bell_condition(basis, 3, trials, seed)
-    (run,) = engine.runs
+    (run,) = recorder.runs
     expected = []
     for (idx, o), o_seen in zip(redraw(run), run["batches"], strict=True):
         assert np.array_equal(o_seen, o)
-        expected.append(svd_kinds(linalg._sandwich(b, o, b.conj().T)) == "neither")
-    expected = np.concatenate(expected).astype(float)
+        expected += [factor_local(b @ x @ b.conj().T).kind == "neither" for x in o]
+    expected = np.array(expected, dtype=float)
     assert np.array_equal(run["violations"], expected)
     assert report.max_violation == expected.mean() and not report.passed
     first = np.flatnonzero(expected)[:MAX_WITNESSES]
@@ -600,9 +567,9 @@ def test_bell_basis_checks_pass_across_chunks():
     assert check_det_criterion_agreement(trials=700, seed=3).max_violation == 0.0
 
 
-def test_condition_2_witness_pair_names_the_largest_entry(engine):
+def test_condition_2_witness_pair_names_the_largest_entry(recorder):
     report = sampled_bell_condition(FOURIER3, 2, trials=40, seed=1)
-    (run,) = engine.runs
+    (run,) = recorder.runs
     b = basis_matrix(FOURIER3)
     inputs = {int(t): (v1, v2) for idx, (a, c) in redraw(run) for t, v1, v2 in zip(idx, a, c)}
     for w in report.witnesses:
@@ -650,12 +617,12 @@ EXACT_BASES = {
 
 @pytest.mark.parametrize("name", sorted(EXACT_BASES))
 @pytest.mark.parametrize("condition", [2, 5])
-def test_exact_conditions_match_dense_products(condition, name, engine):
+def test_exact_conditions_match_dense_products(condition, name):
     basis = EXACT_BASES[name]()
     with np.errstate(over="ignore", invalid="ignore"):
         expected = (dense_condition_2 if condition == 2 else dense_condition_5)(basis)
         report = check_bell_condition(basis, condition, trials=7, seed=3)
-    assert engine.runs == [] and report.trials == 0  # nothing is drawn
+    assert report.trials == 0  # nothing is drawn
     values = np.array(list(expected.values()))
     witnessed = [list(p) for p, v in expected.items() if not v < TOL][:MAX_WITNESSES]
     assert [w["pair"] for w in report.witnesses] == witnessed
@@ -706,14 +673,14 @@ PAIR_BASES = {
 
 @pytest.mark.parametrize("name", sorted(PAIR_BASES))
 @pytest.mark.parametrize("condition", [3, 4])
-def test_pair_residuals_match_the_dense_projection(condition, name, engine, monkeypatch):
+def test_pair_residuals_match_the_dense_projection(condition, name, monkeypatch):
     basis = PAIR_BASES[name]()
     d = basis.dim
     expected = dense_pair_residuals(basis)
     seen, real = [], bell.pair_witnesses
     monkeypatch.setattr(bell, "pair_witnesses", lambda v, *a: seen.append(v) or real(v, *a))
     report = check_bell_condition(basis, condition, trials=7, seed=3)
-    assert engine.runs == [] and report.trials == 0  # nothing is drawn
+    assert report.trials == 0  # nothing is drawn
     (r,) = seen
     assert np.abs(r - list(expected.values())).max() <= 8 * d * np.finfo(float).eps
     witnessed = [list(p) for p, v in expected.items() if not v < TOL][:MAX_WITNESSES]
@@ -750,14 +717,14 @@ COVARIANCE_OPERATORS = {
 
 @pytest.mark.parametrize("phase", ["det", "best"])
 @pytest.mark.parametrize("name", sorted(COVARIANCE_OPERATORS))
-def test_covariance_residuals_match_the_dense_images(name, phase, engine, monkeypatch):
+def test_covariance_residuals_match_the_dense_images(name, phase, monkeypatch):
     a = np.asarray(COVARIANCE_OPERATORS[name](), dtype=complex)
     d = len(a)
     expected = dense_covariance_residuals(a, phase)
     seen, real = [], bell._covariance_residuals
     monkeypatch.setattr(bell, "_covariance_residuals", lambda *x: seen.append(real(*x)) or seen[-1])
     report = check_universality(AntilinearOp(a), trials=7, seed=3, phase=phase)
-    assert engine.runs == [] and report.trials == 0  # nothing is drawn
+    assert report.trials == 0  # nothing is drawn
     (v,) = seen
     assert v.shape == (d * d,)
     assert np.abs(v - expected).max() <= 8 * d * np.finfo(float).eps * max(1.0, np.linalg.norm(a))
@@ -770,56 +737,22 @@ def test_covariance_residuals_match_the_dense_images(name, phase, engine, monkey
     assert report.passed == (name in covariant)
 
 
-def test_search_residuals_are_each_candidates_own(engine):
+def test_search_residuals_are_each_candidates_own():
     # the stacked residuals of the search's candidates are those of each candidate alone
     report = universality_search(dim=3, candidates=9, seed=2)
     a = search_candidates(9, 2)
     worst = [bell._covariance_residuals(x, "best").max() for x in a]
-    assert engine.runs == [] and report.trials == 0
+    assert report.trials == 0
     assert report.max_violation == min(worst)
     assert report.details == {"dim": 3, "candidates": 9, "seed": 2,
                               "weakest_candidate": int(np.argmin(worst))}
     assert [w["violation"] for w in report.witnesses] == worst[:MAX_WITNESSES]
 
 
-@pytest.mark.parametrize("case", ["cond2-fourier3", "cond3-fourier3", "cond4-fourier3",
-                                  "universality-d2-sigma3", "preserves-cnot"])
-def test_chunk_boundaries(case):
-    run_check = CASES[case][0]
-    chunk = chunk_size(_per_trial(case))
-    previous = None
-    for trials in (1, chunk - 1, chunk, chunk + 1):
-        if trials < 1:
-            continue
-        report = run_check(trials, 11)
-        assert report.trials == trials
-        found = [w["trial"] for w in report.witnesses]
-        assert 0 < len(found) <= MAX_WITNESSES
-        assert all(0 <= t < trials for t in found)
-        assert found == sorted(set(found))
-        if previous is not None:
-            # chunk c draws from its own generator, so more trials only append
-            assert found[: len(previous)] == previous
-        previous = found
-
-
 def test_chunk_size_is_derived_from_entries_per_trial():
     assert chunk_size(1) == reports.CHUNK_ENTRIES
     assert chunk_size(reports.CHUNK_ENTRIES + 1) == 1
     assert chunk_size(24 ** 4) == 1
-
-
-@pytest.mark.parametrize("case", sorted(CASES))
-def test_seed_is_an_integer(case, engine):
-    # a Generator seed would run one stream through every chunk, which no report could replay
-    rng = np.random.default_rng(4)
-    state = rng.bit_generator.state
-    with pytest.raises(TypeError):
-        CASES[case][0](60, rng)
-    assert rng.bit_generator.state == state and engine.runs == []
-    report = CASES[case][0](60, np.int64(4))
-    assert all(type(w["seed"]) is int and w["seed"] == 4 for w in report.witnesses)
-    json.dumps(report_to_obj(report))
 
 
 @pytest.mark.parametrize("trials", ["3", "1000"])  # accepted and ignored
@@ -837,33 +770,6 @@ def test_search_witnesses_replay_from_their_report(trials, tmp_path, capsys):
         assert abs(w["violation"] - residuals.max()) <= 1e-12
 
 
-class TestLazyFields:
-    @staticmethod
-    def uniform(rng, idx):
-        return rng.random(len(idx))
-
-    def test_callable_gets_only_the_witness_rows(self):
-        seen, drawn = [], []
-
-        def lazy(x):
-            drawn.append(x)
-
-            def fields(rows):
-                seen.append(rows)
-                return {"value": x[rows], "pair": np.stack([rows, rows], axis=1)}
-            return x, fields
-
-        # chunks of chunk_size(64) trials and about 30 violations, of which 8 become witnesses
-        total, w_lazy = reports.sample_violations(1000, 3, 0.97, self.uniform, lazy, 64)
-        assert all(len(rows) > 0 for rows in seen)
-        assert sum(len(rows) for rows in seen) == len(w_lazy) == MAX_WITNESSES
-        assert (np.concatenate(drawn) >= 0.97).sum() > MAX_WITNESSES
-        assert math.isclose(total, np.concatenate(drawn).sum(), rel_tol=1e-12)  # every chunk's
-        for w in w_lazy:
-            assert w["value"] == w["violation"]
-            assert w["pair"] == [w["trial"] % chunk_size(64)] * 2
-
-
 class TestStackedSamplers:
     @pytest.mark.parametrize("sampler", [haar_unitary, haar_special_unitary])
     def test_unitary_stack(self, sampler):
@@ -875,9 +781,6 @@ class TestStackedSamplers:
             assert np.allclose(np.linalg.det(us), 1.0, atol=1e-12)
 
     def test_orthogonal_stack(self):
-        os_ = linalg._so4(np.random.default_rng(2), 20)
-        assert os_.shape == (20, 4, 4) and os_.dtype == float
-        assert np.allclose(np.linalg.det(os_), 1.0, atol=1e-12)
         for n in (3, 4, 5):
             os_ = random_orthogonal(n, seed=1, count=40)
             assert os_.shape == (40, n, n) and os_.dtype == float
@@ -888,8 +791,7 @@ class TestStackedSamplers:
     @pytest.mark.parametrize("sampler, dims", [
         (haar_unitary, (1, 2, 3, 4)), (haar_special_unitary, (1, 2, 3, 4)),
         (random_orthogonal, (1, 2, 3, 4)),
-        (lambda d, seed, count=None: linalg._so4(np.random.default_rng(seed), count), (4,)),
-    ], ids=["haar_unitary", "haar_special_unitary", "random_orthogonal", "special_orthogonal"])
+    ], ids=["haar_unitary", "haar_special_unitary", "random_orthogonal"])
     def test_stack_of_one_is_the_single_draw(self, sampler, dims):
         for d in dims:
             for seed in range(3):
@@ -920,6 +822,7 @@ class TestSharedRules:
             b[0, 0] = 0.0
 
     def test_stacked_kinds_match_factor_local(self):
+        # svd_kinds, the kinds of condition 3's sampled form, on one operator of each kind
         rng = np.random.default_rng(6)
         b = bell_matrix()
         us = np.stack([
@@ -928,7 +831,7 @@ class TestSharedRules:
             CNOT,
             b @ random_orthogonal(4, rng) @ b.conj().T,
         ])
-        kinds = factorize._local_kinds(us)
+        kinds = svd_kinds(us)
         assert kinds.tolist() == [factor_local(u).kind for u in us]
         assert set(kinds) == {"local", "local_flip", "neither"}
 
@@ -976,25 +879,3 @@ def test_every_bell_condition_reports_an_overflowing_basis():
     # called directly, factor_local's unitarity gate still refuses such an operator
     with pytest.raises(ValueError, match="not unitary"):
         factor_local(np.full((4, 4), np.nan, dtype=complex))
-
-
-def test_engine_and_pair_witnesses_share_one_rule():
-    tol = 1e-3
-    v = np.array([np.nan, tol, tol / 2, np.inf, -np.inf, 0.5])
-    total, witnesses = reports.sample_violations(
-        len(v), 0, tol, lambda rng, idx: idx, lambda idx: v[idx], 1
-    )
-    assert math.isnan(total)  # the NaN trial poisons the sum
-    with np.errstate(all="raise"):  # a sum past the double range is inf, not an error
-        total, _ = reports.sample_violations(2, 0, tol, lambda rng, idx: idx,
-                                             lambda idx: np.full(len(idx), 1e308), 1)
-    assert total == np.inf
-    pairs = reports.pair_witnesses(v, range(len(v)), range(len(v)), tol)
-    assert [w["trial"] for w in witnesses] == [p["pair"][0] for p in pairs] == [0, 1, 3, 5]
-
-
-def test_det_criterion_memory_is_flat_in_trials():
-    # the engine keeps a running sum, not one double a trial: 200,000 trials peaked at 2,506 KiB
-    # against 958 KiB at 2,000 when it kept them all
-    peak = [traced_peak(lambda: check_det_criterion_agreement(n, 1)) for n in (2000, 200_000)]
-    assert peak[1] - peak[0] <= 64 * 2 ** 10

@@ -1,10 +1,11 @@
-"""Fuzzed trial counts, tolerances and seeds through the sampled-check engine.
+"""Fuzzed trial counts, tolerances and seeds through the exact checks and their sampled forms.
 
 For any of them a tolerance report passes exactly when its largest
 violation is below tol, keeps at most MAX_WITNESSES witnesses, all at or
-above tol, and encodes as JSON. The Bell conditions and phase covariance,
-which draw nothing, keep the same rule, and they give the verdict 2,000
-sampled trials give, within the bounds their docstrings state.
+above tol, and encodes as JSON. The Bell conditions, phase covariance and
+det-criterion agreement, which draw nothing, keep the same rule, and they
+give the verdict 2,000 sampled trials give, within the bounds their
+docstrings state.
 """
 
 import json
@@ -20,6 +21,7 @@ from entbasis import (  # noqa: E402
     SIGMA3,
     bell_basis,
     check_bell_condition,
+    check_det_criterion_agreement,
     check_universality,
     fourier_basis,
 )
@@ -41,8 +43,9 @@ CHECKS = {
     "cond5-fourier3": lambda n, s, t: check_bell_condition(FOURIER3, 5, n, s, t),
     "universality-sigma3": lambda n, s, t: check_universality(AntilinearOp(SIGMA3), n, s, t),
     "preserves-cnot": lambda n, s, t: sampled_preserves(CNOT, n, s, t),
+    "det-criterion": lambda n, s, t: check_det_criterion_agreement(n, s, t),
 }
-EXACT = ("cond2-bell", "cond3-fourier3", "cond5-fourier3", "universality-sigma3")
+EXACT = ("cond2-bell", "cond3-fourier3", "cond5-fourier3", "universality-sigma3", "det-criterion")
 
 
 @hypothesis.settings(max_examples=30, deadline=None)

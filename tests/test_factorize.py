@@ -1,29 +1,18 @@
 """Tests for operator-Schmidt decomposition and local factorization."""
 
-import json
-
 import numpy as np
 import pytest
 
 from entbasis import (
     SIGMA1,
     SIGMA3,
-    basis_matrix,
-    bell_basis,
-    bell_matrix,
-    check_det_criterion_agreement,
     factor_local,
     flip_operator,
-    fourier_basis,
     haar_unitary,
     operator_schmidt,
-    random_orthogonal,
     tensor,
 )
-from entbasis import bell, factorize
-from entbasis.factorize import _is_rank_one, _reshuffle
-from entbasis.fileio import report_to_obj
-from test_engine import sampled_bell_condition, sampled_preserves
+from test_engine import sampled_preserves, svd_kinds
 
 CNOT = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
@@ -179,14 +168,6 @@ class TestPreservesMaxEntangled:
             assert says_neither == witnessed
 
 
-def _svd_kinds(u):
-    """Stacked kinds from two full SVDs per operator: the pivot screen's reference."""
-    d = round(u.shape[-1] ** 0.5)
-    plain = _is_rank_one(np.linalg.svd(_reshuffle(u, d), compute_uv=False))
-    flip = _is_rank_one(np.linalg.svd(_reshuffle(u @ flip_operator(d), d), compute_uv=False))
-    return np.where(plain, "local", np.where(flip, "local_flip", "neither"))
-
-
 def _near_local(d, rng):
     """(U1 tensor U2) exp(i eps H), ten per eps over 1e-10 ... 1e-6, and each times F."""
     eps = np.repeat(np.logspace(-10, -6, 41), 10)
@@ -199,50 +180,6 @@ def _near_local(d, rng):
     return np.concatenate([u, u @ flip_operator(d)])
 
 
-class TestStackedKinds:
-    def test_flip_reshuffle_equals_reshuffle_of_the_product(self):
-        rng = np.random.default_rng(3)
-        # flip_operator itself equals the loop that built it (test_linalg)
-        for d in range(1, 6):
-            u = haar_unitary(d * d, rng, count=4)
-            fast = factorize._flip_reshuffle(u, d)
-            assert fast.tobytes() == _reshuffle(u @ flip_operator(d), d).tobytes()
-            assert factorize._flip_reshuffle(u[0], d).tobytes() == fast[0].tobytes()
-
-    @pytest.mark.parametrize("d", [2, 3])
-    def test_pivot_screen_matches_all_svd_reference(self, d, monkeypatch):
-        # near the rank-one threshold the screen defers to the SVD; far from it,
-        # on generic basis-real unitaries and Haar ones, it decides alone
-        rng = np.random.default_rng(10 + d)
-        b = bell_matrix() if d == 2 else basis_matrix(fourier_basis(3))
-        near = _near_local(d, rng)
-        real = b @ random_orthogonal(d * d, rng, count=200) @ b.conj().T
-        us = np.concatenate([near, real, haar_unitary(d * d, rng, count=50)])
-        expected = _svd_kinds(us)
-        assert set(expected) == {"local", "local_flip", "neither"}
-        deferred = []
-
-        def counted(s):
-            deferred.append(len(s))
-            return _is_rank_one(s)
-
-        pivoted, flipped = _spy(monkeypatch, "_reshuffle"), _spy(monkeypatch, "_flip_reshuffle")
-        monkeypatch.setattr(factorize, "_is_rank_one", counted)
-        kinds = factorize._local_kinds(us)
-        assert kinds.tolist() == expected.tolist()
-        assert 0 < sum(deferred) < len(us)
-        # every U takes the pivot, and the flip is examined only where U is not local
-        assert pivoted == [len(us)]
-        assert flipped == [int((kinds != "local").sum())]
-
-
-def _spy(monkeypatch, name):
-    """The stack lengths factorize.<name> is called with, in call order."""
-    calls, real = [], getattr(factorize, name)
-    monkeypatch.setattr(factorize, name, lambda u, d: calls.append(len(u)) or real(u, d))
-    return calls
-
-
 def _products(d, rng, count):
     """U1 tensor U2 for Haar U1, U2, and each times F."""
     a, b = haar_unitary(d, rng, count=count), haar_unitary(d, rng, count=count)
@@ -251,65 +188,28 @@ def _products(d, rng, count):
 
 
 class TestMinorCertificate:
+    """factor_local, the one decider, against the stacked rank rule near its threshold."""
+
     @pytest.mark.parametrize("d", [3, 4])
-    def test_kinds_match_all_svd_reference(self, d, monkeypatch):
+    def test_kinds_match_all_svd_reference(self, d):
         rng = np.random.default_rng(20 + d)
         near, products = _near_local(d, rng), _products(d, rng, 100)
         haar = haar_unitary(d * d, rng, count=100)
         us = np.concatenate([near, products, haar])
-        pivoted = _spy(monkeypatch, "_reshuffle")
-        kinds = factorize._local_kinds(us)
-        assert kinds.tolist() == _svd_kinds(us).tolist()
-        assert pivoted == [len(us)]
+        kinds = np.array([factor_local(u).kind for u in us])
+        assert kinds.tolist() == svd_kinds(us).tolist()
         assert set(kinds[len(near):len(near) + len(products)]) == {"local", "local_flip"}
         assert set(kinds[-len(haar):]) == {"neither"}
 
     @pytest.mark.parametrize("d", [3, 4])
-    def test_kinds_of_finite_non_unitary_stacks_match_all_svd_reference(self, d):
-        # no certificate needs a unitary input: 2 U keeps U's kind, and a Gaussian matrix is
-        # decided as the SVD decides it
-        rng = np.random.default_rng(30 + d)
-        shape = (100, d * d, d * d)
-        gaussian = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        us = np.concatenate([2 * _near_local(d, rng), 2 * _products(d, rng, 50), gaussian])
-        kinds = factorize._local_kinds(us)
-        assert kinds.tolist() == _svd_kinds(us).tolist()
-        assert set(kinds) == {"local", "local_flip", "neither"}
-
-    @pytest.mark.parametrize("d", [3, 4])
     def test_bound_holds_at_the_rank_threshold(self, d):
-        # exp(i eps (E_{0,d+1} + E_{d+1,0})) has a 2 x 2 minor sin(eps) cos(eps) of R(U) and
-        # s1/s0 = sin(eps)/d: the SVD calls it local up to eps = d RANK_TOL, so a pivot bound
-        # below 2 RANK_TOL ||R||_F^2 would certify local operators as "neither"
+        # exp(i eps (E_{0,d+1} + E_{d+1,0})) has s1/s0 = sin(eps)/d in R(U): the SVD calls it
+        # local up to eps = d RANK_TOL, and factor_local's verdict flips there, for U and U F
         eps = np.logspace(-9, -6, 61)
         u = np.repeat(np.eye(d * d, dtype=complex)[None], len(eps), axis=0)
         u[:, 0, 0] = u[:, d + 1, d + 1] = np.cos(eps)
         u[:, 0, d + 1] = u[:, d + 1, 0] = 1j * np.sin(eps)
         us = np.concatenate([u, u @ flip_operator(d)])
-        kinds = factorize._local_kinds(us)
-        assert kinds.tolist() == _svd_kinds(us).tolist()
+        kinds = np.array([factor_local(x).kind for x in us])
+        assert kinds.tolist() == svd_kinds(us).tolist()
         assert set(kinds) == {"local", "local_flip", "neither"}
-
-    @pytest.mark.parametrize("check, text", [
-        # condition 3's sampled form, whose kinds come from _local_kinds
-        (lambda: sampled_bell_condition(bell_basis(), 3, 2000, 7),
-         '{"name": "sampled-condition-3", "trials": 2000, "maxViolation": 0.0, '
-         '"threshold": 1e-10, "passed": true, "verdict": "no violation found", "witnesses": [], '
-         '"details": {}}'),
-        (lambda: check_det_criterion_agreement(1000, 7),
-         '{"name": "det-criterion-agreement", "trials": 1000, "maxViolation": 0.0, '
-         '"threshold": 1e-10, "passed": true, "verdict": "no violation found", '
-         '"witnesses": [], "details": {}}'),
-    ], ids=["bell-condition-3", "det-criterion"])
-    def test_d2_stacks_pass_to_the_pivot_as_they_are(self, check, text, monkeypatch):
-        # at d=2 every sampled U is local or local-flip, and each chunk reaches the pivot whole,
-        # not as a copy
-        given, pivoted = [], []
-        real_kinds, real_reshuffle = factorize._local_kinds, factorize._reshuffle
-        monkeypatch.setattr(bell, "_local_kinds", lambda u: given.append(u) or real_kinds(u))
-        monkeypatch.setattr(factorize, "_reshuffle",
-                            lambda u, d: pivoted.append(u) or real_reshuffle(u, d))
-        report = check()
-        assert len(given) > 1 and len(pivoted) == len(given)
-        assert all(p is g for p, g in zip(pivoted, given))
-        assert json.dumps(report_to_obj(report)) == text

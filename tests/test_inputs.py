@@ -24,7 +24,7 @@ from entbasis import (
     validate_latin_square,
     vector_from_operator,
 )
-from entbasis import cli, reports
+from entbasis import cli
 from entbasis.cli import main
 from entbasis.fileio import basis_from_obj, load_basis, save_json
 
@@ -82,19 +82,6 @@ def test_gen_past_the_size_cap_is_refused_before_building(monkeypatch, capsys):
         cli.MAX_GEN_DIM, cli.MAX_GEN_DIM + 1)
 
 
-def test_det_criterion_past_the_trial_cap_is_refused_before_drawing(monkeypatch, capsys):
-    drawn, real = [], reports.chunk_rng
-    monkeypatch.setattr(reports, "chunk_rng", lambda seed, c: drawn.append(c) or real(seed, c))
-    for trials in (cli.MAX_TRIALS + 1, 10 ** 12):
-        assert main(["check", "det-criterion", "--trials", str(trials)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == "" and captured.err == "error: trials must be at most %d, got %d\n" % (
-            cli.MAX_TRIALS, trials)
-    assert drawn == []
-    assert main(["check", "det-criterion", "--trials", "600"]) == 0
-    assert drawn == [0, 1]  # a run under the cap draws its chunks through the same spy
-
-
 def test_empty_basis_is_refused_where_it_is_made(tmp_path, capsys):
     with pytest.raises(ValueError, match="^dim must be at least 1, got 0$"):
         EntangledBasis(0, np.zeros((0, 0, 0), dtype=complex))
@@ -106,26 +93,27 @@ def test_empty_basis_is_refused_where_it_is_made(tmp_path, capsys):
     assert capsys.readouterr().err == "error: dim must be at least 1, got 0\n"
 
 
-# one child at a time, limited to 2 GiB of address space before entbasis is imported. 10^12
-# trials are past det-criterion's trial cap (cli.MAX_TRIALS), so the run exits 2 before its
-# first draw with or without the limit; below the cap its memory does not grow with trials
+# one child at a time, limited to 1 GiB of address space before entbasis is imported. gen
+# --dim 104, the largest dim it takes, needs a 1.74 GiB basis stack (16 d^4 bytes), so numpy
+# refuses the allocation at once and nothing is written
 _CAPPED_MAIN = """
 import resource, sys
-resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 from entbasis.cli import main
 sys.exit(main(sys.argv[1:]))
 """
 
 
-@pytest.mark.parametrize("suite", ["det-criterion"])  # the one check that samples
-def test_allocation_the_machine_cannot_make_exits_2(suite):
+@pytest.mark.parametrize("argv", [["gen", "--dim", "104", "--out", "big.json"]], ids=["gen"])
+def test_allocation_the_machine_cannot_make_exits_2(argv, tmp_path):
     src = os.path.dirname(os.path.dirname(entbasis.__file__))
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     run = subprocess.run(
-        [sys.executable, "-c", _CAPPED_MAIN, "check", suite, "--trials", "1000000000000"],
-        capture_output=True, text=True, env=env, timeout=120,
+        [sys.executable, "-c", _CAPPED_MAIN, *argv],
+        capture_output=True, text=True, env=env, timeout=120, cwd=tmp_path,
     )
     assert run.returncode == 2, run.stderr
     assert run.stdout == ""
     assert re.fullmatch(r"error: [^\n]+\n", run.stderr), run.stderr
+    assert list(tmp_path.iterdir()) == []

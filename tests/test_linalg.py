@@ -210,11 +210,6 @@ class TestRandomOrthogonal:
             assert np.linalg.norm(o.T @ o - np.eye(5)) < 1e-12
             assert np.abs(o.imag).max() == 0 if np.iscomplexobj(o) else True
 
-    def test_special_determinant(self):
-        for seed in range(10):
-            o = linalg._so4(np.random.default_rng(seed), None)
-            assert np.linalg.det(o) == pytest.approx(1.0, abs=1e-10)
-
     def test_count_is_keyword_only(self):
         # count is keyword-only: a third positional argument is refused, not taken as count
         with pytest.raises(TypeError):
@@ -225,7 +220,7 @@ class TestRandomOrthogonal:
         assert any(d < 0 for d in dets) and any(d > 0 for d in dets)
 
 
-# ---- the closed-form samplers at d = 2 (n = 4) against the QR ----------
+# ---- the samplers at d = 2 (n = 4): exact, Haar moments, and the power of the KS statistic ------
 
 DRAWS = 20_000
 # about five standard errors of a mean over DRAWS draws: each moment below has
@@ -245,22 +240,9 @@ def ks_statistic(x, y):
     return np.abs(fx - fy).max()
 
 
-def qr_special_unitary(seed, count):
-    u = linalg._haar(2, seed, count)
-    return u / np.sqrt(np.linalg.det(u))[:, None, None]
-
-
-def qr_orthogonal(seed, count, special):
-    o = linalg._haar(4, seed, count, real=True)
-    if special:
-        o[np.linalg.det(o) < 0, :, 0] *= -1.0
-    return o
-
-
 TWO_QUBIT = {
     "su2": lambda seed, count=None: haar_special_unitary(2, seed, count),
     "u2": lambda seed, count=None: haar_unitary(2, seed, count),
-    "so4": lambda seed, count=None: linalg._so4(np.random.default_rng(seed), count),
     "o4": lambda seed, count=None: random_orthogonal(4, seed, count=count),
 }
 
@@ -271,12 +253,12 @@ class TestTwoQubitSamplers:
         sampler = TWO_QUBIT[name]
         for x in (sampler(3, 500), sampler(4)[None]):
             n = x.shape[-1]
-            assert x.dtype == (float if name in ("so4", "o4") else complex)
+            assert x.dtype == (float if name == "o4" else complex)
             gram = np.swapaxes(x.conj(), -1, -2) @ x
             assert np.abs(gram - np.eye(n)).max() < 1e-14
             dets = np.linalg.det(x)
-            # SU(2) and SO(4) have determinant 1; U(2) and O(4) one of modulus 1
-            target = 1 if name in ("su2", "so4") else dets / np.abs(dets)
+            # SU(2) has determinant 1; U(2) and O(4) one of modulus 1
+            target = 1 if name == "su2" else dets / np.abs(dets)
             assert np.abs(dets - target).max() < 1e-14
 
     def test_orthogonal_without_special_takes_both_signs(self):
@@ -285,32 +267,11 @@ class TestTwoQubitSamplers:
         singles = [np.linalg.det(random_orthogonal(4, s)) for s in range(40)]
         assert min(singles) < 0 < max(singles)
 
-    @pytest.mark.parametrize("name, seed", [("su2", 21), ("u2", 22), ("so4", 23)])
+    @pytest.mark.parametrize("name, seed", [("su2", 21), ("u2", 22)])
     def test_trace_moments(self, name, seed):
         tr = np.trace(TWO_QUBIT[name](seed, DRAWS), axis1=1, axis2=2)
         assert abs(tr.mean()) < MOMENT_BOUND
         assert abs((np.abs(tr) ** 2).mean() - 1) < MOMENT_BOUND
-
-    @pytest.mark.parametrize("name, oracle", [
-        ("su2", lambda seed: qr_special_unitary(seed, DRAWS)),
-        ("u2", lambda seed: linalg._haar(2, seed, DRAWS)),
-    ])
-    def test_unitary_same_law_as_qr(self, name, oracle):
-        u, v = TWO_QUBIT[name](31, DRAWS), oracle(32)
-        assert ks_statistic(np.trace(u, axis1=1, axis2=2).real,
-                            np.trace(v, axis1=1, axis2=2).real) < KS_CRITICAL
-        assert ks_statistic(np.abs(u[:, 0, 0]), np.abs(v[:, 0, 0])) < KS_CRITICAL
-        if name == "u2":
-            # neither statistic above sees the phase range: det U is uniform on the circle
-            assert ks_statistic(np.angle(np.linalg.det(u)), np.angle(np.linalg.det(v))) \
-                < KS_CRITICAL
-
-    @pytest.mark.parametrize("special", [True, False])
-    def test_orthogonal_same_law_as_qr(self, special):
-        o, w = TWO_QUBIT["so4" if special else "o4"](33, DRAWS), qr_orthogonal(34, DRAWS, special)
-        assert ks_statistic(o[:, 0, 0], w[:, 0, 0]) < KS_CRITICAL
-        assert ks_statistic(np.trace(o, axis1=1, axis2=2), np.trace(w, axis1=1, axis2=2)) \
-            < KS_CRITICAL
 
     def test_ks_tells_su2_from_u2(self):
         # the statistic has the power to see a missing phase: Re tr of SU(2) against U(2)
@@ -325,9 +286,10 @@ class TestTwoQubitSamplers:
         assert np.array_equal(linalg._haar(4, 0, real=True), np.diag([1.0, -1.0, 1.0, -1.0]))
 
     def test_other_sizes_take_the_qr_path(self):
-        for d in (1, 3, 4):
+        # every size, d = 2 and n = 4 too
+        for d in (1, 2, 3, 4):
             assert haar_unitary(d, 7, 3).tobytes() == linalg._haar(d, 7, 3).tobytes()
-        for n in (1, 2, 3, 5):
+        for n in (1, 2, 3, 4, 5):
             assert random_orthogonal(n, 8, count=3).tobytes() \
                 == linalg._haar(n, 8, 3, real=True).tobytes()
 
@@ -402,26 +364,12 @@ def test_gaussian_draws_equal_the_textbook_expression(d, count):
 
 
 class TestSmallKernels:
-    """linalg._det against LAPACK, and the stacked Gram of unitarity_residual against the
-    matmul of each matrix."""
+    """The stacked Gram of unitarity_residual against the matmul of each matrix."""
 
     @staticmethod
     def stack(rng, n, count, real):
         shape = (n, n) if count is None else (count, n, n)
         return rng.standard_normal(shape) if real else rand_complex(rng, shape)
-
-    @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
-    @pytest.mark.parametrize("count", [None, 1, 7, 1000], ids=["2-D", "1", "7", "1000"])
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-    def test_det_matches_lapack(self, n, count, real):
-        x = self.stack(np.random.default_rng(n), n, count, real)
-        got, want = linalg._det(x), np.linalg.det(x)
-        assert np.shape(got) == np.shape(want) and np.result_type(got) == np.result_type(want)
-        # relative to Hadamard's bound, the product of the row norms, which bounds |det|
-        scale = np.prod(np.linalg.norm(x, axis=-1), axis=-1)
-        assert np.all(np.abs(got - want) <= 1e-13 * scale)
-        u = linalg._haar(n, n, count, real)  # |det| = 1
-        assert np.all(np.abs(linalg._det(u) - np.linalg.det(u)) <= 1e-13)
 
     @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
     @pytest.mark.parametrize("count", [None, 1, 7, 1000], ids=["2-D", "1", "7", "1000"])
